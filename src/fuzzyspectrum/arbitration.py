@@ -16,6 +16,7 @@ from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
     Candidate,
     DecisionResult,
+    check_threshold,
     decision_possibility,
 )
 
@@ -51,13 +52,6 @@ class ArbitrationOutcome:
     threshold: float
 
 
-def _check_threshold(threshold: float) -> float:
-    t = float(threshold)
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    return t
-
-
 def rank_candidates(
     scored: Iterable[tuple[Candidate, float]],
 ) -> tuple[tuple[str, float], ...]:
@@ -76,7 +70,7 @@ def arbitrate(
     threshold: float = DEFAULT_ADMISSION_THRESHOLD,
 ) -> ArbitrationOutcome:
     """Score every candidate and grant the single vacant-spectrum slot."""
-    t = _check_threshold(threshold)
+    t = check_threshold(threshold)
     batch = list(candidates)
     if not batch:
         raise EmptyBatchError("no candidates to arbitrate")
@@ -95,4 +89,4 @@ def arbitrate(
 
 def admit(result: DecisionResult, threshold: float = DEFAULT_ADMISSION_THRESHOLD) -> bool:
     """True iff the possibility meets the threshold (inclusive)."""
-    return result.possibility >= _check_threshold(threshold)
+    return result.possibility >= check_threshold(threshold)

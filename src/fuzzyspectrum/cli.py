@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, clamp_to_universe
-from .model import Candidate, decision_possibility, default_model, validate_model
+from .model import Candidate, check_threshold, decision_possibility, default_model, validate_model
 from .serialization import (
     ModelDocument,
     format_rules_csv,
@@ -107,8 +107,7 @@ def _resolve_model(args) -> tuple[FuzzyModel, float]:
         doc = ModelDocument(model=default_model())
     model = doc.model
     threshold = doc.admission_threshold if args.threshold is None else args.threshold
-    if not (0.0 <= threshold <= 1.0):
-        raise CliError(f"threshold must be in [0, 1], got {threshold}", code=2)
+    check_threshold(threshold, error=lambda message: CliError(message, code=2))
     if args.grid_points is not None:
         model = replace(model, grid_points=args.grid_points)
     return model, threshold

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +26,7 @@ __all__ = [
     "FuzzyModel",
     "InferenceTrace",
     "MASS_EPSILON",
+    "MAX_GRID_POINTS",
     "gaussian_membership",
     "clamp_to_universe",
     "fuzzify",
@@ -56,6 +56,14 @@ class NoRuleFiredError(FuzzyError):
 
 # Total trapezoidal mass below which defuzzify_centroid refuses to divide.
 MASS_EPSILON = 1e-12
+
+# Largest output grid a model may sample, so an accepted model's arrays stay small.
+MAX_GRID_POINTS = 100001
+
+# Cap on the elements of the largest intermediate of one kernel call: rows x
+# output terms x grid points, or rows x rules x inputs or output terms when
+# the rule base is the larger.
+CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,8 @@ class FuzzyModel:
             raise ValueError("model needs at least one input variable")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+        if self.grid_points > MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {self.grid_points}")
         names = [v.name for v in self.inputs] + [self.output.name]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique across the model")
@@ -187,6 +197,7 @@ class FuzzyModel:
                 raise ModelIntegrityError(
                     f"rule {r + 1}: consequent index {rule.consequent} out of range"
                 )
+        object.__setattr__(self, "_compiled", _Compiled(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,34 +263,96 @@ def firing_strength(rule: Rule, memberships: Sequence[Sequence[float]]) -> float
 
 
 class _Compiled:
-    """Per-model arrays shared by aggregate/infer (model is immutable)."""
+    """A model's plain arrays, built once when the model is constructed.
 
-    __slots__ = ("grid", "term_curves", "antecedents", "consequents", "weights")
+    Input term parameters are padded to the widest variable; no rule
+    indexes the padding.
+    """
 
     def __init__(self, model: FuzzyModel):
-        self.grid = np.linspace(model.output.lo, model.output.hi, model.grid_points)
+        n_in, rules, output = len(model.inputs), model.rules, model.output
+        self.lo = np.array([v.lo for v in model.inputs])
+        self.hi = np.array([v.hi for v in model.inputs])
+        self.centers = np.zeros((n_in, max(len(v.terms) for v in model.inputs)))
+        self.two_sigma_sq = np.ones_like(self.centers)
+        for v, var in enumerate(model.inputs):
+            self.centers[v, : len(var.terms)] = [t.center for t in var.terms]
+            self.two_sigma_sq[v, : len(var.terms)] = [2.0 * t.sigma * t.sigma for t in var.terms]
+        self.inputs = np.arange(n_in)
+        self.antecedents = np.array([r.antecedents for r in rules], np.intp).reshape(-1, n_in)
+        self.weights = np.array([r.weight for r in rules])
+        # one-hot (rule, output term): 1.0 where the term is the rule's consequent
+        consequents = [r.consequent for r in rules]
+        self.consequents = 1.0 * np.equal.outer(consequents, range(len(output.terms)))
+        self.grid = np.linspace(output.lo, output.hi, model.grid_points)
+        self.w = _trapezoid_weights(self.grid)
         self.term_curves = np.stack(
             [
                 np.exp(-((self.grid - t.center) ** 2) / (2.0 * t.sigma * t.sigma))
-                for t in model.output.terms
+                for t in output.terms
             ]
         )
-        n = len(model.inputs)
-        self.antecedents = np.array(
-            [r.antecedents for r in model.rules], dtype=np.intp
-        ).reshape(len(model.rules), n)
-        self.consequents = np.array([r.consequent for r in model.rules], dtype=np.intp)
-        self.weights = np.array([r.weight for r in model.rules])
+        self.row_elements = max(self.term_curves.size, self.antecedents.size, self.consequents.size)
 
 
-@lru_cache(maxsize=32)
-def _compiled(model: FuzzyModel) -> _Compiled:
-    return _Compiled(model)
+def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
+    if len(points) == 1:
+        return np.ones(1)
+    edged = np.pad(points, 1, mode="edge")
+    return (edged[2:] - edged[:-2]) / 2.0
+
+
+def _aggregate(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
+    # max over rules of min(strength, consequent curve), evaluated per
+    # consequent term: min is monotone in the clip level, so taking the max
+    # strength within each consequent group first gives bit-identical values
+    # with far less work
+    clip = (strengths[:, :, None] * c.consequents).max(axis=1, initial=0.0)
+    return np.minimum(clip[:, :, None], c.term_curves).max(axis=1)
+
+
+def _centroid(degrees: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # running sums along each row, in grid order: a row's result is then
+    # bit-identical whatever else is in the batch (a BLAS product is not),
+    # and equal to summing the grid left to right one point at a time
+    mass = degrees * w
+    den = mass.cumsum(axis=-1)[:, -1]
+    if den.min() < MASS_EPSILON:
+        raise NoRuleFiredError(f"total output mass {den.min()} below {MASS_EPSILON}; no rule fired")
+    return (mass * points).cumsum(axis=-1)[:, -1] / den
+
+
+# math.exp over an array: numpy's SIMD exp differs from it in the last bit
+# for some arguments, and memberships must equal gaussian_membership's
+_math_exp = np.frompyfunc(math.exp, 1, 1)
+
+
+def _evaluate(c: _Compiled, x: np.ndarray):
+    """Memberships (n, n_inputs, terms), firing strengths, aggregated degrees
+    and crisp outputs for a chunk of finite rows x of shape (n, n_inputs),
+    each clamped into its universe first."""
+    d = np.clip(x, c.lo, c.hi)[:, :, None] - c.centers
+    memberships = _math_exp(-(d**2) / c.two_sigma_sq).astype(float)
+    strengths = c.weights * memberships[:, c.inputs, c.antecedents].min(axis=2)
+    degrees = _aggregate(c, strengths)
+    return memberships, strengths, degrees, _centroid(degrees, c.grid, c.w)
+
+
+def _infer_rows(model: FuzzyModel, x: np.ndarray) -> np.ndarray:
+    """Crisp outputs for an (N, n_inputs) array of finite inputs.  Each is
+    bit-identical to infer on the same row, and chunking keeps memory
+    bounded for any N."""
+    c = model._compiled
+    step = max(1, CHUNK_ELEMENTS // c.row_elements)
+    crisp = np.empty(len(x))
+    for i in range(0, len(x), step):
+        crisp[i:i + step] = _evaluate(c, x[i:i + step])[3]
+    return crisp
 
 
 def output_grid(model: FuzzyModel) -> np.ndarray:
     """The output-universe sample points (grid_points, endpoints inclusive)."""
-    return _compiled(model).grid.copy()
+    return model._compiled.grid.copy()
 
 
 def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarray:
@@ -287,23 +360,13 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
 
     Returns an (grid_points, 2) array of (output point, degree) pairs.
     """
-    c = _compiled(model)
+    c = model._compiled
     strengths = np.asarray(firing_strengths, dtype=float)
     if strengths.shape != (len(model.rules),):
         raise ModelIntegrityError(
             f"expected {len(model.rules)} firing strengths, got shape {strengths.shape}"
         )
-    if len(model.rules) == 0:
-        degrees = np.zeros_like(c.grid)
-    else:
-        # max over rules of min(strength, consequent curve), evaluated per
-        # consequent term: min is monotone in the clip level, so taking the
-        # max strength within each consequent group first gives bit-identical
-        # values with far less work
-        clip = np.zeros(len(model.output.terms))
-        np.maximum.at(clip, c.consequents, strengths)
-        degrees = np.minimum(clip[:, None], c.term_curves).max(axis=0)
-    return np.column_stack((c.grid, degrees))
+    return np.column_stack((c.grid, _aggregate(c, strengths[None])[0]))
 
 
 def defuzzify_centroid(curve) -> float:
@@ -311,8 +374,7 @@ def defuzzify_centroid(curve) -> float:
 
     curve is a sequence of (point, degree) pairs with strictly increasing
     points.  Raises NoRuleFiredError when the total mass is below
-    MASS_EPSILON.  Sums are accumulated left to right over the grid so
-    repeated runs are bit-identical.
+    MASS_EPSILON.
     """
     arr = np.asarray(curve, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
@@ -320,28 +382,7 @@ def defuzzify_centroid(curve) -> float:
     pts = arr[:, 0]
     if arr.shape[0] > 1 and not np.all(np.diff(pts) > 0):
         raise ValueError("curve points must be strictly increasing")
-
-    points = pts.tolist()
-    degrees = arr[:, 1].tolist()
-    n = len(points)
-    if n == 1:
-        weights = [1.0]
-    else:
-        weights = [0.0] * n
-        weights[0] = (points[1] - points[0]) / 2.0
-        weights[-1] = (points[-1] - points[-2]) / 2.0
-        for i in range(1, n - 1):
-            weights[i] = (points[i + 1] - points[i - 1]) / 2.0
-
-    num = 0.0
-    den = 0.0
-    for x, y, w in zip(points, degrees, weights):
-        yw = y * w
-        num += x * yw
-        den += yw
-    if den < MASS_EPSILON:
-        raise NoRuleFiredError(f"total output mass {den} below {MASS_EPSILON}; no rule fired")
-    return num / den
+    return float(_centroid(arr[None, :, 1], pts, _trapezoid_weights(pts))[0])
 
 
 def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
@@ -355,26 +396,14 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
         raise InvalidInputError(
             f"expected {len(model.inputs)} inputs, got {len(inputs)}"
         )
-    c = _compiled(model)
-    memberships = []
-    for var, x in zip(model.inputs, inputs):
-        xf = _as_finite_float(x, f"input for '{var.name}'")
-        memberships.append(fuzzify(var, clamp_to_universe(var, xf)))
-
-    if len(model.rules) == 0:
-        strengths = np.zeros(0)
-    else:
-        per_var = np.stack(
-            [memberships[v][c.antecedents[:, v]] for v in range(len(model.inputs))],
-            axis=1,
-        )
-        strengths = c.weights * per_var.min(axis=1)
-
-    curve = aggregate(model, strengths)
-    crisp = defuzzify_centroid(curve)
+    row = [_as_finite_float(x, f"input for '{var.name}'") for var, x in zip(model.inputs, inputs)]
+    c = model._compiled
+    memberships, strengths, degrees, crisp = _evaluate(c, np.array([row]))
     return InferenceTrace(
-        memberships=tuple(tuple(m.tolist()) for m in memberships),
-        firing_strengths=tuple(strengths.tolist()),
-        aggregated_curve=curve,
-        crisp_output=crisp,
+        memberships=tuple(
+            tuple(m[: len(var.terms)].tolist()) for m, var in zip(memberships[0], model.inputs)
+        ),
+        firing_strengths=tuple(strengths[0].tolist()),
+        aggregated_curve=np.column_stack((c.grid, degrees[0])),
+        crisp_output=float(crisp[0]),
     )

@@ -29,6 +29,7 @@ __all__ = [
     "RULE_TABLE",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_ADMISSION_THRESHOLD",
+    "check_threshold",
     "Candidate",
     "DecisionResult",
     "ModelValidationReport",
@@ -145,6 +146,14 @@ RULE_TABLE = (
 )
 
 
+def check_threshold(threshold: float, name: str = "threshold", error=ValueError) -> float:
+    """threshold as a float; raises error(message) naming it unless it lies in [0, 1]."""
+    t = float(threshold)
+    if not (0.0 <= t <= 1.0):
+        raise error(f"{name} must be in [0, 1], got {threshold}")
+    return t
+
+
 def crossover_sigma(spacing: float) -> float:
     """Sigma making two Gaussians `spacing` apart cross at membership 0.5."""
     return spacing / (2.0 * math.sqrt(2.0 * math.log(2.0)))
@@ -229,8 +238,7 @@ def decision_possibility(
     """
     if model is None:
         model = default_model()
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    threshold = check_threshold(threshold)
     trace = infer(model, candidate.inputs())
     possibility = trace.crisp_output
     return DecisionResult(
@@ -256,17 +264,11 @@ def validate_model(model: FuzzyModel) -> ModelValidationReport:
     """Check a model against the shipped rule-base contract.
 
     Verifies: rule count equals the product of input term counts, every
-    antecedent combination appears exactly once, all weights are 1, term
-    centers are strictly increasing, and universes are non-degenerate.
+    antecedent combination appears exactly once, and all weights are 1.
+    Universes and term order need no check here: FuzzyVariable rejects a
+    degenerate universe and centers that are not strictly increasing.
     """
     failures: list[str] = []
-
-    for var in (*model.inputs, model.output):
-        if not (var.lo < var.hi):
-            failures.append(f"variable '{var.name}': degenerate universe [{var.lo}, {var.hi}]")
-        centers = [t.center for t in var.terms]
-        if any(a >= b for a, b in zip(centers, centers[1:])):
-            failures.append(f"variable '{var.name}': term centers not strictly increasing")
 
     expected = 1
     for var in model.inputs:

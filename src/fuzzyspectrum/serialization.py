@@ -23,7 +23,7 @@ from .engine import (
     ModelIntegrityError,
     Rule,
 )
-from .model import DEFAULT_ADMISSION_THRESHOLD, Candidate, default_model
+from .model import DEFAULT_ADMISSION_THRESHOLD, Candidate, check_threshold, default_model
 from .sweep import SweepResult
 
 __all__ = [
@@ -66,10 +66,7 @@ class ModelDocument:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if not (0.0 <= self.admission_threshold <= 1.0):
-            raise ModelDocumentError(
-                f"admission_threshold must be in [0, 1], got {self.admission_threshold}"
-            )
+        check_threshold(self.admission_threshold, "admission_threshold", ModelDocumentError)
 
 
 def default_document() -> ModelDocument:

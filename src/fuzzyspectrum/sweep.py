@@ -7,12 +7,14 @@ their full universes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .engine import FuzzyError, FuzzyModel, infer
+from .engine import FuzzyError, FuzzyModel, _infer_rows
+from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 from .model import UNIVERSES, default_model
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "PRESET_STEPS",
+    "MAX_STEPS",
     "FIGURE_PRESETS",
     "figure_preset",
     "run_sweep",
@@ -32,6 +35,9 @@ class SweepSpecError(FuzzyError):
 
 
 PRESET_STEPS = 41
+
+# Most samples per axis, so an accepted sweep stays small in memory and time.
+MAX_STEPS = 1001
 
 # preset id -> (swept variables in model input order, fixed values)
 FIGURE_PRESETS: dict[int, tuple[tuple[str, str], dict[str, float]]] = {
@@ -56,8 +62,12 @@ class SweepAxis:
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
         object.__setattr__(self, "steps", int(self.steps))
-        if self.steps < 2:
-            raise SweepSpecError(f"axis '{self.name}': steps must be >= 2, got {self.steps}")
+        if not (2 <= self.steps <= MAX_STEPS):
+            raise SweepSpecError(
+                f"axis '{self.name}': steps must be in [2, {MAX_STEPS}], got {self.steps}"
+            )
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise SweepSpecError(f"axis '{self.name}': range [{self.lo}, {self.hi}] must be finite")
         if self.lo > self.hi:
             raise SweepSpecError(f"axis '{self.name}': lo {self.lo} > hi {self.hi}")
 
@@ -74,12 +84,12 @@ class SweepSpec:
     fixed: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
-        fixed = self.fixed
-        if isinstance(fixed, Mapping):
-            fixed = tuple(sorted(fixed.items()))
-        else:
-            fixed = tuple(sorted((str(k), float(v)) for k, v in fixed))
+        items = self.fixed.items() if isinstance(self.fixed, Mapping) else self.fixed
+        fixed = tuple(sorted((str(k), float(v)) for k, v in items))
         object.__setattr__(self, "fixed", fixed)
+        for name, value in fixed:
+            if not math.isfinite(value):
+                raise SweepSpecError(f"fixed value {value} for '{name}' must be finite")
         if self.axis1.name == self.axis2.name:
             raise SweepSpecError(f"axes must name distinct variables, both are '{self.axis1.name}'")
         names = [k for k, _ in self.fixed]
@@ -149,7 +159,7 @@ def _validate_against_model(spec: SweepSpec, model: FuzzyModel) -> None:
 
 
 def run_sweep(spec: SweepSpec, model: FuzzyModel | None = None) -> SweepResult:
-    """Evaluate the surface cell by cell.
+    """Evaluate the surface as one batch over the grid of axis samples.
 
     Each cell is exactly the single-point evaluation of the same 4-vector;
     sweeps must stay inside the universes (no clamping), so out-of-range
@@ -160,14 +170,10 @@ def run_sweep(spec: SweepSpec, model: FuzzyModel | None = None) -> SweepResult:
     _validate_against_model(spec, model)
     axis1_values = spec.axis1.samples()
     axis2_values = spec.axis2.samples()
-    fixed = spec.fixed_dict()
-    names = [v.name for v in model.inputs]
-
-    grid = np.empty((spec.axis1.steps, spec.axis2.steps))
-    point = dict(fixed)
-    for i, a in enumerate(axis1_values):
-        point[spec.axis1.name] = float(a)
-        for j, b in enumerate(axis2_values):
-            point[spec.axis2.name] = float(b)
-            grid[i, j] = infer(model, [point[n] for n in names]).crisp_output
+    a, b = np.meshgrid(axis1_values, axis2_values, indexing="ij")
+    columns = {**spec.fixed_dict(), spec.axis1.name: a, spec.axis2.name: b}
+    rows = np.column_stack(
+        [np.broadcast_to(columns[v.name], a.shape).ravel() for v in model.inputs]
+    )
+    grid = _infer_rows(model, rows).reshape(a.shape)
     return SweepResult(spec=spec, axis1_values=axis1_values, axis2_values=axis2_values, grid=grid)

@@ -75,9 +75,10 @@ class TestEval:
         assert code == 0
         # both valid possibilities, resolved on different grids
         assert coarse.splitlines()[0] != fine.splitlines()[0]
-        code, _, err = run_cli(capsys, "eval", "-80", "20", "0.3", "40", "--grid-points", "1")
-        assert code == 1
-        assert "grid_points" in err
+        for bad in ("1", "100002"):
+            code, _, err = run_cli(capsys, "eval", "-80", "20", "0.3", "40", "--grid-points", bad)
+            assert code == 1
+            assert "grid_points" in err
 
 
 class TestArbitrate:
@@ -192,6 +193,29 @@ class TestSweep:
         )
         assert code == 1
         assert "outside" in err
+
+    @pytest.mark.parametrize(
+        "axis1, fix_velocity",
+        [("signal_dbm:-100:-20", "velocity_kmh=nan"), ("signal_dbm:nan:-20", "velocity_kmh=50")],
+    )
+    def test_non_finite_sweep_inputs_rejected(self, capsys, axis1, fix_velocity):
+        code, out, err = run_cli(
+            capsys,
+            "sweep",
+            "--axis1", axis1,
+            "--axis2", "distance_m:0:100",
+            "--fix", fix_velocity,
+            "--fix", "spectrum_ratio=0.5",
+        )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_steps_above_limit_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--preset", "7", "--steps", "1002")
+        assert code == 1
+        assert out == ""
+        assert "steps" in err
 
     def test_missing_explicit_pieces(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis1", "signal_dbm:-100:-20")

@@ -15,6 +15,7 @@ from fuzzyspectrum import (
     Rule,
     aggregate,
     clamp_to_universe,
+    default_model,
     defuzzify_centroid,
     firing_strength,
     fuzzify,
@@ -22,6 +23,8 @@ from fuzzyspectrum import (
     infer,
     output_grid,
 )
+
+from fuzzyspectrum.engine import CHUNK_ELEMENTS, MAX_GRID_POINTS, _infer_rows
 
 from conftest import random_inputs, random_model, three_term_variable
 from oracle import oracle_possibility, riemann_centroid
@@ -318,12 +321,30 @@ class TestInfer:
         rng = np.random.default_rng(2024)
         for _ in range(10):
             model = random_model(rng, max_rules=100)
-            for _ in range(3):
-                x = random_inputs(rng, model)
+            rows = [random_inputs(rng, model) for _ in range(3)]
+            batch = _infer_rows(model, np.array(rows))
+            for x, batched in zip(rows, batch):
                 got = infer(model, x).crisp_output
                 want = oracle_possibility(model, x, n_grid=model.grid_points)
                 assert abs(got - want) < 1e-9
+                assert abs(batched - want) < 1e-9
                 assert model.output.lo <= got <= model.output.hi
+
+    def test_batch_rows_bit_identical_to_infer_at_every_position(self):
+        model = default_model()
+        rows_per_chunk = CHUNK_ELEMENTS // model._compiled.row_elements
+        rng = np.random.default_rng(31)
+        # some rows fall outside the universes, so clamping is covered too
+        lo = np.array([v.lo for v in model.inputs])
+        hi = np.array([v.hi for v in model.inputs])
+        span = hi - lo
+        rows = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(2 * rows_per_chunk + 5, lo.size))
+        single = [infer(model, row).crisp_output for row in rows]
+        # rolling the batch moves every row through every position, across
+        # chunk boundaries included
+        for shift in range(len(rows)):
+            batch = _infer_rows(model, np.roll(rows, shift, axis=0))
+            assert np.roll(batch, -shift).tolist() == single
 
 
 class TestTypeValidation:
@@ -371,3 +392,10 @@ class TestTypeValidation:
         y = three_term_variable("y", 0.0, 1.0)
         with pytest.raises(ValueError):
             FuzzyModel(inputs=(x,), output=y, rules=(), grid_points=1)
+
+    def test_grid_points_maximum(self):
+        # validation only: the check runs before any grid is allocated
+        x = three_term_variable("x", 0.0, 10.0)
+        y = three_term_variable("y", 0.0, 1.0)
+        with pytest.raises(ValueError, match="grid_points"):
+            FuzzyModel(inputs=(x,), output=y, rules=(), grid_points=MAX_GRID_POINTS + 1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from fuzzyspectrum import (
     figure_preset,
     run_sweep,
 )
+
+from fuzzyspectrum.sweep import MAX_STEPS
 
 from oracle import oracle_possibility
 
@@ -68,6 +72,26 @@ class TestSpecValidation:
     def test_steps_minimum(self):
         with pytest.raises(SweepSpecError):
             SweepAxis("signal_dbm", -100, -20, 1)
+
+    def test_steps_maximum(self):
+        # validation only: the axis at the limit is built, never swept
+        assert SweepAxis("signal_dbm", -100, -20, MAX_STEPS).steps == MAX_STEPS
+        with pytest.raises(SweepSpecError, match="steps"):
+            SweepAxis("signal_dbm", -100, -20, MAX_STEPS + 1)
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, -20), (-100, math.nan), (-math.inf, -20)])
+    def test_non_finite_axis_rejected(self, lo, hi):
+        with pytest.raises(SweepSpecError, match="finite"):
+            SweepAxis("signal_dbm", lo, hi, 3)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_fixed_value_rejected(self, value):
+        with pytest.raises(SweepSpecError, match="finite"):
+            SweepSpec(
+                axis1=SweepAxis("signal_dbm", -100, -20, 3),
+                axis2=SweepAxis("distance_m", 0, 100, 3),
+                fixed={"velocity_kmh": value, "spectrum_ratio": 0.5},
+            )
 
     def test_unknown_variable(self):
         spec = SweepSpec(
