@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from fuzzyspectrum import figure_preset, run_sweep
-from fuzzyspectrum.serialization import format_surface_csv
+from fuzzyspectrum.sweep import format_surface_csv
 
 out_dir = Path("surfaces")
 out_dir.mkdir(exist_ok=True)

@@ -54,6 +54,7 @@ from .sweep import (
     SweepSpec,
     SweepSpecError,
     figure_preset,
+    format_surface_csv,
     run_sweep,
 )
 from .serialization import (
@@ -65,7 +66,6 @@ from .serialization import (
     default_document,
     format_rules_csv,
     format_rules_table,
-    format_surface_csv,
     load_document,
     parse_document,
     read_candidates_csv,

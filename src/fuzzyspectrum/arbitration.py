@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import FuzzyError, FuzzyModel
+from .engine import FuzzyError, FuzzyModel, InvalidInputError, _infer_rows
 from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
     Candidate,
     DecisionResult,
     check_threshold,
-    decision_possibility,
+    decision_possibility,  # noqa: F401  (unused; kept for perfbench/tracing.py)
+    default_model,
 )
 
 __all__ = [
@@ -80,8 +81,11 @@ def arbitrate(
             raise DuplicateCandidateError(f"duplicate candidate id '{c.id}'")
         seen.add(c.id)
 
-    scored = [(c, decision_possibility(c, model, t).possibility) for c in batch]
-    ranking = rank_candidates(scored)
+    model = model or default_model()
+    rows = [c.inputs() for c in batch]
+    if len(model.inputs) != len(rows[0]):
+        raise InvalidInputError(f"expected {len(model.inputs)} inputs, got {len(rows[0])}")
+    ranking = rank_candidates(zip(batch, _infer_rows(model, rows).tolist()))
     top_id, top_possibility = ranking[0]
     winner = top_id if top_possibility >= t else None
     return ArbitrationOutcome(winner_id=winner, ranking=ranking, threshold=t)

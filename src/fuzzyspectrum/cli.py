@@ -19,11 +19,10 @@ from .serialization import (
     ModelDocument,
     format_rules_csv,
     format_rules_table,
-    format_surface_csv,
     load_document,
     read_candidates_csv,
 )
-from .sweep import SweepAxis, SweepSpec, figure_preset, run_sweep
+from .sweep import SweepAxis, SweepSpec, figure_preset, format_surface_csv, run_sweep
 
 TRACE_TOP_RULES = 5
 
@@ -193,13 +192,13 @@ def cmd_arbitrate(args) -> int:
     return 0
 
 
-def _parse_axis(text: str) -> SweepAxis:
+def _parse_axis(text: str, steps: int) -> SweepAxis:
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError(f"bad axis '{text}'; expected NAME:LO:HI", code=2)
     name, lo, hi = parts
     try:
-        return SweepAxis(name=name, lo=float(lo), hi=float(hi), steps=2)
+        return SweepAxis(name=name, lo=float(lo), hi=float(hi), steps=steps)
     except ValueError as exc:
         raise CliError(f"bad axis '{text}': {exc}", code=2) from exc
 
@@ -222,8 +221,6 @@ def cmd_sweep(args) -> int:
     explicit = args.axis1 or args.axis2 or args.fix
     if args.preset is not None and explicit:
         raise CliError("--preset conflicts with --axis1/--axis2/--fix", code=2)
-    if args.steps < 2:
-        raise CliError(f"--steps must be >= 2, got {args.steps}", code=2)
 
     if args.preset is not None:
         spec = figure_preset(args.preset, steps=args.steps)
@@ -232,8 +229,8 @@ def cmd_sweep(args) -> int:
             raise CliError(
                 "explicit sweeps need --axis1, --axis2 and two --fix values", code=2
             )
-        axis1 = replace(_parse_axis(args.axis1), steps=args.steps)
-        axis2 = replace(_parse_axis(args.axis2), steps=args.steps)
+        axis1 = _parse_axis(args.axis1, args.steps)
+        axis2 = _parse_axis(args.axis2, args.steps)
         spec = SweepSpec(axis1=axis1, axis2=axis2, fixed=_parse_fix(args.fix))
 
     result = run_sweep(spec, model)

@@ -110,8 +110,8 @@ class FuzzyVariable:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.name:
             raise ValueError("variable name must be non-empty")
-        if not (self.lo < self.hi):
-            raise ValueError(f"variable '{self.name}': lo must be < hi, got [{self.lo}, {self.hi}]")
+        if not (-math.inf < self.lo < self.hi < math.inf):
+            raise ValueError(f"variable '{self.name}': need finite lo < hi, got [{self.lo}, {self.hi}]")
         if not self.terms:
             raise ValueError(f"variable '{self.name}': needs at least one term")
         names = [t.name for t in self.terms]

@@ -1,5 +1,4 @@
-"""File formats: model documents (JSON), candidate batches (CSV), and
-surface CSV emission.
+"""File formats: model documents (JSON) and candidate batches (CSV).
 
 The model document externalizes the whole model, rule base included, so
 alternative rule tables can be tried without touching code.  Parsing is
@@ -24,7 +23,6 @@ from .engine import (
     Rule,
 )
 from .model import DEFAULT_ADMISSION_THRESHOLD, Candidate, check_threshold, default_model
-from .sweep import SweepResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -38,7 +36,6 @@ __all__ = [
     "load_document",
     "save_document",
     "read_candidates_csv",
-    "format_surface_csv",
     "format_rules_table",
     "format_rules_csv",
     "rules_from_csv",
@@ -239,7 +236,7 @@ def parse_document(text: str) -> ModelDocument:
 
 def load_document(path) -> ModelDocument:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ModelDocumentError(f"cannot read model document '{path}': {exc}") from exc
@@ -254,7 +251,7 @@ def save_document(doc: ModelDocument, path) -> None:
 def read_candidates_csv(path) -> list[Candidate]:
     """Load a candidate batch; the header must match CANDIDATE_HEADER exactly."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise CandidatesCsvError(f"cannot read candidates CSV '{path}': {exc}") from exc
@@ -291,17 +288,6 @@ def read_candidates_csv(path) -> list[Candidate]:
         except ValueError as exc:
             raise CandidatesCsvError(f"line {lineno}: {exc}") from exc
     return candidates
-
-
-def format_surface_csv(result: SweepResult) -> str:
-    """Surface CSV: empty corner cell, axis2 samples across the first row,
-    axis1 samples down the first column, possibilities in the body.  All
-    numbers are fixed-point with six fractional digits."""
-    out = io.StringIO()
-    out.write("," + ",".join(f"{v:.6f}" for v in result.axis2_values) + "\n")
-    for a, row in zip(result.axis1_values, result.grid):
-        out.write(f"{a:.6f}," + ",".join(f"{v:.6f}" for v in row) + "\n")
-    return out.getvalue()
 
 
 def format_rules_table(model: FuzzyModel) -> str:

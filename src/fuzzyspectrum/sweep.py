@@ -7,6 +7,7 @@ their full universes.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -27,6 +28,7 @@ __all__ = [
     "FIGURE_PRESETS",
     "figure_preset",
     "run_sweep",
+    "format_surface_csv",
 ]
 
 
@@ -177,3 +179,14 @@ def run_sweep(spec: SweepSpec, model: FuzzyModel | None = None) -> SweepResult:
     )
     grid = _infer_rows(model, rows).reshape(a.shape)
     return SweepResult(spec=spec, axis1_values=axis1_values, axis2_values=axis2_values, grid=grid)
+
+
+def format_surface_csv(result: SweepResult) -> str:
+    """Surface CSV: empty corner cell, axis2 samples across the first row,
+    axis1 samples down the first column, possibilities in the body.  All
+    numbers are fixed-point with six fractional digits."""
+    out = io.StringIO()
+    out.write("," + ",".join(f"{v:.6f}" for v in result.axis2_values) + "\n")
+    for a, row in zip(result.axis1_values, result.grid):
+        out.write(f"{a:.6f}," + ",".join(f"{v:.6f}" for v in row) + "\n")
+    return out.getvalue()

@@ -31,12 +31,8 @@ from fuzzyspectrum import (
     validate_model,
 )
 from fuzzyspectrum.cli import main as cli_main
-from fuzzyspectrum.serialization import (
-    default_document,
-    format_surface_csv,
-    parse_document,
-    serialize_document,
-)
+from fuzzyspectrum.serialization import default_document, parse_document, serialize_document
+from fuzzyspectrum.sweep import format_surface_csv
 
 from oracle import oracle_possibility, riemann_centroid
 

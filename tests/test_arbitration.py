@@ -8,12 +8,15 @@ from fuzzyspectrum import (
     DecisionResult,
     DuplicateCandidateError,
     EmptyBatchError,
+    InvalidInputError,
     admit,
     arbitrate,
     decision_possibility,
     default_model,
     rank_candidates,
 )
+
+from conftest import random_model
 
 ALL_LOW = (-100.0, 0.0, 0.0, 0.0)
 ALL_MEDIUM = (-60.0, 50.0, 0.5, 50.0)
@@ -76,6 +79,10 @@ class TestArbitrate:
         with pytest.raises(ValueError):
             arbitrate([Candidate("a", *ALL_LOW)], threshold=-0.1)
 
+    def test_model_of_other_arity_rejected(self, unit_output_model):
+        with pytest.raises(InvalidInputError, match="expected 1 inputs, got 4"):
+            arbitrate([Candidate("a", *ALL_LOW)], unit_output_model)
+
     def test_winner_dominance(self):
         rng = np.random.default_rng(99)
         batch = [
@@ -127,6 +134,47 @@ class TestArbitrate:
         b = arbitrate(shuffled, threshold=0.3)
         assert a.winner_id == b.winner_id
         assert a.ranking == b.ranking
+
+
+def four_input_model(rng):
+    model = random_model(rng)
+    while len(model.inputs) != 4:
+        model = random_model(rng)
+    return model
+
+
+def mixed_batch(rng, model, size=60):
+    """Candidates spread over and beyond the model's universes (so some clamp
+    to a bound), every fifth one repeating an earlier one's inputs."""
+    rows = []
+    for i in range(size):
+        if i % 5 == 4:
+            rows.append(rows[int(rng.integers(0, i))])
+            continue
+        row = [float(rng.uniform(1.25 * v.lo - 0.25 * v.hi, 1.25 * v.hi - 0.25 * v.lo))
+               for v in model.inputs]
+        rows.append((row[0], *(max(0.0, x) for x in row[1:])))
+    return [Candidate(f"c{i:03d}", *row) for i, row in enumerate(rows)]
+
+
+class TestBatchBitIdentity:
+    """arbitrate scores a whole batch in one kernel call, split into chunks of
+    21 rows on the default model; a candidate's possibility must not depend
+    on the batch, its size or its position."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_batch_equals_single_decisions(self, seed):
+        rng = np.random.default_rng(seed)
+        model = default_model() if seed == 0 else four_input_model(rng)
+        batch = mixed_batch(rng, model)
+        outcome = arbitrate(batch, model, threshold=0.0)
+        scored = dict(outcome.ranking)
+        for c in batch:
+            assert scored[c.id] == decision_possibility(c, model).possibility
+            assert scored[c.id] == arbitrate([c], model, threshold=0.0).ranking[0][1]
+        shuffled = list(batch)
+        rng.shuffle(shuffled)
+        assert arbitrate(shuffled, model, threshold=0.0) == outcome
 
 
 class TestRankCandidates:

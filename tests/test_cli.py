@@ -142,6 +142,16 @@ class TestArbitrate:
         _, second, _ = run_cli(capsys, "arbitrate", path)
         assert first == second
 
+    def test_utf8_bom_is_ignored(self, capsys, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text(f"{HEADER}\nmid,-60,50,0.5,50\ngood,-100,0,0,0\n", encoding="utf-8")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for fmt in ("human", "csv"):
+            expected = run_cli(capsys, "arbitrate", str(plain), "--format", fmt)
+            assert expected[0] == 0
+            assert run_cli(capsys, "arbitrate", str(bom), "--format", fmt) == expected
+
 
 class TestSweep:
     def test_preset_writes_41_by_41(self, capsys, tmp_path):
@@ -212,10 +222,11 @@ class TestSweep:
         assert "finite" in err
 
     def test_steps_above_limit_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "sweep", "--preset", "7", "--steps", "1002")
-        assert code == 1
-        assert out == ""
-        assert "steps" in err
+        for steps in ("1002", "1"):
+            code, out, err = run_cli(capsys, "sweep", "--preset", "7", "--steps", steps)
+            assert code == 1
+            assert out == ""
+            assert "steps must be in [2, 1001]" in err
 
     def test_missing_explicit_pieces(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis1", "signal_dbm:-100:-20")
@@ -236,10 +247,11 @@ class TestValidate:
 
     def test_shipped_document_is_complete(self, capsys, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(serialize_document(default_document()))
-        code, out, _ = run_cli(capsys, "validate", "--model", str(path))
-        assert code == 0
-        assert out == "81 rules, complete\n"
+        for prefix in ("", "\ufeff"):  # with and without a UTF-8 byte-order mark
+            path.write_text(prefix + serialize_document(default_document()), encoding="utf-8")
+            code, out, _ = run_cli(capsys, "validate", "--model", str(path))
+            assert code == 0
+            assert out == "81 rules, complete\n"
 
     def test_missing_rule_is_reported(self, capsys, tmp_path):
         raw = json.loads(serialize_document(default_document()))
@@ -258,6 +270,16 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--model", str(path))
         assert code == 1
         assert "rule 5: weight 0.9 deviates from 1" in out
+
+    def test_non_finite_universe_rejected(self, capsys, tmp_path):
+        raw = json.loads(serialize_document(default_document()))
+        raw["variables"]["output"]["lo"] = float("-inf")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "validate", "--model", str(path))
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
 
     def test_unparseable_document(self, capsys, tmp_path):
         path = tmp_path / "model.json"

@@ -359,6 +359,11 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             FuzzyVariable("x", 1.0, 1.0, (t,))
 
+    @pytest.mark.parametrize("lo, hi", [(-math.inf, 1.0), (-1.0, math.inf), (math.nan, 1.0)])
+    def test_universe_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            FuzzyVariable("x", lo, hi, (GaussianTerm("t", 0.0, 1.0),))
+
     def test_term_centers_strictly_increasing(self):
         terms = (GaussianTerm("a", 2.0, 1.0), GaussianTerm("b", 1.0, 1.0))
         with pytest.raises(ValueError):

@@ -18,8 +18,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from oracle import oracle_possibility  # noqa: E402
 
 from fuzzyspectrum import default_model, figure_preset, run_sweep  # noqa: E402
-from fuzzyspectrum.serialization import format_surface_csv  # noqa: E402
-from fuzzyspectrum.sweep import SweepResult  # noqa: E402
+from fuzzyspectrum.sweep import SweepResult, format_surface_csv  # noqa: E402
 
 import numpy as np  # noqa: E402
 
