@@ -60,9 +60,9 @@ MASS_EPSILON = 1e-12
 # Largest output grid a model may sample, so an accepted model's arrays stay small.
 MAX_GRID_POINTS = 100001
 
-# Cap on the elements of the largest intermediate of one kernel call: rows x
-# output terms x grid points, or rows x rules x inputs or output terms when
-# the rule base is the larger.
+# Cap on the elements of the largest intermediate of one chunk of the kernel:
+# rows x rules x inputs (or another per-row rule-base array) in the firing
+# stage, clip vectors x output terms x grid points in the curve stage.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -281,9 +281,15 @@ class _Compiled:
         self.inputs = np.arange(n_in)
         self.antecedents = np.array([r.antecedents for r in rules], np.intp).reshape(-1, n_in)
         self.weights = np.array([r.weight for r in rules])
-        # one-hot (rule, output term): 1.0 where the term is the rule's consequent
-        consequents = [r.consequent for r in rules]
-        self.consequents = 1.0 * np.equal.outer(consequents, range(len(output.terms)))
+        # row k lists the rules concluding output term k, padded to the
+        # largest group with entries the mask switches off
+        consequents = np.array([r.consequent for r in rules], np.intp)
+        groups = [np.flatnonzero(consequents == k) for k in range(len(output.terms))]
+        self.group_rules = np.zeros((len(groups), max(map(len, groups))), np.intp)
+        self.group_mask = np.zeros(self.group_rules.shape, bool)
+        for k, g in enumerate(groups):
+            self.group_rules[k, : len(g)] = g
+            self.group_mask[k, : len(g)] = True
         self.grid = np.linspace(output.lo, output.hi, model.grid_points)
         self.w = _trapezoid_weights(self.grid)
         self.term_curves = np.stack(
@@ -292,7 +298,12 @@ class _Compiled:
                 for t in output.terms
             ]
         )
-        self.row_elements = max(self.term_curves.size, self.antecedents.size, self.consequents.size)
+        # rows per chunk of the firing stage (its largest intermediate per row
+        # is rules x inputs, inputs x terms or the padded groups) and of the
+        # curve stage (clip vectors x output curves)
+        row_elements = max(self.antecedents.size, self.centers.size, self.group_rules.size)
+        self.fire_rows = max(1, CHUNK_ELEMENTS // row_elements)
+        self.curve_rows = max(1, CHUNK_ELEMENTS // self.term_curves.size)
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
@@ -302,12 +313,15 @@ def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     return (edged[2:] - edged[:-2]) / 2.0
 
 
-def _aggregate(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
+def _clip_levels(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
     # max over rules of min(strength, consequent curve), evaluated per
     # consequent term: min is monotone in the clip level, so taking the max
     # strength within each consequent group first gives bit-identical values
     # with far less work
-    clip = (strengths[:, :, None] * c.consequents).max(axis=1, initial=0.0)
+    return strengths[:, c.group_rules].max(axis=2, initial=0.0, where=c.group_mask)
+
+
+def _degrees(c: _Compiled, clip: np.ndarray) -> np.ndarray:
     return np.minimum(clip[:, :, None], c.term_curves).max(axis=1)
 
 
@@ -322,20 +336,30 @@ def _centroid(degrees: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndar
     return (mass * points).cumsum(axis=-1)[:, -1] / den
 
 
-# math.exp over an array: numpy's SIMD exp differs from it in the last bit
-# for some arguments, and memberships must equal gaussian_membership's
-_math_exp = np.frompyfunc(math.exp, 1, 1)
+def _exp(a: np.ndarray) -> np.ndarray:
+    # math.exp elementwise: numpy's SIMD exp differs from it in the last bit
+    # for some arguments, and memberships must equal gaussian_membership's
+    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _evaluate(c: _Compiled, x: np.ndarray):
-    """Memberships (n, n_inputs, terms), firing strengths, aggregated degrees
-    and crisp outputs for a chunk of finite rows x of shape (n, n_inputs),
-    each clamped into its universe first."""
+def _exponents(c: _Compiled, x: np.ndarray) -> np.ndarray:
+    """Gaussian exponents (n, n_inputs, terms) of finite rows x, each
+    clamped into its universe first."""
     d = np.clip(x, c.lo, c.hi)[:, :, None] - c.centers
-    memberships = _math_exp(-(d**2) / c.two_sigma_sq).astype(float)
-    strengths = c.weights * memberships[:, c.inputs, c.antecedents].min(axis=2)
-    degrees = _aggregate(c, strengths)
-    return memberships, strengths, degrees, _centroid(degrees, c.grid, c.w)
+    return -(d**2) / c.two_sigma_sq
+
+
+def _strengths(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
+    return c.weights * memberships[:, c.inputs, c.antecedents].min(axis=2)
+
+
+def _fire(c: _Compiled, x: np.ndarray) -> np.ndarray:
+    # math.exp, the costly step, runs once per distinct exponent in the chunk
+    # (sweep rows share most of theirs); merging -0.0 with 0.0 is harmless
+    # here, as both give 1.0
+    exponents = _exponents(c, x)
+    values, inverse = np.unique(exponents, return_inverse=True)
+    return _clip_levels(c, _strengths(c, _exp(values)[inverse].reshape(exponents.shape)))
 
 
 def _infer_rows(model: FuzzyModel, x: np.ndarray) -> np.ndarray:
@@ -343,11 +367,19 @@ def _infer_rows(model: FuzzyModel, x: np.ndarray) -> np.ndarray:
     bit-identical to infer on the same row, and chunking keeps memory
     bounded for any N."""
     c = model._compiled
-    step = max(1, CHUNK_ELEMENTS // c.row_elements)
-    crisp = np.empty(len(x))
-    for i in range(0, len(x), step):
-        crisp[i:i + step] = _evaluate(c, x[i:i + step])[3]
-    return crisp
+    clip = np.empty((len(x), len(c.term_curves)))
+    for i in range(0, len(x), c.fire_rows):
+        clip[i:i + c.fire_rows] = _fire(c, x[i:i + c.fire_rows])
+    # a row's crisp output depends on its clip levels alone, so the curve
+    # stage runs once per distinct clip vector, compared bit for bit so that
+    # -0.0 and 0.0 stay apart
+    bits = clip.view(np.dtype((np.void, clip.itemsize * clip.shape[1]))).ravel()
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    distinct = clip[first]
+    crisp = np.empty(len(distinct))
+    for i in range(0, len(distinct), c.curve_rows):
+        crisp[i:i + c.curve_rows] = _centroid(_degrees(c, distinct[i:i + c.curve_rows]), c.grid, c.w)
+    return crisp[inverse.ravel()]
 
 
 def output_grid(model: FuzzyModel) -> np.ndarray:
@@ -366,7 +398,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
         raise ModelIntegrityError(
             f"expected {len(model.rules)} firing strengths, got shape {strengths.shape}"
         )
-    return np.column_stack((c.grid, _aggregate(c, strengths[None])[0]))
+    return np.column_stack((c.grid, _degrees(c, _clip_levels(c, strengths[None]))[0]))
 
 
 def defuzzify_centroid(curve) -> float:
@@ -398,7 +430,10 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
         )
     row = [_as_finite_float(x, f"input for '{var.name}'") for var, x in zip(model.inputs, inputs)]
     c = model._compiled
-    memberships, strengths, degrees, crisp = _evaluate(c, np.array([row]))
+    memberships = _exp(_exponents(c, np.array([row])))
+    strengths = _strengths(c, memberships)
+    degrees = _degrees(c, _clip_levels(c, strengths))
+    crisp = _centroid(degrees, c.grid, c.w)
     return InferenceTrace(
         memberships=tuple(
             tuple(m[: len(var.terms)].tolist()) for m, var in zip(memberships[0], model.inputs)

@@ -318,27 +318,28 @@ def format_rules_csv(model: FuzzyModel) -> str:
 
 def rules_from_csv(text: str, inputs: Sequence[FuzzyVariable], output: FuzzyVariable) -> tuple[Rule, ...]:
     """Rebuild a rule base from format_rules_csv output, resolving term
-    names against the given variables."""
+    names against the given variables; any problem is a ModelDocumentError
+    naming its line."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
-        raise CandidatesCsvError("empty rules CSV")
+        raise ModelDocumentError("empty rules CSV")
     expected_header = ["row", *(v.name for v in inputs), output.name, "weight"]
     if rows[0] != expected_header:
-        raise CandidatesCsvError(
-            f"expected header {','.join(expected_header)}, got {','.join(rows[0])}"
+        raise ModelDocumentError(
+            f"line 1: expected header {','.join(expected_header)}, got {','.join(rows[0])}"
         )
     rules = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(expected_header):
-            raise CandidatesCsvError(
-                f"line {lineno}: expected {len(expected_header)} fields, got {len(row)}"
+        try:
+            if len(row) != len(expected_header):
+                raise ValueError(f"expected {len(expected_header)} fields, got {len(row)}")
+            antecedents = tuple(
+                inputs[v].term_index(name) for v, name in enumerate(row[1 : 1 + len(inputs)])
             )
-        antecedents = tuple(
-            inputs[v].term_index(name) for v, name in enumerate(row[1 : 1 + len(inputs)])
-        )
-        consequent = output.term_index(row[1 + len(inputs)])
-        weight = float(row[-1])
-        rules.append(Rule(antecedents=antecedents, consequent=consequent, weight=weight))
+            consequent = output.term_index(row[1 + len(inputs)])
+            rules.append(Rule(antecedents=antecedents, consequent=consequent, weight=float(row[-1])))
+        except (ValueError, ModelIntegrityError) as exc:
+            raise ModelDocumentError(f"line {lineno}: {exc}") from exc
     return tuple(rules)

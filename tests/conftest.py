@@ -1,7 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fuzzyspectrum import FuzzyModel, FuzzyVariable, GaussianTerm, Rule, crossover_sigma
+from fuzzyspectrum import (
+    FuzzyModel,
+    FuzzyVariable,
+    GaussianTerm,
+    Rule,
+    crossover_sigma,
+    default_model,
+)
 
 
 def three_term_variable(name, lo, hi):
@@ -50,6 +59,12 @@ def random_model(rng: np.random.Generator, max_rules=100) -> FuzzyModel:
         for _ in range(n_rules)
     )
     return FuzzyModel(inputs=inputs, output=output, rules=rules, grid_points=1001)
+
+
+def dead_model() -> FuzzyModel:
+    """The default model with every rule weight 0: no rule can fire."""
+    model = default_model()
+    return replace(model, rules=tuple(replace(r, weight=0.0) for r in model.rules))
 
 
 def random_inputs(rng: np.random.Generator, model: FuzzyModel) -> list[float]:

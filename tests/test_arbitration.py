@@ -9,6 +9,7 @@ from fuzzyspectrum import (
     DuplicateCandidateError,
     EmptyBatchError,
     InvalidInputError,
+    NoRuleFiredError,
     admit,
     arbitrate,
     decision_possibility,
@@ -16,7 +17,7 @@ from fuzzyspectrum import (
     rank_candidates,
 )
 
-from conftest import random_model
+from conftest import dead_model, random_model
 
 ALL_LOW = (-100.0, 0.0, 0.0, 0.0)
 ALL_MEDIUM = (-60.0, 50.0, 0.5, 50.0)
@@ -82,6 +83,11 @@ class TestArbitrate:
     def test_model_of_other_arity_rejected(self, unit_output_model):
         with pytest.raises(InvalidInputError, match="expected 1 inputs, got 4"):
             arbitrate([Candidate("a", *ALL_LOW)], unit_output_model)
+
+    def test_dead_model_raises_no_rule_fired(self):
+        batch = [Candidate("a", *ALL_LOW), Candidate("b", *ALL_MEDIUM)]
+        with pytest.raises(NoRuleFiredError):
+            arbitrate(batch, dead_model())
 
     def test_winner_dominance(self):
         rng = np.random.default_rng(99)
@@ -158,9 +164,10 @@ def mixed_batch(rng, model, size=60):
 
 
 class TestBatchBitIdentity:
-    """arbitrate scores a whole batch in one kernel call, split into chunks of
-    21 rows on the default model; a candidate's possibility must not depend
-    on the batch, its size or its position."""
+    """arbitrate scores a whole batch in one kernel call, which evaluates the
+    output curves in chunks of 21 distinct clip vectors on the default model;
+    a candidate's possibility must not depend on the batch, its size or its
+    position."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_batch_equals_single_decisions(self, seed):

@@ -1,12 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fuzzyspectrum
 from fuzzyspectrum import Candidate, decision_possibility, default_model
 from fuzzyspectrum.cli import main
-from fuzzyspectrum.serialization import default_document, serialize_document
+from fuzzyspectrum.serialization import ModelDocument, default_document, serialize_document
+
+from conftest import dead_model
 
 HEADER = "id,signal_dbm,velocity_kmh,spectrum_ratio,distance_m"
 
@@ -104,6 +109,16 @@ class TestArbitrate:
         code, _, err = run_cli(capsys, "arbitrate", path)
         assert code == 1
         assert "'u1'" in err
+
+    def test_dead_model_exits_one_without_traceback(self, capsys, tmp_path):
+        path = self._write(tmp_path, ["u1,-60,50,0.5,50", "u2,-100,0,0,0"])
+        model_path = tmp_path / "dead.json"
+        model_path.write_text(serialize_document(ModelDocument(dead_model())), encoding="utf-8")
+        code, out, err = run_cli(capsys, "arbitrate", "--model", str(model_path), path)
+        assert code == 1
+        assert out == ""
+        assert "no rule fired" in err
+        assert "Traceback" not in err
 
     def test_misordered_header_names_expected(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -321,19 +336,24 @@ class TestDumpRules:
         assert infer(rebuilt, x).crisp_output == infer(model, x).crisp_output
 
 
+def run_module(*argv):
+    """python -m fuzzyspectrum in a child process that imports the package
+    under test, whether or not it is installed."""
+    package_root = str(Path(fuzzyspectrum.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fuzzyspectrum", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fuzzyspectrum", "eval", "-60", "50", "0.5", "50"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("eval", "-60", "50", "0.5", "50")
         assert proc.returncode == 0
         assert proc.stdout.startswith("possibility: ")
 
     def test_module_invocation_bad_number(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "fuzzyspectrum", "eval", "-60", "x", "0.5", "50"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("eval", "-60", "x", "0.5", "50")
         assert proc.returncode == 2
         assert "invalid float value" in proc.stderr

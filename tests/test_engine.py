@@ -24,7 +24,7 @@ from fuzzyspectrum import (
     output_grid,
 )
 
-from fuzzyspectrum.engine import CHUNK_ELEMENTS, MAX_GRID_POINTS, _infer_rows
+from fuzzyspectrum.engine import MAX_GRID_POINTS, _infer_rows
 
 from conftest import random_inputs, random_model, three_term_variable
 from oracle import oracle_possibility, riemann_centroid
@@ -332,7 +332,11 @@ class TestInfer:
 
     def test_batch_rows_bit_identical_to_infer_at_every_position(self):
         model = default_model()
-        rows_per_chunk = CHUNK_ELEMENTS // model._compiled.row_elements
+        # the firing stage and the curve stage chunk the batch differently;
+        # the batch spans more than two chunks of each (random rows rarely
+        # share a clip vector, so the curve stage sees about as many rows)
+        c = model._compiled
+        rows_per_chunk = max(c.fire_rows, c.curve_rows)
         rng = np.random.default_rng(31)
         # some rows fall outside the universes, so clamping is covered too
         lo = np.array([v.lo for v in model.inputs])
@@ -345,6 +349,58 @@ class TestInfer:
         for shift in range(len(rows)):
             batch = _infer_rows(model, np.roll(rows, shift, axis=0))
             assert np.roll(batch, -shift).tolist() == single
+
+    def test_rows_sharing_clip_levels_bit_identical_to_infer(self):
+        model = default_model()
+        rng = np.random.default_rng(47)
+        lo = np.array([v.lo for v in model.inputs])
+        hi = np.array([v.hi for v in model.inputs])
+        span = hi - lo
+        # different inputs that clamp to the same corner of the universes
+        overshoot = rng.uniform(0.0, 0.5, size=(60, lo.size)) * span
+        corners = np.where(rng.random((60, lo.size)) < 0.5, lo - overshoot, hi + overshoot)
+        # an 11 x 11 sweep over signal and distance, the other two fixed
+        a, b = np.meshgrid(np.linspace(lo[0], hi[0], 11), np.linspace(lo[3], hi[3], 11))
+        sweep = np.column_stack([a.ravel(), np.full(a.size, 50.0), np.full(a.size, 0.5), b.ravel()])
+        # random rows, some of them repeated exactly
+        spread = rng.uniform(lo, hi, size=(2 * model._compiled.curve_rows + 5, lo.size))
+        rows = np.concatenate([corners, sweep, spread, spread[::3]])
+        rng.shuffle(rows)
+
+        traces = [infer(model, row) for row in rows]
+        clip_levels = {
+            tuple(
+                max((s for s, r in zip(t.firing_strengths, model.rules) if r.consequent == k), default=0.0)
+                for k in range(len(model.output.terms))
+            )
+            for t in traces
+        }
+        assert 2 * model._compiled.curve_rows < len(clip_levels) < len(rows)
+        assert _infer_rows(model, rows).tolist() == [t.crisp_output for t in traces]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_batch_invariant_under_permutation_prefix_and_duplication(self, seed, data):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_rules=40)
+        lo = np.array([v.lo for v in model.inputs])
+        hi = np.array([v.hi for v in model.inputs])
+        span = hi - lo
+        n = data.draw(st.integers(1, 40), label="rows")
+        rows = rng.uniform(lo - 0.3 * span, hi + 0.3 * span, size=(n, lo.size))
+        # some columns draw from three values, so rows share memberships and
+        # clip levels
+        for v in np.flatnonzero(rng.random(lo.size) < 0.5):
+            rows[:, v] = rng.choice(rng.uniform(lo[v], hi[v], size=3), size=n)
+        batch = _infer_rows(model, rows)
+
+        order = data.draw(st.permutations(range(n)), label="order")
+        assert _infer_rows(model, rows[order]).tobytes() == batch[order].tobytes()
+        for k in range(1, n):
+            assert _infer_rows(model, rows[:k]).tobytes() == batch[:k].tobytes()
+        picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n), label="picks")
+        repeated = _infer_rows(model, np.concatenate([rows, rows[picks]]))
+        assert repeated.tobytes() == np.concatenate([batch, batch[picks]]).tobytes()
 
 
 class TestTypeValidation:

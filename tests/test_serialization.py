@@ -224,6 +224,25 @@ class TestRuleListings:
         for x in ([-60.0, 50.0, 0.5, 50.0], [-95.0, 12.0, 0.9, 70.0]):
             assert infer(rebuilt, x).crisp_output == infer(model, x).crisp_output
 
+    @pytest.mark.parametrize(
+        "line, edit",
+        [
+            (1, lambda line: line.replace(",weight", ",w")),
+            (2, lambda line: line + ",extra"),
+            (2, lambda line: line.replace("1.000000", "abc")),
+            (2, lambda line: line.replace("1.000000", "2")),
+            (2, lambda line: line.replace("1.000000", "nan")),
+            (2, lambda line: line.replace("Low", "Lowish", 1)),
+        ],
+        ids=["header", "field-count", "weight-abc", "weight-2", "weight-nan", "unknown-term"],
+    )
+    def test_malformed_csv_names_its_line(self, line, edit):
+        model = default_model()
+        lines = format_rules_csv(model).splitlines()
+        lines[line - 1] = edit(lines[line - 1])
+        with pytest.raises(ModelDocumentError, match=f"^line {line}: "):
+            rules_from_csv("\n".join(lines) + "\n", model.inputs, model.output)
+
     def test_csv_header_and_weight(self):
         lines = format_rules_csv(default_model()).splitlines()
         assert lines[0] == "row,signal_dbm,velocity_kmh,spectrum_ratio,distance_m,decision,weight"

@@ -5,6 +5,7 @@ import pytest
 
 from fuzzyspectrum import (
     Candidate,
+    NoRuleFiredError,
     SweepAxis,
     SweepSpec,
     SweepSpecError,
@@ -16,6 +17,7 @@ from fuzzyspectrum import (
 
 from fuzzyspectrum.sweep import MAX_STEPS
 
+from conftest import dead_model
 from oracle import oracle_possibility
 
 
@@ -152,6 +154,10 @@ class TestRunSweep:
         j = list(result.axis2_values).index(50.0)
         point = decision_possibility(Candidate("c", -60.0, 50.0, 0.5, 50.0), model)
         assert result.grid[i, j] == point.possibility
+
+    def test_dead_model_raises_no_rule_fired(self):
+        with pytest.raises(NoRuleFiredError):
+            run_sweep(figure_preset(7, steps=5), dead_model())
 
     def test_values_in_unit_interval(self):
         result = run_sweep(figure_preset(8, steps=9))
