@@ -9,6 +9,7 @@ files or model violations, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -97,6 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.set_defaults(func=cmd_dump_rules)
 
     return parser
+
+
+# built once per process: parse_args leaves the parser unchanged, and building
+# it costs more than parsing with it
+_parser = functools.cache(build_parser)
 
 
 def _resolve_model(args) -> tuple[FuzzyModel, float]:
@@ -258,8 +264,7 @@ def cmd_dump_rules(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -62,7 +62,7 @@ MAX_GRID_POINTS = 100001
 
 # Cap on the elements of the largest intermediate of one chunk of the kernel:
 # rows x rules x inputs (or another per-row rule-base array) in the firing
-# stage, clip vectors x output terms x grid points in the curve stage.
+# stage, grid points x clip vectors in the curve stage.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -299,11 +299,12 @@ class _Compiled:
             ]
         )
         # rows per chunk of the firing stage (its largest intermediate per row
-        # is rules x inputs, inputs x terms or the padded groups) and of the
-        # curve stage (clip vectors x output curves)
+        # is rules x inputs, inputs x terms or the padded groups) and clip
+        # vectors per chunk of the curve stage (its buffers are grid points x
+        # clip vectors)
         row_elements = max(self.antecedents.size, self.centers.size, self.group_rules.size)
         self.fire_rows = max(1, CHUNK_ELEMENTS // row_elements)
-        self.curve_rows = max(1, CHUNK_ELEMENTS // self.term_curves.size)
+        self.curve_rows = max(1, CHUNK_ELEMENTS // model.grid_points)
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
@@ -321,19 +322,45 @@ def _clip_levels(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
     return strengths[:, c.group_rules].max(axis=2, initial=0.0, where=c.group_mask)
 
 
-def _degrees(c: _Compiled, clip: np.ndarray) -> np.ndarray:
-    return np.minimum(clip[:, :, None], c.term_curves).max(axis=1)
+def _degrees(c: _Compiled, clip: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Aggregated degrees, grid-major: (grid points, clip vectors).
+
+    More than one clip vector is computed in work, a (2, grid points, clip
+    vectors) array that a caller scoring chunk after chunk allocates (and
+    page-faults) once; the result is then work[0].
+    """
+    if len(clip) == 1:
+        # one vector: a single broadcast over the terms makes two numpy
+        # calls where the term loop makes five, which shows on every infer
+        return np.minimum(clip[0][:, None], c.term_curves).max(axis=0)[:, None]
+    degrees, clipped = work
+    np.minimum(clip[:, 0], c.term_curves[0][:, None], out=degrees)
+    for k in range(1, clip.shape[1]):
+        np.maximum(degrees, np.minimum(clip[:, k], c.term_curves[k][:, None], out=clipped), out=degrees)
+    return degrees
 
 
-def _centroid(degrees: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # running sums along each row, in grid order: a row's result is then
-    # bit-identical whatever else is in the batch (a BLAS product is not),
-    # and equal to summing the grid left to right one point at a time
-    mass = degrees * w
-    den = mass.cumsum(axis=-1)[:, -1]
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    # each column of a grid-major array summed strictly in grid order, so a
+    # column's sum is bit-identical whatever else is in the batch (a BLAS
+    # product is not) and equal to adding its points left to right one at a
+    # time.  Reducing axis 0 adds whole grid rows in order; numpy reduces a
+    # lone contiguous column pairwise instead, so one column takes a running
+    # sum.
+    if a.shape[1] == 1:
+        return a.cumsum(axis=0)[-1]
+    return np.add.reduce(a, axis=0)
+
+
+def _centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Centroids of grid-major (grid points, columns) degrees, passed in
+    mass, which is overwritten."""
+    mass *= w[:, None]
+    den = _column_sums(mass)
     if den.min() < MASS_EPSILON:
         raise NoRuleFiredError(f"total output mass {den.min()} below {MASS_EPSILON}; no rule fired")
-    return (mass * points).cumsum(axis=-1)[:, -1] / den
+    mass *= points[:, None]
+    return _column_sums(mass) / den
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -377,8 +404,13 @@ def _infer_rows(model: FuzzyModel, x: np.ndarray) -> np.ndarray:
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     distinct = clip[first]
     crisp = np.empty(len(distinct))
+    work = np.empty(2 * len(c.grid) * min(len(distinct), c.curve_rows))
     for i in range(0, len(distinct), c.curve_rows):
-        crisp[i:i + c.curve_rows] = _centroid(_degrees(c, distinct[i:i + c.curve_rows]), c.grid, c.w)
+        chunk = distinct[i:i + c.curve_rows]
+        # a contiguous view even for a short last chunk: a strided one
+        # costs numpy's ufuncs up to twice as much
+        chunk_work = work[: 2 * len(c.grid) * len(chunk)].reshape(2, len(c.grid), len(chunk))
+        crisp[i:i + len(chunk)] = _centroid(_degrees(c, chunk, chunk_work), c.grid, c.w)
     return crisp[inverse.ravel()]
 
 
@@ -398,7 +430,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
         raise ModelIntegrityError(
             f"expected {len(model.rules)} firing strengths, got shape {strengths.shape}"
         )
-    return np.column_stack((c.grid, _degrees(c, _clip_levels(c, strengths[None]))[0]))
+    return np.column_stack((c.grid, _degrees(c, _clip_levels(c, strengths[None]))[:, 0]))
 
 
 def defuzzify_centroid(curve) -> float:
@@ -414,7 +446,7 @@ def defuzzify_centroid(curve) -> float:
     pts = arr[:, 0]
     if arr.shape[0] > 1 and not np.all(np.diff(pts) > 0):
         raise ValueError("curve points must be strictly increasing")
-    return float(_centroid(arr[None, :, 1], pts, _trapezoid_weights(pts))[0])
+    return float(_centroid(arr[:, 1:].copy(), pts, _trapezoid_weights(pts))[0])
 
 
 def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
@@ -433,12 +465,13 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
     memberships = _exp(_exponents(c, np.array([row])))
     strengths = _strengths(c, memberships)
     degrees = _degrees(c, _clip_levels(c, strengths))
+    curve = np.column_stack((c.grid, degrees[:, 0]))
     crisp = _centroid(degrees, c.grid, c.w)
     return InferenceTrace(
         memberships=tuple(
             tuple(m[: len(var.terms)].tolist()) for m, var in zip(memberships[0], model.inputs)
         ),
         firing_strengths=tuple(strengths[0].tolist()),
-        aggregated_curve=np.column_stack((c.grid, degrees[0])),
+        aggregated_curve=curve,
         crisp_output=float(crisp[0]),
     )

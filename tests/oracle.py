@@ -64,13 +64,21 @@ def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POI
                 best = mu
         degrees.append(best)
 
-    # trapezoid-weight centroid, left to right
+    return trapezoid_centroid(points, degrees)
+
+
+def trapezoid_centroid(points, degrees):
+    """Centroid of a sampled curve with trapezoid weights, each sum
+    accumulated left to right one point at a time; a lone point weighs 1."""
+    n = len(points)
     num = 0.0
     den = 0.0
     for i, (x, y) in enumerate(zip(points, degrees)):
-        if i == 0:
+        if n == 1:
+            w = 1.0
+        elif i == 0:
             w = (points[1] - points[0]) / 2.0
-        elif i == n_grid - 1:
+        elif i == n - 1:
             w = (points[-1] - points[-2]) / 2.0
         else:
             w = (points[i + 1] - points[i - 1]) / 2.0

@@ -8,7 +8,7 @@ import pytest
 
 import fuzzyspectrum
 from fuzzyspectrum import Candidate, decision_possibility, default_model
-from fuzzyspectrum.cli import main
+from fuzzyspectrum.cli import build_parser, main
 from fuzzyspectrum.serialization import ModelDocument, default_document, serialize_document
 
 from conftest import dead_model
@@ -29,6 +29,13 @@ class TestEval:
         want = decision_possibility(Candidate("c", -60, 50, 0.5, 50)).possibility
         assert out.splitlines()[0] == f"possibility: {want:.6f}"
         assert out.splitlines()[1] in ("admitted: yes", "admitted: no")
+
+    def test_operating_point_is_not_admitted(self, capsys):
+        # 0.4999999999999993 prints as 0.500000 but stays below the default
+        # threshold of 0.5; a pairwise centroid sum gives exactly 0.5
+        code, out, _ = run_cli(capsys, "eval", "-60", "50", "0.5", "50")
+        assert code == 0
+        assert out.splitlines()[:2] == ["possibility: 0.500000", "admitted: no"]
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "-100", "0", "0", "0", "--format", "csv")
@@ -345,6 +352,33 @@ def run_module(*argv):
         [sys.executable, "-m", "fuzzyspectrum", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+class TestInProcessReuse:
+    def test_successive_calls_give_identical_bytes(self, capsys, tmp_path):
+        # one parser serves every call in the process: an appended --fix list
+        # left over from one call would make the preset sweep after it fail
+        # with "conflicts"
+        csv_path = tmp_path / "batch.csv"
+        csv_path.write_text(HEADER + "\na,-90,10,0.2,20\nb,-60,50,0.5,50\n")
+        commands = [
+            ("sweep", "--axis1", "signal_dbm:-100:-20", "--axis2", "distance_m:0:100",
+             "--fix", "velocity_kmh=50", "--fix", "spectrum_ratio=0.5", "--steps", "5"),
+            ("sweep", "--preset", "7", "--steps", "5"),
+            ("arbitrate", str(csv_path), "--format", "csv"),
+            ("eval", "-72.3", "18", "0.81", "64", "--trace"),
+        ]
+        first = [run_cli(capsys, *argv) for argv in commands]
+        second = [run_cli(capsys, *argv) for argv in commands]
+        assert [code for code, _, _ in first] == [0] * len(commands)
+        assert second == first
+
+    def test_help_matches_a_fresh_parser(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--help"])
+            assert excinfo.value.code == 0
+            assert capsys.readouterr().out == build_parser().format_help()
 
 
 class TestConsoleEntry:

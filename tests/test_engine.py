@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from fuzzyspectrum import (
     output_grid,
 )
 
-from fuzzyspectrum.engine import MAX_GRID_POINTS, _infer_rows
+from fuzzyspectrum.engine import CHUNK_ELEMENTS, MAX_GRID_POINTS, _infer_rows
 
 from conftest import random_inputs, random_model, three_term_variable
-from oracle import oracle_possibility, riemann_centroid
+from oracle import oracle_possibility, riemann_centroid, trapezoid_centroid
 
 
 class TestGaussianMembership:
@@ -256,6 +257,15 @@ class TestDefuzzifyCentroid:
         assert x[0] <= value <= x[-1]
 
 
+def clip_levels(model, row):
+    """Each output term's clip level: the largest strength of its rules."""
+    strengths = infer(model, row).firing_strengths
+    return tuple(
+        max((s for s, r in zip(strengths, model.rules) if r.consequent == k), default=0.0)
+        for k in range(len(model.output.terms))
+    )
+
+
 class TestInfer:
     def test_single_rule_centered_consequent(self, unit_output_model):
         trace = infer(unit_output_model, [5.0])
@@ -285,6 +295,15 @@ class TestInfer:
         assert a.memberships == b.memberships
         assert a.firing_strengths == b.firing_strengths
         assert np.array_equal(a.aggregated_curve, b.aggregated_curve)
+
+    def test_trace_curve_is_the_aggregate_of_its_strengths(self):
+        model = default_model()
+        trace = infer(model, [-72.3, 18.0, 0.81, 64.0])
+        curve = aggregate(model, trace.firing_strengths)
+        before = curve.tobytes()
+        assert trace.aggregated_curve.tobytes() == before
+        assert defuzzify_centroid(curve) == trace.crisp_output
+        assert curve.tobytes() == before
 
     def test_trace_strengths_match_scalar_firing_strength(self):
         rng = np.random.default_rng(17)
@@ -367,16 +386,9 @@ class TestInfer:
         rows = np.concatenate([corners, sweep, spread, spread[::3]])
         rng.shuffle(rows)
 
-        traces = [infer(model, row) for row in rows]
-        clip_levels = {
-            tuple(
-                max((s for s, r in zip(t.firing_strengths, model.rules) if r.consequent == k), default=0.0)
-                for k in range(len(model.output.terms))
-            )
-            for t in traces
-        }
-        assert 2 * model._compiled.curve_rows < len(clip_levels) < len(rows)
-        assert _infer_rows(model, rows).tolist() == [t.crisp_output for t in traces]
+        distinct = {clip_levels(model, row) for row in rows}
+        assert 2 * model._compiled.curve_rows < len(distinct) < len(rows)
+        assert _infer_rows(model, rows).tolist() == [infer(model, row).crisp_output for row in rows]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -401,6 +413,66 @@ class TestInfer:
         picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n), label="picks")
         repeated = _infer_rows(model, np.concatenate([rows, rows[picks]]))
         assert repeated.tobytes() == np.concatenate([batch, batch[picks]]).tobytes()
+
+
+class TestCurveStage:
+    @pytest.mark.parametrize("grid_points", [101, 1001, 5001])
+    def test_batch_matches_left_to_right_centroid_at_every_width(self, grid_points):
+        # the curve stage sums a single column and a chunk of many columns
+        # differently; both must equal adding the grid one point at a time
+        model = replace(default_model(), grid_points=grid_points)
+        c = model._compiled
+        rng = np.random.default_rng(grid_points)
+        lo = np.array([v.lo for v in model.inputs])
+        hi = np.array([v.hi for v in model.inputs])
+        distinct = rng.uniform(lo, hi, size=(c.curve_rows + 1, lo.size))
+        clips = [clip_levels(model, row) for row in distinct]
+        assert len(set(clips)) == len(distinct)
+        grid = output_grid(model).tolist()
+        curves = c.term_curves.tolist()
+        want = []
+        for clip in clips:
+            degrees = [
+                max(min(level, curve[g]) for level, curve in zip(clip, curves))
+                for g in range(grid_points)
+            ]
+            want.append(trapezoid_centroid(grid, degrees))
+
+        for n in (1, 2, c.curve_rows, c.curve_rows + 1):
+            picks = np.concatenate([np.arange(n), rng.integers(0, n, size=n + 3)])
+            rng.shuffle(picks)
+            assert _infer_rows(model, distinct[picks]).tolist() == [want[i] for i in picks]
+
+    def test_short_curves_match_left_to_right_centroid(self):
+        one = np.array([[0.3, 0.7]])
+        assert defuzzify_centroid(one) == trapezoid_centroid([0.3], [0.7])
+        assert one.tolist() == [[0.3, 0.7]]
+        points, degrees = [0.1, 0.9], [0.2, 0.6]
+        assert defuzzify_centroid(list(zip(points, degrees))) == trapezoid_centroid(points, degrees)
+
+    @pytest.mark.parametrize(
+        "grid_points", [2, 101, 1001, 5001, CHUNK_ELEMENTS, CHUNK_ELEMENTS + 1, MAX_GRID_POINTS]
+    )
+    def test_chunk_stays_under_the_element_cap(self, grid_points):
+        c = replace(default_model(), grid_points=grid_points)._compiled
+        assert c.curve_rows >= 1
+        if c.curve_rows > 1:
+            assert c.curve_rows * grid_points <= CHUNK_ELEMENTS
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_batch_matches_oracle_on_random_models(self, seed, data):
+        rng = np.random.default_rng(seed)
+        grid_points = data.draw(st.integers(11, 2001), label="grid_points")
+        model = replace(random_model(rng, max_rules=40), grid_points=grid_points)
+        lo = np.array([v.lo for v in model.inputs])
+        hi = np.array([v.hi for v in model.inputs])
+        span = hi - lo
+        n = data.draw(st.integers(1, 60), label="rows")
+        rows = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(n, lo.size))
+        batch = _infer_rows(model, rows)
+        for row, got in zip(rows, batch):
+            assert abs(got - oracle_possibility(model, row, n_grid=grid_points)) < 1e-6
 
 
 class TestTypeValidation:

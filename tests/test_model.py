@@ -172,6 +172,13 @@ class TestDecisionPossibility:
         assert result.trace is not None
         assert result.trace.firing_strengths[40] == 1.0  # row 41: all Medium
 
+    def test_operating_point_summed_left_to_right(self):
+        # the centroid adds the grid one point at a time; a pairwise sum
+        # gives exactly 0.5 here, which the default threshold would admit
+        result = decision_possibility(Candidate("op", -60.0, 50.0, 0.5, 50.0))
+        assert result.possibility == 0.4999999999999993
+        assert not result.admitted
+
     def test_identical_candidates_identical_possibility(self):
         a = decision_possibility(Candidate("a", -72.5, 31.0, 0.62, 18.0))
         b = decision_possibility(Candidate("b", -72.5, 31.0, 0.62, 18.0))
