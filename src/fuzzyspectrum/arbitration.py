@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import FuzzyError, FuzzyModel, InvalidInputError, _infer_rows
+from .engine import FuzzyError, FuzzyModel, _infer_rows
 from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
     Candidate,
@@ -82,10 +82,7 @@ def arbitrate(
         seen.add(c.id)
 
     model = model or default_model()
-    rows = [c.inputs() for c in batch]
-    if len(model.inputs) != len(rows[0]):
-        raise InvalidInputError(f"expected {len(model.inputs)} inputs, got {len(rows[0])}")
-    ranking = rank_candidates(zip(batch, _infer_rows(model, rows).tolist()))
+    ranking = rank_candidates(zip(batch, _infer_rows(model, [c.inputs() for c in batch]).tolist()))
     top_id, top_possibility = ranking[0]
     winner = top_id if top_possibility >= t else None
     return ArbitrationOutcome(winner_id=winner, ranking=ranking, threshold=t)

@@ -135,7 +135,7 @@ def cmd_eval(args) -> int:
         spectrum_ratio=args.spectrum_ratio,
         distance_m=args.distance_m,
     )
-    result = decision_possibility(candidate, model, threshold, with_trace=True)
+    result = decision_possibility(candidate, model, threshold, with_trace=args.trace)
 
     if args.format == "csv":
         text = "possibility,admitted\n"

@@ -278,8 +278,9 @@ class _Compiled:
         for v, var in enumerate(model.inputs):
             self.centers[v, : len(var.terms)] = [t.center for t in var.terms]
             self.two_sigma_sq[v, : len(var.terms)] = [2.0 * t.sigma * t.sigma for t in var.terms]
-        self.inputs = np.arange(n_in)
-        self.antecedents = np.array([r.antecedents for r in rules], np.intp).reshape(-1, n_in)
+        # (inputs, rules) antecedent positions in a row's flattened memberships
+        antecedents = np.array([r.antecedents for r in rules], np.intp).reshape(-1, n_in).T
+        self.antecedents = np.ascontiguousarray(antecedents + np.arange(n_in)[:, None] * self.centers.shape[1])
         self.weights = np.array([r.weight for r in rules])
         # row k lists the rules concluding output term k, padded to the
         # largest group with entries the mask switches off
@@ -372,12 +373,16 @@ def _exp(a: np.ndarray) -> np.ndarray:
 def _exponents(c: _Compiled, x: np.ndarray) -> np.ndarray:
     """Gaussian exponents (n, n_inputs, terms) of finite rows x, each
     clamped into its universe first."""
-    d = np.clip(x, c.lo, c.hi)[:, :, None] - c.centers
+    # the same clamp as np.clip, in two cheaper calls
+    d = np.minimum(np.maximum(x, c.lo), c.hi)[:, :, None] - c.centers
     return -(d**2) / c.two_sigma_sq
 
 
 def _strengths(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
-    return c.weights * memberships[:, c.inputs, c.antecedents].min(axis=2)
+    # taken along the first axis of the (inputs x terms, rows) transpose; along
+    # the second axis of the rows, take is ~15x slower on a 200-row chunk
+    flat = memberships.reshape(len(memberships), -1).T
+    return c.weights * flat.take(c.antecedents, axis=0).min(axis=0).T
 
 
 def _fire(c: _Compiled, x: np.ndarray) -> np.ndarray:
@@ -389,11 +394,23 @@ def _fire(c: _Compiled, x: np.ndarray) -> np.ndarray:
     return _clip_levels(c, _strengths(c, _exp(values)[inverse].reshape(exponents.shape)))
 
 
-def _infer_rows(model: FuzzyModel, x: np.ndarray) -> np.ndarray:
-    """Crisp outputs for an (N, n_inputs) array of finite inputs.  Each is
-    bit-identical to infer on the same row, and chunking keeps memory
-    bounded for any N."""
+def _one_row(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Memberships, strengths and aggregated degrees of one (1, n_inputs) row."""
+    memberships = _exp(_exponents(c, x))
+    strengths = _strengths(c, memberships)
+    return memberships, strengths, _degrees(c, _clip_levels(c, strengths))
+
+
+def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
+    """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
+    for any other row length).  Each is bit-identical to infer on the same
+    row, and chunking keeps memory bounded for any N."""
     c = model._compiled
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != len(c.lo):
+        raise InvalidInputError(f"expected {len(c.lo)} inputs, got {x.shape[-1]}")
+    if len(x) == 1:
+        return _centroid(_one_row(c, x)[2], c.grid, c.w)
     clip = np.empty((len(x), len(c.term_curves)))
     for i in range(0, len(x), c.fire_rows):
         clip[i:i + c.fire_rows] = _fire(c, x[i:i + c.fire_rows])
@@ -462,9 +479,7 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
         )
     row = [_as_finite_float(x, f"input for '{var.name}'") for var, x in zip(model.inputs, inputs)]
     c = model._compiled
-    memberships = _exp(_exponents(c, np.array([row])))
-    strengths = _strengths(c, memberships)
-    degrees = _degrees(c, _clip_levels(c, strengths))
+    memberships, strengths, degrees = _one_row(c, np.array([row]))
     curve = np.column_stack((c.grid, degrees[:, 0]))
     crisp = _centroid(degrees, c.grid, c.w)
     return InferenceTrace(

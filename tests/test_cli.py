@@ -58,6 +58,16 @@ class TestEval:
         strength_one = [line for line in out.splitlines() if "(strength 1.000000)" in line]
         assert len(strength_one) == 1
 
+    @pytest.mark.parametrize("flags", [(), ("--trace",)])
+    def test_dead_model_exits_one_without_traceback(self, capsys, tmp_path, flags):
+        model_path = tmp_path / "dead.json"
+        model_path.write_text(serialize_document(ModelDocument(dead_model())), encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", "-60", "50", "0.5", "50", "--model", str(model_path), *flags)
+        assert code == 1
+        assert out == ""
+        assert "no rule fired" in err
+        assert "Traceback" not in err
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "eval", "-72.3", "18", "0.81", "64", "--trace")
         _, second, _ = run_cli(capsys, "eval", "-72.3", "18", "0.81", "64", "--trace")

@@ -475,6 +475,53 @@ class TestCurveStage:
             assert abs(got - oracle_possibility(model, row, n_grid=grid_points)) < 1e-6
 
 
+class TestMetamorphic:
+    """Input and rule-base changes that must leave every output bit alone,
+    checked on one row (the short cut) and on a batch (the dedupe path)."""
+
+    @staticmethod
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_rules=40)
+        lo = np.array([v.lo for v in model.inputs])
+        hi = np.array([v.hi for v in model.inputs])
+        # up to one universe width outside, some rows repeated
+        rows = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(8, lo.size))
+        return rng, model, rows[rng.integers(0, 8, size=12)]
+
+    @staticmethod
+    def assert_same_bits(model, rows, other_model, other_rows):
+        for n in (1, len(rows)):
+            want = _infer_rows(model, rows[:n]).tobytes()
+            assert _infer_rows(other_model, other_rows[:n]).tobytes() == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_clamping_is_idempotent(self, seed):
+        _, model, rows = self.draw(seed)
+        lo = np.array([v.lo for v in model.inputs])
+        hi = np.array([v.hi for v in model.inputs])
+        self.assert_same_bits(model, rows, model, np.clip(rows, lo, hi))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_appending_a_weight_zero_rule_changes_nothing(self, seed):
+        rng, model, rows = self.draw(seed)
+        rule = Rule(
+            antecedents=tuple(int(rng.integers(0, len(v.terms))) for v in model.inputs),
+            consequent=int(rng.integers(0, len(model.output.terms))),
+            weight=0.0,
+        )
+        self.assert_same_bits(model, rows, replace(model, rules=model.rules + (rule,)), rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_appending_a_copy_of_a_rule_changes_nothing(self, seed):
+        rng, model, rows = self.draw(seed)
+        copy = model.rules[int(rng.integers(0, len(model.rules)))]
+        self.assert_same_bits(model, rows, replace(model, rules=model.rules + (copy,)), rows)
+
+
 class TestTypeValidation:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):

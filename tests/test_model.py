@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzyspectrum import (
@@ -12,13 +13,18 @@ from fuzzyspectrum import (
     UNIVERSES,
     Candidate,
     FuzzyModel,
+    InvalidInputError,
+    NoRuleFiredError,
+    arbitrate,
     crossover_sigma,
     decision_possibility,
     default_model,
     infer,
     validate_model,
 )
+from fuzzyspectrum.engine import _infer_rows
 
+from conftest import dead_model, random_model
 from oracle import oracle_possibility
 
 FIXTURE = Path(__file__).parent / "data" / "table1_rules.txt"
@@ -200,6 +206,71 @@ class TestDecisionPossibility:
 
     def test_trace_omitted_by_default(self):
         assert decision_possibility(Candidate("c", -60, 50, 0.5, 50)).trace is None
+
+    def test_model_of_other_arity_rejected_like_arbitrate(self, unit_output_model):
+        candidate = Candidate("a", -60.0, 50.0, 0.5, 50.0)
+        with pytest.raises(InvalidInputError) as scored:
+            decision_possibility(candidate, unit_output_model)
+        with pytest.raises(InvalidInputError) as ranked:
+            arbitrate([candidate], unit_output_model)
+        assert str(scored.value) == str(ranked.value) == "expected 1 inputs, got 4"
+
+    def test_dead_model_raises_no_rule_fired(self):
+        with pytest.raises(NoRuleFiredError):
+            decision_possibility(Candidate("c", -60.0, 50.0, 0.5, 50.0), dead_model())
+
+
+def assert_trace_free_bits(model, candidates):
+    """A decision without a trace equals infer's crisp output and the same
+    row's entry in a larger batch, bit for bit."""
+    rows = [c.inputs() for c in candidates]
+    batch = _infer_rows(model, rows + rows[::-1]).tolist()
+    for c, batched in zip(candidates, batch):
+        got = decision_possibility(c, model).possibility
+        assert got.hex() == infer(model, c.inputs()).crisp_output.hex() == batched.hex()
+
+
+def candidates_around(rng, model, n):
+    """n candidates drawn up to one universe width beyond each bound, so many
+    are clamped; velocity, ratio and distance, which a Candidate needs to be
+    non-negative, are reflected to their absolute values."""
+    lo = np.array([v.lo for v in model.inputs])
+    hi = np.array([v.hi for v in model.inputs])
+    rows = rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(n, 4))
+    rows[:, 1:] = np.abs(rows[:, 1:])
+    return [Candidate(f"r{i}", *row) for i, row in enumerate(rows)]
+
+
+# the operating point, rows clamped on every side, signed zeros and corners
+EDGE_CANDIDATES = [
+    Candidate("op", -60.0, 50.0, 0.5, 50.0),
+    Candidate("below", -140.0, 0.0, 0.0, 0.0),
+    Candidate("above", 0.0, 180.0, 2.5, 400.0),
+    Candidate("mixed", -10.0, 25.0, 1.2, 100.0),
+    Candidate("zeros", -60.0, -0.0, -0.0, -0.0),
+    Candidate("corner", -100.0, 100.0, 1.0, 0.0),
+]
+
+
+class TestTraceFreeDecision:
+    @pytest.mark.parametrize("grid_points", [2, 101, 1001, 5001])
+    def test_bit_identical_to_infer_and_batch(self, grid_points):
+        model = replace(default_model(), grid_points=grid_points)
+        randoms = candidates_around(np.random.default_rng(grid_points), model, 20)
+        assert_trace_free_bits(model, EDGE_CANDIDATES + randoms)
+
+    def test_negative_zero_inputs_score_as_zero(self):
+        positive = decision_possibility(Candidate("p", -60.0, 0.0, 0.0, 0.0)).possibility
+        negative = decision_possibility(Candidate("n", -60.0, -0.0, -0.0, -0.0)).possibility
+        assert negative.hex() == positive.hex()
+
+    def test_bit_identical_on_random_models(self):
+        rng = np.random.default_rng(606)
+        models = [random_model(rng, max_rules=60) for _ in range(40)]
+        models = [m for m in models if len(m.inputs) == 4]
+        assert len(models) >= 5
+        for model in models:
+            assert_trace_free_bits(model, candidates_around(rng, model, 8))
 
 
 class TestCandidateValidation:
