@@ -40,9 +40,7 @@ print("strongest rules:")
 ranked = sorted(enumerate(trace.firing_strengths, start=1), key=lambda rs: -rs[1])
 for row, strength in ranked[:5]:
     rule = model.rules[row - 1]
-    antecedents = ", ".join(
-        model.inputs[v].terms[i].name for v, i in enumerate(rule.antecedents)
-    )
+    antecedents = ", ".join(model.term_names(rule.antecedents))
     consequent = model.output.terms[rule.consequent].name
     print(f"  row {row:2d}: IF ({antecedents}) THEN {consequent}   strength {strength:.4f}")
 

@@ -17,11 +17,9 @@ from .engine import (
     aggregate,
     clamp_to_universe,
     defuzzify_centroid,
-    firing_strength,
     fuzzify,
     gaussian_membership,
     infer,
-    output_grid,
 )
 from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
@@ -69,7 +67,6 @@ from .serialization import (
     load_document,
     parse_document,
     read_candidates_csv,
-    rules_from_csv,
     save_document,
     serialize_document,
 )

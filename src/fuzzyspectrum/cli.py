@@ -9,7 +9,9 @@ files or model violations, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import sys
 from dataclasses import replace
 
@@ -164,9 +166,7 @@ def cmd_eval(args) -> int:
         )
         for row, strength in ranked[:TRACE_TOP_RULES]:
             rule = model.rules[row - 1]
-            antecedents = ", ".join(
-                model.inputs[v].terms[idx].name for v, idx in enumerate(rule.antecedents)
-            )
+            antecedents = ", ".join(model.term_names(rule.antecedents))
             consequent = model.output.terms[rule.consequent].name
             lines.append(f"  {row}. {antecedents} -> {consequent}  (strength {strength:.6f})")
     _emit(args, "\n".join(lines) + "\n")
@@ -179,11 +179,14 @@ def cmd_arbitrate(args) -> int:
     outcome = arbitrate(candidates, model, threshold)
 
     if args.format == "csv":
-        lines = ["rank,id,possibility,admitted"]
+        # an id holding a comma, quote or line break comes out quoted
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("rank", "id", "possibility", "admitted"))
         for rank, (cid, possibility) in enumerate(outcome.ranking, start=1):
             admitted = "true" if possibility >= outcome.threshold else "false"
-            lines.append(f"{rank},{cid},{possibility:.6f},{admitted}")
-        _emit(args, "\n".join(lines) + "\n")
+            writer.writerow((rank, cid, f"{possibility:.6f}", admitted))
+        _emit(args, text.getvalue())
         return 0
 
     lines = ["ranking:"]
@@ -270,10 +273,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FuzzyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FuzzyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,11 +30,9 @@ __all__ = [
     "gaussian_membership",
     "clamp_to_universe",
     "fuzzify",
-    "firing_strength",
     "aggregate",
     "defuzzify_centroid",
     "infer",
-    "output_grid",
 ]
 
 
@@ -199,6 +197,10 @@ class FuzzyModel:
                 )
         object.__setattr__(self, "_compiled", _Compiled(self))
 
+    def term_names(self, antecedents: Sequence[int]) -> list[str]:
+        """The input term names a rule's antecedent indices select, in input order."""
+        return [var.terms[idx].name for var, idx in zip(self.inputs, antecedents)]
+
 
 @dataclass(frozen=True, eq=False)
 class InferenceTrace:
@@ -240,26 +242,6 @@ def fuzzify(var: FuzzyVariable, x: float) -> np.ndarray:
     """Degrees of x in each of var's terms, in term order."""
     xf = _as_finite_float(x, f"input for '{var.name}'")
     return np.array([gaussian_membership(xf, t) for t in var.terms])
-
-
-def firing_strength(rule: Rule, memberships: Sequence[Sequence[float]]) -> float:
-    """weight times the min of the rule's antecedent degrees."""
-    if len(rule.antecedents) != len(memberships):
-        raise ModelIntegrityError(
-            f"rule has {len(rule.antecedents)} antecedents but "
-            f"{len(memberships)} membership vectors were supplied"
-        )
-    degree = math.inf
-    for v, idx in enumerate(rule.antecedents):
-        degs = memberships[v]
-        if not (0 <= idx < len(degs)):
-            raise ModelIntegrityError(f"antecedent index {idx} out of range for variable {v}")
-        d = float(degs[idx])
-        if d < degree:
-            degree = d
-    if not math.isfinite(degree):
-        raise ModelIntegrityError("rule has no antecedents")
-    return rule.weight * degree
 
 
 class _Compiled:
@@ -429,11 +411,6 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
         chunk_work = work[: 2 * len(c.grid) * len(chunk)].reshape(2, len(c.grid), len(chunk))
         crisp[i:i + len(chunk)] = _centroid(_degrees(c, chunk, chunk_work), c.grid, c.w)
     return crisp[inverse.ravel()]
-
-
-def output_grid(model: FuzzyModel) -> np.ndarray:
-    """The output-universe sample points (grid_points, endpoints inclusive)."""
-    return model._compiled.grid.copy()
 
 
 def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarray:

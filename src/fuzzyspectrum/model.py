@@ -300,5 +300,4 @@ def validate_model(model: FuzzyModel) -> ModelValidationReport:
 
 
 def _combo_names(model: FuzzyModel, combo: tuple[int, ...]) -> str:
-    names = ", ".join(model.inputs[v].terms[idx].name for v, idx in enumerate(combo))
-    return f"({names})"
+    return f"({', '.join(model.term_names(combo))})"

@@ -9,7 +9,6 @@ reproduces the original bytes.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,7 +37,6 @@ __all__ = [
     "read_candidates_csv",
     "format_rules_table",
     "format_rules_csv",
-    "rules_from_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -91,10 +89,7 @@ def document_to_dict(doc: ModelDocument) -> dict:
         },
         "rules": [
             {
-                "antecedents": [
-                    model.inputs[v].terms[idx].name
-                    for v, idx in enumerate(rule.antecedents)
-                ],
+                "antecedents": model.term_names(rule.antecedents),
                 "consequent": model.output.terms[rule.consequent].name,
                 "weight": rule.weight,
             }
@@ -228,8 +223,6 @@ def parse_document(text: str) -> ModelDocument:
         return ModelDocument(
             model=model, admission_threshold=threshold, schema_version=SCHEMA_VERSION
         )
-    except ModelDocumentError:
-        raise
     except (ValueError, ModelIntegrityError) as exc:
         raise ModelDocumentError(str(exc)) from exc
 
@@ -294,9 +287,7 @@ def format_rules_table(model: FuzzyModel) -> str:
     """Rules as numbered text lines, 1-based, in rule-base order."""
     lines = []
     for r, rule in enumerate(model.rules, start=1):
-        antecedents = ", ".join(
-            model.inputs[v].terms[idx].name for v, idx in enumerate(rule.antecedents)
-        )
+        antecedents = ", ".join(model.term_names(rule.antecedents))
         consequent = model.output.terms[rule.consequent].name
         lines.append(f"{r}. {antecedents} -> {consequent}")
     return "\n".join(lines) + "\n"
@@ -308,38 +299,8 @@ def format_rules_csv(model: FuzzyModel) -> str:
     header = ["row", *(v.name for v in model.inputs), model.output.name, "weight"]
     lines = [",".join(header)]
     for r, rule in enumerate(model.rules, start=1):
-        cells = [str(r)]
-        cells += [model.inputs[v].terms[idx].name for v, idx in enumerate(rule.antecedents)]
+        cells = [str(r), *model.term_names(rule.antecedents)]
         cells.append(model.output.terms[rule.consequent].name)
         cells.append(f"{rule.weight:.6f}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def rules_from_csv(text: str, inputs: Sequence[FuzzyVariable], output: FuzzyVariable) -> tuple[Rule, ...]:
-    """Rebuild a rule base from format_rules_csv output, resolving term
-    names against the given variables; any problem is a ModelDocumentError
-    naming its line."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise ModelDocumentError("empty rules CSV")
-    expected_header = ["row", *(v.name for v in inputs), output.name, "weight"]
-    if rows[0] != expected_header:
-        raise ModelDocumentError(
-            f"line 1: expected header {','.join(expected_header)}, got {','.join(rows[0])}"
-        )
-    rules = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            if len(row) != len(expected_header):
-                raise ValueError(f"expected {len(expected_header)} fields, got {len(row)}")
-            antecedents = tuple(
-                inputs[v].term_index(name) for v, name in enumerate(row[1 : 1 + len(inputs)])
-            )
-            consequent = output.term_index(row[1 + len(inputs)])
-            rules.append(Rule(antecedents=antecedents, consequent=consequent, weight=float(row[-1])))
-        except (ValueError, ModelIntegrityError) as exc:
-            raise ModelDocumentError(f"line {lineno}: {exc}") from exc
-    return tuple(rules)

@@ -7,6 +7,8 @@ from fuzzyspectrum import (
     FuzzyModel,
     FuzzyVariable,
     GaussianTerm,
+    LEVEL_NAMES,
+    RULE_TABLE,
     Rule,
     crossover_sigma,
     default_model,
@@ -65,6 +67,16 @@ def dead_model() -> FuzzyModel:
     """The default model with every rule weight 0: no rule can fire."""
     model = default_model()
     return replace(model, rules=tuple(replace(r, weight=0.0) for r in model.rules))
+
+
+def rule_table_rows() -> list[list[str]]:
+    """RULE_TABLE as rules-CSV rows: row number, the L/M/H levels as
+    LEVEL_NAMES, and weight 1.000000."""
+    names = dict(zip("LMH", LEVEL_NAMES))
+    return [
+        [str(r), *(names[level] for level in antecedents), names[consequent], "1.000000"]
+        for r, (antecedents, consequent) in enumerate(RULE_TABLE, start=1)
+    ]
 
 
 def random_inputs(rng: np.random.Generator, model: FuzzyModel) -> list[float]:

@@ -24,21 +24,7 @@ def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POI
     output_var: (lo, hi, ((center, sigma), ...))
     rules: sequence of (antecedent_indices, consequent_index, weight)
     """
-    # clamp and fuzzify
-    memberships = []
-    for x, (lo, hi, terms) in zip(inputs, input_vars):
-        xc = min(max(float(x), lo), hi)
-        memberships.append([gauss(xc, c, s) for c, s in terms])
-
-    # firing strengths
-    strengths = []
-    for antecedents, _, weight in rules:
-        degree = memberships[0][antecedents[0]]
-        for v in range(1, len(antecedents)):
-            d = memberships[v][antecedents[v]]
-            if d < degree:
-                degree = d
-        strengths.append(weight * degree)
+    strengths = reference_strengths(inputs, input_vars, rules)
 
     # one clip level per output term: the max strength among rules with that
     # consequent (max-aggregation regrouped by consequent; selections only,
@@ -65,6 +51,27 @@ def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POI
         degrees.append(best)
 
     return trapezoid_centroid(points, degrees)
+
+
+def reference_strengths(inputs, input_vars, rules):
+    """Clamp and fuzzify the inputs, then fire each rule: its weight times
+    the min of its antecedent degrees.  Arguments as for reference_infer."""
+    # clamp and fuzzify
+    memberships = []
+    for x, (lo, hi, terms) in zip(inputs, input_vars):
+        xc = min(max(float(x), lo), hi)
+        memberships.append([gauss(xc, c, s) for c, s in terms])
+
+    # firing strengths
+    strengths = []
+    for antecedents, _, weight in rules:
+        degree = memberships[0][antecedents[0]]
+        for v in range(1, len(antecedents)):
+            d = memberships[v][antecedents[v]]
+            if d < degree:
+                degree = d
+        strengths.append(weight * degree)
+    return strengths
 
 
 def trapezoid_centroid(points, degrees):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from fuzzyspectrum import Candidate, decision_possibility, default_model
 from fuzzyspectrum.cli import build_parser, main
 from fuzzyspectrum.serialization import ModelDocument, default_document, serialize_document
 
-from conftest import dead_model
+from conftest import dead_model, rule_table_rows
 
 HEADER = "id,signal_dbm,velocity_kmh,spectrum_ratio,distance_m"
 
@@ -167,6 +169,21 @@ class TestArbitrate:
         assert lines[0] == "rank,id,possibility,admitted"
         assert lines[1].startswith("1,a,") and lines[1].endswith(",true")
         assert lines[2].startswith("2,b,") and lines[2].endswith(",false")
+
+    def test_csv_format_quotes_ids_that_need_it(self, capsys, tmp_path):
+        path = tmp_path / "batch.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HEADER.split(","))
+            writer.writerows(
+                [["a,b", -100, 0, 0, 0], ["x\ny", -20, 100, 1, 100], ["plain", -60, 50, 0.5, 50]]
+            )
+        code, out, _ = run_cli(capsys, "arbitrate", str(path), "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert all(len(row) == 4 for row in rows)
+        assert [row[1] for row in rows] == ["id", "a,b", "plain", "x\ny"]
+        assert out.splitlines()[2].startswith("2,plain,")
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         path = self._write(tmp_path, ["a,-60,50,0.5,50", "b,-80,20,0.2,30"])
@@ -337,20 +354,12 @@ class TestDumpRules:
         _, out, _ = run_cli(capsys, "dump-rules")
         assert len(out.splitlines()) == 81
 
-    def test_csv_round_trips_to_identical_inference(self, capsys):
-        from fuzzyspectrum import infer, rules_from_csv
-        from fuzzyspectrum.engine import FuzzyModel
-
-        _, out, _ = run_cli(capsys, "dump-rules", "--format", "csv")
-        model = default_model()
-        rebuilt = FuzzyModel(
-            inputs=model.inputs,
-            output=model.output,
-            rules=rules_from_csv(out, model.inputs, model.output),
-            grid_points=model.grid_points,
-        )
-        x = [-66.0, 42.0, 0.35, 58.0]
-        assert infer(rebuilt, x).crisp_output == infer(model, x).crisp_output
+    def test_csv_rows_follow_the_rule_table(self, capsys):
+        code, out, _ = run_cli(capsys, "dump-rules", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "row,signal_dbm,velocity_kmh,spectrum_ratio,distance_m,decision,weight"
+        assert [line.split(",") for line in lines[1:]] == rule_table_rows()
 
 
 def run_module(*argv):

@@ -18,17 +18,21 @@ from fuzzyspectrum import (
     clamp_to_universe,
     default_model,
     defuzzify_centroid,
-    firing_strength,
     fuzzify,
     gaussian_membership,
     infer,
-    output_grid,
 )
 
 from fuzzyspectrum.engine import CHUNK_ELEMENTS, MAX_GRID_POINTS, _infer_rows
 
 from conftest import random_inputs, random_model, three_term_variable
-from oracle import oracle_possibility, riemann_centroid, trapezoid_centroid
+from oracle import (
+    model_params,
+    oracle_possibility,
+    reference_strengths,
+    riemann_centroid,
+    trapezoid_centroid,
+)
 
 
 class TestGaussianMembership:
@@ -104,43 +108,6 @@ class TestFuzzify:
             fuzzify(var, bad)
 
 
-class TestFiringStrength:
-    def _memberships(self, *degrees):
-        return [[d] for d in degrees]
-
-    def test_all_ones_weight_one(self):
-        rule = Rule(antecedents=(0, 0, 0, 0), consequent=0, weight=1.0)
-        assert firing_strength(rule, self._memberships(1.0, 1.0, 1.0, 1.0)) == 1.0
-
-    def test_any_zero_kills_the_rule(self):
-        rule = Rule(antecedents=(0, 0, 0, 0), consequent=0, weight=1.0)
-        assert firing_strength(rule, self._memberships(1.0, 0.0, 1.0, 1.0)) == 0.0
-
-    def test_min_of_degrees(self):
-        rule = Rule(antecedents=(0, 0, 0, 0), consequent=0, weight=1.0)
-        assert firing_strength(rule, self._memberships(0.8, 0.3, 0.9, 0.5)) == 0.3
-
-    def test_weight_scales(self):
-        rule = Rule(antecedents=(0, 0), consequent=0, weight=0.5)
-        assert firing_strength(rule, self._memberships(0.8, 0.6)) == 0.5 * 0.6
-
-    def test_index_out_of_range(self):
-        rule = Rule(antecedents=(3,), consequent=0, weight=1.0)
-        with pytest.raises(ModelIntegrityError):
-            firing_strength(rule, [[0.1, 0.2]])
-
-    @given(degrees=st.lists(st.floats(0, 1), min_size=1, max_size=6),
-           weight=st.floats(0, 1))
-    def test_never_exceeds_any_antecedent(self, degrees, weight):
-        rule = Rule(antecedents=tuple(0 for _ in degrees), consequent=0, weight=weight)
-        memberships = [[d] for d in degrees]
-        strength = firing_strength(rule, memberships)
-        assert all(strength <= d for d in degrees)
-        assert strength == weight * min(degrees)
-        if weight == 1.0:
-            assert strength == min(degrees)
-
-
 class TestAggregate:
     def _model(self):
         x = three_term_variable("x", 0.0, 10.0)
@@ -160,7 +127,7 @@ class TestAggregate:
         model = unit_output_model
         curve = aggregate(model, [1.0])
         term = model.output.terms[1]
-        grid = output_grid(model)
+        grid = curve[:, 0]
         expected = np.exp(-((grid - term.center) ** 2) / (2.0 * term.sigma * term.sigma))
         assert np.array_equal(curve[:, 1], expected)
         # spot values against the scalar form
@@ -305,13 +272,22 @@ class TestInfer:
         assert defuzzify_centroid(curve) == trace.crisp_output
         assert curve.tobytes() == before
 
-    def test_trace_strengths_match_scalar_firing_strength(self):
-        rng = np.random.default_rng(17)
-        model = random_model(rng, max_rules=25)
-        x = random_inputs(rng, model)
-        trace = infer(model, x)
-        for rule, got in zip(model.rules, trace.firing_strengths):
-            assert got == firing_strength(rule, trace.memberships)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_trace_strengths_match_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_rules=40)
+        input_vars, _, rules = model_params(model)
+        lo = np.array([v.lo for v in model.inputs])
+        hi = np.array([v.hi for v in model.inputs])
+        # up to one universe width outside
+        for x in rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(4, lo.size)).tolist():
+            trace = infer(model, x)
+            want = reference_strengths(x, input_vars, rules)
+            assert [s.hex() for s in trace.firing_strengths] == [s.hex() for s in want]
+            for rule, strength in zip(model.rules, trace.firing_strengths):
+                for degrees, idx in zip(trace.memberships, rule.antecedents):
+                    assert strength <= degrees[idx]
 
     def test_out_of_range_inputs_clamp_to_bounds(self):
         model = random_model(np.random.default_rng(3), max_rules=10)
@@ -428,7 +404,7 @@ class TestCurveStage:
         distinct = rng.uniform(lo, hi, size=(c.curve_rows + 1, lo.size))
         clips = [clip_levels(model, row) for row in distinct]
         assert len(set(clips)) == len(distinct)
-        grid = output_grid(model).tolist()
+        grid = c.grid.tolist()
         curves = c.term_curves.tolist()
         want = []
         for clip in clips:

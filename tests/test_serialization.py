@@ -8,6 +8,7 @@ from fuzzyspectrum import (
     Candidate,
     CandidatesCsvError,
     ModelDocumentError,
+    RULE_TABLE,
     SweepAxis,
     SweepResult,
     SweepSpec,
@@ -20,12 +21,11 @@ from fuzzyspectrum import (
     load_document,
     parse_document,
     read_candidates_csv,
-    rules_from_csv,
     run_sweep,
     save_document,
     serialize_document,
 )
-from fuzzyspectrum.engine import FuzzyModel
+from conftest import rule_table_rows
 
 
 class TestModelDocumentRoundTrip:
@@ -212,36 +212,10 @@ class TestRuleListings:
     def test_table_has_81_rows(self):
         assert len(format_rules_table(default_model()).splitlines()) == 81
 
-    def test_csv_round_trip_preserves_inference(self):
-        model = default_model()
-        text = format_rules_csv(model)
-        rules = rules_from_csv(text, model.inputs, model.output)
-        rebuilt = FuzzyModel(
-            inputs=model.inputs, output=model.output, rules=rules,
-            grid_points=model.grid_points,
-        )
-        assert rebuilt == model
-        for x in ([-60.0, 50.0, 0.5, 50.0], [-95.0, 12.0, 0.9, 70.0]):
-            assert infer(rebuilt, x).crisp_output == infer(model, x).crisp_output
-
-    @pytest.mark.parametrize(
-        "line, edit",
-        [
-            (1, lambda line: line.replace(",weight", ",w")),
-            (2, lambda line: line + ",extra"),
-            (2, lambda line: line.replace("1.000000", "abc")),
-            (2, lambda line: line.replace("1.000000", "2")),
-            (2, lambda line: line.replace("1.000000", "nan")),
-            (2, lambda line: line.replace("Low", "Lowish", 1)),
-        ],
-        ids=["header", "field-count", "weight-abc", "weight-2", "weight-nan", "unknown-term"],
-    )
-    def test_malformed_csv_names_its_line(self, line, edit):
-        model = default_model()
-        lines = format_rules_csv(model).splitlines()
-        lines[line - 1] = edit(lines[line - 1])
-        with pytest.raises(ModelDocumentError, match=f"^line {line}: "):
-            rules_from_csv("\n".join(lines) + "\n", model.inputs, model.output)
+    def test_csv_rows_follow_the_rule_table(self):
+        lines = format_rules_csv(default_model()).splitlines()
+        assert len(lines) == 1 + len(RULE_TABLE)
+        assert [line.split(",") for line in lines[1:]] == rule_table_rows()
 
     def test_csv_header_and_weight(self):
         lines = format_rules_csv(default_model()).splitlines()
