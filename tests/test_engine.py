@@ -108,6 +108,30 @@ class TestFuzzify:
             fuzzify(var, bad)
 
 
+def out_of_range_rows(rng, model, n):
+    """n input rows reaching up to one universe width outside each input."""
+    lo = np.array([v.lo for v in model.inputs])
+    hi = np.array([v.hi for v in model.inputs])
+    return rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(n, lo.size)).tolist()
+
+
+class TestFiringStrength:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), weight=st.floats(0.05, 1.0))
+    def test_never_exceeds_any_antecedent(self, seed, weight):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, max_rules=40)
+        model = replace(model, rules=tuple(replace(r, weight=weight) for r in model.rules))
+        for x in out_of_range_rows(rng, model, 4):
+            trace = infer(model, x)
+            for rule, strength in zip(model.rules, trace.firing_strengths):
+                degrees = [m[i] for m, i in zip(trace.memberships, rule.antecedents)]
+                assert all(strength <= d for d in degrees)
+                assert strength == weight * min(degrees)
+                if weight == 1.0:
+                    assert strength == min(degrees)
+
+
 class TestAggregate:
     def _model(self):
         x = three_term_variable("x", 0.0, 10.0)
@@ -274,20 +298,14 @@ class TestInfer:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
-    def test_trace_strengths_match_reference_bit_for_bit(self, seed):
+    def test_trace_strengths_match_scalar_firing_strength(self, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, max_rules=40)
         input_vars, _, rules = model_params(model)
-        lo = np.array([v.lo for v in model.inputs])
-        hi = np.array([v.hi for v in model.inputs])
-        # up to one universe width outside
-        for x in rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(4, lo.size)).tolist():
+        for x in out_of_range_rows(rng, model, 4):
             trace = infer(model, x)
             want = reference_strengths(x, input_vars, rules)
             assert [s.hex() for s in trace.firing_strengths] == [s.hex() for s in want]
-            for rule, strength in zip(model.rules, trace.firing_strengths):
-                for degrees, idx in zip(trace.memberships, rule.antecedents):
-                    assert strength <= degrees[idx]
 
     def test_out_of_range_inputs_clamp_to_bounds(self):
         model = random_model(np.random.default_rng(3), max_rules=10)
