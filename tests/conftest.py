@@ -1,7 +1,10 @@
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fuzzyspectrum import (
     FuzzyModel,
@@ -77,6 +80,63 @@ def rule_table_rows() -> list[list[str]]:
         [str(r), *(names[level] for level in antecedents), names[consequent], "1.000000"]
         for r, (antecedents, consequent) in enumerate(RULE_TABLE, start=1)
     ]
+
+
+CANDIDATE_FIELDS = ["id", "signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m"]
+
+# cells float() parses in its own way or rejects, and values a candidate rejects
+ODD_CELLS = [
+    "nan", "NaN", "inf", "-inf", "1e400", "1_000", " 5 ", "5 ", "-0.0", "-0", "-5",
+    "-1e-300", "+7", "0x10", "abc", "", "\u0661\u0662",
+]
+ODD_IDS = ["u1", "a,b", 'x"y', "x\ny", "x\r\ny", "", " ", "\t", "\u00fc"]
+
+
+@st.composite
+def candidate_files(draw) -> bytes:
+    """Bytes of a candidates CSV: a BOM or not, a header that is right,
+    misordered, too long or missing, records with odd ids and cells, wrong
+    field counts, blank lines, LF or CRLF line ends, and now and then a byte
+    that is not UTF-8."""
+    wrong_headers = [
+        CANDIDATE_FIELDS[:1] + CANDIDATE_FIELDS[2:3] + CANDIDATE_FIELDS[1:2] + CANDIDATE_FIELDS[3:],
+        CANDIDATE_FIELDS + ["extra"],
+        None,
+    ]
+    pick = draw(st.integers(0, 19))
+    header = wrong_headers[pick - 17] if pick >= 17 else CANDIDATE_FIELDS
+    fine = st.floats(0, 150).map(repr)
+    cell = st.one_of(
+        st.floats(-150, 150).map(repr),
+        st.floats().map(repr),
+        st.sampled_from(ODD_CELLS),
+    )
+    cid = st.one_of(
+        st.sampled_from(ODD_IDS),
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4),
+    )
+    record = st.one_of(
+        st.tuples(cid, fine, fine, fine, fine).map(list),
+        st.tuples(cid, fine, fine, fine, fine).map(list),
+        st.just([]),
+        st.tuples(cid, cell, cell, cell, cell).map(list),
+        st.lists(cell, max_size=6),
+    )
+    rows = ([header] if header is not None else []) + draw(st.lists(record, max_size=10))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    text = io.StringIO()
+    for row in rows:
+        csv.writer(text, quoting=quoting, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerow(row)
+    data = text.getvalue() + "\n" * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        data = data.rstrip("\n")
+    raw = data.encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    if draw(st.integers(0, 19)) == 7:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + raw[at:]
+    return raw
 
 
 def random_inputs(rng: np.random.Generator, model: FuzzyModel) -> list[float]:

@@ -5,6 +5,7 @@ loops and math.exp: no numpy, no imports from the package under test.
 Model parameters are passed in as plain tuples.
 """
 
+import csv
 import math
 
 DENSE_GRID_POINTS = 10001
@@ -126,3 +127,59 @@ def riemann_centroid(fn, lo, hi, n):
         num += x * y
         den += y
     return num / den
+
+
+CANDIDATE_HEADER = ("id", "signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m")
+
+
+def reference_read_candidates(path, error=ValueError):
+    """Read a candidates CSV one record and one field at a time: a list of
+    (id, signal_dbm, velocity_kmh, spectrum_ratio, distance_m) tuples, or
+    error(message) naming the first bad record.  Records are counted as
+    csv.reader yields them, so a quoted line break stays in its record."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise error(f"cannot read candidates CSV '{path}': {exc}") from exc
+
+    if not rows:
+        raise error(f"empty file; expected header {','.join(CANDIDATE_HEADER)}")
+    header = tuple(rows[0])
+    if header != CANDIDATE_HEADER:
+        raise error(f"expected header {','.join(CANDIDATE_HEADER)}, got {','.join(header)}")
+
+    candidates = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(CANDIDATE_HEADER):
+            raise error(f"line {lineno}: expected {len(CANDIDATE_HEADER)} fields, got {len(row)}")
+        cid = row[0]
+        values = []
+        for column, cell in zip(CANDIDATE_HEADER[1:], row[1:]):
+            try:
+                values.append(float(cell))
+            except ValueError as exc:
+                raise error(f"line {lineno}: bad {column} value {cell!r}") from exc
+        try:
+            candidates.append(reference_candidate(cid, values))
+        except ValueError as exc:
+            raise error(f"line {lineno}: {exc}") from exc
+    return candidates
+
+
+def reference_candidate(cid, values):
+    """One candidate's checks, in order: a non-empty id, every field finite
+    in header order, then spectrum_ratio, velocity_kmh and distance_m each
+    at least 0.  Returns (cid, *values)."""
+    if not cid:
+        raise ValueError("candidate id must be non-empty")
+    fields = dict(zip(CANDIDATE_HEADER[1:], values))
+    for field, value in fields.items():
+        if not math.isfinite(value):
+            raise ValueError(f"candidate '{cid}': {field} must be finite")
+    for field in ("spectrum_ratio", "velocity_kmh", "distance_m"):
+        if fields[field] < 0:
+            raise ValueError(f"candidate '{cid}': {field} must be >= 0")
+    return (cid, *values)

@@ -1,19 +1,28 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import fuzzyspectrum
 from fuzzyspectrum import Candidate, decision_possibility, default_model
 from fuzzyspectrum.cli import build_parser, main
-from fuzzyspectrum.serialization import ModelDocument, default_document, serialize_document
+from fuzzyspectrum.serialization import (
+    CandidatesCsvError,
+    ModelDocument,
+    default_document,
+    serialize_document,
+)
 
-from conftest import dead_model, rule_table_rows
+from conftest import candidate_files, dead_model, rule_table_rows
+from oracle import reference_read_candidates
 
 HEADER = "id,signal_dbm,velocity_kmh,spectrum_ratio,distance_m"
 
@@ -184,6 +193,25 @@ class TestArbitrate:
         assert all(len(row) == 4 for row in rows)
         assert [row[1] for row in rows] == ["id", "a,b", "plain", "x\ny"]
         assert out.splitlines()[2].startswith("2,plain,")
+
+    @given(candidate_files())
+    @settings(max_examples=150, deadline=None)
+    def test_bad_file_exits_one_with_the_reader_message(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "batch.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["arbitrate", path, "--format", "csv"])
+            try:
+                reference_read_candidates(path, error=CandidatesCsvError)
+            except (CandidatesCsvError, ValueError) as exc:
+                assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {exc}\n")
+            else:
+                # a batch that reads can still be empty or hold a duplicate id
+                assert code == 0 or (code == 1 and out.getvalue() == "")
+                assert "Traceback" not in err.getvalue()
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         path = self._write(tmp_path, ["a,-60,50,0.5,50", "b,-80,20,0.2,30"])

@@ -1,8 +1,12 @@
 import json
+import os
+import tempfile
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyspectrum import (
     Candidate,
@@ -25,7 +29,10 @@ from fuzzyspectrum import (
     save_document,
     serialize_document,
 )
-from conftest import rule_table_rows
+from fuzzyspectrum.engine import MAX_GRID_POINTS
+
+from conftest import candidate_files, rule_table_rows
+from oracle import reference_read_candidates
 
 
 class TestModelDocumentRoundTrip:
@@ -58,7 +65,94 @@ class TestModelDocumentRoundTrip:
         assert infer(doc.model, x).crisp_output == infer(default_model(), x).crisp_output
 
 
+def _odd_name(taken):
+    return st.text(max_size=6).filter(lambda name: name not in taken)
+
+
+@st.composite
+def broken_documents(draw):
+    """The default document as a dict with one fault, and the exact message
+    parse_document must give for it."""
+    raw = json.loads(serialize_document(default_document()))
+    inputs, output = raw["variables"]["inputs"], raw["variables"]["output"]
+    i = draw(st.integers(0, len(inputs) - 1))
+    var = draw(st.sampled_from([inputs[i], output]))
+    where = f"input variable {i + 1}" if var is inputs[i] else "output variable"
+    j = draw(st.integers(0, len(var["terms"]) - 1))
+    term = var["terms"][j]
+    k = draw(st.integers(0, len(raw["rules"]) - 1))
+    rule = raw["rules"][k]
+    odd = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    fault = draw(st.sampled_from([
+        "bound", "center", "sigma", "weight", "threshold", "grid_high", "grid_low",
+        "grid_type", "weight_type", "unknown_key", "antecedent_name", "consequent_name",
+        "antecedent_count",
+    ]))
+    if fault == "bound":
+        side = draw(st.sampled_from(["lo", "hi"]))
+        var[side] = odd
+        return raw, f"variable '{var['name']}': need finite lo < hi, got [{float(var['lo'])}, {float(var['hi'])}]"
+    if fault == "center":
+        term["center"] = odd
+        return raw, f"term '{term['name']}': center must be finite"
+    if fault == "sigma":
+        term["sigma"] = odd if odd != float("inf") else -1.0
+        return raw, f"term '{term['name']}': sigma must be positive, got {float(term['sigma'])}"
+    if fault == "weight":
+        rule["weight"] = draw(st.sampled_from([odd, 1.5, -0.25]))
+        return raw, f"rule weight must be in [0, 1], got {rule['weight']}"
+    if fault == "threshold":
+        raw["settings"]["admission_threshold"] = odd
+        return raw, f"admission_threshold must be in [0, 1], got {odd}"
+    if fault == "grid_high":
+        # only validated: a model this large is never built
+        n = draw(st.integers(MAX_GRID_POINTS + 1, 10**18))
+        raw["settings"]["grid_points"] = n
+        return raw, f"grid_points must be <= {MAX_GRID_POINTS}, got {n}"
+    if fault == "grid_low":
+        n = draw(st.integers(-5, 1))
+        raw["settings"]["grid_points"] = n
+        return raw, f"grid_points must be >= 2, got {n}"
+    if fault == "grid_type":
+        raw["settings"]["grid_points"] = draw(st.sampled_from([True, False, 1001.0, "1001", None]))
+        return raw, "field 'grid_points' in settings must be an integer"
+    if fault == "weight_type":
+        rule["weight"] = draw(st.sampled_from([True, False, "1", None, [1.0]]))
+        return raw, f"field 'weight' in rule {k + 1} must be a number"
+    if fault == "unknown_key":
+        target, target_where = draw(st.sampled_from([
+            (raw, "document"),
+            (raw["variables"], "variables"),
+            (var, where),
+            (term, f"{where}, term {j + 1}"),
+            (rule, f"rule {k + 1}"),
+            (raw["settings"], "settings"),
+        ]))
+        key = draw(_odd_name(set(target)))
+        target[key] = draw(st.sampled_from([0, "x", None]))
+        return raw, f"unknown field '{key}' in {target_where}"
+    if fault == "antecedent_name":
+        v = draw(st.integers(0, len(inputs) - 1))
+        name = draw(_odd_name({t["name"] for t in inputs[v]["terms"]}))
+        rule["antecedents"][v] = name
+        return raw, f"variable '{inputs[v]['name']}' has no term named '{name}'"
+    if fault == "consequent_name":
+        name = draw(_odd_name({t["name"] for t in output["terms"]}))
+        rule["consequent"] = name
+        return raw, f"variable '{output['name']}' has no term named '{name}'"
+    rule["antecedents"] = draw(st.sampled_from([rule["antecedents"][:-1], rule["antecedents"] * 2, "Low"]))
+    return raw, f"rule {k + 1}: expected {len(inputs)} antecedent names"
+
+
 class TestModelDocumentStrictness:
+    @given(broken_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_first_fault_gives_its_exact_message(self, case):
+        raw, message = case
+        with pytest.raises(ModelDocumentError) as excinfo:
+            parse_document(json.dumps(raw))
+        assert str(excinfo.value) == message
+
     def _dict(self):
         return json.loads(serialize_document(default_document()))
 
@@ -168,6 +262,24 @@ class TestCandidatesCsv:
         path = self._write(tmp_path, f"{self.HEADER}\nu1,-60,-5,0.5,50\n")
         with pytest.raises(CandidatesCsvError, match="line 2"):
             read_candidates_csv(path)
+
+    @given(candidate_files())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_by_line_reader(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "batch.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                want = ("ok", [(cid, *(v.hex() for v in values)) for cid, *values in
+                               reference_read_candidates(path, error=CandidatesCsvError)])
+            except (CandidatesCsvError, ValueError) as exc:
+                want = (type(exc), str(exc))
+            try:
+                got = ("ok", [(c.id, *(v.hex() for v in c.inputs())) for c in read_candidates_csv(path)])
+            except (CandidatesCsvError, ValueError) as exc:
+                got = (type(exc), str(exc))
+        assert got == want
 
     def test_header_only_gives_empty_batch(self, tmp_path):
         path = self._write(tmp_path, f"{self.HEADER}\n")
