@@ -29,6 +29,7 @@ from .model import (
     RULE_TABLE,
     UNIVERSES,
     Candidate,
+    CandidateBatch,
     DecisionResult,
     ModelValidationReport,
     crossover_sigma,

@@ -14,7 +14,9 @@ from typing import Iterable, Sequence
 from .engine import FuzzyError, FuzzyModel, _infer_rows
 from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
+    INPUT_ORDER,
     Candidate,
+    CandidateBatch,
     DecisionResult,
     check_threshold,
     decision_possibility,  # noqa: F401  (unused; kept for perfbench/tracing.py)
@@ -61,28 +63,37 @@ def rank_candidates(
     Ties break on smaller distance_m, then lexicographic id, giving a total
     order that does not depend on the input sequence.
     """
-    ordered = sorted(scored, key=lambda cp: (-cp[1], cp[0].distance_m, cp[0].id))
-    return tuple((c.id, p) for c, p in ordered)
+    scored = list(scored)
+    return _ranking([c.id for c, _ in scored], [p for _, p in scored], [c.distance_m for c, _ in scored])
+
+
+def _ranking(ids, possibilities: list[float], distances: list[float]) -> tuple[tuple[str, float], ...]:
+    """rank_candidates on columns: (id, possibility) pairs in ranking order."""
+    order = sorted(range(len(ids)), key=lambda i: (-possibilities[i], distances[i], ids[i]))
+    return tuple((ids[i], possibilities[i]) for i in order)
 
 
 def arbitrate(
-    candidates: Sequence[Candidate],
+    candidates: Sequence[Candidate] | CandidateBatch,
     model: FuzzyModel | None = None,
     threshold: float = DEFAULT_ADMISSION_THRESHOLD,
 ) -> ArbitrationOutcome:
-    """Score every candidate and grant the single vacant-spectrum slot."""
+    """Score every candidate, as one CandidateBatch, and grant the single vacant-spectrum slot."""
     t = check_threshold(threshold)
-    batch = list(candidates)
-    if not batch:
+    if not isinstance(candidates, CandidateBatch):
+        candidates = list(candidates)
+        candidates = CandidateBatch([c.id for c in candidates], [c.inputs() for c in candidates])
+    if not candidates.ids:
         raise EmptyBatchError("no candidates to arbitrate")
     seen: set[str] = set()
-    for c in batch:
-        if c.id in seen:
-            raise DuplicateCandidateError(f"duplicate candidate id '{c.id}'")
-        seen.add(c.id)
+    for cid in candidates.ids:
+        if cid in seen:
+            raise DuplicateCandidateError(f"duplicate candidate id '{cid}'")
+        seen.add(cid)
 
-    model = model or default_model()
-    ranking = rank_candidates(zip(batch, _infer_rows(model, [c.inputs() for c in batch]).tolist()))
+    possibilities = _infer_rows(model or default_model(), candidates.values).tolist()
+    distances = candidates.values[:, INPUT_ORDER.index("distance_m")].tolist()
+    ranking = _ranking(candidates.ids, possibilities, distances)
     top_id, top_possibility = ranking[0]
     winner = top_id if top_possibility >= t else None
     return ArbitrationOutcome(winner_id=winner, ranking=ranking, threshold=t)

@@ -183,20 +183,21 @@ def cmd_arbitrate(args) -> int:
         text = io.StringIO()
         writer = csv.writer(text, lineterminator="\n")
         writer.writerow(("rank", "id", "possibility", "admitted"))
-        for rank, (cid, possibility) in enumerate(outcome.ranking, start=1):
-            admitted = "true" if possibility >= outcome.threshold else "false"
-            writer.writerow((rank, cid, f"{possibility:.6f}", admitted))
+        writer.writerows((rank, cid, f"{p:.6f}", "true" if p >= outcome.threshold else "false")
+                         for rank, (cid, p) in enumerate(outcome.ranking, start=1))
         _emit(args, text.getvalue())
         return 0
 
+    # an id with a character that is not printable is shown as its repr
+    shown = [cid if cid.isprintable() else repr(cid) for cid, _ in outcome.ranking]
     lines = ["ranking:"]
-    for rank, (cid, possibility) in enumerate(outcome.ranking, start=1):
+    for rank, (cid, (_, possibility)) in enumerate(zip(shown, outcome.ranking), start=1):
         admitted = "yes" if possibility >= outcome.threshold else "no"
         lines.append(f"  {rank}. {cid}  possibility={possibility:.6f}  admitted={admitted}")
     if outcome.winner_id is None:
         lines.append("no candidate admitted")
     else:
-        lines.append(f"winner: {outcome.winner_id}")
+        lines.append(f"winner: {shown[0]}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

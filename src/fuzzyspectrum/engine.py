@@ -112,8 +112,8 @@ class FuzzyVariable:
             raise ValueError(f"variable '{self.name}': need finite lo < hi, got [{self.lo}, {self.hi}]")
         if not self.terms:
             raise ValueError(f"variable '{self.name}': needs at least one term")
-        names = [t.name for t in self.terms]
-        if len(set(names)) != len(names):
+        object.__setattr__(self, "_term_indices", {t.name: i for i, t in enumerate(self.terms)})
+        if len(self._term_indices) != len(self.terms):
             raise ValueError(f"variable '{self.name}': duplicate term names")
         for t in self.terms:
             if not (self.lo <= t.center <= self.hi):
@@ -126,10 +126,9 @@ class FuzzyVariable:
             raise ValueError(f"variable '{self.name}': term centers must be strictly increasing")
 
     def term_index(self, name: str) -> int:
-        for i, t in enumerate(self.terms):
-            if t.name == name:
-                return i
-        raise ModelIntegrityError(f"variable '{self.name}' has no term named '{name}'")
+        if name not in self._term_indices:
+            raise ModelIntegrityError(f"variable '{self.name}' has no term named '{name}'")
+        return self._term_indices[name]
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .engine import (
     FuzzyModel,
@@ -32,6 +35,7 @@ __all__ = [
     "DEFAULT_ADMISSION_THRESHOLD",
     "check_threshold",
     "Candidate",
+    "CandidateBatch",
     "DecisionResult",
     "ModelValidationReport",
     "crossover_sigma",
@@ -204,16 +208,45 @@ class Candidate:
             object.__setattr__(self, field, value)
             if not math.isfinite(value):
                 raise ValueError(f"candidate '{self.id}': {field} must be finite")
-        if self.spectrum_ratio < 0:
-            raise ValueError(f"candidate '{self.id}': spectrum_ratio must be >= 0")
-        if self.velocity_kmh < 0:
-            raise ValueError(f"candidate '{self.id}': velocity_kmh must be >= 0")
-        if self.distance_m < 0:
-            raise ValueError(f"candidate '{self.id}': distance_m must be >= 0")
+        for field in ("spectrum_ratio", "velocity_kmh", "distance_m"):
+            if getattr(self, field) < 0:
+                raise ValueError(f"candidate '{self.id}': {field} must be >= 0")
 
     def inputs(self) -> tuple[float, float, float, float]:
         """Input vector in model input order."""
         return (self.signal_dbm, self.velocity_kmh, self.spectrum_ratio, self.distance_m)
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateBatch(Sequence):
+    """Candidates as columns: ids and a read-only (N, 4) float array of their
+    measurements in INPUT_ORDER.  Indexing builds a row's Candidate."""
+
+    ids: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        values = np.array(self.values, dtype=float).reshape(len(self.ids), len(INPUT_ORDER))
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        row = _first_invalid_row(self.ids, values)
+        if row is not None:
+            self[row]  # the row's Candidate raises its ValueError
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Candidate:
+        return Candidate(self.ids[i], *self.values[i].tolist())
+
+
+def _first_invalid_row(ids: tuple[str, ...], values: np.ndarray) -> int | None:
+    """Index of the first row a Candidate would reject, if any."""
+    # every input after signal_dbm must be >= 0
+    bad = ~np.isfinite(values).all(axis=1) | (values[:, 1:] < 0.0).any(axis=1)
+    bad[[i for i, cid in enumerate(ids) if not cid]] = True
+    return int(bad.argmax()) if bad.any() else None
 
 
 @dataclass(frozen=True)

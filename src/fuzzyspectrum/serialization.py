@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .engine import (
     FuzzyError,
     FuzzyModel,
@@ -21,7 +23,7 @@ from .engine import (
     ModelIntegrityError,
     Rule,
 )
-from .model import DEFAULT_ADMISSION_THRESHOLD, Candidate, check_threshold, default_model
+from .model import DEFAULT_ADMISSION_THRESHOLD, CandidateBatch, _first_invalid_row, check_threshold, default_model
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -241,8 +243,10 @@ def save_document(doc: ModelDocument, path) -> None:
         fh.write(serialize_document(doc))
 
 
-def read_candidates_csv(path) -> list[Candidate]:
-    """Load a candidate batch; the header must match CANDIDATE_HEADER exactly."""
+def read_candidates_csv(path) -> CandidateBatch:
+    """Load a candidate batch; the header must match CANDIDATE_HEADER exactly.
+    The first bad csv record is named by its number: a wrong field count, a
+    cell float() rejects (first column first), then what Candidate rejects."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -259,28 +263,35 @@ def read_candidates_csv(path) -> list[Candidate]:
             f"expected header {','.join(CANDIDATE_HEADER)}, got {','.join(header)}"
         )
 
-    candidates = []
+    ids, values, malformed = [], [], None
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(CANDIDATE_HEADER):
-            raise CandidatesCsvError(
-                f"line {lineno}: expected {len(CANDIDATE_HEADER)} fields, got {len(row)}"
-            )
-        cid = row[0]
-        values = []
-        for column, cell in zip(CANDIDATE_HEADER[1:], row[1:]):
-            try:
-                values.append(float(cell))
-            except ValueError as exc:
-                raise CandidatesCsvError(
-                    f"line {lineno}: bad {column} value {cell!r}"
-                ) from exc
+            malformed = f"line {lineno}: expected {len(CANDIDATE_HEADER)} fields, got {len(row)}"
+            break
+        cid, signal, velocity, ratio, distance = row
         try:
-            candidates.append(Candidate(cid, *values))
-        except ValueError as exc:
-            raise CandidatesCsvError(f"line {lineno}: {exc}") from exc
-    return candidates
+            values += (float(signal), float(velocity), float(ratio), float(distance))
+        except ValueError:
+            for column, cell in zip(CANDIDATE_HEADER[1:], row[1:]):
+                try:
+                    float(cell)
+                except ValueError:
+                    malformed = f"line {lineno}: bad {column} value {cell!r}"
+                    break
+            break
+        ids.append(cid)
+    # the records before a malformed one are checked first, as one array
+    values = np.reshape(values, (len(ids), len(CANDIDATE_HEADER) - 1))
+    try:
+        batch = CandidateBatch(ids, values)
+    except ValueError as exc:
+        records = [n for n, record in enumerate(rows[1:], start=2) if record]
+        raise CandidatesCsvError(f"line {records[_first_invalid_row(tuple(ids), values)]}: {exc}") from exc
+    if malformed is not None:
+        raise CandidatesCsvError(malformed)
+    return batch
 
 
 def format_rules_table(model: FuzzyModel) -> str:

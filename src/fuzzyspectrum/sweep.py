@@ -7,7 +7,6 @@ their full universes.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -185,8 +184,9 @@ def format_surface_csv(result: SweepResult) -> str:
     """Surface CSV: empty corner cell, axis2 samples across the first row,
     axis1 samples down the first column, possibilities in the body.  All
     numbers are fixed-point with six fractional digits."""
-    out = io.StringIO()
-    out.write("," + ",".join(f"{v:.6f}" for v in result.axis2_values) + "\n")
-    for a, row in zip(result.axis1_values, result.grid):
-        out.write(f"{a:.6f}," + ",".join(f"{v:.6f}" for v in row) + "\n")
-    return out.getvalue()
+    # one %-template per line: the same text as one f-string per number, faster
+    cells = ",".join(["%.6f"] * len(result.axis2_values))
+    row = "%.6f," + cells + "\n"
+    lines = [("," + cells + "\n") % tuple(result.axis2_values.tolist())]
+    lines += [row % (a, *values) for a, values in zip(result.axis1_values.tolist(), result.grid.tolist())]
+    return "".join(lines)

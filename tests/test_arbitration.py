@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fuzzyspectrum import (
     Candidate,
+    CandidateBatch,
     DecisionResult,
     DuplicateCandidateError,
     EmptyBatchError,
@@ -182,6 +183,8 @@ class TestBatchBitIdentity:
         shuffled = list(batch)
         rng.shuffle(shuffled)
         assert arbitrate(shuffled, model, threshold=0.0) == outcome
+        columns = CandidateBatch([c.id for c in shuffled], [c.inputs() for c in shuffled])
+        assert arbitrate(columns, model, threshold=0.0) == outcome
 
 
 class TestRankCandidates:

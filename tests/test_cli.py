@@ -194,6 +194,22 @@ class TestArbitrate:
         assert [row[1] for row in rows] == ["id", "a,b", "plain", "x\ny"]
         assert out.splitlines()[2].startswith("2,plain,")
 
+    def test_human_format_escapes_unprintable_ids(self, capsys, tmp_path):
+        path = tmp_path / "batch.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HEADER.split(","))
+            writer.writerows([["x\ny", -100, 0, 0, 0], ["tab\there", -60, 50, 0.5, 50],
+                              ["plain id", -20, 100, 1, 100]])
+        code, out, _ = run_cli(capsys, "arbitrate", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert lines[1].startswith("  1. 'x\\ny'  possibility=")
+        assert lines[2].startswith("  2. 'tab\\there'  possibility=")
+        assert lines[3].startswith("  3. plain id  possibility=")
+        assert lines[4] == "winner: 'x\\ny'"
+
     @given(candidate_files())
     @settings(max_examples=150, deadline=None)
     def test_bad_file_exits_one_with_the_reader_message(self, data):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzyspectrum import (
     INPUT_ORDER,
@@ -12,6 +14,7 @@ from fuzzyspectrum import (
     RULE_TABLE,
     UNIVERSES,
     Candidate,
+    CandidateBatch,
     FuzzyModel,
     InvalidInputError,
     NoRuleFiredError,
@@ -297,3 +300,54 @@ class TestCandidateValidation:
     def test_ratio_above_one_is_legal(self):
         # more spectrum required than available is a measurable situation
         Candidate("c", -60.0, 50.0, 3.0, 50.0)
+
+
+def _candidate_error(cid, row):
+    try:
+        Candidate(cid, *row)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestCandidateBatch:
+    def test_rows_are_the_candidates(self):
+        candidates = [Candidate("a", -60.0, 50.0, 0.5, 50.0), Candidate("b", -120.0, -0.0, 2.0, 0.0)]
+        batch = CandidateBatch([c.id for c in candidates], [c.inputs() for c in candidates])
+        assert len(batch) == 2
+        assert list(batch) == candidates
+        assert batch[-1] == candidates[-1]
+        assert batch.values.shape == (2, len(INPUT_ORDER))
+        assert math.copysign(1.0, batch[1].velocity_kmh) == -1.0
+        with pytest.raises(ValueError):
+            batch.values[0, 0] = 0.0
+
+    def test_empty_batch(self):
+        batch = CandidateBatch([], [])
+        assert len(batch) == 0 and batch.values.shape == (0, len(INPUT_ORDER))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", ""]),
+                st.lists(
+                    st.one_of(st.floats(-10, 10), st.sampled_from([-0.0, float("nan"), float("inf")])),
+                    min_size=4,
+                    max_size=4,
+                ),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_the_first_row_a_candidate_rejects(self, rows):
+        errors = [_candidate_error(cid, row) for cid, row in rows]
+        first = next((e for e in errors if e is not None), None)
+        ids = tuple(cid for cid, _ in rows)
+        values = [row for _, row in rows]
+        if first is None:
+            assert list(CandidateBatch(ids, values)) == [Candidate(cid, *row) for cid, row in rows]
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                CandidateBatch(ids, values)
+            assert str(excinfo.value) == first

@@ -283,7 +283,7 @@ class TestCandidatesCsv:
 
     def test_header_only_gives_empty_batch(self, tmp_path):
         path = self._write(tmp_path, f"{self.HEADER}\n")
-        assert read_candidates_csv(path) == []
+        assert len(read_candidates_csv(path)) == 0
 
 
 class TestSurfaceCsv:
