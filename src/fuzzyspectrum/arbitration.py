@@ -21,6 +21,7 @@ from .model import (
     check_threshold,
     decision_possibility,  # noqa: F401  (unused; kept for perfbench/tracing.py)
     default_model,
+    _quoted_id,
 )
 
 __all__ = [
@@ -88,7 +89,7 @@ def arbitrate(
     seen: set[str] = set()
     for cid in candidates.ids:
         if cid in seen:
-            raise DuplicateCandidateError(f"duplicate candidate id '{cid}'")
+            raise DuplicateCandidateError(f"duplicate candidate id {_quoted_id(cid)}")
         seen.add(cid)
 
     possibilities = _infer_rows(model or default_model(), candidates.values).tolist()

@@ -351,12 +351,12 @@ def _exp(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _exponents(c: _Compiled, x: np.ndarray) -> np.ndarray:
-    """Gaussian exponents (n, n_inputs, terms) of finite rows x, each
-    clamped into its universe first."""
+def _exponents(c: _Compiled, x: np.ndarray, i=slice(None)) -> np.ndarray:
+    """Gaussian exponents of finite x, clamped into its universes first:
+    (n, n_inputs, terms) for rows x, (n, terms) for values x of input i."""
     # the same clamp as np.clip, in two cheaper calls
-    d = np.minimum(np.maximum(x, c.lo), c.hi)[:, :, None] - c.centers
-    return -(d**2) / c.two_sigma_sq
+    d = np.minimum(np.maximum(x, c.lo[i]), c.hi[i])[..., None] - c.centers[i]
+    return -(d**2) / c.two_sigma_sq[i]
 
 
 def _strengths(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
@@ -366,13 +366,20 @@ def _strengths(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
     return c.weights * flat.take(c.antecedents, axis=0).min(axis=0).T
 
 
-def _fire(c: _Compiled, x: np.ndarray) -> np.ndarray:
-    # math.exp, the costly step, runs once per distinct exponent in the chunk
-    # (sweep rows share most of theirs); merging -0.0 with 0.0 is harmless
-    # here, as both give 1.0
-    exponents = _exponents(c, x)
-    values, inverse = np.unique(exponents, return_inverse=True)
-    return _clip_levels(c, _strengths(c, _exp(values)[inverse].reshape(exponents.shape)))
+def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Memberships of each input's distinct values in rows x, as one
+    (distinct values, terms) table, and each row's (n_inputs,) entries in it."""
+    # math.exp, the costly step, runs once per distinct value of each input;
+    # merging -0.0 with 0.0 is harmless, as both give the same exponents
+    columns = [np.unique(column, return_inverse=True) for column in x.T]
+    table = _exp(np.concatenate([_exponents(c, values, i) for i, (values, _) in enumerate(columns)]))
+    offsets = np.cumsum([0] + [len(values) for values, _ in columns[:-1]])
+    return table, np.column_stack([inverse + offset for (_, inverse), offset in zip(columns, offsets)])
+
+
+def _fire(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
+    """Clip levels (n, output terms) of rows' (n, n_inputs, terms) memberships."""
+    return _clip_levels(c, _strengths(c, memberships))
 
 
 def _one_row(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -392,9 +399,10 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
         raise InvalidInputError(f"expected {len(c.lo)} inputs, got {x.shape[-1]}")
     if len(x) == 1:
         return _centroid(_one_row(c, x)[2], c.grid, c.w)
+    table, index = _membership_table(c, x)
     clip = np.empty((len(x), len(c.term_curves)))
     for i in range(0, len(x), c.fire_rows):
-        clip[i:i + c.fire_rows] = _fire(c, x[i:i + c.fire_rows])
+        clip[i:i + c.fire_rows] = _fire(c, table.take(index[i:i + c.fire_rows], axis=0))
     # a row's crisp output depends on its clip levels alone, so the curve
     # stage runs once per distinct clip vector, compared bit for bit so that
     # -0.0 and 0.0 stay apart

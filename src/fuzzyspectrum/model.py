@@ -190,6 +190,12 @@ def default_model(grid_points: int = DEFAULT_GRID_POINTS) -> FuzzyModel:
     return FuzzyModel(inputs=inputs, output=output, rules=rules, grid_points=grid_points)
 
 
+def _quoted_id(cid: str) -> str:
+    # an id as messages name it: quoted, or as its repr if a character in it
+    # is not printable, so that a line break cannot split the message
+    return f"'{cid}'" if cid.isprintable() else repr(cid)
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One secondary user's measured inputs plus an identifier."""
@@ -207,10 +213,10 @@ class Candidate:
             value = float(getattr(self, field))
             object.__setattr__(self, field, value)
             if not math.isfinite(value):
-                raise ValueError(f"candidate '{self.id}': {field} must be finite")
+                raise ValueError(f"candidate {_quoted_id(self.id)}: {field} must be finite")
         for field in ("spectrum_ratio", "velocity_kmh", "distance_m"):
             if getattr(self, field) < 0:
-                raise ValueError(f"candidate '{self.id}': {field} must be >= 0")
+                raise ValueError(f"candidate {_quoted_id(self.id)}: {field} must be >= 0")
 
     def inputs(self) -> tuple[float, float, float, float]:
         """Input vector in model input order."""

@@ -247,11 +247,14 @@ def read_candidates_csv(path) -> CandidateBatch:
     """Load a candidate batch; the header must match CANDIDATE_HEADER exactly.
     The first bad csv record is named by its number: a wrong field count, a
     cell float() rejects (first column first), then what Candidate rejects."""
+    rows = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows.extend(csv.reader(fh))
     except OSError as exc:
         raise CandidatesCsvError(f"cannot read candidates CSV '{path}': {exc}") from exc
+    except csv.Error as exc:  # a field over csv.field_size_limit(), in the next record
+        raise CandidatesCsvError(f"line {len(rows) + 1}: {exc}") from exc
 
     if not rows:
         raise CandidatesCsvError(

@@ -137,11 +137,15 @@ def reference_read_candidates(path, error=ValueError):
     (id, signal_dbm, velocity_kmh, spectrum_ratio, distance_m) tuples, or
     error(message) naming the first bad record.  Records are counted as
     csv.reader yields them, so a quoted line break stays in its record."""
+    rows = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
+            for row in csv.reader(fh):
+                rows.append(row)
     except OSError as exc:
         raise error(f"cannot read candidates CSV '{path}': {exc}") from exc
+    except csv.Error as exc:
+        raise error(f"line {len(rows) + 1}: {exc}") from exc
 
     if not rows:
         raise error(f"empty file; expected header {','.join(CANDIDATE_HEADER)}")
@@ -175,11 +179,13 @@ def reference_candidate(cid, values):
     at least 0.  Returns (cid, *values)."""
     if not cid:
         raise ValueError("candidate id must be non-empty")
+    # an id that is not printable is named by its repr
+    shown = f"'{cid}'" if cid.isprintable() else repr(cid)
     fields = dict(zip(CANDIDATE_HEADER[1:], values))
     for field, value in fields.items():
         if not math.isfinite(value):
-            raise ValueError(f"candidate '{cid}': {field} must be finite")
+            raise ValueError(f"candidate {shown}: {field} must be finite")
     for field in ("spectrum_ratio", "velocity_kmh", "distance_m"):
         if fields[field] < 0:
-            raise ValueError(f"candidate '{cid}': {field} must be >= 0")
+            raise ValueError(f"candidate {shown}: {field} must be >= 0")
     return (cid, *values)

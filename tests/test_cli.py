@@ -9,11 +9,14 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fuzzyspectrum
 from fuzzyspectrum import Candidate, decision_possibility, default_model
 from fuzzyspectrum.cli import build_parser, main
+from fuzzyspectrum.engine import MAX_GRID_POINTS
+from fuzzyspectrum.sweep import MAX_STEPS
 from fuzzyspectrum.serialization import (
     CandidatesCsvError,
     ModelDocument,
@@ -137,6 +140,15 @@ class TestArbitrate:
         code, _, err = run_cli(capsys, "arbitrate", path)
         assert code == 1
         assert "'u1'" in err
+
+    def test_unprintable_duplicate_id_keeps_one_error_line(self, capsys, tmp_path):
+        path = self._write(tmp_path, ['"x\ny",-60,50,0.5,50', '"x\ny",-100,0,0,0'])
+        assert run_cli(capsys, "arbitrate", path) == (1, "", "error: duplicate candidate id 'x\\ny'\n")
+
+    def test_oversized_field_exits_one_without_traceback(self, capsys, tmp_path):
+        path = self._write(tmp_path, [f"{'a' * 140000},-60,50,0.5,50"])
+        limit = csv.field_size_limit()
+        assert run_cli(capsys, "arbitrate", path) == (1, "", f"error: line 2: field larger than field limit ({limit})\n")
 
     def test_dead_model_exits_one_without_traceback(self, capsys, tmp_path):
         path = self._write(tmp_path, ["u1,-60,50,0.5,50", "u2,-100,0,0,0"])
@@ -442,6 +454,77 @@ class TestInProcessReuse:
                 main(["--help"])
             assert excinfo.value.code == 0
             assert capsys.readouterr().out == build_parser().format_help()
+
+
+# tokens for random command lines: numbers, odd numbers and junk
+NUMBERS = ["0", "-1", "0.5", "50", "-60", "100", "-0.0", "1e999", "nan", "-inf", "abc", ""]
+# grid points and steps only far below or above their caps, which are
+# checked before anything is allocated
+GRID_POINTS = ["-1", "0", "1", "2", "3", "11", str(MAX_GRID_POINTS + 1), "10000000000", "x"]
+STEPS = ["-1", "0", "1", "2", "3", "5", str(MAX_STEPS + 1), "10000000000", "x"]
+JUNK = ["", "-", "--", "x", "-h", "--bogus", "eval", "7", "\u00fc", "a:b:c", "="]
+
+
+@st.composite
+def random_argv(draw, tmp_path):
+    """A command line from the subcommand names, their flags and small
+    numeric or junk values, now and then with a flag or token that does not
+    belong; --output only ever names a path under tmp_path."""
+    names = ["signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m", "speed", ""]
+    number = st.sampled_from(NUMBERS)
+    path = st.sampled_from(
+        [str(tmp_path / name) for name in ("good.csv", "bad.csv", "model.json", "bad.json", "missing")]
+        + [str(tmp_path)]
+    )
+    axis = st.builds(lambda n, lo, hi: f"{n}:{lo}:{hi}", st.sampled_from(names), number, number)
+    common = [
+        st.tuples(st.just("--model"), path),
+        st.tuples(st.just("--threshold"), number),
+        st.tuples(st.just("--grid-points"), st.sampled_from(GRID_POINTS)),
+        st.tuples(st.just("--output"), st.sampled_from(
+            [str(tmp_path / "out.txt"), str(tmp_path / "no" / "out.txt"), str(tmp_path)])),
+    ]
+    fmt = st.tuples(st.just("--format"), st.sampled_from(["human", "csv", "table", "json"]))
+    flags = {
+        "eval": [*common, fmt, st.just(("--trace",))],
+        "arbitrate": [*common, fmt],
+        "sweep": [
+            *common,
+            st.tuples(st.just("--preset"), st.sampled_from(["7", "9", "11", "6", "x"])),
+            st.tuples(st.sampled_from(["--axis1", "--axis2"]), st.one_of(axis, st.sampled_from(JUNK))),
+            st.tuples(st.just("--fix"), st.builds("{}={}".format, st.sampled_from(names), number)),
+            st.tuples(st.just("--steps"), st.sampled_from(STEPS)),
+        ],
+        "validate": common,
+        "dump-rules": [*common, fmt],
+        "evaluate": common,
+    }
+    positionals = {"eval": st.lists(number, min_size=4, max_size=4), "arbitrate": st.lists(path, min_size=1, max_size=1)}
+    command = draw(st.sampled_from(sorted(flags)))
+    pieces = [(token,) for token in draw(positionals.get(command, st.just([])))]
+    pieces += draw(st.lists(st.one_of(flags[command]), max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        stray = st.one_of(*flags["sweep"], fmt, st.just(("--trace",)), st.tuples(st.sampled_from(JUNK)))
+        pieces.append(draw(stray))
+    return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+class TestRandomArgv:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exits_with_a_documented_code(self, tmp_path, data):
+        (tmp_path / "good.csv").write_text(HEADER + "\na,-90,10,0.2,20\nb,-60,50,0.5,50\n")
+        (tmp_path / "bad.csv").write_text(HEADER + "\na,-90,-10,0.2,20\n")
+        (tmp_path / "model.json").write_text(serialize_document(ModelDocument(default_model())))
+        (tmp_path / "bad.json").write_text("{")
+        argv = data.draw(random_argv(tmp_path), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                assert main(argv) in (0, 1, 2)
+            except SystemExit as exc:  # argparse: --help, or a usage error
+                assert exc.code in (0, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestConsoleEntry:

@@ -18,12 +18,14 @@ from fuzzyspectrum import (
     clamp_to_universe,
     default_model,
     defuzzify_centroid,
+    figure_preset,
     fuzzify,
     gaussian_membership,
     infer,
+    run_sweep,
 )
 
-from fuzzyspectrum.engine import CHUNK_ELEMENTS, MAX_GRID_POINTS, _infer_rows
+from fuzzyspectrum.engine import CHUNK_ELEMENTS, MAX_GRID_POINTS, _infer_rows, _membership_table
 
 from conftest import random_inputs, random_model, three_term_variable
 from oracle import (
@@ -467,6 +469,48 @@ class TestCurveStage:
         batch = _infer_rows(model, rows)
         for row, got in zip(rows, batch):
             assert abs(got - oracle_possibility(model, row, n_grid=grid_points)) < 1e-6
+
+
+class TestFiringStage:
+    def test_exp_runs_once_per_distinct_value_of_each_input(self, monkeypatch):
+        default_model()  # built before counting
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda a: calls.append(a) or exp(a))
+        run_sweep(figure_preset(7))
+        # two swept inputs of 41 samples, two fixed ones, three terms each
+        assert len(calls) == (41 + 41 + 1 + 1) * 3
+
+    @pytest.mark.parametrize("copies", [1, 2, 50, 203])
+    def test_chunk_stays_under_the_element_cap(self, copies):
+        model = default_model()
+        model = replace(model, rules=model.rules * copies)
+        n_in, terms = len(model.inputs), max(len(v.terms) for v in model.inputs)
+        group = max(sum(r.consequent == k for r in model.rules) for k in range(len(model.output.terms)))
+        # a row's memberships, its antecedent degrees and its padded groups
+        largest = max(n_in * terms, n_in * len(model.rules), len(model.output.terms) * group)
+        fire_rows = model._compiled.fire_rows
+        assert fire_rows >= 1
+        if fire_rows > 1:
+            assert fire_rows * largest <= CHUNK_ELEMENTS
+
+    def test_signed_zeros_and_clamped_values_bit_identical_to_infer(self):
+        # each input has a term centred at 0: inside, at lo and at hi
+        inputs = tuple(three_term_variable(n, lo, hi) for n, lo, hi in [("a", -1, 1), ("b", 0, 10), ("c", -4, 0)])
+        rules = tuple(Rule((i % 3, i // 3 % 3, i // 9), i % 2) for i in range(27))
+        model = FuzzyModel(inputs, three_term_variable("y", 0, 1), rules)
+        rng = np.random.default_rng(5)
+        # signed zeros, and values past either bound that clamp to the same one
+        pool = [-0.0, 0.0, -20.0, -7.5, -5.0, 12.0, 30.0, 0.25]
+        rows = rng.choice(pool, size=(200, 3))
+        zeros = rows[rows == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        traces = [infer(model, row) for row in rows]
+        assert _infer_rows(model, rows).tobytes() == np.array([t.crisp_output for t in traces]).tobytes()
+        table, index = _membership_table(model._compiled, rows)
+        memberships = table.take(index, axis=0)
+        for m, t in zip(memberships, traces):
+            assert tuple(tuple(degrees.tolist()) for degrees in m) == t.memberships
 
 
 class TestMetamorphic:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import tempfile
@@ -262,6 +263,19 @@ class TestCandidatesCsv:
         path = self._write(tmp_path, f"{self.HEADER}\nu1,-60,-5,0.5,50\n")
         with pytest.raises(CandidatesCsvError, match="line 2"):
             read_candidates_csv(path)
+
+    def test_unprintable_id_is_named_by_its_repr(self, tmp_path):
+        path = self._write(tmp_path, f'{self.HEADER}\n"x\ny",-60,-5,0.5,50\n')
+        with pytest.raises(CandidatesCsvError) as info:
+            read_candidates_csv(path)
+        assert str(info.value) == "line 2: candidate 'x\\ny': velocity_kmh must be >= 0"
+
+    def test_oversized_field_names_its_record(self, tmp_path):
+        # records are counted as for every other message: the blank line too
+        path = self._write(tmp_path, f"{self.HEADER}\nu1,-60,50,0.5,50\n\n{'a' * 140000},-60,50,0.5,50\n")
+        with pytest.raises(CandidatesCsvError) as info:
+            read_candidates_csv(path)
+        assert str(info.value) == f"line 4: field larger than field limit ({csv.field_size_limit()})"
 
     @given(candidate_files())
     @settings(max_examples=400, deadline=None)
