@@ -131,7 +131,7 @@ class FuzzyVariable:
         return self._term_indices[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Rule:
     """IF antecedents THEN consequent, with a firing weight in [0, 1].
 
@@ -143,10 +143,11 @@ class Rule:
     consequent: int
     weight: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "antecedents", tuple(int(i) for i in self.antecedents))
-        object.__setattr__(self, "consequent", int(self.consequent))
-        object.__setattr__(self, "weight", float(self.weight))
+    def __init__(self, antecedents: Sequence[int], consequent: int, weight: float = 1.0):
+        # written by hand so that each field is converted and set once
+        object.__setattr__(self, "antecedents", tuple(map(int, antecedents)))
+        object.__setattr__(self, "consequent", int(consequent))
+        object.__setattr__(self, "weight", float(weight))
         if not (0.0 <= self.weight <= 1.0):
             raise ValueError(f"rule weight must be in [0, 1], got {self.weight}")
 
@@ -177,28 +178,35 @@ class FuzzyModel:
         names = [v.name for v in self.inputs] + [self.output.name]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique across the model")
-        n_out = len(self.output.terms)
-        for r, rule in enumerate(self.rules):
-            if len(rule.antecedents) != len(self.inputs):
-                raise ModelIntegrityError(
-                    f"rule {r + 1}: expected {len(self.inputs)} antecedents, "
-                    f"got {len(rule.antecedents)}"
-                )
-            for v, idx in enumerate(rule.antecedents):
-                if not (0 <= idx < len(self.inputs[v].terms)):
-                    raise ModelIntegrityError(
-                        f"rule {r + 1}: antecedent index {idx} out of range "
-                        f"for variable '{self.inputs[v].name}'"
-                    )
-            if not (0 <= rule.consequent < n_out):
-                raise ModelIntegrityError(
-                    f"rule {r + 1}: consequent index {rule.consequent} out of range"
-                )
-        object.__setattr__(self, "_compiled", _Compiled(self))
+        # one (rules, inputs + 1) table of antecedents and consequent, checked
+        # as a whole; a ragged rule base or an index too big for intp fails
+        # to build it, and the walk below then names the first bad rule
+        sizes = [len(v.terms) for v in self.inputs] + [len(self.output.terms)]
+        try:
+            table = np.array([(*r.antecedents, r.consequent) for r in self.rules], np.intp)
+            table = table.reshape(len(self.rules), len(sizes))
+        except (ValueError, OverflowError):
+            table = None
+        if table is None or ((table < 0) | (table >= sizes)).any():
+            for r, rule in enumerate(self.rules):
+                _check_rule(self, r, rule)
+        object.__setattr__(self, "_compiled", _Compiled(self, table))
 
     def term_names(self, antecedents: Sequence[int]) -> list[str]:
         """The input term names a rule's antecedent indices select, in input order."""
         return [var.terms[idx].name for var, idx in zip(self.inputs, antecedents)]
+
+
+def _check_rule(model: FuzzyModel, r: int, rule: Rule) -> None:
+    """Raise the ModelIntegrityError naming the first fault of rule r + 1, if it has one."""
+    where = f"rule {r + 1}"
+    if len(rule.antecedents) != len(model.inputs):
+        raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {len(rule.antecedents)}")
+    for var, idx in zip(model.inputs, rule.antecedents):
+        if not (0 <= idx < len(var.terms)):
+            raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable '{var.name}'")
+    if not (0 <= rule.consequent < len(model.output.terms)):
+        raise ModelIntegrityError(f"{where}: consequent index {rule.consequent} out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,14 +252,16 @@ def fuzzify(var: FuzzyVariable, x: float) -> np.ndarray:
 
 
 class _Compiled:
-    """A model's plain arrays, built once when the model is constructed.
+    """A model's plain arrays, built once when the model is constructed from
+    its checked (rules, inputs + 1) table of antecedents and consequent.
 
     Input term parameters are padded to the widest variable; no rule
     indexes the padding.
     """
 
-    def __init__(self, model: FuzzyModel):
-        n_in, rules, output = len(model.inputs), model.rules, model.output
+    def __init__(self, model: FuzzyModel, table: np.ndarray):
+        n_in, output = len(model.inputs), model.output
+        self.table = table
         self.lo = np.array([v.lo for v in model.inputs])
         self.hi = np.array([v.hi for v in model.inputs])
         self.centers = np.zeros((n_in, max(len(v.terms) for v in model.inputs)))
@@ -260,13 +270,12 @@ class _Compiled:
             self.centers[v, : len(var.terms)] = [t.center for t in var.terms]
             self.two_sigma_sq[v, : len(var.terms)] = [2.0 * t.sigma * t.sigma for t in var.terms]
         # (inputs, rules) antecedent positions in a row's flattened memberships
-        antecedents = np.array([r.antecedents for r in rules], np.intp).reshape(-1, n_in).T
-        self.antecedents = np.ascontiguousarray(antecedents + np.arange(n_in)[:, None] * self.centers.shape[1])
-        self.weights = np.array([r.weight for r in rules])
+        antecedents = table[:, :n_in].T + np.arange(n_in)[:, None] * self.centers.shape[1]
+        self.antecedents = np.ascontiguousarray(antecedents)
+        self.weights = np.array([r.weight for r in model.rules])
         # row k lists the rules concluding output term k, padded to the
         # largest group with entries the mask switches off
-        consequents = np.array([r.consequent for r in rules], np.intp)
-        groups = [np.flatnonzero(consequents == k) for k in range(len(output.terms))]
+        groups = [np.flatnonzero(table[:, n_in] == k) for k in range(len(output.terms))]
         self.group_rules = np.zeros((len(groups), max(map(len, groups))), np.intp)
         self.group_mask = np.zeros(self.group_rules.shape, bool)
         for k, g in enumerate(groups):
@@ -292,7 +301,7 @@ class _Compiled:
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     if len(points) == 1:
         return np.ones(1)
-    edged = np.pad(points, 1, mode="edge")
+    edged = np.concatenate((points[:1], points, points[-1:]))
     return (edged[2:] - edged[:-2]) / 2.0
 
 
@@ -322,27 +331,29 @@ def _degrees(c: _Compiled, clip: np.ndarray, work: np.ndarray | None = None) -> 
     return degrees
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    # each column of a grid-major array summed strictly in grid order, so a
-    # column's sum is bit-identical whatever else is in the batch (a BLAS
-    # product is not) and equal to adding its points left to right one at a
-    # time.  Reducing axis 0 adds whole grid rows in order; numpy reduces a
-    # lone contiguous column pairwise instead, so one column takes a running
-    # sum.
-    if a.shape[1] == 1:
-        return a.cumsum(axis=0)[-1]
-    return np.add.reduce(a, axis=0)
-
-
 def _centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Centroids of grid-major (grid points, columns) degrees, passed in
     mass, which is overwritten."""
+    # each column's mass and moment are summed strictly in grid order, so a
+    # column's sums are bit-identical whatever else is in the batch (a BLAS
+    # product is not) and equal to adding its points left to right one at a
+    # time.  Reducing axis 0 adds whole grid rows in order; numpy reduces a
+    # lone contiguous column pairwise instead, so one column takes a running
+    # sum, of mass and moment at once as the real and imaginary parts of
+    # complex numbers, which add as two independent doubles
     mass *= w[:, None]
-    den = _column_sums(mass)
+    if mass.shape[1] == 1:
+        sums = np.empty(len(mass), complex)
+        sums.real, sums.imag = mass[:, 0], mass[:, 0] * points
+        total = np.add.accumulate(sums)[-1:]
+        den, moment = total.real, total.imag
+    else:
+        den = np.add.reduce(mass, axis=0)
+        mass *= points[:, None]
+        moment = np.add.reduce(mass, axis=0)
     if den.min() < MASS_EPSILON:
         raise NoRuleFiredError(f"total output mass {den.min()} below {MASS_EPSILON}; no rule fired")
-    mass *= points[:, None]
-    return _column_sums(mass) / den
+    return moment / den
 
 
 def _exp(a: np.ndarray) -> np.ndarray:

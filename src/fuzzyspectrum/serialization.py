@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -109,7 +110,11 @@ def serialize_document(doc: ModelDocument) -> str:
     return json.dumps(document_to_dict(doc), indent=2) + "\n"
 
 
-def _require_keys(obj, allowed: Sequence[str], required: Sequence[str], where: str) -> None:
+_RULE_FIELDS = frozenset(("antecedents", "consequent", "weight"))
+_RULE_REQUIRED = frozenset(("antecedents", "consequent"))
+
+
+def _require_keys(obj, allowed: Collection[str], required: Sequence[str], where: str) -> None:
     if not isinstance(obj, dict):
         raise ModelDocumentError(f"{where} must be an object")
     for key in obj:
@@ -124,7 +129,10 @@ def _number(obj, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelDocumentError(f"field '{key}' in {where} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int too large for a float, read as json reads 1e400
+        return math.inf if value > 0 else -math.inf
 
 
 def _parse_variable(obj, where: str) -> FuzzyVariable:
@@ -166,7 +174,7 @@ def parse_document(text: str) -> ModelDocument:
         if "schema_version" not in raw:
             raise ModelDocumentError("missing field 'schema_version' in document")
         version = raw["schema_version"]
-        if version != SCHEMA_VERSION:
+        if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
             raise ModelDocumentError(
                 f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
             )
@@ -191,21 +199,20 @@ def parse_document(text: str) -> ModelDocument:
             raise ModelDocumentError("field 'rules' in document must be a list")
         rules = []
         for i, r in enumerate(raw["rules"]):
-            r_where = f"rule {i + 1}"
-            _require_keys(
-                r, ("antecedents", "consequent", "weight"), ("antecedents", "consequent"), r_where
-            )
+            # one key test per rule; _require_keys only names a fault
+            if not (isinstance(r, dict) and _RULE_REQUIRED <= r.keys() <= _RULE_FIELDS):
+                _require_keys(r, _RULE_FIELDS, ("antecedents", "consequent"), f"rule {i + 1}")
             names = r["antecedents"]
             if not isinstance(names, list) or len(names) != len(inputs):
                 raise ModelDocumentError(
-                    f"{r_where}: expected {len(inputs)} antecedent names"
+                    f"rule {i + 1}: expected {len(inputs)} antecedent names"
                 )
-            antecedents = tuple(
-                inputs[v].term_index(str(name)) for v, name in enumerate(names)
-            )
+            antecedents = tuple(map(FuzzyVariable.term_index, inputs, map(str, names)))
             consequent = output.term_index(str(r["consequent"]))
-            weight = _number(r, "weight", r_where) if "weight" in r else 1.0
-            rules.append(Rule(antecedents=antecedents, consequent=consequent, weight=weight))
+            weight = r.get("weight", 1.0)
+            if type(weight) is not float:
+                weight = _number(r, "weight", f"rule {i + 1}")
+            rules.append(Rule(antecedents, consequent, weight))
 
         settings = raw["settings"]
         _require_keys(

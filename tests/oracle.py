@@ -6,6 +6,7 @@ Model parameters are passed in as plain tuples.
 """
 
 import csv
+import itertools
 import math
 
 DENSE_GRID_POINTS = 10001
@@ -78,9 +79,18 @@ def reference_strengths(inputs, input_vars, rules):
 def trapezoid_centroid(points, degrees):
     """Centroid of a sampled curve with trapezoid weights, each sum
     accumulated left to right one point at a time; a lone point weighs 1."""
+    num, den = trapezoid_sums(points, degrees)
+    return num / den
+
+
+def trapezoid_sums(points, degrees):
+    """The centroid's moment and mass: sums of x * (y * w) and y * w over
+    the points, each accumulated left to right one point at a time."""
     n = len(points)
-    num = 0.0
-    den = 0.0
+    # -0.0 is the additive identity (0.0 + -0.0 is 0.0), so a sum of one
+    # -0.0 term keeps its sign, as a running sum from the first term does
+    num = -0.0
+    den = -0.0
     for i, (x, y) in enumerate(zip(points, degrees)):
         if n == 1:
             w = 1.0
@@ -93,7 +103,7 @@ def trapezoid_centroid(points, degrees):
         yw = y * w
         num += x * yw
         den += yw
-    return num / den
+    return num, den
 
 
 def model_params(model):
@@ -114,6 +124,41 @@ def model_params(model):
 def oracle_possibility(model, inputs, n_grid=DENSE_GRID_POINTS):
     input_vars, output_var, rules = model_params(model)
     return reference_infer(inputs, input_vars, output_var, rules, n_grid=n_grid)
+
+
+def reference_validate_model(input_terms, rules):
+    """The rule-base contract checked one rule at a time: the failures
+    validate_model reports, in its order.
+
+    input_terms: per input variable, its term names in order
+    rules: sequence of (antecedent_indices, consequent_index, weight)
+    """
+    failures = []
+    expected = 1
+    for names in input_terms:
+        expected *= len(names)
+    if len(rules) != expected:
+        failures.append(f"rule count {len(rules)} != expected {expected}")
+
+    def combo_names(combo):
+        return "(" + ", ".join(names[i] for names, i in zip(input_terms, combo)) + ")"
+
+    seen = {}
+    for r, (antecedents, _, weight) in enumerate(rules):
+        antecedents = tuple(antecedents)
+        if antecedents in seen:
+            failures.append(
+                f"rule {r + 1}: duplicate antecedent combination "
+                f"{combo_names(antecedents)} (first at rule {seen[antecedents] + 1})"
+            )
+        else:
+            seen[antecedents] = r
+        if weight != 1.0:
+            failures.append(f"rule {r + 1}: weight {weight} deviates from 1")
+    for combo in itertools.product(*(range(len(names)) for names in input_terms)):
+        if combo not in seen:
+            failures.append(f"missing antecedent combination {combo_names(combo)}")
+    return failures
 
 
 def riemann_centroid(fn, lo, hi, n):

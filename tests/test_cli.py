@@ -367,6 +367,15 @@ class TestValidate:
         assert code == 1
         assert "missing antecedent combination (Low, Low, Low, Medium)" in out
 
+    def test_huge_integer_exits_one_without_traceback(self, capsys, tmp_path):
+        raw = json.loads(serialize_document(default_document()))
+        raw["rules"][4]["weight"] = 10**400
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli(capsys, "validate", "--model", str(path)) == (
+            1, "", "error: rule weight must be in [0, 1], got inf\n"
+        )
+
     def test_off_weight_is_reported(self, capsys, tmp_path):
         raw = json.loads(serialize_document(default_document()))
         raw["rules"][4]["weight"] = 0.9

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from fuzzyspectrum import (
     run_sweep,
 )
 
-from fuzzyspectrum.engine import CHUNK_ELEMENTS, MAX_GRID_POINTS, _infer_rows, _membership_table
+from fuzzyspectrum.engine import CHUNK_ELEMENTS, MASS_EPSILON, MAX_GRID_POINTS, _infer_rows, _membership_table
 
 from conftest import random_inputs, random_model, three_term_variable
 from oracle import (
@@ -34,6 +34,7 @@ from oracle import (
     reference_strengths,
     riemann_centroid,
     trapezoid_centroid,
+    trapezoid_sums,
 )
 
 
@@ -446,6 +447,20 @@ class TestCurveStage:
         points, degrees = [0.1, 0.9], [0.2, 0.6]
         assert defuzzify_centroid(list(zip(points, degrees))) == trapezoid_centroid(points, degrees)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_lone_column_sums_left_to_right(self, data):
+        # one column is summed as a running sum, so mass and moment must
+        # equal adding the points one at a time, negative points included
+        points = sorted(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=400, unique=True)))
+        degrees = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(points), max_size=len(points)))
+        num, den = trapezoid_sums(points, degrees)
+        if den < MASS_EPSILON:
+            with pytest.raises(NoRuleFiredError):
+                defuzzify_centroid(list(zip(points, degrees)))
+        else:
+            assert defuzzify_centroid(list(zip(points, degrees))).hex() == (num / den).hex()
+
     @pytest.mark.parametrize(
         "grid_points", [2, 101, 1001, 5001, CHUNK_ELEMENTS, CHUNK_ELEMENTS + 1, MAX_GRID_POINTS]
     )
@@ -594,6 +609,68 @@ class TestTypeValidation:
     def test_rule_weight_range(self):
         with pytest.raises(ValueError):
             Rule(antecedents=(0,), consequent=0, weight=1.5)
+
+    def test_rule_converts_each_field_once(self):
+        rule = Rule(np.array([0, 2]), np.int64(1), np.float32(0.5))
+        assert rule.antecedents == (0, 2)
+        assert [type(i) for i in rule.antecedents] == [int, int]
+        assert type(rule.consequent) is int and type(rule.weight) is float
+        assert Rule(antecedents=[np.intp(1)], consequent=2.0) == Rule((1,), 2, 1.0)
+        # antecedents are converted before the weight is checked
+        with pytest.raises(ValueError, match="invalid literal"):
+            Rule(("x",), 0, 2.0)
+
+    @pytest.mark.parametrize("weight", [1.5, -0.25, math.nan, math.inf, np.float64(1.0000000000000002)])
+    def test_rule_weight_message(self, weight):
+        with pytest.raises(ValueError) as excinfo:
+            Rule((0,), 0, weight)
+        assert str(excinfo.value) == f"rule weight must be in [0, 1], got {float(weight)}"
+
+    def test_rule_is_a_frozen_value(self):
+        rule = Rule((0, 1), 2, 0.5)
+        assert replace(rule, weight=1.0) == Rule((0, 1), 2)
+        assert replace(rule, antecedents=[np.int64(2), 0]).antecedents == (2, 0)
+        with pytest.raises(ValueError, match="rule weight"):
+            replace(rule, weight=2.0)
+        assert rule == Rule([0, 1], np.int64(2), 0.5) and hash(rule) == hash(Rule([0, 1], np.int64(2), 0.5))
+        assert rule != Rule((0, 1), 2, 1.0) and rule != Rule((1, 0), 2, 0.5)
+        assert repr(rule) == "Rule(antecedents=(0, 1), consequent=2, weight=0.5)"
+        with pytest.raises(FrozenInstanceError):
+            rule.weight = 1.0
+
+    @pytest.mark.parametrize(
+        "rules, message",
+        [
+            ([((0, 0, 0), 0)], "rule 1: expected 2 antecedents, got 3"),
+            ([((0, 0), 0), ((), 0)], "rule 2: expected 2 antecedents, got 0"),
+            ([((3, 5), 0)], "rule 1: antecedent index 3 out of range for variable 'x'"),
+            ([((0, 5), 9)], "rule 1: antecedent index 5 out of range for variable 'z'"),
+            ([((0, -1), 0)], "rule 1: antecedent index -1 out of range for variable 'z'"),
+            ([((0, 0), 3)], "rule 1: consequent index 3 out of range"),
+            ([((0, 0), -1)], "rule 1: consequent index -1 out of range"),
+            ([((2**70, 0), 0)], f"rule 1: antecedent index {2**70} out of range for variable 'x'"),
+            ([((0, -(2**70)), 0)], f"rule 1: antecedent index {-(2**70)} out of range for variable 'z'"),
+            ([((0, 0), 2**70)], f"rule 1: consequent index {2**70} out of range"),
+            # the first bad rule is named, whatever is wrong with later ones
+            ([((0, 0), 0), ((1, 1), 3), ((0,), 0), ((9, 0), 0)], "rule 2: consequent index 3 out of range"),
+            ([((0, 0), 0), ((1, 1), 1), ((0, 0, 2**70), 0), ((9, 0), 0)], "rule 3: expected 2 antecedents, got 3"),
+            ([((2, 2), 2), ((2**70, 0), 0), ((0, 0, 0), 0)], f"rule 2: antecedent index {2**70} out of range for variable 'x'"),
+            ([((2, 2), 2), ((0, 3), 2**70), ((2**70, 0), 0)], "rule 2: antecedent index 3 out of range for variable 'z'"),
+        ],
+    )
+    def test_model_names_the_first_bad_rule(self, rules, message):
+        x = three_term_variable("x", 0.0, 10.0)
+        z = three_term_variable("z", 0.0, 10.0)
+        y = three_term_variable("y", 0.0, 1.0)
+        with pytest.raises(ModelIntegrityError) as excinfo:
+            FuzzyModel(inputs=(x, z), output=y, rules=tuple(Rule(a, c) for a, c in rules))
+        assert str(excinfo.value) == message
+
+    def test_model_rejects_an_index_too_big_for_an_array(self):
+        model = default_model()
+        with pytest.raises(ModelIntegrityError) as excinfo:
+            replace(model, rules=(*model.rules[:5], Rule((2**70, 0, 0, 0), 0)))
+        assert str(excinfo.value) == f"rule 6: antecedent index {2**70} out of range for variable 'signal_dbm'"
 
     def test_model_checks_rule_arity_and_indices(self):
         x = three_term_variable("x", 0.0, 10.0)

@@ -28,7 +28,7 @@ from fuzzyspectrum import (
 from fuzzyspectrum.engine import _infer_rows
 
 from conftest import dead_model, random_model
-from oracle import oracle_possibility
+from oracle import oracle_possibility, reference_validate_model
 
 FIXTURE = Path(__file__).parent / "data" / "table1_rules.txt"
 
@@ -104,7 +104,41 @@ class TestDefaultModelStructure:
         assert sum(model_counts.values()) == 81
 
 
+@st.composite
+def edited_rule_bases(draw):
+    """The default rule base after a few random edits: drop, duplicate,
+    change a term, reweight or reorder."""
+    rules = list(default_model().rules)
+    for _ in range(draw(st.integers(0, 4))):
+        edit = draw(st.sampled_from(["drop", "duplicate", "term", "weight", "reorder"]))
+        if edit == "reorder":
+            rules = draw(st.permutations(rules))
+            continue
+        if not rules:
+            continue
+        i = draw(st.integers(0, len(rules) - 1))
+        if edit == "drop":
+            del rules[i]
+        elif edit == "duplicate":
+            rules.insert(draw(st.integers(0, len(rules))), rules[i])
+        elif edit == "term":
+            antecedents = list(rules[i].antecedents)
+            antecedents[draw(st.integers(0, len(antecedents) - 1))] = draw(st.integers(0, 2))
+            rules[i] = replace(rules[i], antecedents=antecedents, consequent=draw(st.integers(0, 2)))
+        else:
+            rules[i] = replace(rules[i], weight=draw(st.sampled_from([0.0, 0.5, 0.9999999999999999, 1.0])))
+    return tuple(rules)
+
+
 class TestValidateModel:
+    @settings(max_examples=150, deadline=None)
+    @given(rules=edited_rule_bases())
+    def test_matches_the_rule_by_rule_walk(self, rules):
+        model = replace(default_model(), rules=rules)
+        input_terms = tuple(tuple(t.name for t in v.terms) for v in model.inputs)
+        params = tuple((r.antecedents, r.consequent, r.weight) for r in rules)
+        assert validate_model(model).failures == tuple(reference_validate_model(input_terms, params))
+
     def test_default_model_is_clean(self):
         report = validate_model(default_model())
         assert report.ok

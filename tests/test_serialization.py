@@ -87,7 +87,7 @@ def broken_documents(draw):
     fault = draw(st.sampled_from([
         "bound", "center", "sigma", "weight", "threshold", "grid_high", "grid_low",
         "grid_type", "weight_type", "unknown_key", "antecedent_name", "consequent_name",
-        "antecedent_count",
+        "antecedent_count", "huge_int", "schema_version",
     ]))
     if fault == "bound":
         side = draw(st.sampled_from(["lo", "hi"]))
@@ -132,6 +132,30 @@ def broken_documents(draw):
         key = draw(_odd_name(set(target)))
         target[key] = draw(st.sampled_from([0, "x", None]))
         return raw, f"unknown field '{key}' in {target_where}"
+    if fault == "huge_int":
+        # an integer too large for a float reads as the infinity of its sign
+        sign = draw(st.sampled_from([1, -1]))
+        big, inf = sign * 10**400, sign * float("inf")
+        target = draw(st.sampled_from(["lo", "hi", "center", "sigma", "weight", "threshold"]))
+        if target in ("lo", "hi"):
+            bounds = {"lo": float(var["lo"]), "hi": float(var["hi"]), target: inf}
+            var[target] = big
+            return raw, f"variable '{var['name']}': need finite lo < hi, got [{bounds['lo']}, {bounds['hi']}]"
+        if target == "center":
+            term["center"] = big
+            return raw, f"term '{term['name']}': center must be finite"
+        if target == "sigma":
+            term["sigma"] = big
+            return raw, f"term '{term['name']}': sigma must be positive, got {inf}"
+        if target == "weight":
+            rule["weight"] = big
+            return raw, f"rule weight must be in [0, 1], got {inf}"
+        raw["settings"]["admission_threshold"] = big
+        return raw, f"admission_threshold must be in [0, 1], got {inf}"
+    if fault == "schema_version":
+        version = draw(st.sampled_from([True, False, 1.0, 0, 2, 1.5, "1", None]))
+        raw["schema_version"] = version
+        return raw, f"unsupported schema_version {version!r}; expected 1"
     if fault == "antecedent_name":
         v = draw(st.integers(0, len(inputs) - 1))
         name = draw(_odd_name({t["name"] for t in inputs[v]["terms"]}))
