@@ -256,7 +256,9 @@ class _Compiled:
     its checked (rules, inputs + 1) table of antecedents and consequent.
 
     Input term parameters are padded to the widest variable; no rule
-    indexes the padding.
+    indexes the padding.  The rule arrays hold the rules sorted by
+    consequent, stably, so that the rules concluding each output term are
+    one run and the term's clip level one max over it.
     """
 
     def __init__(self, model: FuzzyModel, table: np.ndarray):
@@ -269,18 +271,26 @@ class _Compiled:
         for v, var in enumerate(model.inputs):
             self.centers[v, : len(var.terms)] = [t.center for t in var.terms]
             self.two_sigma_sq[v, : len(var.terms)] = [2.0 * t.sigma * t.sigma for t in var.terms]
+        # _exponents' parameters for rows, and for the values of each input
+        self.params = (self.lo, self.hi, self.centers, self.two_sigma_sq)
+        self.input_params = list(zip(*self.params))
+        # rule order[p] sits at position p of the sorted layout, and rule r
+        # at position positions[r].  Python's sort is stable like numpy's
+        # kind="stable", and pages in no numpy sort code, which would add
+        # ~0.14 MB to the peak RSS of a process that only decides
+        consequents = table[:, n_in]
+        self.order = np.array(sorted(range(len(table)), key=consequents.tolist().__getitem__), np.intp)
+        self.positions = np.empty_like(self.order)
+        self.positions[self.order] = np.arange(len(self.order))
         # (inputs, rules) antecedent positions in a row's flattened memberships
-        antecedents = table[:, :n_in].T + np.arange(n_in)[:, None] * self.centers.shape[1]
+        antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * self.centers.shape[1]
         self.antecedents = np.ascontiguousarray(antecedents)
-        self.weights = np.array([r.weight for r in model.rules])
-        # row k lists the rules concluding output term k, padded to the
-        # largest group with entries the mask switches off
-        groups = [np.flatnonzero(table[:, n_in] == k) for k in range(len(output.terms))]
-        self.group_rules = np.zeros((len(groups), max(map(len, groups))), np.intp)
-        self.group_mask = np.zeros(self.group_rules.shape, bool)
-        for k, g in enumerate(groups):
-            self.group_rules[k, : len(g)] = g
-            self.group_mask[k, : len(g)] = True
+        self.weights = np.array([r.weight for r in model.rules])[self.order]
+        # the first sorted rule of each output term that some rule concludes;
+        # concluded lists those terms when another term has no rule
+        counts = np.bincount(consequents, minlength=len(output.terms))
+        self.starts = (np.cumsum(counts) - counts)[counts > 0]
+        self.concluded = None if counts.all() else np.flatnonzero(counts)
         self.grid = np.linspace(output.lo, output.hi, model.grid_points)
         self.w = _trapezoid_weights(self.grid)
         self.term_curves = np.stack(
@@ -290,10 +300,10 @@ class _Compiled:
             ]
         )
         # rows per chunk of the firing stage (its largest intermediate per row
-        # is rules x inputs, inputs x terms or the padded groups) and clip
+        # is rules x inputs, inputs x terms or the clip levels) and clip
         # vectors per chunk of the curve stage (its buffers are grid points x
         # clip vectors)
-        row_elements = max(self.antecedents.size, self.centers.size, self.group_rules.size)
+        row_elements = max(self.antecedents.size, self.centers.size, len(output.terms))
         self.fire_rows = max(1, CHUNK_ELEMENTS // row_elements)
         self.curve_rows = max(1, CHUNK_ELEMENTS // model.grid_points)
 
@@ -306,24 +316,33 @@ def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
 
 
 def _clip_levels(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
+    """Clip levels (..., output terms) of strengths (..., rules) in the
+    sorted layout."""
     # max over rules of min(strength, consequent curve), evaluated per
     # consequent term: min is monotone in the clip level, so taking the max
-    # strength within each consequent group first gives bit-identical values
-    # with far less work
-    return strengths[:, c.group_rules].max(axis=2, initial=0.0, where=c.group_mask)
+    # strength of each consequent's run of rules first gives bit-identical
+    # values with far less work
+    levels = np.maximum.reduceat(strengths, c.starts, axis=-1)
+    if c.concluded is None:
+        return levels
+    # a term that no rule concludes reads 0.0
+    clip = np.zeros(levels.shape[:-1] + (len(c.term_curves),))
+    clip[..., c.concluded] = levels
+    return clip
 
 
 def _degrees(c: _Compiled, clip: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Aggregated degrees, grid-major: (grid points, clip vectors).
+    """Aggregated degrees: (grid points,) of one (output terms,) clip vector,
+    or grid-major (grid points, clip vectors) of (clip vectors, output terms).
 
-    More than one clip vector is computed in work, a (2, grid points, clip
+    Several clip vectors are computed in work, a (2, grid points, clip
     vectors) array that a caller scoring chunk after chunk allocates (and
     page-faults) once; the result is then work[0].
     """
-    if len(clip) == 1:
+    if clip.ndim == 1:
         # one vector: a single broadcast over the terms makes two numpy
-        # calls where the term loop makes five, which shows on every infer
-        return np.minimum(clip[0][:, None], c.term_curves).max(axis=0)[:, None]
+        # calls where the term loop makes five, which shows on every decision
+        return np.minimum(clip[:, None], c.term_curves).max(axis=0)
     degrees, clipped = work
     np.minimum(clip[:, 0], c.term_curves[0][:, None], out=degrees)
     for k in range(1, clip.shape[1]):
@@ -332,22 +351,24 @@ def _degrees(c: _Compiled, clip: np.ndarray, work: np.ndarray | None = None) -> 
 
 
 def _centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Centroids of grid-major (grid points, columns) degrees, passed in
-    mass, which is overwritten."""
+    """Centroids of one curve's (grid points,) degrees or of grid-major
+    (grid points, columns) degrees, passed in mass, which may be overwritten."""
     # each column's mass and moment are summed strictly in grid order, so a
     # column's sums are bit-identical whatever else is in the batch (a BLAS
     # product is not) and equal to adding its points left to right one at a
     # time.  Reducing axis 0 adds whole grid rows in order; numpy reduces a
-    # lone contiguous column pairwise instead, so one column takes a running
-    # sum, of mass and moment at once as the real and imaginary parts of
-    # complex numbers, which add as two independent doubles
-    mass *= w[:, None]
-    if mass.shape[1] == 1:
+    # lone contiguous column pairwise instead, so one column, (grid points,)
+    # or (grid points, 1), takes a running sum, of mass and moment at once as
+    # the real and imaginary parts of complex numbers, which add as two
+    # independent doubles
+    if mass.size == len(mass):
         sums = np.empty(len(mass), complex)
-        sums.real, sums.imag = mass[:, 0], mass[:, 0] * points
+        np.multiply(mass.reshape(len(mass)), w, out=sums.real)
+        np.multiply(sums.real, points, out=sums.imag)
         total = np.add.accumulate(sums)[-1:]
         den, moment = total.real, total.imag
     else:
+        mass *= w[:, None]
         den = np.add.reduce(mass, axis=0)
         mass *= points[:, None]
         moment = np.add.reduce(mass, axis=0)
@@ -362,18 +383,21 @@ def _exp(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _exponents(c: _Compiled, x: np.ndarray, i=slice(None)) -> np.ndarray:
-    """Gaussian exponents of finite x, clamped into its universes first:
-    (n, n_inputs, terms) for rows x, (n, terms) for values x of input i."""
+def _exponents(x: np.ndarray, lo, hi, centers: np.ndarray, two_sigma_sq: np.ndarray) -> np.ndarray:
+    """Gaussian exponents of finite x, clamped into [lo, hi] first:
+    (n_inputs, terms) for one row x with a _Compiled's params, (n, terms)
+    for values x of input i with its input_params[i]."""
     # the same clamp as np.clip, in two cheaper calls
-    d = np.minimum(np.maximum(x, c.lo[i]), c.hi[i])[..., None] - c.centers[i]
-    return -(d**2) / c.two_sigma_sq[i]
+    d = np.minimum(np.maximum(x, lo), hi)[..., None] - centers
+    return -(d**2) / two_sigma_sq
 
 
 def _strengths(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
+    """Firing strengths, in the sorted layout, of one row's (n_inputs, terms)
+    memberships, (rules,), or of rows' (n, n_inputs, terms), (n, rules)."""
     # taken along the first axis of the (inputs x terms, rows) transpose; along
     # the second axis of the rows, take is ~15x slower on a 200-row chunk
-    flat = memberships.reshape(len(memberships), -1).T
+    flat = memberships.reshape(memberships.shape[:-2] + (-1,)).T
     return c.weights * flat.take(c.antecedents, axis=0).min(axis=0).T
 
 
@@ -383,7 +407,7 @@ def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # math.exp, the costly step, runs once per distinct value of each input;
     # merging -0.0 with 0.0 is harmless, as both give the same exponents
     columns = [np.unique(column, return_inverse=True) for column in x.T]
-    table = _exp(np.concatenate([_exponents(c, values, i) for i, (values, _) in enumerate(columns)]))
+    table = _exp(np.concatenate([_exponents(values, *c.input_params[i]) for i, (values, _) in enumerate(columns)]))
     offsets = np.cumsum([0] + [len(values) for values, _ in columns[:-1]])
     return table, np.column_stack([inverse + offset for (_, inverse), offset in zip(columns, offsets)])
 
@@ -394,8 +418,9 @@ def _fire(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
 
 
 def _one_row(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Memberships, strengths and aggregated degrees of one (1, n_inputs) row."""
-    memberships = _exp(_exponents(c, x))
+    """Memberships (n_inputs, terms), strengths (rules,) in the sorted
+    layout and aggregated degrees (grid points,) of one (n_inputs,) row."""
+    memberships = _exp(_exponents(x, *c.params))
     strengths = _strengths(c, memberships)
     return memberships, strengths, _degrees(c, _clip_levels(c, strengths))
 
@@ -409,7 +434,7 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     if x.shape[-1] != len(c.lo):
         raise InvalidInputError(f"expected {len(c.lo)} inputs, got {x.shape[-1]}")
     if len(x) == 1:
-        return _centroid(_one_row(c, x)[2], c.grid, c.w)
+        return _centroid(_one_row(c, x[0])[2], c.grid, c.w)
     table, index = _membership_table(c, x)
     clip = np.empty((len(x), len(c.term_curves)))
     for i in range(0, len(x), c.fire_rows):
@@ -442,7 +467,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
         raise ModelIntegrityError(
             f"expected {len(model.rules)} firing strengths, got shape {strengths.shape}"
         )
-    return np.column_stack((c.grid, _degrees(c, _clip_levels(c, strengths[None]))[:, 0]))
+    return np.column_stack((c.grid, _degrees(c, _clip_levels(c, strengths.take(c.order)))))
 
 
 def defuzzify_centroid(curve) -> float:
@@ -458,7 +483,7 @@ def defuzzify_centroid(curve) -> float:
     pts = arr[:, 0]
     if arr.shape[0] > 1 and not np.all(np.diff(pts) > 0):
         raise ValueError("curve points must be strictly increasing")
-    return float(_centroid(arr[:, 1:].copy(), pts, _trapezoid_weights(pts))[0])
+    return float(_centroid(arr[:, 1], pts, _trapezoid_weights(pts))[0])
 
 
 def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
@@ -474,14 +499,14 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
         )
     row = [_as_finite_float(x, f"input for '{var.name}'") for var, x in zip(model.inputs, inputs)]
     c = model._compiled
-    memberships, strengths, degrees = _one_row(c, np.array([row]))
-    curve = np.column_stack((c.grid, degrees[:, 0]))
+    memberships, strengths, degrees = _one_row(c, np.array(row))
+    curve = np.column_stack((c.grid, degrees))
     crisp = _centroid(degrees, c.grid, c.w)
     return InferenceTrace(
         memberships=tuple(
-            tuple(m[: len(var.terms)].tolist()) for m, var in zip(memberships[0], model.inputs)
+            tuple(m[: len(var.terms)].tolist()) for m, var in zip(memberships, model.inputs)
         ),
-        firing_strengths=tuple(strengths[0].tolist()),
+        firing_strengths=tuple(strengths.take(c.positions).tolist()),
         aggregated_curve=curve,
         crisp_output=float(crisp[0]),
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -501,9 +502,8 @@ class TestFiringStage:
         model = default_model()
         model = replace(model, rules=model.rules * copies)
         n_in, terms = len(model.inputs), max(len(v.terms) for v in model.inputs)
-        group = max(sum(r.consequent == k for r in model.rules) for k in range(len(model.output.terms)))
-        # a row's memberships, its antecedent degrees and its padded groups
-        largest = max(n_in * terms, n_in * len(model.rules), len(model.output.terms) * group)
+        # a row's memberships, its antecedent degrees and its clip levels
+        largest = max(n_in * terms, n_in * len(model.rules), len(model.output.terms))
         fire_rows = model._compiled.fire_rows
         assert fire_rows >= 1
         if fire_rows > 1:
@@ -526,6 +526,69 @@ class TestFiringStage:
         memberships = table.take(index, axis=0)
         for m, t in zip(memberships, traces):
             assert tuple(tuple(degrees.tolist()) for degrees in m) == t.memberships
+
+
+class TestClipStage:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_one_row_batch_and_trace_agree_with_the_oracle(self, seed, data):
+        # consequents in shuffled order, output terms that no rule concludes
+        # and weights of -0.0 and 0.0: each term's clip level is the largest
+        # strength of its rules, and 0.0 for a term without rules
+        rng = np.random.default_rng(seed)
+        base = random_model(rng, max_rules=30)
+        n_out = len(base.output.terms)
+        concluded = data.draw(st.lists(st.integers(0, n_out - 1), min_size=1, unique=True), label="concluded")
+        weights = st.sampled_from([-0.0, 0.0, 0.5, 1.0])
+        rules = tuple(
+            replace(rule, consequent=data.draw(st.sampled_from(concluded)), weight=data.draw(weights))
+            for rule in base.rules
+        )
+        model = replace(base, rules=rules, grid_points=data.draw(st.integers(2, 201), label="grid_points"))
+        input_vars, _, params = model_params(model)
+        curves = model._compiled.term_curves.tolist()
+        live = []
+        for row in out_of_range_rows(rng, model, 6):
+            strengths = reference_strengths(row, input_vars, params)
+            clip = [
+                max((s for s, rule in zip(strengths, rules) if rule.consequent == k), default=0.0)
+                for k in range(n_out)
+            ]
+            degrees = [max(min(level, curve[g]) for level, curve in zip(clip, curves)) for g in range(model.grid_points)]
+            try:
+                trace = infer(model, row)
+            except NoRuleFiredError:
+                with pytest.raises(NoRuleFiredError):
+                    _infer_rows(model, [row])
+                continue
+            assert [s.hex() for s in trace.firing_strengths] == [s.hex() for s in strengths]
+            # equal as numbers: a group of zeros may read 0.0 or -0.0
+            assert trace.aggregated_curve[:, 1].tolist() == degrees
+            assert aggregate(model, trace.firing_strengths).tobytes() == trace.aggregated_curve.tobytes()
+            assert _infer_rows(model, [row])[0].hex() == trace.crisp_output.hex()
+            live.append((row, trace.crisp_output.hex()))
+        if live:
+            rows, want = zip(*live)
+            assert [v.hex() for v in _infer_rows(model, rows + rows[::-1])] == list(want + want[::-1])
+
+    def test_model_memory_grows_linearly_with_its_rules(self):
+        # n output terms and 10n rules that all conclude the first: arrays
+        # padded to the largest consequent group would grow as n * 10n
+        def build_peak(n):
+            output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n, 0.1) for k in range(n)))
+            rules = tuple(Rule((r % 3,), 0) for r in range(10 * n))
+            inputs = (three_term_variable("x", 0.0, 1.0),)
+            tracemalloc.start()
+            try:
+                FuzzyModel(inputs, output, rules, grid_points=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        build_peak(64)  # numpy allocates for some calls only the first time
+        # four times the document: at most four times the peak, with slack
+        # for allocator steps (the padded layout gave about ten times)
+        assert build_peak(64) <= 5 * build_peak(16)
 
 
 class TestMetamorphic:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,8 +17,11 @@ from fuzzyspectrum import (
     Candidate,
     CandidateBatch,
     FuzzyModel,
+    FuzzyVariable,
+    GaussianTerm,
     InvalidInputError,
     NoRuleFiredError,
+    Rule,
     arbitrate,
     crossover_sigma,
     decision_possibility,
@@ -26,8 +30,9 @@ from fuzzyspectrum import (
     validate_model,
 )
 from fuzzyspectrum.engine import _infer_rows
+from fuzzyspectrum.model import _MISSING_NAMED
 
-from conftest import dead_model, random_model
+from conftest import dead_model, random_model, three_term_variable
 from oracle import oracle_possibility, reference_validate_model
 
 FIXTURE = Path(__file__).parent / "data" / "table1_rules.txt"
@@ -177,6 +182,43 @@ class TestValidateModel:
         )
         report = validate_model(broken)
         assert any("rule count 80" in f for f in report.failures)
+
+
+def six_term_inputs(n):
+    """n input variables of six terms each."""
+    terms = tuple(GaussianTerm(f"t{k}", float(k), 1.0) for k in range(6))
+    return tuple(FuzzyVariable(f"x{i}", 0.0, 5.0, terms) for i in range(n))
+
+
+class TestValidateModelBounds:
+    @pytest.mark.parametrize("n_inputs", [6, 12])
+    def test_missing_combinations_named_up_to_a_cap(self, n_inputs):
+        # one rule leaves 6**n - 1 combinations missing: 46655 for six
+        # inputs, about 2e9 for twelve; the first few are named, the rest counted
+        model = FuzzyModel(six_term_inputs(n_inputs), three_term_variable("y", 0.0, 1.0), (Rule((0,) * n_inputs, 0),))
+        start = time.perf_counter()
+        failures = validate_model(model).failures
+        assert time.perf_counter() - start < 1.0
+        missing = 6**n_inputs - 1
+        assert failures[0] == f"rule count 1 != expected {6**n_inputs}"
+        assert failures[1] == f"missing antecedent combination ({', '.join(['t0'] * (n_inputs - 1))}, t1)"
+        assert len(failures) == _MISSING_NAMED + 2
+        assert failures[-1] == f"… and {missing - _MISSING_NAMED} more missing antecedent combinations"
+        assert sum(map(len, failures)) < 200 * (_MISSING_NAMED + 2)
+
+    @pytest.mark.parametrize("beyond", [0, 1, 2])
+    def test_walk_is_the_rule_by_rule_report_up_to_the_cap(self, beyond):
+        # two inputs of eleven terms, with rules for the last combinations
+        # only: _MISSING_NAMED + beyond of the 121 are missing
+        terms = tuple(GaussianTerm(f"t{k}", float(k), 1.0) for k in range(11))
+        inputs = (FuzzyVariable("a", 0.0, 10.0, terms), FuzzyVariable("b", 0.0, 10.0, terms))
+        combos = list(itertools.product(range(11), repeat=2))
+        rules = tuple(Rule(combo, 0) for combo in combos[_MISSING_NAMED + beyond:])
+        model = FuzzyModel(inputs, three_term_variable("y", 0.0, 1.0), rules)
+        input_terms = tuple(tuple(t.name for t in v.terms) for v in inputs)
+        want = reference_validate_model(input_terms, [(r.antecedents, r.consequent, r.weight) for r in rules])
+        more = (f"… and {beyond} more missing antecedent combinations",) if beyond else ()
+        assert validate_model(model).failures == tuple(want[: _MISSING_NAMED + 1]) + more
 
 
 class TestRuleTableFaithfulness:
