@@ -11,12 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import re
+import io
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
 
-from .arbitration import ArbitrationOutcome, arbitrate
+from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, clamp_to_universe
 from .model import Candidate, check_threshold, decision_possibility, default_model, validate_model
 from .serialization import (
@@ -29,9 +28,6 @@ from .serialization import (
 from .sweep import SweepAxis, SweepSpec, figure_preset, format_surface_csv, run_sweep
 
 TRACE_TOP_RULES = 5
-
-# characters for which csv.writer may quote a field
-_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 class CliError(Exception):
@@ -183,7 +179,13 @@ def cmd_arbitrate(args) -> int:
     outcome = arbitrate(candidates, model, threshold)
 
     if args.format == "csv":
-        _emit(args, _ranking_csv(outcome))
+        # an id holding a comma, quote or line break comes out quoted
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("rank", "id", "possibility", "admitted"))
+        writer.writerows((rank, cid, f"{p:.6f}", "true" if p >= outcome.threshold else "false")
+                         for rank, (cid, p) in enumerate(outcome.ranking, start=1))
+        _emit(args, text.getvalue())
         return 0
 
     # an id with a character that is not printable is shown as its repr
@@ -198,20 +200,6 @@ def cmd_arbitrate(args) -> int:
         lines.append(f"winner: {shown[0]}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
-
-
-def _ranking_csv(outcome: ArbitrationOutcome) -> str:
-    """The ranking as csv.writer writes it: one %-template per row, and
-    csv.writer itself for an id holding a character it may quote."""
-    lines = ["rank,id,possibility,admitted\n"]
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    for rank, (cid, p) in enumerate(outcome.ranking, start=1):
-        admitted = "true" if p >= outcome.threshold else "false"
-        if _CSV_SPECIAL.search(cid):
-            writer.writerow((rank, cid, "%.6f" % p, admitted))
-        else:
-            lines.append("%d,%s,%.6f,%s\n" % (rank, cid, p, admitted))
-    return "".join(lines)
 
 
 def _parse_axis(text: str, steps: int) -> SweepAxis:

@@ -286,11 +286,11 @@ class _Compiled:
         antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * self.centers.shape[1]
         self.antecedents = np.ascontiguousarray(antecedents)
         self.weights = np.array([r.weight for r in model.rules])[self.order]
-        # the first sorted rule of each output term that some rule concludes;
-        # concluded lists those terms when another term has no rule
+        # the output terms that some rule concludes, and the first sorted
+        # rule of each
         counts = np.bincount(consequents, minlength=len(output.terms))
-        self.starts = (np.cumsum(counts) - counts)[counts > 0]
-        self.concluded = None if counts.all() else np.flatnonzero(counts)
+        self.concluded = np.flatnonzero(counts)
+        self.starts = (np.cumsum(counts) - counts)[self.concluded]
         self.grid = np.linspace(output.lo, output.hi, model.grid_points)
         self.w = _trapezoid_weights(self.grid)
         self.term_curves = np.stack(
@@ -323,11 +323,12 @@ def _clip_levels(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
     # strength of each consequent's run of rules first gives bit-identical
     # values with far less work
     levels = np.maximum.reduceat(strengths, c.starts, axis=-1)
-    if c.concluded is None:
-        return levels
-    # a term that no rule concludes reads 0.0
+    # no level is below 0.0, as if each run began with a 0.0: np.maximum
+    # returns its second argument on a tie, so a run whose largest strength
+    # is -0.0 keeps it, and one below zero (only aggregate's caller can pass
+    # such strengths) reads 0.0.  A term that no rule concludes reads 0.0
     clip = np.zeros(levels.shape[:-1] + (len(c.term_curves),))
-    clip[..., c.concluded] = levels
+    clip[..., c.concluded] = np.maximum(0.0, levels, out=levels)
     return clip
 
 

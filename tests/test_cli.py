@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import fuzzyspectrum
 from fuzzyspectrum import Candidate, decision_possibility, default_model
-from fuzzyspectrum.arbitration import ArbitrationOutcome
-from fuzzyspectrum.cli import _ranking_csv, build_parser, main
+from fuzzyspectrum.cli import build_parser, main
 from fuzzyspectrum.engine import MAX_GRID_POINTS
 from fuzzyspectrum.sweep import MAX_STEPS
 from fuzzyspectrum.serialization import (
@@ -206,27 +205,6 @@ class TestArbitrate:
         assert all(len(row) == 4 for row in rows)
         assert [row[1] for row in rows] == ["id", "a,b", "plain", "x\ny"]
         assert out.splitlines()[2].startswith("2,plain,")
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        ranking=st.lists(
-            st.tuples(
-                st.text(st.one_of(st.sampled_from(list(',"\r\n \t\u00fc\u20ac')), st.characters(blacklist_categories=("Cs",))), max_size=6),
-                st.floats(0.0, 1.0),
-            ),
-            max_size=12,
-        ),
-        threshold=st.floats(0.0, 1.0),
-    )
-    def test_csv_ranking_is_what_csv_writer_writes(self, ranking, threshold):
-        # rows are written from a template, and only an id holding a comma,
-        # quote or line break goes through csv.writer: the text is the same
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(("rank", "id", "possibility", "admitted"))
-        writer.writerows((rank, cid, f"{p:.6f}", "true" if p >= threshold else "false")
-                         for rank, (cid, p) in enumerate(ranking, start=1))
-        assert _ranking_csv(ArbitrationOutcome(None, tuple(ranking), threshold)) == text.getvalue()
 
     def test_human_format_escapes_unprintable_ids(self, capsys, tmp_path):
         path = tmp_path / "batch.csv"

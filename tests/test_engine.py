@@ -562,14 +562,32 @@ class TestClipStage:
                     _infer_rows(model, [row])
                 continue
             assert [s.hex() for s in trace.firing_strengths] == [s.hex() for s in strengths]
-            # equal as numbers: a group of zeros may read 0.0 or -0.0
-            assert trace.aggregated_curve[:, 1].tolist() == degrees
+            # an output curve here stays above 0.0 over the whole universe, so a
+            # model that fires has no zero degree and the bytes are defined
+            assert trace.aggregated_curve[:, 1].tobytes() == np.array(degrees).tobytes()
             assert aggregate(model, trace.firing_strengths).tobytes() == trace.aggregated_curve.tobytes()
             assert _infer_rows(model, [row])[0].hex() == trace.crisp_output.hex()
             live.append((row, trace.crisp_output.hex()))
         if live:
             rows, want = zip(*live)
             assert [v.hex() for v in _infer_rows(model, rows + rows[::-1])] == list(want + want[::-1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(strengths=st.lists(st.sampled_from([-math.inf, -1.0, -1e-300, 0.0, 0.5, 1.0]), min_size=81, max_size=81))
+    def test_aggregate_reads_a_strength_below_zero_as_zero(self, strengths):
+        # aggregate takes any strengths: each clip level is at least 0.0, as
+        # a max over a run of rules that begins with 0.0 gives
+        model = default_model()
+        floored = [max(s, 0.0) for s in strengths]
+        assert aggregate(model, strengths).tobytes() == aggregate(model, floored).tobytes()
+
+    def test_aggregate_of_signed_zeros_and_negatives(self):
+        model = default_model()
+        n, zeros = len(model.rules), np.zeros(model.grid_points)
+        assert aggregate(model, [-1.0] * n)[:, 1].tobytes() == zeros.tobytes()
+        assert aggregate(model, [-math.inf] * n)[:, 1].tobytes() == zeros.tobytes()
+        # -0.0 is not below 0.0: a run of -0.0 keeps it, as the max does
+        assert aggregate(model, [-0.0] * n)[:, 1].tobytes() == (-zeros).tobytes()
 
     def test_model_memory_grows_linearly_with_its_rules(self):
         # n output terms and 10n rules that all conclude the first: arrays

@@ -80,7 +80,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, metavar="A-B", help="inclusive seed range, one pair per seed")
     parser.add_argument("--seconds", type=int, default=25)
-    parser.add_argument("--claim", help="the metric claimed to improve (default: WORKLOAD op_p50_ms)")
     parser.add_argument("--output", type=Path, help="where to write the runs (default: BENCH_<change>.json)")
     args = parser.parse_args(argv)
     first, _, last = args.seeds.partition("-")
@@ -104,7 +103,7 @@ def main(argv=None) -> int:
     record = {
         "parent": parent,
         "change": change,
-        "claim": args.claim if args.claim is not None else f"{args.workload} op_p50_ms",
+        "claim": f"{args.workload} op_p50_ms",
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED --seconds {args.seconds}",
         "protocol": (
             f"{len(seeds)} alternating pairs, seeds {seeds[0]}-{seeds[-1]}, parent first on even pair index;"
