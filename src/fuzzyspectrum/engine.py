@@ -9,6 +9,7 @@ concurrent inferences.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,13 +59,17 @@ MASS_EPSILON = 1e-12
 # Largest output grid a model may sample, so an accepted model's arrays stay small.
 MAX_GRID_POINTS = 100001
 
+# Largest output terms x grid points, the size of the term curves a model
+# samples: any output of up to ten terms at the largest grid.
+_MAX_CURVE_POINTS = 10 * MAX_GRID_POINTS
+
 # Cap on the elements of the largest intermediate of one chunk of the kernel:
 # rows x rules x inputs (or another per-row rule-base array) in the firing
 # stage, grid points x clip vectors in the curve stage.
 CHUNK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianTerm:
     """One linguistic term shaped as a Gaussian bump.
 
@@ -78,18 +83,28 @@ class GaussianTerm:
     center: float
     sigma: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "sigma", float(self.sigma))
+    def __init__(self, name: str, center: float, sigma: float):
+        # written by hand so that each field is converted and set once
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "center", float(center))
+        object.__setattr__(self, "sigma", float(sigma))
         if not self.name:
             raise ValueError("term name must be non-empty")
         if not math.isfinite(self.center):
             raise ValueError(f"term '{self.name}': center must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"term '{self.name}': sigma must be positive, got {self.sigma}")
+        # the kernel divides by 2.0 * sigma * sigma, which must neither
+        # underflow to 0.0 nor overflow to inf
+        spread = 2.0 * self.sigma * self.sigma
+        if not (0.0 < spread < math.inf):
+            raise ValueError(
+                f"term '{self.name}': sigma {self.sigma} out of range, "
+                f"2*sigma*sigma must be positive and finite, got {spread}"
+            )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FuzzyVariable:
     """A linguistic variable over a bounded universe of discourse.
 
@@ -102,10 +117,12 @@ class FuzzyVariable:
     hi: float
     terms: tuple[GaussianTerm, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, name: str, lo: float, hi: float, terms: Sequence[GaussianTerm]):
+        # written by hand so that each field is converted and set once
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lo", float(lo))
+        object.__setattr__(self, "hi", float(hi))
+        object.__setattr__(self, "terms", tuple(terms))
         if not self.name:
             raise ValueError("variable name must be non-empty")
         if not (-math.inf < self.lo < self.hi < math.inf):
@@ -182,19 +199,48 @@ class FuzzyModel:
         # as a whole; a ragged rule base or an index too big for intp fails
         # to build it, and the walk below then names the first bad rule
         sizes = [len(v.terms) for v in self.inputs] + [len(self.output.terms)]
-        try:
-            table = np.array([(*r.antecedents, r.consequent) for r in self.rules], np.intp)
-            table = table.reshape(len(self.rules), len(sizes))
-        except (ValueError, OverflowError):
-            table = None
+        table = _rule_table(self.rules, len(self.inputs))
         if table is None or ((table < 0) | (table >= sizes)).any():
             for r, rule in enumerate(self.rules):
                 _check_rule(self, r, rule)
+        # checked before the grid and the term curves are allocated
+        out = self.output
+        if len(out.terms) * self.grid_points > _MAX_CURVE_POINTS:
+            raise ValueError(
+                f"output terms x grid_points must be <= {_MAX_CURVE_POINTS}, "
+                f"got {len(out.terms)} x {self.grid_points}"
+            )
+        # the centroid's moment sums degree x weight x point over the grid,
+        # at most (hi - lo) * max(|lo|, |hi|), which must stay finite with
+        # room for rounding
+        if not math.isfinite(4.0 * (out.hi - out.lo) * max(abs(out.lo), abs(out.hi))):
+            raise ValueError(
+                f"variable '{out.name}': output universe [{out.lo}, {out.hi}] too wide to defuzzify, "
+                "(hi - lo) * max(|lo|, |hi|) must be finite"
+            )
         object.__setattr__(self, "_compiled", _Compiled(self, table))
 
     def term_names(self, antecedents: Sequence[int]) -> list[str]:
         """The input term names a rule's antecedent indices select, in input order."""
         return [var.terms[idx].name for var, idx in zip(self.inputs, antecedents)]
+
+
+def _rule_table(rules: tuple[Rule, ...], n_in: int) -> np.ndarray | None:
+    """The (rules, n_in + 1) table of the rules' antecedents and consequent,
+    or None when a rule has another number of antecedents or an index does
+    not fit in intp."""
+    antecedents = [r.antecedents for r in rules]
+    if not set(map(len, antecedents)) <= {n_in}:
+        return None
+    # two flat reads: numpy discovers a nested sequence's shape far more slowly
+    table = np.empty((len(rules), n_in + 1), np.intp)
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(antecedents), np.intp, len(rules) * n_in)
+        table[:, :n_in] = flat.reshape(len(rules), n_in)
+        table[:, n_in] = np.fromiter([r.consequent for r in rules], np.intp, len(rules))
+    except OverflowError:
+        return None
+    return table
 
 
 def _check_rule(model: FuzzyModel, r: int, rule: Rule) -> None:
@@ -263,17 +309,19 @@ class _Compiled:
 
     def __init__(self, model: FuzzyModel, table: np.ndarray):
         n_in, output = len(model.inputs), model.output
+        width = max(len(v.terms) for v in model.inputs)
         self.table = table
         self.lo = np.array([v.lo for v in model.inputs])
         self.hi = np.array([v.hi for v in model.inputs])
-        self.centers = np.zeros((n_in, max(len(v.terms) for v in model.inputs)))
-        self.two_sigma_sq = np.ones_like(self.centers)
-        for v, var in enumerate(model.inputs):
-            self.centers[v, : len(var.terms)] = [t.center for t in var.terms]
-            self.two_sigma_sq[v, : len(var.terms)] = [2.0 * t.sigma * t.sigma for t in var.terms]
-        # _exponents' parameters for rows, and for the values of each input
+        centers, two_sigma_sq = [], []
+        for var in model.inputs:
+            pad = width - len(var.terms)
+            centers += [t.center for t in var.terms] + [0.0] * pad
+            two_sigma_sq += [2.0 * t.sigma * t.sigma for t in var.terms] + [1.0] * pad
+        self.centers = np.array(centers).reshape(n_in, width)
+        self.two_sigma_sq = np.array(two_sigma_sq).reshape(n_in, width)
+        # _exponents' parameters for rows; input i's are each one's row i
         self.params = (self.lo, self.hi, self.centers, self.two_sigma_sq)
-        self.input_params = list(zip(*self.params))
         # rule order[p] sits at position p of the sorted layout, and rule r
         # at position positions[r].  Python's sort is stable like numpy's
         # kind="stable", and pages in no numpy sort code, which would add
@@ -283,7 +331,7 @@ class _Compiled:
         self.positions = np.empty_like(self.order)
         self.positions[self.order] = np.arange(len(self.order))
         # (inputs, rules) antecedent positions in a row's flattened memberships
-        antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * self.centers.shape[1]
+        antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * width
         self.antecedents = np.ascontiguousarray(antecedents)
         self.weights = np.array([r.weight for r in model.rules])[self.order]
         # the output terms that some rule concludes, and the first sorted
@@ -293,12 +341,11 @@ class _Compiled:
         self.starts = (np.cumsum(counts) - counts)[self.concluded]
         self.grid = np.linspace(output.lo, output.hi, model.grid_points)
         self.w = _trapezoid_weights(self.grid)
-        self.term_curves = np.stack(
-            [
-                np.exp(-((self.grid - t.center) ** 2) / (2.0 * t.sigma * t.sigma))
-                for t in output.terms
-            ]
-        )
+        # (output terms, grid points) in one expression, bit for bit each
+        # term's np.exp(-((grid - center) ** 2) / (2.0 * sigma * sigma))
+        out_centers = np.array([t.center for t in output.terms])[:, None]
+        out_sigmas = np.array([t.sigma for t in output.terms])[:, None]
+        self.term_curves = np.exp(-((self.grid - out_centers) ** 2) / (2.0 * out_sigmas * out_sigmas))
         # rows per chunk of the firing stage (its largest intermediate per row
         # is rules x inputs, inputs x terms or the clip levels) and clip
         # vectors per chunk of the curve stage (its buffers are grid points x
@@ -408,7 +455,7 @@ def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # math.exp, the costly step, runs once per distinct value of each input;
     # merging -0.0 with 0.0 is harmless, as both give the same exponents
     columns = [np.unique(column, return_inverse=True) for column in x.T]
-    table = _exp(np.concatenate([_exponents(values, *c.input_params[i]) for i, (values, _) in enumerate(columns)]))
+    table = _exp(np.concatenate([_exponents(values, *(p[i] for p in c.params)) for i, (values, _) in enumerate(columns)]))
     offsets = np.cumsum([0] + [len(values) for values, _ in columns[:-1]])
     return table, np.column_stack([inverse + offset for (_, inverse), offset in zip(columns, offsets)])
 

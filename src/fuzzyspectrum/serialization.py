@@ -110,6 +110,7 @@ def serialize_document(doc: ModelDocument) -> str:
     return json.dumps(document_to_dict(doc), indent=2) + "\n"
 
 
+_TERM_FIELDS = frozenset(("name", "center", "sigma"))
 _RULE_FIELDS = frozenset(("antecedents", "consequent", "weight"))
 _RULE_REQUIRED = frozenset(("antecedents", "consequent"))
 
@@ -141,15 +142,14 @@ def _parse_variable(obj, where: str) -> FuzzyVariable:
     if not isinstance(obj["terms"], list) or not obj["terms"]:
         raise ModelDocumentError(f"field 'terms' in {where} must be a non-empty list")
     for i, t in enumerate(obj["terms"]):
-        t_where = f"{where}, term {i + 1}"
-        _require_keys(t, ("name", "center", "sigma"), ("name", "center", "sigma"), t_where)
-        terms.append(
-            GaussianTerm(
-                name=str(t["name"]),
-                center=_number(t, "center", t_where),
-                sigma=_number(t, "sigma", t_where),
-            )
-        )
+        # one key test and one type test per term; _require_keys and _number
+        # only name a fault, or read an int
+        if not (isinstance(t, dict) and t.keys() == _TERM_FIELDS):
+            _require_keys(t, _TERM_FIELDS, ("name", "center", "sigma"), f"{where}, term {i + 1}")
+        center, sigma = t["center"], t["sigma"]
+        if type(center) is not float or type(sigma) is not float:
+            center, sigma = _number(t, "center", f"{where}, term {i + 1}"), _number(t, "sigma", f"{where}, term {i + 1}")
+        terms.append(GaussianTerm(str(t["name"]), center, sigma))
     return FuzzyVariable(
         name=str(obj["name"]),
         lo=_number(obj, "lo", where),
@@ -197,6 +197,7 @@ def parse_document(text: str) -> ModelDocument:
 
         if not isinstance(raw["rules"], list):
             raise ModelDocumentError("field 'rules' in document must be a list")
+        in_indices, out_indices = [v._term_indices for v in inputs], output._term_indices
         rules = []
         for i, r in enumerate(raw["rules"]):
             # one key test per rule; _require_keys only names a fault
@@ -207,8 +208,15 @@ def parse_document(text: str) -> ModelDocument:
                 raise ModelDocumentError(
                     f"rule {i + 1}: expected {len(inputs)} antecedent names"
                 )
-            antecedents = tuple(map(FuzzyVariable.term_index, inputs, map(str, names)))
-            consequent = output.term_index(str(r["consequent"]))
+            # one dict lookup per name; a name that is no term's name as given
+            # (null, a number, a list...) goes through term_index, which reads
+            # str(name) and names the first unknown term
+            try:
+                antecedents = tuple(map(dict.__getitem__, in_indices, names))
+                consequent = out_indices[r["consequent"]]
+            except (KeyError, TypeError):
+                antecedents = tuple(map(FuzzyVariable.term_index, inputs, map(str, names)))
+                consequent = output.term_index(str(r["consequent"]))
             weight = r.get("weight", 1.0)
             if type(weight) is not float:
                 weight = _number(r, "weight", f"rule {i + 1}")

@@ -9,8 +9,9 @@ Both commits are exported with ``git archive`` into a temporary directory,
 and ``perfbench/run.py`` runs in each export with the same seed, one pair
 per seed: the parent first on even pairs, the change first on odd ones.
 The medians of every end-to-end metric, the interquartile range of the
-parent's runs and the pairs the change won are printed, and the report and
-result lines of every run are written to ``BENCH_<change>.json``.
+parent's runs, the pairs the change won and the ``src/`` line count of each
+commit are printed, and the report and result lines of every run are
+written to ``BENCH_<change>.json`` with the line counts.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ def export(commit: str, tree: Path) -> Path:
     archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
     return tree
+
+
+def src_lines(tree: Path) -> int:
+    """The lines of the Python files under src/ in tree, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> list[dict]:
@@ -90,6 +96,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export(parent, Path(tmp, "parent")), "change": export(change, Path(tmp, "change"))}
         end_to_end = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+        counts = {side: src_lines(tree) for side, tree in trees.items()}
+        print(f"src/ lines: parent {counts['parent']}, change {counts['change']} ({counts['change'] - counts['parent']:+d})")
         for pair, seed in enumerate(seeds):
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in sides:
@@ -109,6 +117,7 @@ def main(argv=None) -> int:
             f"{len(seeds)} alternating pairs, seeds {seeds[0]}-{seeds[-1]}, parent first on even pair index;"
             " each side run from a fresh export of its commit"
         ),
+        "src_lines": counts,
         "runs": runs,
     }
     output = args.output or ROOT / f"BENCH_{change}.json"
