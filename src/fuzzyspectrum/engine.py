@@ -320,7 +320,7 @@ class _Compiled:
             two_sigma_sq += [2.0 * t.sigma * t.sigma for t in var.terms] + [1.0] * pad
         self.centers = np.array(centers).reshape(n_in, width)
         self.two_sigma_sq = np.array(two_sigma_sq).reshape(n_in, width)
-        # _exponents' parameters for rows; input i's are each one's row i
+        # _exponents' parameters for a row; the values of input i take row i of each
         self.params = (self.lo, self.hi, self.centers, self.two_sigma_sq)
         # rule order[p] sits at position p of the sorted layout, and rule r
         # at position positions[r].  Python's sort is stable like numpy's

@@ -395,6 +395,68 @@ class TestValidate:
         assert out == ""
         assert "finite" in err
 
+    @staticmethod
+    def _sigma(raw, variable, sigma):
+        variable = raw["variables"]["inputs"][0] if variable == "input" else raw["variables"]["output"]
+        variable["terms"][1]["sigma"] = sigma
+
+    @staticmethod
+    def _wide_output(raw, bound, sigma):
+        output = raw["variables"]["output"]
+        output["lo"], output["hi"] = -bound, bound
+        for term, center in zip(output["terms"], (-bound / 2, 0.0, bound / 2)):
+            term["center"], term["sigma"] = center, sigma
+
+    @staticmethod
+    def _many_output_terms(raw, n, grid_points):
+        output = raw["variables"]["output"]
+        output["terms"] = [{"name": f"t{k}", "center": k / (n - 1), "sigma": 0.05} for k in range(n)]
+        for rule in raw["rules"]:
+            rule["consequent"] = "t0"
+        raw["settings"]["grid_points"] = grid_points
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # these scored nan, nan, -inf and nan with exit 0, and validated as complete
+            pytest.param(
+                lambda raw: TestValidate._sigma(raw, "input", 1e-170),
+                "term 'Medium': sigma 1e-170 out of range, 2*sigma*sigma must be positive and finite, got 0.0",
+                id="input-sigma-1e-170",
+            ),
+            pytest.param(
+                lambda raw: TestValidate._sigma(raw, "output", 1e-200),
+                "term 'Medium': sigma 1e-200 out of range, 2*sigma*sigma must be positive and finite, got 0.0",
+                id="output-sigma-1e-200",
+            ),
+            pytest.param(
+                lambda raw: TestValidate._wide_output(raw, 1e307, 1e153),
+                "variable 'decision': output universe [-1e+307, 1e+307] too wide to defuzzify, "
+                "(hi - lo) * max(|lo|, |hi|) must be finite",
+                id="output-universe-1e307",
+            ),
+            pytest.param(
+                lambda raw: TestValidate._wide_output(raw, 1e200, 1e150),
+                "variable 'decision': output universe [-1e+200, 1e+200] too wide to defuzzify, "
+                "(hi - lo) * max(|lo|, |hi|) must be finite",
+                id="output-universe-1e200",
+            ),
+            # a 13 KB document that built 100 term curves of 100001 points
+            pytest.param(
+                lambda raw: TestValidate._many_output_terms(raw, 100, MAX_GRID_POINTS),
+                f"output terms x grid_points must be <= {10 * MAX_GRID_POINTS}, got 100 x {MAX_GRID_POINTS}",
+                id="100-output-terms-at-100001",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["eval", "-60", "50", "0.5", "50"], ["validate"]], ids=["eval", "validate"])
+    def test_model_that_cannot_score_exits_one(self, capsys, tmp_path, edit, message, command):
+        raw = json.loads(serialize_document(default_document()))
+        edit(raw)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli(capsys, *command, "--model", str(path)) == (1, "", f"error: {message}\n")
+
     def test_unparseable_document(self, capsys, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("{not json")

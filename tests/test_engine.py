@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuzzyspectrum import (
@@ -441,6 +441,22 @@ class TestCurveStage:
             rng.shuffle(picks)
             assert _infer_rows(model, distinct[picks]).tolist() == [want[i] for i in picks]
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_term_curves_equal_the_per_term_expression(self, data):
+        # term_curves is one (terms, grid points) expression; each row must
+        # be bit for bit the one-term expression
+        lo = data.draw(st.floats(-1e6, 1e6), label="lo")
+        hi = lo + data.draw(st.floats(1e-3, 1e6), label="span")
+        centers = sorted(set(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12), label="centers")))
+        sigmas = data.draw(st.lists(st.floats((hi - lo) * 1e-3, (hi - lo) * 10), min_size=len(centers), max_size=len(centers)))
+        output = FuzzyVariable("y", lo, hi, tuple(GaussianTerm(f"t{k}", c, s) for k, (c, s) in enumerate(zip(centers, sigmas))))
+        grid_points = data.draw(st.integers(2, 5001), label="grid_points")
+        c = FuzzyModel((three_term_variable("x", 0.0, 1.0),), output, (Rule((0,), 0),), grid_points)._compiled
+        want = np.stack([np.exp(-((c.grid - t.center) ** 2) / (2.0 * t.sigma * t.sigma)) for t in output.terms])
+        assert c.term_curves.shape == want.shape
+        assert c.term_curves.tobytes() == want.tobytes()
+
     def test_short_curves_match_left_to_right_centroid(self):
         one = np.array([[0.3, 0.7]])
         assert defuzzify_centroid(one) == trapezoid_centroid([0.3], [0.7])
@@ -609,6 +625,54 @@ class TestClipStage:
         assert build_peak(64) <= 5 * build_peak(16)
 
 
+def _power_of_ten(data, low, high, label):
+    """10 ** e for e drawn from [low, high], so that every decade of the
+    range is as likely as any other."""
+    return 10.0 ** data.draw(st.floats(low, high), label=label)
+
+
+class TestExtremeModels:
+    """Sigmas and universes from anywhere in the range of a double: a model
+    is rejected when it is built, or every decision is a number."""
+
+    @staticmethod
+    def variable(data, name):
+        lo, hi = sorted(data.draw(st.sampled_from([-1.0, 1.0])) * _power_of_ten(data, -320, 308.25, "bound") for _ in range(2))
+        assume(lo < hi)
+        # lo * (1 - f) + hi * f overflows nowhere, unlike lo + f * (hi - lo)
+        fractions = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), label="fractions")
+        centers = sorted({min(max(lo * (1.0 - f) + hi * f, lo), hi) for f in fractions})
+        terms = tuple(GaussianTerm(f"t{k}", c, _power_of_ten(data, -170, 160, "sigma")) for k, c in enumerate(centers))
+        return FuzzyVariable(name, lo, hi, terms)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    # a square of a distance across a wide universe, or its quotient by a
+    # small 2*sigma*sigma, overflows to inf, which exp takes to 0.0; a nan
+    # or a division by zero raises
+    @np.errstate(over="ignore", invalid="raise", divide="raise")
+    def test_an_accepted_model_scores_a_number_or_raises_no_rule_fired(self, data):
+        try:
+            inputs = tuple(self.variable(data, f"x{i}") for i in range(data.draw(st.integers(1, 2))))
+            output = self.variable(data, "y")
+            rule = st.tuples(*(st.integers(0, len(v.terms) - 1) for v in inputs), st.integers(0, len(output.terms) - 1), st.floats(0.0, 1.0))
+            rules = tuple(Rule(r[:-2], r[-2], r[-1]) for r in data.draw(st.lists(rule, min_size=1, max_size=6), label="rules"))
+            model = FuzzyModel(inputs, output, rules, grid_points=data.draw(st.integers(2, 64), label="grid_points"))
+        except ValueError:
+            return  # a 2*sigma*sigma or an output universe out of range
+        value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([v.lo for v in inputs]))
+        rows = np.array(data.draw(st.lists(st.tuples(*(value for _ in inputs)), min_size=1, max_size=4), label="rows"))
+        for x in (rows[:1], rows):
+            try:
+                assert np.isfinite(_infer_rows(model, x)).all()
+            except NoRuleFiredError:
+                pass
+        try:
+            assert math.isfinite(infer(model, rows[0].tolist()).crisp_output)
+        except NoRuleFiredError:
+            pass
+
+
 class TestMetamorphic:
     """Input and rule-base changes that must leave every output bit alone,
     checked on one row (the short cut) and on a batch (the dedupe path)."""
@@ -768,6 +832,24 @@ class TestTypeValidation:
         y = three_term_variable("y", 0.0, 1.0)
         with pytest.raises(ValueError):
             FuzzyModel(inputs=(x,), output=y, rules=(), grid_points=1)
+
+    @pytest.mark.parametrize("n_terms, grid_points", [(11, 90911), (101, 9902), (1001, 1000)])
+    def test_output_terms_times_grid_points_is_capped(self, n_terms, grid_points):
+        # validation only: the check runs before the grid and the term curves
+        # (8 MB or more for each case) are allocated
+        x = three_term_variable("x", 0.0, 10.0)
+        y = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n_terms, 0.1) for k in range(n_terms)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as excinfo:
+                FuzzyModel(inputs=(x,), output=y, rules=(Rule((0,), 0),), grid_points=grid_points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(excinfo.value) == (
+            f"output terms x grid_points must be <= {10 * MAX_GRID_POINTS}, got {n_terms} x {grid_points}"
+        )
+        assert peak < 1 << 20
 
     def test_grid_points_maximum(self):
         # validation only: the check runs before any grid is allocated

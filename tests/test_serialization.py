@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import tempfile
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -12,8 +13,13 @@ from hypothesis import strategies as st
 from fuzzyspectrum import (
     Candidate,
     CandidatesCsvError,
+    FuzzyModel,
+    FuzzyVariable,
+    GaussianTerm,
+    ModelDocument,
     ModelDocumentError,
     RULE_TABLE,
+    Rule,
     SweepAxis,
     SweepResult,
     SweepSpec,
@@ -30,9 +36,9 @@ from fuzzyspectrum import (
     save_document,
     serialize_document,
 )
-from fuzzyspectrum.engine import MAX_GRID_POINTS
+from fuzzyspectrum.engine import _MAX_CURVE_POINTS, MAX_GRID_POINTS
 
-from conftest import candidate_files, rule_table_rows
+from conftest import candidate_files, rule_table_rows, three_term_variable
 from oracle import reference_read_candidates
 
 
@@ -87,7 +93,8 @@ def broken_documents(draw):
     fault = draw(st.sampled_from([
         "bound", "center", "sigma", "weight", "threshold", "grid_high", "grid_low",
         "grid_type", "weight_type", "unknown_key", "antecedent_name", "consequent_name",
-        "antecedent_count", "huge_int", "schema_version",
+        "antecedent_count", "huge_int", "schema_version", "tiny_sigma", "huge_sigma",
+        "wide_output", "curve_cap",
     ]))
     if fault == "bound":
         side = draw(st.sampled_from(["lo", "hi"]))
@@ -156,6 +163,35 @@ def broken_documents(draw):
         version = draw(st.sampled_from([True, False, 1.0, 0, 2, 1.5, "1", None]))
         raw["schema_version"] = version
         return raw, f"unsupported schema_version {version!r}; expected 1"
+    if fault in ("tiny_sigma", "huge_sigma"):
+        # positive and finite, but 2*sigma*sigma underflows to 0.0 or overflows
+        if fault == "tiny_sigma":
+            term["sigma"], spread = draw(st.floats(5e-324, 1e-162)), 0.0
+        else:
+            term["sigma"], spread = draw(st.floats(1e155, 1.7e308)), float("inf")
+        return raw, (
+            f"term '{term['name']}': sigma {term['sigma']} out of range, "
+            f"2*sigma*sigma must be positive and finite, got {spread}"
+        )
+    if fault == "wide_output":
+        # the centroid's moment sums up to (hi - lo) * max(|lo|, |hi|)
+        output["hi"] = hi = draw(st.floats(1e155, 1.7e308))
+        output["lo"] = lo = draw(st.sampled_from([0.0, -1.0, -hi]))
+        return raw, (
+            f"variable '{output['name']}': output universe [{lo}, {hi}] too wide to defuzzify, "
+            "(hi - lo) * max(|lo|, |hi|) must be finite"
+        )
+    if fault == "curve_cap":
+        # only validated: more output terms x grid points than the cap
+        # allows, a model that is never built
+        extra = draw(st.integers(8, 40))
+        output["terms"][1:1] = [
+            {"name": f"x{k}", "center": 0.4 * k / extra, "sigma": 0.1} for k in range(1, extra + 1)
+        ]
+        n = len(output["terms"])
+        grid_points = draw(st.integers(_MAX_CURVE_POINTS // n + 1, MAX_GRID_POINTS))
+        raw["settings"]["grid_points"] = grid_points
+        return raw, f"output terms x grid_points must be <= {_MAX_CURVE_POINTS}, got {n} x {grid_points}"
     if fault == "antecedent_name":
         v = draw(st.integers(0, len(inputs) - 1))
         name = draw(_odd_name({t["name"] for t in inputs[v]["terms"]}))
@@ -248,6 +284,76 @@ class TestModelDocumentStrictness:
         raw = self._dict()
         raw["settings"]["admission_threshold"] = 1.5
         self._expect_error(raw, "admission_threshold")
+
+
+class TestRuleNames:
+    """A rule names its terms by string; a name of another JSON type is read
+    as its str(), as term_index reads it."""
+
+    @staticmethod
+    def _dict():
+        return json.loads(serialize_document(default_document()))
+
+    @pytest.mark.parametrize("name", [None, [], ["Low"], {}, {"Low": 1}, 7, -1, 1.5, 1e400, True])
+    @pytest.mark.parametrize("where", ["antecedent", "consequent"])
+    def test_a_name_of_another_type_names_its_str(self, name, where):
+        raw = self._dict()
+        rule = raw["rules"][40]
+        if where == "antecedent":
+            rule["antecedents"][2] = name
+            variable = raw["variables"]["inputs"][2]["name"]
+        else:
+            rule["consequent"] = name
+            variable = raw["variables"]["output"]["name"]
+        with pytest.raises(ModelDocumentError) as excinfo:
+            parse_document(json.dumps(raw))
+        assert str(excinfo.value) == f"variable '{variable}' has no term named '{name}'"
+
+    @pytest.mark.parametrize("term, name", [("1", 1), ("-2", -2), ("1.5", 1.5), ("None", None), ("True", True)])
+    def test_a_name_whose_str_is_a_term_name_is_that_term(self, term, name):
+        # one input term and one output term renamed to term; the rules name
+        # them once by the string and once by the JSON value name
+        by_string = self._dict()
+        inputs, output = by_string["variables"]["inputs"], by_string["variables"]["output"]
+        inputs[1]["terms"][1]["name"] = output["terms"][2]["name"] = term
+        for rule in by_string["rules"]:
+            if rule["antecedents"][1] == "Medium":
+                rule["antecedents"][1] = term
+            if rule["consequent"] == "High":
+                rule["consequent"] = term
+        by_value = json.loads(json.dumps(by_string))
+        for rule in by_value["rules"]:
+            rule["antecedents"] = [name if a == term else a for a in rule["antecedents"]]
+            if rule["consequent"] == term:
+                rule["consequent"] = name
+        want = parse_document(json.dumps(by_string))
+        got = parse_document(json.dumps(by_value))
+        assert got == want and got.model == want.model
+        assert got.model._compiled.table.tobytes() == want.model._compiled.table.tobytes()
+        assert serialize_document(got) == json.dumps(by_string, indent=2) + "\n"
+
+
+class TestModelDocumentMemory:
+    def test_peak_grows_linearly_with_output_terms(self):
+        # n output terms, one rule concluding each, at a small grid: the
+        # document, its term curves and one decision's curves all grow as n
+        def peak(n):
+            output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n, 0.1) for k in range(n)))
+            rules = tuple(Rule((k % 3,), k) for k in range(n))
+            model = FuzzyModel((three_term_variable("x", 0.0, 1.0),), output, rules, grid_points=11)
+            text = serialize_document(ModelDocument(model))
+            tracemalloc.start()
+            try:
+                doc = parse_document(text)
+                infer(doc.model, [0.3])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(256)  # numpy allocates for some calls only the first time
+        # four times the document: at most four times the peak, with slack
+        # for allocator steps
+        assert peak(256) <= 5 * peak(64)
 
 
 class TestCandidatesCsv:
