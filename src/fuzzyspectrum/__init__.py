@@ -23,7 +23,6 @@ from .engine import (
 )
 from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
-    DEFAULT_GRID_POINTS,
     INPUT_ORDER,
     LEVEL_NAMES,
     RULE_TABLE,
@@ -41,7 +40,6 @@ from .arbitration import (
     ArbitrationOutcome,
     DuplicateCandidateError,
     EmptyBatchError,
-    admit,
     arbitrate,
     rank_candidates,
 )

@@ -17,7 +17,6 @@ from .model import (
     INPUT_ORDER,
     Candidate,
     CandidateBatch,
-    DecisionResult,
     check_threshold,
     decision_possibility,  # noqa: F401  (unused; kept for perfbench/tracing.py)
     default_model,
@@ -30,7 +29,6 @@ __all__ = [
     "ArbitrationOutcome",
     "rank_candidates",
     "arbitrate",
-    "admit",
 ]
 
 
@@ -98,8 +96,3 @@ def arbitrate(
     top_id, top_possibility = ranking[0]
     winner = top_id if top_possibility >= t else None
     return ArbitrationOutcome(winner_id=winner, ranking=ranking, threshold=t)
-
-
-def admit(result: DecisionResult, threshold: float = DEFAULT_ADMISSION_THRESHOLD) -> bool:
-    """True iff the possibility meets the threshold (inclusive)."""
-    return result.possibility >= check_threshold(threshold)

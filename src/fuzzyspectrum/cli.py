@@ -17,15 +17,15 @@ from dataclasses import replace
 
 from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, clamp_to_universe
-from .model import Candidate, check_threshold, decision_possibility, default_model, validate_model
+from .model import Candidate, check_threshold, decision_possibility, validate_model
 from .serialization import (
-    ModelDocument,
+    default_document,
     format_rules_csv,
     format_rules_table,
     load_document,
     read_candidates_csv,
 )
-from .sweep import SweepAxis, SweepSpec, figure_preset, format_surface_csv, run_sweep
+from .sweep import PRESET_STEPS, SweepAxis, SweepSpec, figure_preset, format_surface_csv, run_sweep
 
 TRACE_TOP_RULES = 5
 
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fix", action="append", metavar="NAME=VALUE", default=None,
         help="fixed value for a non-swept variable (give twice)",
     )
-    p_sweep.add_argument("--steps", type=int, default=41, help="samples per axis (default 41)")
+    p_sweep.add_argument("--steps", type=int, default=PRESET_STEPS, help="samples per axis (default %(default)s)")
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -108,13 +108,11 @@ _parser = functools.cache(build_parser)
 
 
 def _resolve_model(args) -> tuple[FuzzyModel, float]:
-    if args.model:
-        doc = load_document(args.model)
-    else:
-        doc = ModelDocument(model=default_model())
-    model = doc.model
-    threshold = doc.admission_threshold if args.threshold is None else args.threshold
-    check_threshold(threshold, error=lambda message: CliError(message, code=2))
+    doc = load_document(args.model) if args.model else default_document()
+    model, threshold = doc.model, doc.admission_threshold
+    # a document's threshold was checked when it was read
+    if args.threshold is not None:
+        threshold = check_threshold(args.threshold, error=lambda message: CliError(message, code=2))
     if args.grid_points is not None:
         model = replace(model, grid_points=args.grid_points)
     return model, threshold

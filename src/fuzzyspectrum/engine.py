@@ -26,8 +26,6 @@ __all__ = [
     "Rule",
     "FuzzyModel",
     "InferenceTrace",
-    "MASS_EPSILON",
-    "MAX_GRID_POINTS",
     "gaussian_membership",
     "clamp_to_universe",
     "fuzzify",
@@ -218,6 +216,17 @@ class FuzzyModel:
                 f"variable '{out.name}': output universe [{out.lo}, {out.hi}] too wide to defuzzify, "
                 "(hi - lo) * max(|lo|, |hi|) must be finite"
             )
+        # a Gaussian exponent, squared distance over 2*sigma*sigma as the
+        # kernel computes it, is largest at the farther bound of the universe
+        # and must not overflow there
+        for var in (*self.inputs, out):
+            for t in var.terms:
+                d = max(t.center - var.lo, var.hi - t.center)
+                if not math.isfinite(d * d / (2.0 * t.sigma * t.sigma)):
+                    raise ValueError(
+                        f"variable '{var.name}': term '{t.name}' exponent overflows at the universe's bounds, "
+                        f"d*d / (2*sigma*sigma) must be finite, got d = {d}, sigma = {t.sigma}"
+                    )
         object.__setattr__(self, "_compiled", _Compiled(self, table))
 
     def term_names(self, antecedents: Sequence[int]) -> list[str]:
@@ -370,12 +379,10 @@ def _clip_levels(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
     # strength of each consequent's run of rules first gives bit-identical
     # values with far less work
     levels = np.maximum.reduceat(strengths, c.starts, axis=-1)
-    # no level is below 0.0, as if each run began with a 0.0: np.maximum
-    # returns its second argument on a tie, so a run whose largest strength
-    # is -0.0 keeps it, and one below zero (only aggregate's caller can pass
-    # such strengths) reads 0.0.  A term that no rule concludes reads 0.0
+    # strengths are never below 0.0 (a -0.0 weight gives -0.0), so a level
+    # needs no floor; a term that no rule concludes reads 0.0
     clip = np.zeros(levels.shape[:-1] + (len(c.term_curves),))
-    clip[..., c.concluded] = np.maximum(0.0, levels, out=levels)
+    clip[..., c.concluded] = levels
     return clip
 
 
@@ -508,6 +515,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
     """Max over rules of each consequent clipped at its firing strength.
 
     Returns an (grid_points, 2) array of (output point, degree) pairs.
+    Raises ValueError on a strength below 0.0; -0.0 is not below it.
     """
     c = model._compiled
     strengths = np.asarray(firing_strengths, dtype=float)
@@ -515,6 +523,8 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
         raise ModelIntegrityError(
             f"expected {len(model.rules)} firing strengths, got shape {strengths.shape}"
         )
+    if (strengths < 0.0).any():
+        raise ValueError(f"firing strengths must be >= 0, got {strengths.min()}")
     return np.column_stack((c.grid, _degrees(c, _clip_levels(c, strengths.take(c.order)))))
 
 

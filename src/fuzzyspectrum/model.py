@@ -12,7 +12,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -31,9 +31,7 @@ __all__ = [
     "INPUT_ORDER",
     "UNIVERSES",
     "RULE_TABLE",
-    "DEFAULT_GRID_POINTS",
     "DEFAULT_ADMISSION_THRESHOLD",
-    "check_threshold",
     "Candidate",
     "CandidateBatch",
     "DecisionResult",
@@ -64,7 +62,6 @@ UNIVERSES = {
     "decision": (0.0, 1.0),
 }
 
-DEFAULT_GRID_POINTS = 1001
 DEFAULT_ADMISSION_THRESHOLD = 0.5
 
 # The 81-row rule base.  Each entry is (antecedent levels, decision level)
@@ -178,8 +175,8 @@ def _three_level_variable(name: str, lo: float, hi: float) -> FuzzyVariable:
     return FuzzyVariable(name, lo, hi, terms)
 
 
-@lru_cache(maxsize=8)
-def default_model(grid_points: int = DEFAULT_GRID_POINTS) -> FuzzyModel:
+@cache
+def default_model() -> FuzzyModel:
     """The shipped model: four inputs, decision output, all 81 rules at weight 1."""
     inputs = tuple(_three_level_variable(n, *UNIVERSES[n]) for n in INPUT_ORDER)
     output = _three_level_variable("decision", *UNIVERSES["decision"])
@@ -191,7 +188,7 @@ def default_model(grid_points: int = DEFAULT_GRID_POINTS) -> FuzzyModel:
         )
         for antecedents, consequent in RULE_TABLE
     )
-    return FuzzyModel(inputs=inputs, output=output, rules=rules, grid_points=grid_points)
+    return FuzzyModel(inputs=inputs, output=output, rules=rules)
 
 
 def _quoted_id(cid: str) -> str:

@@ -9,6 +9,7 @@ reproduces the original bytes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .engine import (
     ModelIntegrityError,
     Rule,
 )
-from .model import DEFAULT_ADMISSION_THRESHOLD, CandidateBatch, _first_invalid_row, check_threshold, default_model
+from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row, check_threshold, default_model
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -44,7 +45,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-CANDIDATE_HEADER = ("id", "signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m")
+CANDIDATE_HEADER = ("id", *INPUT_ORDER)
 
 
 class ModelDocumentError(FuzzyError):
@@ -61,7 +62,6 @@ class ModelDocument:
 
     model: FuzzyModel
     admission_threshold: float = DEFAULT_ADMISSION_THRESHOLD
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         check_threshold(self.admission_threshold, "admission_threshold", ModelDocumentError)
@@ -85,7 +85,7 @@ def _variable_to_dict(var: FuzzyVariable) -> dict:
 def document_to_dict(doc: ModelDocument) -> dict:
     model = doc.model
     return {
-        "schema_version": doc.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "variables": {
             "inputs": [_variable_to_dict(v) for v in model.inputs],
             "output": _variable_to_dict(model.output),
@@ -110,18 +110,22 @@ def serialize_document(doc: ModelDocument) -> str:
     return json.dumps(document_to_dict(doc), indent=2) + "\n"
 
 
-_TERM_FIELDS = frozenset(("name", "center", "sigma"))
-_RULE_FIELDS = frozenset(("antecedents", "consequent", "weight"))
-_RULE_REQUIRED = frozenset(("antecedents", "consequent"))
+_TERM_KEYS = ("name", "center", "sigma")
+_RULE_KEYS = ("antecedents", "consequent")
+# as sets, for the one key test per term and per rule
+_TERM_FIELDS, _RULE_REQUIRED = frozenset(_TERM_KEYS), frozenset(_RULE_KEYS)
+_RULE_FIELDS = _RULE_REQUIRED | {"weight"}
 
 
-def _require_keys(obj, allowed: Collection[str], required: Sequence[str], where: str) -> None:
+def _require_keys(obj, keys: Sequence[str], where: str, optional: Collection[str] = ()) -> None:
+    """Raise the ModelDocumentError naming the first field of obj that is
+    neither in keys nor optional, else the first of keys it lacks."""
     if not isinstance(obj, dict):
         raise ModelDocumentError(f"{where} must be an object")
     for key in obj:
-        if key not in allowed:
+        if key not in keys and key not in optional:
             raise ModelDocumentError(f"unknown field '{key}' in {where}")
-    for key in required:
+    for key in keys:
         if key not in obj:
             raise ModelDocumentError(f"missing field '{key}' in {where}")
 
@@ -137,7 +141,7 @@ def _number(obj, key: str, where: str) -> float:
 
 
 def _parse_variable(obj, where: str) -> FuzzyVariable:
-    _require_keys(obj, ("name", "lo", "hi", "terms"), ("name", "lo", "hi", "terms"), where)
+    _require_keys(obj, ("name", "lo", "hi", "terms"), where)
     terms = []
     if not isinstance(obj["terms"], list) or not obj["terms"]:
         raise ModelDocumentError(f"field 'terms' in {where} must be a non-empty list")
@@ -145,7 +149,7 @@ def _parse_variable(obj, where: str) -> FuzzyVariable:
         # one key test and one type test per term; _require_keys and _number
         # only name a fault, or read an int
         if not (isinstance(t, dict) and t.keys() == _TERM_FIELDS):
-            _require_keys(t, _TERM_FIELDS, ("name", "center", "sigma"), f"{where}, term {i + 1}")
+            _require_keys(t, _TERM_KEYS, f"{where}, term {i + 1}")
         center, sigma = t["center"], t["sigma"]
         if type(center) is not float or type(sigma) is not float:
             center, sigma = _number(t, "center", f"{where}, term {i + 1}"), _number(t, "sigma", f"{where}, term {i + 1}")
@@ -178,15 +182,10 @@ def parse_document(text: str) -> ModelDocument:
             raise ModelDocumentError(
                 f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
             )
-        _require_keys(
-            raw,
-            ("schema_version", "variables", "rules", "settings"),
-            ("schema_version", "variables", "rules", "settings"),
-            "document",
-        )
+        _require_keys(raw, ("schema_version", "variables", "rules", "settings"), "document")
 
         variables = raw["variables"]
-        _require_keys(variables, ("inputs", "output"), ("inputs", "output"), "variables")
+        _require_keys(variables, ("inputs", "output"), "variables")
         if not isinstance(variables["inputs"], list) or not variables["inputs"]:
             raise ModelDocumentError("field 'inputs' in variables must be a non-empty list")
         inputs = tuple(
@@ -202,7 +201,7 @@ def parse_document(text: str) -> ModelDocument:
         for i, r in enumerate(raw["rules"]):
             # one key test per rule; _require_keys only names a fault
             if not (isinstance(r, dict) and _RULE_REQUIRED <= r.keys() <= _RULE_FIELDS):
-                _require_keys(r, _RULE_FIELDS, ("antecedents", "consequent"), f"rule {i + 1}")
+                _require_keys(r, _RULE_KEYS, f"rule {i + 1}", optional=("weight",))
             names = r["antecedents"]
             if not isinstance(names, list) or len(names) != len(inputs):
                 raise ModelDocumentError(
@@ -223,12 +222,7 @@ def parse_document(text: str) -> ModelDocument:
             rules.append(Rule(antecedents, consequent, weight))
 
         settings = raw["settings"]
-        _require_keys(
-            settings,
-            ("grid_points", "admission_threshold"),
-            ("grid_points", "admission_threshold"),
-            "settings",
-        )
+        _require_keys(settings, ("grid_points", "admission_threshold"), "settings")
         grid_points = settings["grid_points"]
         if isinstance(grid_points, bool) or not isinstance(grid_points, int):
             raise ModelDocumentError("field 'grid_points' in settings must be an integer")
@@ -237,9 +231,7 @@ def parse_document(text: str) -> ModelDocument:
         model = FuzzyModel(
             inputs=inputs, output=output, rules=tuple(rules), grid_points=grid_points
         )
-        return ModelDocument(
-            model=model, admission_threshold=threshold, schema_version=SCHEMA_VERSION
-        )
+        return ModelDocument(model=model, admission_threshold=threshold)
     except (ValueError, ModelIntegrityError) as exc:
         raise ModelDocumentError(str(exc)) from exc
 
@@ -324,12 +316,13 @@ def format_rules_table(model: FuzzyModel) -> str:
 
 def format_rules_csv(model: FuzzyModel) -> str:
     """Rules as CSV with a row column, antecedent/consequent term names,
-    and the weight."""
-    header = ["row", *(v.name for v in model.inputs), model.output.name, "weight"]
-    lines = [",".join(header)]
-    for r, rule in enumerate(model.rules, start=1):
-        cells = [str(r), *model.term_names(rule.antecedents)]
-        cells.append(model.output.terms[rule.consequent].name)
-        cells.append(f"{rule.weight:.6f}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    and the weight; a name holding a comma, quote or line break comes out
+    quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(("row", *(v.name for v in model.inputs), model.output.name, "weight"))
+    writer.writerows(
+        (r, *model.term_names(rule.antecedents), model.output.terms[rule.consequent].name, f"{rule.weight:.6f}")
+        for r, rule in enumerate(model.rules, start=1)
+    )
+    return text.getvalue()

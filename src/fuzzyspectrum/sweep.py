@@ -23,7 +23,6 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "PRESET_STEPS",
-    "MAX_STEPS",
     "FIGURE_PRESETS",
     "figure_preset",
     "run_sweep",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,10 @@ from hypothesis import strategies as st
 from fuzzyspectrum import (
     Candidate,
     CandidateBatch,
-    DecisionResult,
     DuplicateCandidateError,
     EmptyBatchError,
     InvalidInputError,
     NoRuleFiredError,
-    admit,
     arbitrate,
     decision_possibility,
     default_model,
@@ -208,24 +208,21 @@ class TestRankCandidates:
 
 
 class TestAdmit:
-    def _result(self, possibility):
-        return DecisionResult(candidate_id="c", possibility=possibility, admitted=True)
-
-    def test_full_possibility_admitted(self):
-        assert admit(self._result(1.0), 0.5)
-
-    def test_zero_possibility_rejected(self):
-        assert not admit(self._result(0.0), 0.5)
+    """The admission verdict: a possibility is admitted at any threshold up
+    to and including it, by decision_possibility and arbitrate alike."""
 
     def test_boundary_is_inclusive(self):
-        assert admit(self._result(0.5), 0.5)
-        assert admit(self._result(1.0), 1.0)
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            admit(self._result(0.5), 1.01)
+        candidate = Candidate("c", *ALL_LOW)
+        p = decision_possibility(candidate).possibility
+        assert decision_possibility(candidate, threshold=p).admitted
+        assert arbitrate([candidate], threshold=p).winner_id == "c"
+        above = math.nextafter(p, 1.0)
+        assert not decision_possibility(candidate, threshold=above).admitted
+        assert arbitrate([candidate], threshold=above).winner_id is None
 
     def test_consistent_with_decision_possibility(self):
-        candidate = Candidate("c", *ALL_LOW)
-        result = decision_possibility(candidate, default_model(), threshold=0.6)
-        assert result.admitted == admit(result, 0.6)
+        candidates = [Candidate(cid, *x) for cid, x in (("low", ALL_LOW), ("mid", ALL_MEDIUM), ("high", ALL_HIGH))]
+        for threshold in (0.0, 0.3, 0.5, 0.6, 1.0):
+            for c in candidates:
+                admitted = decision_possibility(c, threshold=threshold).admitted
+                assert admitted == (arbitrate([c], threshold=threshold).winner_id is not None)

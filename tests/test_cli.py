@@ -401,10 +401,10 @@ class TestValidate:
         variable["terms"][1]["sigma"] = sigma
 
     @staticmethod
-    def _wide_output(raw, bound, sigma):
-        output = raw["variables"]["output"]
-        output["lo"], output["hi"] = -bound, bound
-        for term, center in zip(output["terms"], (-bound / 2, 0.0, bound / 2)):
+    def _wide(raw, variable, bound, sigma):
+        variable = raw["variables"]["inputs"][0] if variable == "input" else raw["variables"]["output"]
+        variable["lo"], variable["hi"] = -bound, bound
+        for term, center in zip(variable["terms"], (-bound / 2, 0.0, bound / 2)):
             term["center"], term["sigma"] = center, sigma
 
     @staticmethod
@@ -430,16 +430,29 @@ class TestValidate:
                 id="output-sigma-1e-200",
             ),
             pytest.param(
-                lambda raw: TestValidate._wide_output(raw, 1e307, 1e153),
+                lambda raw: TestValidate._wide(raw, "output", 1e307, 1e153),
                 "variable 'decision': output universe [-1e+307, 1e+307] too wide to defuzzify, "
                 "(hi - lo) * max(|lo|, |hi|) must be finite",
                 id="output-universe-1e307",
             ),
             pytest.param(
-                lambda raw: TestValidate._wide_output(raw, 1e200, 1e150),
+                lambda raw: TestValidate._wide(raw, "output", 1e200, 1e150),
                 "variable 'decision': output universe [-1e+200, 1e+200] too wide to defuzzify, "
                 "(hi - lo) * max(|lo|, |hi|) must be finite",
                 id="output-universe-1e200",
+            ),
+            # these scored a number with exit 0, after numpy's overflow warning
+            pytest.param(
+                lambda raw: TestValidate._wide(raw, "input", 1e200, 1e150),
+                "variable 'signal_dbm': term 'Low' exponent overflows at the universe's bounds, "
+                "d*d / (2*sigma*sigma) must be finite, got d = 1.5e+200, sigma = 1e+150",
+                id="input-universe-1e200",
+            ),
+            pytest.param(
+                lambda raw: TestValidate._sigma(raw, "output", 1e-160),
+                "variable 'decision': term 'Medium' exponent overflows at the universe's bounds, "
+                "d*d / (2*sigma*sigma) must be finite, got d = 0.5, sigma = 1e-160",
+                id="output-sigma-1e-160",
             ),
             # a 13 KB document that built 100 term curves of 100001 points
             pytest.param(

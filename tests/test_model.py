@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fuzzyspectrum
 from fuzzyspectrum import (
     INPUT_ORDER,
     LEVEL_NAMES,
@@ -427,3 +429,14 @@ class TestCandidateBatch:
             with pytest.raises(ValueError) as excinfo:
                 CandidateBatch(ids, values)
             assert str(excinfo.value) == first
+
+
+class TestPublicSurface:
+    def test_package_exports_exactly_the_modules_all(self):
+        fs = fuzzyspectrum
+        listed = set().union(*(m.__all__ for m in (fs.engine, fs.model, fs.arbitration, fs.sweep, fs.serialization)))
+        exported = {
+            name for name, value in vars(fs).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert exported == listed

@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -477,3 +479,17 @@ class TestRuleListings:
         lines = format_rules_csv(default_model()).splitlines()
         assert lines[0] == "row,signal_dbm,velocity_kmh,spectrum_ratio,distance_m,decision,weight"
         assert lines[1] == "1,Low,Low,Low,Low,High,1.000000"
+
+    def test_csv_quotes_names_with_commas_quotes_and_line_breaks(self):
+        low, high = 'Lo,w "x"', "Hi\ngh"
+        model = default_model()
+        signal, output = model.inputs[0], model.output
+        signal = replace(signal, terms=(replace(signal.terms[0], name=low), *signal.terms[1:]))
+        output = replace(output, terms=(*output.terms[:2], replace(output.terms[2], name=high)))
+        model = replace(model, inputs=(signal, *model.inputs[1:]), output=output)
+        records = list(csv.reader(io.StringIO(format_rules_csv(model), newline="")))
+        assert len(records) == 1 + len(RULE_TABLE)
+        assert {len(record) for record in records} == {7}
+        want = [[row[0], low if row[1] == "Low" else row[1], *row[2:5], high if row[5] == "High" else row[5], row[6]]
+                for row in rule_table_rows()]
+        assert records[1:] == want
