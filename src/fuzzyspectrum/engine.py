@@ -379,8 +379,8 @@ def _clip_levels(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
     # strength of each consequent's run of rules first gives bit-identical
     # values with far less work
     levels = np.maximum.reduceat(strengths, c.starts, axis=-1)
-    # strengths are never below 0.0 (a -0.0 weight gives -0.0), so a level
-    # needs no floor; a term that no rule concludes reads 0.0
+    # no strength is below 0.0 (aggregate rejects one; a -0.0 weight gives
+    # -0.0), so no level is either; a term that no rule concludes reads 0.0
     clip = np.zeros(levels.shape[:-1] + (len(c.term_curves),))
     clip[..., c.concluded] = levels
     return clip

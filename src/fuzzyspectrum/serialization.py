@@ -316,8 +316,8 @@ def format_rules_table(model: FuzzyModel) -> str:
 
 def format_rules_csv(model: FuzzyModel) -> str:
     """Rules as CSV with a row column, antecedent/consequent term names,
-    and the weight; a name holding a comma, quote or line break comes out
-    quoted."""
+    and the weight; a name holding a comma, a double quote or a line feed
+    comes out quoted."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(("row", *(v.name for v in model.inputs), model.output.name, "weight"))

@@ -589,8 +589,8 @@ class TestClipStage:
             assert [v.hex() for v in _infer_rows(model, rows + rows[::-1])] == list(want + want[::-1])
 
     def test_aggregate_of_signed_zeros_and_negatives(self):
-        # the kernel's strengths are never below 0.0, so aggregate rejects
-        # such strengths rather than flooring them
+        # the kernel's strengths are never below 0.0, and aggregate rejects
+        # such strengths from its caller
         model = default_model()
         n, zeros = len(model.rules), np.zeros(model.grid_points)
         for negative in (-1e-300, -1.0, -math.inf):
