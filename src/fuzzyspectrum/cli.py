@@ -9,9 +9,7 @@ files or model violations, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import sys
 from dataclasses import replace
 
@@ -19,6 +17,7 @@ from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, clamp_to_universe
 from .model import Candidate, check_threshold, decision_possibility, validate_model
 from .serialization import (
+    _csv_text,
     default_document,
     format_rules_csv,
     format_rules_table,
@@ -178,12 +177,9 @@ def cmd_arbitrate(args) -> int:
 
     if args.format == "csv":
         # an id holding a comma, quote or line break comes out quoted
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(("rank", "id", "possibility", "admitted"))
-        writer.writerows((rank, cid, f"{p:.6f}", "true" if p >= outcome.threshold else "false")
-                         for rank, (cid, p) in enumerate(outcome.ranking, start=1))
-        _emit(args, text.getvalue())
+        rows = ((rank, cid, f"{p:.6f}", "true" if p >= outcome.threshold else "false")
+                for rank, (cid, p) in enumerate(outcome.ranking, start=1))
+        _emit(args, _csv_text(("rank", "id", "possibility", "admitted"), rows))
         return 0
 
     # an id with a character that is not printable is shown as its repr

@@ -311,7 +311,8 @@ class _Compiled:
     its checked (rules, inputs + 1) table of antecedents and consequent.
 
     Input term parameters are padded to the widest variable; no rule
-    indexes the padding.  The rule arrays hold the rules sorted by
+    indexes the padding.  One row reads them as Python floats from
+    fuzzifiers, a batch as arrays.  The rule arrays hold the rules sorted by
     consequent, stably, so that the rules concluding each output term are
     one run and the term's clip level one max over it.
     """
@@ -322,14 +323,18 @@ class _Compiled:
         self.table = table
         self.lo = np.array([v.lo for v in model.inputs])
         self.hi = np.array([v.hi for v in model.inputs])
+        # per input: (lo, hi, [(center, 2*sigma*sigma) per term], padding memberships)
+        self.fuzzifiers = tuple(
+            (v.lo, v.hi, [(t.center, 2.0 * t.sigma * t.sigma) for t in v.terms], [0.0] * (width - len(v.terms)))
+            for v in model.inputs
+        )
         centers, two_sigma_sq = [], []
-        for var in model.inputs:
-            pad = width - len(var.terms)
-            centers += [t.center for t in var.terms] + [0.0] * pad
-            two_sigma_sq += [2.0 * t.sigma * t.sigma for t in var.terms] + [1.0] * pad
+        for _, _, terms, pad in self.fuzzifiers:
+            centers += [center for center, _ in terms] + pad
+            two_sigma_sq += [spread for _, spread in terms] + [1.0] * len(pad)
         self.centers = np.array(centers).reshape(n_in, width)
         self.two_sigma_sq = np.array(two_sigma_sq).reshape(n_in, width)
-        # _exponents' parameters for a row; the values of input i take row i of each
+        # _exponents' parameters; the values of input i take row i of each
         self.params = (self.lo, self.hi, self.centers, self.two_sigma_sq)
         # rule order[p] sits at position p of the sorted layout, and rule r
         # at position positions[r].  Python's sort is stable like numpy's
@@ -339,7 +344,7 @@ class _Compiled:
         self.order = np.array(sorted(range(len(table)), key=consequents.tolist().__getitem__), np.intp)
         self.positions = np.empty_like(self.order)
         self.positions[self.order] = np.arange(len(self.order))
-        # (inputs, rules) antecedent positions in a row's flattened memberships
+        # (inputs, rules) antecedent positions in a row's flat memberships
         antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * width
         self.antecedents = np.ascontiguousarray(antecedents)
         self.weights = np.array([r.weight for r in model.rules])[self.order]
@@ -412,23 +417,26 @@ def _centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndarray
     # column's sums are bit-identical whatever else is in the batch (a BLAS
     # product is not) and equal to adding its points left to right one at a
     # time.  Reducing axis 0 adds whole grid rows in order; numpy reduces a
-    # lone contiguous column pairwise instead, so one column, (grid points,)
-    # or (grid points, 1), takes a running sum, of mass and moment at once as
-    # the real and imaginary parts of complex numbers, which add as two
-    # independent doubles
-    if mass.size == len(mass):
+    # lone contiguous column pairwise instead, so one column takes a running
+    # sum, of mass and moment at once as the real and imaginary parts of
+    # complex numbers, which add as two independent doubles
+    if mass.shape[1:] == (1,):
+        mass = mass[:, 0]
+    if mass.ndim == 1:
         sums = np.empty(len(mass), complex)
-        np.multiply(mass.reshape(len(mass)), w, out=sums.real)
+        np.multiply(mass, w, out=sums.real)
         np.multiply(sums.real, points, out=sums.imag)
         total = np.add.accumulate(sums)[-1:]
         den, moment = total.real, total.imag
+        least = den[0]
     else:
         mass *= w[:, None]
         den = np.add.reduce(mass, axis=0)
         mass *= points[:, None]
         moment = np.add.reduce(mass, axis=0)
-    if den.min() < MASS_EPSILON:
-        raise NoRuleFiredError(f"total output mass {den.min()} below {MASS_EPSILON}; no rule fired")
+        least = den.min()
+    if least < MASS_EPSILON:
+        raise NoRuleFiredError(f"total output mass {least} below {MASS_EPSILON}; no rule fired")
     return moment / den
 
 
@@ -439,21 +447,11 @@ def _exp(a: np.ndarray) -> np.ndarray:
 
 
 def _exponents(x: np.ndarray, lo, hi, centers: np.ndarray, two_sigma_sq: np.ndarray) -> np.ndarray:
-    """Gaussian exponents of finite x, clamped into [lo, hi] first:
-    (n_inputs, terms) for one row x with a _Compiled's params, (n, terms)
-    for values x of input i with its input_params[i]."""
+    """Gaussian exponents (n, terms) of finite values x of one input,
+    clamped into [lo, hi] first, with that input's row of each param."""
     # the same clamp as np.clip, in two cheaper calls
     d = np.minimum(np.maximum(x, lo), hi)[..., None] - centers
     return -(d**2) / two_sigma_sq
-
-
-def _strengths(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
-    """Firing strengths, in the sorted layout, of one row's (n_inputs, terms)
-    memberships, (rules,), or of rows' (n, n_inputs, terms), (n, rules)."""
-    # taken along the first axis of the (inputs x terms, rows) transpose; along
-    # the second axis of the rows, take is ~15x slower on a 200-row chunk
-    flat = memberships.reshape(memberships.shape[:-2] + (-1,)).T
-    return c.weights * flat.take(c.antecedents, axis=0).min(axis=0).T
 
 
 def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,14 +467,27 @@ def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _fire(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
     """Clip levels (n, output terms) of rows' (n, n_inputs, terms) memberships."""
-    return _clip_levels(c, _strengths(c, memberships))
+    # taken along the first axis of the (inputs x terms, rows) transpose; along
+    # the second axis of the rows, take is ~15x slower on a 200-row chunk
+    flat = memberships.reshape(len(memberships), -1).T
+    return _clip_levels(c, c.weights * flat.take(c.antecedents, axis=0).min(axis=0).T)
 
 
-def _one_row(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Memberships (n_inputs, terms), strengths (rules,) in the sorted
-    layout and aggregated degrees (grid points,) of one (n_inputs,) row."""
-    memberships = _exp(_exponents(x, *c.params))
-    strengths = _strengths(c, memberships)
+def _one_row(c: _Compiled, row: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat memberships (n_inputs x terms,), strengths (rules,) in the sorted
+    layout and aggregated degrees (grid points,) of one row of n_inputs
+    finite floats."""
+    # a dozen memberships cost less as floats than as numpy calls; the clamp
+    # and the exponent are _exponents' operations, in its order
+    memberships = []
+    for x, (lo, hi, terms, pad) in zip(row, c.fuzzifiers):
+        x = min(max(x, lo), hi)
+        for center, two_sigma_sq in terms:
+            d = x - center
+            memberships.append(math.exp(-(d * d) / two_sigma_sq))
+        memberships += pad
+    memberships = np.array(memberships)
+    strengths = c.weights * memberships.take(c.antecedents).min(axis=0)
     return memberships, strengths, _degrees(c, _clip_levels(c, strengths))
 
 
@@ -485,11 +496,12 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     for any other row length).  Each is bit-identical to infer on the same
     row, and chunking keeps memory bounded for any N."""
     c = model._compiled
+    if len(x) == 1 and len(x[0]) == len(c.lo):
+        row = x[0].tolist() if isinstance(x, np.ndarray) else x[0]
+        return _centroid(_one_row(c, row)[2], c.grid, c.w)
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(c.lo):
         raise InvalidInputError(f"expected {len(c.lo)} inputs, got {x.shape[-1]}")
-    if len(x) == 1:
-        return _centroid(_one_row(c, x[0])[2], c.grid, c.w)
     table, index = _membership_table(c, x)
     clip = np.empty((len(x), len(c.term_curves)))
     for i in range(0, len(x), c.fire_rows):
@@ -515,7 +527,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
     """Max over rules of each consequent clipped at its firing strength.
 
     Returns an (grid_points, 2) array of (output point, degree) pairs.
-    Raises ValueError on a strength below 0.0; -0.0 is not below it.
+    Raises ValueError on a strength below 0.0 or nan; -0.0 is not below 0.0.
     """
     c = model._compiled
     strengths = np.asarray(firing_strengths, dtype=float)
@@ -523,7 +535,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
         raise ModelIntegrityError(
             f"expected {len(model.rules)} firing strengths, got shape {strengths.shape}"
         )
-    if (strengths < 0.0).any():
+    if not (strengths >= 0.0).all():
         raise ValueError(f"firing strengths must be >= 0, got {strengths.min()}")
     return np.column_stack((c.grid, _degrees(c, _clip_levels(c, strengths.take(c.order)))))
 
@@ -531,13 +543,15 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
 def defuzzify_centroid(curve) -> float:
     """Centroid of a sampled fuzzy set using trapezoidal weights.
 
-    curve is a sequence of (point, degree) pairs with strictly increasing
-    points.  Raises NoRuleFiredError when the total mass is below
-    MASS_EPSILON.
+    curve is a sequence of finite (point, degree) pairs with strictly
+    increasing points.  Raises NoRuleFiredError when the total mass
+    is below MASS_EPSILON.
     """
     arr = np.asarray(curve, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise ValueError("curve must be a non-empty sequence of (point, degree) pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError("curve points and degrees must be finite")
     pts = arr[:, 0]
     if arr.shape[0] > 1 and not np.all(np.diff(pts) > 0):
         raise ValueError("curve points must be strictly increasing")
@@ -557,12 +571,13 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
         )
     row = [_as_finite_float(x, f"input for '{var.name}'") for var, x in zip(model.inputs, inputs)]
     c = model._compiled
-    memberships, strengths, degrees = _one_row(c, np.array(row))
+    memberships, strengths, degrees = _one_row(c, row)
     curve = np.column_stack((c.grid, degrees))
     crisp = _centroid(degrees, c.grid, c.w)
     return InferenceTrace(
         memberships=tuple(
-            tuple(m[: len(var.terms)].tolist()) for m, var in zip(memberships, model.inputs)
+            tuple(m[: len(var.terms)].tolist())
+            for m, var in zip(memberships.reshape(len(model.inputs), -1), model.inputs)
         ),
         firing_strengths=tuple(strengths.take(c.positions).tolist()),
         aggregated_curve=curve,

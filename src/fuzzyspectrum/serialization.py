@@ -9,10 +9,10 @@ reproduces the original bytes.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Collection, Sequence
 
 import numpy as np
@@ -314,15 +314,27 @@ def format_rules_table(model: FuzzyModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_text(header: Sequence, rows) -> str:
+    """header and rows as csv records, each ending in a line feed; a field
+    holding a comma, a double quote, a carriage return or a line feed comes
+    out quoted."""
+    # csv.writer quotes a lone carriage return only when the line terminator
+    # holds one, so each record is written ending in "\r\n" and cut to "\n"
+    records = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "\n".join([record[:-2] for record in records]) + "\n"
+
+
 def format_rules_csv(model: FuzzyModel) -> str:
     """Rules as CSV with a row column, antecedent/consequent term names,
-    and the weight; a name holding a comma, a double quote or a line feed
-    comes out quoted."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(("row", *(v.name for v in model.inputs), model.output.name, "weight"))
-    writer.writerows(
-        (r, *model.term_names(rule.antecedents), model.output.terms[rule.consequent].name, f"{rule.weight:.6f}")
-        for r, rule in enumerate(model.rules, start=1)
+    and the weight; a name holding a comma, a double quote, a carriage
+    return or a line feed comes out quoted."""
+    return _csv_text(
+        ("row", *(v.name for v in model.inputs), model.output.name, "weight"),
+        (
+            (r, *model.term_names(rule.antecedents), model.output.terms[rule.consequent].name, f"{rule.weight:.6f}")
+            for r, rule in enumerate(model.rules, start=1)
+        ),
     )
-    return text.getvalue()

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,20 @@ class TestArbitrate:
         assert all(len(row) == 4 for row in rows)
         assert [row[1] for row in rows] == ["id", "a,b", "plain", "x\ny"]
         assert out.splitlines()[2].startswith("2,plain,")
+
+    def test_csv_format_quotes_ids_with_carriage_returns(self, capsys, tmp_path):
+        ids = ["a\rb", "a\nb", "a\r\nb"]
+        path = tmp_path / "batch.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HEADER.split(","))
+            writer.writerows([[cid, -100 + 20 * k, 0, 0, 0] for k, cid in enumerate(ids)])
+        code, out, _ = run_cli(capsys, "arbitrate", str(path), "--format", "csv")
+        assert code == 0
+        records = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(records) == 1 + len(ids)
+        assert {len(record) for record in records} == {4}
+        assert sorted(record[1] for record in records[1:]) == sorted(ids)
 
     def test_human_format_escapes_unprintable_ids(self, capsys, tmp_path):
         path = tmp_path / "batch.csv"
@@ -500,6 +515,19 @@ class TestDumpRules:
         lines = out.splitlines()
         assert lines[0] == "row,signal_dbm,velocity_kmh,spectrum_ratio,distance_m,decision,weight"
         assert [line.split(",") for line in lines[1:]] == rule_table_rows()
+
+
+    def test_csv_quotes_a_name_holding_a_carriage_return(self, capsys, tmp_path):
+        model = default_model()
+        signal = model.inputs[0]
+        signal = replace(signal, terms=(replace(signal.terms[0], name="Lo\rw"), *signal.terms[1:]))
+        path = tmp_path / "model.json"
+        path.write_text(serialize_document(ModelDocument(replace(model, inputs=(signal, *model.inputs[1:])))))
+        code, out, _ = run_cli(capsys, "dump-rules", "--format", "csv", "--model", str(path))
+        assert code == 0
+        records = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(records) == 1 + 81
+        assert [record[1] for record in records[1:]] == ["Lo\rw" if row[1] == "Low" else row[1] for row in rule_table_rows()]
 
 
 def run_module(*argv):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuzzyspectrum import (
+    Candidate,
     FuzzyModel,
     FuzzyVariable,
     GaussianTerm,
@@ -16,6 +18,7 @@ from fuzzyspectrum import (
     NoRuleFiredError,
     Rule,
     aggregate,
+    arbitrate,
     clamp_to_universe,
     default_model,
     defuzzify_centroid,
@@ -241,6 +244,16 @@ class TestDefuzzifyCentroid:
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
             defuzzify_centroid(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_degree_or_point_rejected(self, bad):
+        curve = aggregate(default_model(), [0.5] * 81)
+        for column in (1, 0):
+            for row in (0, 500, -1):
+                broken = curve.copy()
+                broken[row, column] = bad
+                with pytest.raises(ValueError, match="curve points and degrees must be finite"):
+                    defuzzify_centroid(broken)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
@@ -503,6 +516,57 @@ class TestCurveStage:
             assert abs(got - oracle_possibility(model, row, n_grid=grid_points)) < 1e-6
 
 
+def mixed_width_model():
+    """Inputs of 3, 2, 4 and 3 terms, so a row's memberships are padded to
+    four per input, with terms centred on 0.0 and on each bound."""
+    inputs = (
+        three_term_variable("a", -1.0, 1.0),
+        FuzzyVariable("b", 0.0, 10.0, (GaussianTerm("L", 0.0, 4.0), GaussianTerm("H", 10.0, 4.0))),
+        FuzzyVariable("c", 0.0, 3.0, tuple(GaussianTerm(f"t{k}", float(k), 0.7) for k in range(4))),
+        three_term_variable("d", 0.0, 6.0),
+    )
+    combinations = itertools.product(*(range(len(v.terms)) for v in inputs))
+    rules = tuple(Rule(a, sum(a) % 3, (1.0, 0.5, 0.25)[r % 3]) for r, a in enumerate(combinations))
+    return FuzzyModel(inputs, three_term_variable("y", 0.0, 1.0), rules)
+
+
+class TestOneRow:
+    """One row is fuzzified on Python floats and a batch through a membership
+    table; both must give the same bits."""
+
+    def test_bit_identical_to_infer_and_to_its_batch(self):
+        model = mixed_width_model()
+        # each input's bounds, signed zeros, values past either bound and one inside
+        pools = [[v.lo, v.hi, -0.0, 0.0, v.hi + 5.0, (v.lo + v.hi) / 3.0] for v in model.inputs]
+        pools[0] += [-7.5]
+        rng = np.random.default_rng(14)
+        rows = np.column_stack([rng.choice(pool, size=150) for pool in pools])
+        assert np.signbit(rows[rows == 0.0]).any()
+        batch = _infer_rows(model, rows)
+        order = rng.permutation(len(rows))
+        shuffled = dict(zip(order.tolist(), _infer_rows(model, rows[order]).tolist()))
+        table, index = _membership_table(model._compiled, rows)
+        for i, row in enumerate(rows.tolist()):
+            trace = infer(model, row)
+            want = trace.crisp_output.hex()
+            assert _infer_rows(model, [row])[0].hex() == want
+            assert _infer_rows(model, rows[i:i + 1])[0].hex() == want
+            assert batch[i].hex() == want and shuffled[i].hex() == want
+            assert trace.memberships == tuple(
+                tuple(m[: len(v.terms)].tolist()) for m, v in zip(table[index[i]], model.inputs)
+            )
+            # arbitrate scores one candidate as a one-row array
+            assert arbitrate([Candidate("c", *row)], model).ranking[0][1].hex() == want
+
+    @pytest.mark.parametrize("width", [0, 3, 5])
+    def test_wrong_arity_raises_the_batch_message(self, width):
+        model = default_model()
+        for rows in ([[0.5] * width], np.full((1, width), 0.5), [[0.5] * width] * 2):
+            with pytest.raises(InvalidInputError) as info:
+                _infer_rows(model, rows)
+            assert str(info.value) == f"expected 4 inputs, got {width}"
+
+
 class TestFiringStage:
     def test_exp_runs_once_per_distinct_value_of_each_input(self, monkeypatch):
         default_model()  # built before counting
@@ -598,6 +662,13 @@ class TestClipStage:
                 aggregate(model, [0.5] * (n - 1) + [negative])
         # -0.0 is not below 0.0: a run of -0.0 keeps it, as the max does
         assert aggregate(model, [-0.0] * n)[:, 1].tobytes() == (-zeros).tobytes()
+
+    def test_aggregate_rejects_a_nan_strength(self):
+        # nan < 0.0 is false, so a nan strength would give an all-nan curve
+        n = len(default_model().rules)
+        for strengths in ([math.nan] + [0.5] * (n - 1), [0.5] * (n - 1) + [math.nan], [-1.0, math.nan] + [0.5] * (n - 2)):
+            with pytest.raises(ValueError, match="firing strengths must be >= 0, got nan"):
+                aggregate(default_model(), strengths)
 
     def test_model_memory_grows_linearly_with_its_rules(self):
         # n output terms and 10n rules that all conclude the first: arrays

@@ -32,6 +32,7 @@ from fuzzyspectrum import (
     validate_model,
 )
 from fuzzyspectrum.engine import _infer_rows
+from fuzzyspectrum.serialization import default_document, parse_document, serialize_document
 from fuzzyspectrum.model import _MISSING_NAMED
 
 from conftest import dead_model, random_model, three_term_variable
@@ -299,6 +300,21 @@ class TestDecisionPossibility:
     def test_dead_model_raises_no_rule_fired(self):
         with pytest.raises(NoRuleFiredError):
             decision_possibility(Candidate("c", -60.0, 50.0, 0.5, 50.0), dead_model())
+
+    def test_a_process_that_only_decides_calls_no_numpy_sort(self, monkeypatch):
+        # the first numpy sort pages in its sort code, which shows in the
+        # peak RSS of a process that only decides
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy sort was called")
+
+        for name in ("sort", "argsort", "lexsort", "unique"):
+            monkeypatch.setattr(np, name, refuse)
+        model = parse_document(serialize_document(default_document())).model
+        assert validate_model(model).failures == ()
+        for candidate in EDGE_CANDIDATES:
+            scored = decision_possibility(candidate, model)
+            traced = decision_possibility(candidate, model, with_trace=True)
+            assert scored.possibility == traced.possibility
 
 
 def assert_trace_free_bits(model, candidates):

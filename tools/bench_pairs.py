@@ -3,15 +3,17 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload decide --seeds 1601-1610 --seconds 25
+    python3 tools/bench_pairs.py PARENT CHANGE --workload decide,arbitrate --seeds 1601-1610 --seconds 25
 
 Both commits are exported with ``git archive`` into a temporary directory,
 and ``perfbench/run.py`` runs in each export with the same seed, one pair
-per seed: the parent first on even pairs, the change first on odd ones.
-The medians of every end-to-end metric, the interquartile range of the
-parent's runs, the pairs the change won and the ``src/`` line count of each
-commit are printed, and the report and result lines of every run are
-written to ``BENCH_<change>.json`` with the line counts.
+per seed and workload: the parent first on even pairs, the change first on
+odd ones.  For each workload, the medians of every end-to-end metric, the
+interquartile range of the parent's runs and the pairs the change won are
+printed, with the ``src/`` line count of each commit.  The report and result
+lines of every run, tagged with its workload, are written to
+``BENCH_<change>.json`` with the line counts; the claim is the first
+workload's ``op_p50_ms``.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def summary(runs: list[dict], end_to_end: list[dict]) -> list[str]:
-    """One line per end-to-end metric: medians, the parent's IQR and the wins."""
+    """One line per end-to-end metric of one workload's runs: medians, the
+    parent's IQR and the wins."""
     lines = []
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -83,13 +86,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="one workload, or several separated by commas")
     parser.add_argument("--seeds", required=True, metavar="A-B", help="inclusive seed range, one pair per seed")
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--output", type=Path, help="where to write the runs (default: BENCH_<change>.json)")
     args = parser.parse_args(argv)
     first, _, last = args.seeds.partition("-")
     seeds = range(int(first), int(last or first) + 1)
+    workloads = args.workload.split(",")
     parent, change = git("rev-parse", "--short", args.parent), git("rev-parse", "--short", args.change)
 
     runs = []
@@ -98,24 +102,32 @@ def main(argv=None) -> int:
         end_to_end = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
         counts = {side: src_lines(tree) for side, tree in trees.items()}
         print(f"src/ lines: parent {counts['parent']}, change {counts['change']} ({counts['change'] - counts['parent']:+d})")
+        # the workloads take turns within each seed, so drift of the host
+        # spreads over all of them
         for pair, seed in enumerate(seeds):
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in sides:
-                lines = run_once(trees[side], args.workload, seed, args.seconds)
-                runs.append({"side": side, "seed": seed, "lines": lines})
-                metrics = lines[1]["metrics"]
-                print(f"pair {pair} seed {seed} {side:6s} op_p50_ms {metrics['op_p50_ms']['value']:.4f}", flush=True)
+            for workload in workloads:
+                for side in sides:
+                    lines = run_once(trees[side], workload, seed, args.seconds)
+                    runs.append({"workload": workload, "side": side, "seed": seed, "lines": lines})
+                    metrics = lines[1]["metrics"]
+                    print(f"pair {pair} seed {seed} {workload} {side:6s} op_p50_ms {metrics['op_p50_ms']['value']:.4f}",
+                          flush=True)
 
-    for line in summary(runs, end_to_end):
-        print(line)
+    for workload in workloads:
+        print(f"workload {workload}")
+        for line in summary([run for run in runs if run["workload"] == workload], end_to_end):
+            print(f"  {line}")
+    shown = workloads[0] if len(workloads) == 1 else "WORKLOAD"
     record = {
         "parent": parent,
         "change": change,
-        "claim": f"{args.workload} op_p50_ms",
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed SEED --seconds {args.seconds}",
+        "claim": f"{workloads[0]} op_p50_ms",
+        "command": f"python3 perfbench/run.py --workload {shown} --seed SEED --seconds {args.seconds}",
         "protocol": (
             f"{len(seeds)} alternating pairs, seeds {seeds[0]}-{seeds[-1]}, parent first on even pair index;"
             " each side run from a fresh export of its commit"
+            + (f"; each pair runs the workloads {', '.join(workloads)} in turn" if len(workloads) > 1 else "")
         ),
         "src_lines": counts,
         "runs": runs,
