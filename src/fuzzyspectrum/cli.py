@@ -176,7 +176,7 @@ def cmd_arbitrate(args) -> int:
     outcome = arbitrate(candidates, model, threshold)
 
     if args.format == "csv":
-        # an id holding a comma, quote or line break comes out quoted
+        # an id holding a comma, a quote, a carriage return or a line feed comes out quoted
         rows = ((rank, cid, f"{p:.6f}", "true" if p >= outcome.threshold else "false")
                 for rank, (cid, p) in enumerate(outcome.ranking, start=1))
         _emit(args, _csv_text(("rank", "id", "possibility", "admitted"), rows))
