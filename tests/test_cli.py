@@ -516,7 +516,6 @@ class TestDumpRules:
         assert lines[0] == "row,signal_dbm,velocity_kmh,spectrum_ratio,distance_m,decision,weight"
         assert [line.split(",") for line in lines[1:]] == rule_table_rows()
 
-
     def test_csv_quotes_a_name_holding_a_carriage_return(self, capsys, tmp_path):
         model = default_model()
         signal = model.inputs[0]

@@ -32,8 +32,8 @@ from fuzzyspectrum import (
     validate_model,
 )
 from fuzzyspectrum.engine import _infer_rows
-from fuzzyspectrum.serialization import default_document, parse_document, serialize_document
 from fuzzyspectrum.model import _MISSING_NAMED
+from fuzzyspectrum.serialization import default_document, parse_document, serialize_document
 
 from conftest import dead_model, random_model, three_term_variable
 from oracle import oracle_possibility, reference_validate_model
