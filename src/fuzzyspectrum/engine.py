@@ -208,14 +208,7 @@ class FuzzyModel:
                 f"output terms x grid_points must be <= {_MAX_CURVE_POINTS}, "
                 f"got {len(out.terms)} x {self.grid_points}"
             )
-        # the centroid's moment sums degree x weight x point over the grid,
-        # at most (hi - lo) * max(|lo|, |hi|), which must stay finite with
-        # room for rounding
-        if not math.isfinite(4.0 * (out.hi - out.lo) * max(abs(out.lo), abs(out.hi))):
-            raise ValueError(
-                f"variable '{out.name}': output universe [{out.lo}, {out.hi}] too wide to defuzzify, "
-                "(hi - lo) * max(|lo|, |hi|) must be finite"
-            )
+        _check_defuzzifiable(out.lo, out.hi, f"variable '{out.name}': output universe")
         # a Gaussian exponent, squared distance over 2*sigma*sigma as the
         # kernel computes it, is largest at the farther bound of the universe
         # and must not overflow there
@@ -232,6 +225,16 @@ class FuzzyModel:
     def term_names(self, antecedents: Sequence[int]) -> list[str]:
         """The input term names a rule's antecedent indices select, in input order."""
         return [var.terms[idx].name for var, idx in zip(self.inputs, antecedents)]
+
+
+def _check_defuzzifiable(lo: float, hi: float, what: str) -> None:
+    """Raise ValueError unless a centroid over points in [lo, hi] with
+    degrees in [0, 1] keeps its sums finite."""
+    # the moment sums degree x weight x point, at most (hi - lo) * max(|lo|,
+    # |hi|), which must stay finite with room for rounding; the mass and each
+    # weight are at most hi - lo
+    if not math.isfinite(4.0 * (hi - lo) * max(abs(lo), abs(hi))):
+        raise ValueError(f"{what} [{lo}, {hi}] too wide to defuzzify, (hi - lo) * max(|lo|, |hi|) must be finite")
 
 
 def _rule_table(rules: tuple[Rule, ...], n_in: int) -> np.ndarray | None:
@@ -377,32 +380,25 @@ def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
 
 
 def _clip_levels(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
-    """Clip levels (..., output terms) of strengths (..., rules) in the
-    sorted layout."""
+    """Clip levels (rows, output terms) of a chunk's strengths (rows, rules)
+    in the sorted layout."""
     # max over rules of min(strength, consequent curve), evaluated per
     # consequent term: min is monotone in the clip level, so taking the max
     # strength of each consequent's run of rules first gives bit-identical
     # values with far less work
-    levels = np.maximum.reduceat(strengths, c.starts, axis=-1)
+    levels = np.maximum.reduceat(strengths, c.starts, axis=1)
     # no strength is below 0.0 (aggregate rejects one; a -0.0 weight gives
     # -0.0), so no level is either; a term that no rule concludes reads 0.0
-    clip = np.zeros(levels.shape[:-1] + (len(c.term_curves),))
-    clip[..., c.concluded] = levels
+    clip = np.zeros((len(levels), len(c.term_curves)))
+    clip[:, c.concluded] = levels
     return clip
 
 
-def _degrees(c: _Compiled, clip: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Aggregated degrees: (grid points,) of one (output terms,) clip vector,
-    or grid-major (grid points, clip vectors) of (clip vectors, output terms).
-
-    Several clip vectors are computed in work, a (2, grid points, clip
+def _degrees(c: _Compiled, clip: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Grid-major aggregated degrees (grid points, clip vectors) of a chunk's
+    (clip vectors, output terms), computed in work, a (2, grid points, clip
     vectors) array that a caller scoring chunk after chunk allocates (and
-    page-faults) once; the result is then work[0].
-    """
-    if clip.ndim == 1:
-        # one vector: a single broadcast over the terms makes two numpy
-        # calls where the term loop makes five, which shows on every decision
-        return np.minimum(clip[:, None], c.term_curves).max(axis=0)
+    page-faults) once; the result is work[0]."""
     degrees, clipped = work
     np.minimum(clip[:, 0], c.term_curves[0][:, None], out=degrees)
     for k in range(1, clip.shape[1]):
@@ -411,33 +407,46 @@ def _degrees(c: _Compiled, clip: np.ndarray, work: np.ndarray | None = None) -> 
 
 
 def _centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Centroids of one curve's (grid points,) degrees or of grid-major
-    (grid points, columns) degrees, passed in mass, which may be overwritten."""
+    """Centroids of grid-major (grid points, columns) degrees, passed in
+    mass, which is overwritten."""
     # each column's mass and moment are summed strictly in grid order, so a
     # column's sums are bit-identical whatever else is in the batch (a BLAS
     # product is not) and equal to adding its points left to right one at a
     # time.  Reducing axis 0 adds whole grid rows in order; numpy reduces a
-    # lone contiguous column pairwise instead, so one column takes a running
-    # sum, of mass and moment at once as the real and imaginary parts of
-    # complex numbers, which add as two independent doubles
-    if mass.shape[1:] == (1,):
-        mass = mass[:, 0]
-    if mass.ndim == 1:
-        sums = np.empty(len(mass), complex)
-        np.multiply(mass, w, out=sums.real)
-        np.multiply(sums.real, points, out=sums.imag)
-        total = np.add.accumulate(sums)[-1:]
-        den, moment = total.real, total.imag
-        least = den[0]
-    else:
-        mass *= w[:, None]
-        den = np.add.reduce(mass, axis=0)
-        mass *= points[:, None]
-        moment = np.add.reduce(mass, axis=0)
-        least = den.min()
+    # lone contiguous column pairwise instead, so one column takes
+    # _row_centroid
+    mass *= w[:, None]
+    den = np.add.reduce(mass, axis=0)
+    mass *= points[:, None]
+    moment = np.add.reduce(mass, axis=0)
+    least = den.min()
     if least < MASS_EPSILON:
         raise NoRuleFiredError(f"total output mass {least} below {MASS_EPSILON}; no rule fired")
     return moment / den
+
+
+def _row_degrees(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
+    """Aggregated degrees (grid points,) of one row's strengths (rules,) in
+    the sorted layout: _clip_levels and _degrees on one row, in their order."""
+    clip = np.zeros(len(c.term_curves))
+    clip[c.concluded] = np.maximum.reduceat(strengths, c.starts)
+    # one broadcast over the terms makes two numpy calls where the term loop
+    # makes five, which shows on every decision
+    return np.maximum.reduce(np.minimum(clip[:, None], c.term_curves), axis=0)
+
+
+def _row_centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> float:
+    """Centroid of one curve's (grid points,) degrees, summed strictly left
+    to right."""
+    # one running sum of mass and moment at once, as the real and imaginary
+    # parts of complex numbers, which add as two independent doubles
+    sums = np.empty(len(mass), complex)
+    np.multiply(mass, w, out=sums.real)
+    np.multiply(sums.real, points, out=sums.imag)
+    total = complex(np.add.accumulate(sums)[-1])
+    if total.real < MASS_EPSILON:
+        raise NoRuleFiredError(f"total output mass {total.real} below {MASS_EPSILON}; no rule fired")
+    return total.imag / total.real
 
 
 def _exp(a: np.ndarray) -> np.ndarray:
@@ -487,18 +496,27 @@ def _one_row(c: _Compiled, row: Sequence[float]) -> tuple[np.ndarray, np.ndarray
             memberships.append(math.exp(-(d * d) / two_sigma_sq))
         memberships += pad
     memberships = np.array(memberships)
-    strengths = c.weights * memberships.take(c.antecedents).min(axis=0)
-    return memberships, strengths, _degrees(c, _clip_levels(c, strengths))
+    strengths = np.minimum.reduce(memberships.take(c.antecedents), axis=0)
+    strengths *= c.weights
+    return memberships, strengths, _row_degrees(c, strengths)
+
+
+def _infer_row(model: FuzzyModel, row: Sequence[float]) -> float:
+    """Crisp output of one row of n_inputs finite floats (InvalidInputError
+    for any other length)."""
+    c = model._compiled
+    if len(row) != len(c.lo):
+        raise InvalidInputError(f"expected {len(c.lo)} inputs, got {len(row)}")
+    return _row_centroid(_one_row(c, row)[2], c.grid, c.w)
 
 
 def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
     for any other row length).  Each is bit-identical to infer on the same
     row, and chunking keeps memory bounded for any N."""
+    if len(x) == 1:
+        return np.array([_infer_row(model, x[0].tolist() if isinstance(x, np.ndarray) else x[0])])
     c = model._compiled
-    if len(x) == 1 and len(x[0]) == len(c.lo):
-        row = x[0].tolist() if isinstance(x, np.ndarray) else x[0]
-        return _centroid(_one_row(c, row)[2], c.grid, c.w)
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(c.lo):
         raise InvalidInputError(f"expected {len(c.lo)} inputs, got {x.shape[-1]}")
@@ -519,7 +537,11 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
         # a contiguous view even for a short last chunk: a strided one
         # costs numpy's ufuncs up to twice as much
         chunk_work = work[: 2 * len(c.grid) * len(chunk)].reshape(2, len(c.grid), len(chunk))
-        crisp[i:i + len(chunk)] = _centroid(_degrees(c, chunk, chunk_work), c.grid, c.w)
+        degrees = _degrees(c, chunk, chunk_work)
+        if len(chunk) == 1:
+            crisp[i] = _row_centroid(degrees[:, 0], c.grid, c.w)
+        else:
+            crisp[i:i + len(chunk)] = _centroid(degrees, c.grid, c.w)
     return crisp[inverse.ravel()]
 
 
@@ -537,7 +559,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
         )
     if not (strengths >= 0.0).all():
         raise ValueError(f"firing strengths must be >= 0, got {strengths.min()}")
-    return np.column_stack((c.grid, _degrees(c, _clip_levels(c, strengths.take(c.order)))))
+    return np.column_stack((c.grid, _row_degrees(c, strengths.take(c.order))))
 
 
 def defuzzify_centroid(curve) -> float:
@@ -552,10 +574,15 @@ def defuzzify_centroid(curve) -> float:
         raise ValueError("curve must be a non-empty sequence of (point, degree) pairs")
     if not np.isfinite(arr).all():
         raise ValueError("curve points and degrees must be finite")
-    pts = arr[:, 0]
-    if arr.shape[0] > 1 and not np.all(np.diff(pts) > 0):
+    pts, degrees = arr[:, 0], arr[:, 1]
+    # compared, not subtracted: the difference of two finite points can overflow
+    if not (pts[1:] > pts[:-1]).all():
         raise ValueError("curve points must be strictly increasing")
-    return float(_centroid(arr[:, 1], pts, _trapezoid_weights(pts))[0])
+    outside = degrees[(degrees < 0.0) | (degrees > 1.0)]
+    if outside.size:
+        raise ValueError(f"curve degrees must be in [0, 1], got {outside[0]}")
+    _check_defuzzifiable(float(pts[0]), float(pts[-1]), "curve points")
+    return _row_centroid(degrees, pts, _trapezoid_weights(pts))
 
 
 def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
@@ -572,14 +599,12 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
     row = [_as_finite_float(x, f"input for '{var.name}'") for var, x in zip(model.inputs, inputs)]
     c = model._compiled
     memberships, strengths, degrees = _one_row(c, row)
-    curve = np.column_stack((c.grid, degrees))
-    crisp = _centroid(degrees, c.grid, c.w)
     return InferenceTrace(
         memberships=tuple(
             tuple(m[: len(var.terms)].tolist())
             for m, var in zip(memberships.reshape(len(model.inputs), -1), model.inputs)
         ),
         firing_strengths=tuple(strengths.take(c.positions).tolist()),
-        aggregated_curve=curve,
-        crisp_output=float(crisp[0]),
+        aggregated_curve=np.column_stack((c.grid, degrees)),
+        crisp_output=_row_centroid(degrees, c.grid, c.w),
     )

@@ -22,7 +22,7 @@ from .engine import (
     GaussianTerm,
     InferenceTrace,
     Rule,
-    _infer_rows,
+    _infer_row,
     infer,
 )
 
@@ -277,13 +277,13 @@ def decision_possibility(
     Deterministic: identical candidate fields and model give bit-identical
     results.  Inputs outside a variable's universe are clamped to its bounds.
     The InferenceTrace is built only when with_trace is true; without it the
-    candidate is scored as a one-row batch, to the same bits.
+    candidate is scored by the one-row kernel, to the same bits.
     """
     if model is None:
         model = default_model()
     threshold = check_threshold(threshold)
     trace = infer(model, candidate.inputs()) if with_trace else None
-    possibility = trace.crisp_output if with_trace else float(_infer_rows(model, [candidate.inputs()])[0])
+    possibility = trace.crisp_output if with_trace else _infer_row(model, candidate.inputs())
     return DecisionResult(
         candidate_id=candidate.id,
         possibility=possibility,

@@ -14,6 +14,13 @@ printed, with the ``src/`` line count of each commit.  The report and result
 lines of every run, tagged with its workload, are written to
 ``BENCH_<change>.json`` with the line counts; the claim is the first
 workload's ``op_p50_ms``.
+
+Two verdicts are printed and stored with the runs.  The claim is met only
+when the change is better in at least nine tenths of the pairs (ties count
+for neither side) and its median is better than the parent's by more than
+the parent's interquartile range.  A metric of any workload is beyond its
+bound when the change's median is worse than the parent's by more than the
+metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -60,25 +67,65 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summary(runs: list[dict], end_to_end: list[dict]) -> list[str]:
-    """One line per end-to-end metric of one workload's runs: medians, the
-    parent's IQR and the wins."""
+def compare(runs: list[dict], metric: dict) -> dict:
+    """Medians, the parent's quartiles, the wins and both verdicts for one
+    end-to-end metric of one workload's runs, paired by seed."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    value = {(run["side"], run["seed"]): run["lines"][1]["metrics"][name]["value"] for run in runs}
+    seeds = sorted({seed for _, seed in value})
+    parent = [value["parent", seed] for seed in seeds]
+    change = [value["change", seed] for seed in seeds]
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    p50, c50 = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent) if len(parent) > 1 else (p50, p50)
+    # how much better the change's median is, in the metric's own units
+    gain = p50 - c50 if lower else c50 - p50
+    return {
+        "parent_median": p50,
+        "parent_quartiles": [q1, q3],
+        "change_median": c50,
+        "better_in": wins,
+        "pairs": len(seeds),
+        "claim_met": 10 * wins >= 9 * len(seeds) and gain > q3 - q1,
+        "beyond_bound": -gain > metric["bound"] * abs(p50),
+    }
+
+
+def verdicts(runs: list[dict], end_to_end: list[dict], claim_workload: str) -> dict:
+    """The claim on claim_workload's op_p50_ms, and every workload's
+    end-to-end metrics compared with their bounds."""
+    workloads = list(dict.fromkeys(run["workload"] for run in runs))
+    metrics = {
+        workload: {metric["name"]: compare([run for run in runs if run["workload"] == workload], metric)
+                   for metric in end_to_end}
+        for workload in workloads
+    }
+    claim = metrics[claim_workload]["op_p50_ms"]
+    return {
+        "claim": {"workload": claim_workload, "metric": "op_p50_ms", "met": claim["claim_met"]},
+        "beyond_bound": [f"{workload} {name}" for workload, by_name in metrics.items()
+                         for name, compared in by_name.items() if compared["beyond_bound"]],
+        "metrics": metrics,
+    }
+
+
+def report(verdict: dict, end_to_end: list[dict]) -> list[str]:
+    """The printed summary of a verdicts() result."""
+    units = {metric["name"]: metric for metric in end_to_end}
     lines = []
-    for metric in end_to_end:
-        name, lower = metric["name"], metric["better"] == "lower"
-        value = {
-            (run["side"], run["seed"]): run["lines"][1]["metrics"][name]["value"] for run in runs
-        }
-        seeds = sorted({seed for _, seed in value})
-        parent = [value["parent", seed] for seed in seeds]
-        change = [value["change", seed] for seed in seeds]
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-        p50, c50 = statistics.median(parent), statistics.median(change)
-        q1, q3 = quartiles(parent) if len(parent) > 1 else (p50, p50)
-        lines.append(
-            f"{name:12s} parent {p50:.6g} (IQR {q1:.6g}-{q3:.6g}, {q3 - q1:.3g})"
-            f"  change {c50:.6g} ({(c50 - p50) / p50:+.1%})  better in {wins} of {len(seeds)}"
-        )
+    for workload, by_name in verdict["metrics"].items():
+        lines.append(f"workload {workload}")
+        for name, m in by_name.items():
+            p50, c50, (q1, q3) = m["parent_median"], m["change_median"], m["parent_quartiles"]
+            flag = f"  WORSE BEYOND BOUND {units[name]['bound']:.0%}" if m["beyond_bound"] else ""
+            lines.append(
+                f"  {name:12s} parent {p50:.6g} (IQR {q1:.6g}-{q3:.6g}, {q3 - q1:.3g})"
+                f"  change {c50:.6g} ({(c50 - p50) / p50:+.1%})  better in {m['better_in']} of {m['pairs']}{flag}"
+            )
+    claim = verdict["claim"]
+    lines.append(f"claim {claim['workload']} {claim['metric']}: {'met' if claim['met'] else 'NOT MET'}")
+    lines.append("bounds: " + (", ".join(verdict["beyond_bound"]) + " worse beyond bound"
+                               if verdict["beyond_bound"] else "no metric worse than its bound"))
     return lines
 
 
@@ -114,10 +161,8 @@ def main(argv=None) -> int:
                     print(f"pair {pair} seed {seed} {workload} {side:6s} op_p50_ms {metrics['op_p50_ms']['value']:.4f}",
                           flush=True)
 
-    for workload in workloads:
-        print(f"workload {workload}")
-        for line in summary([run for run in runs if run["workload"] == workload], end_to_end):
-            print(f"  {line}")
+    verdict = verdicts(runs, end_to_end, workloads[0])
+    print("\n".join(report(verdict, end_to_end)))
     shown = workloads[0] if len(workloads) == 1 else "WORKLOAD"
     record = {
         "parent": parent,
@@ -130,6 +175,7 @@ def main(argv=None) -> int:
             + (f"; each pair runs the workloads {', '.join(workloads)} in turn" if len(workloads) > 1 else "")
         ),
         "src_lines": counts,
+        "verdicts": verdict,
         "runs": runs,
     }
     output = args.output or ROOT / f"BENCH_{change}.json"
