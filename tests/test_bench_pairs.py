@@ -1,0 +1,86 @@
+"""The claim and bound verdicts of tools/bench_pairs.py, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+
+END_TO_END = [
+    {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+    {"name": "items_per_s", "better": "higher", "bound": 0.25},
+]
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def runs(workload, parent, change, items=None):
+    """One run per side and seed, with op_p50_ms from parent and change and
+    items_per_s from items (a (parent, change) pair of lists) or 1.0."""
+    items = items or ([1.0] * len(parent), [1.0] * len(change))
+    out = []
+    for seed, values in enumerate(zip(parent, change, *items)):
+        p, c, p_items, c_items = values
+        for side, op, per_s in (("parent", p, p_items), ("change", c, c_items)):
+            metrics = {"op_p50_ms": {"value": op}, "items_per_s": {"value": per_s}}
+            out.append({"workload": workload, "side": side, "seed": seed, "lines": [{}, {"metrics": metrics}]})
+    return out
+
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        # better in 10 of 10, median gap 0.10 against a parent IQR of ~0.03
+        ([p - 0.10 for p in PARENT], True),
+        # better in 9 of 10 still meets the claim
+        ([p - 0.10 for p in PARENT[:9]] + [PARENT[9] + 0.01], True),
+        # better in 8 of 10 does not
+        ([p - 0.10 for p in PARENT[:8]] + [p + 0.01 for p in PARENT[8:]], False),
+        # better in 10 of 10, but by less than the parent's IQR
+        ([p - 0.005 for p in PARENT], False),
+        # ties count for neither side
+        (PARENT, False),
+    ],
+    ids=["clear-gain", "nine-of-ten", "eight-of-ten", "inside-iqr", "ties"],
+)
+def test_claim_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_iqr(change, met):
+    bench_pairs = load_bench_pairs()
+    verdict = bench_pairs.verdicts(runs("decide", PARENT, change), END_TO_END, "decide")
+    assert verdict["claim"] == {"workload": "decide", "metric": "op_p50_ms", "met": met}
+
+
+def test_claim_reads_the_named_workload():
+    bench_pairs = load_bench_pairs()
+    all_runs = runs("decide", PARENT, PARENT) + runs("surface", PARENT, [p - 0.10 for p in PARENT])
+    assert not bench_pairs.verdicts(all_runs, END_TO_END, "decide")["claim"]["met"]
+    assert bench_pairs.verdicts(all_runs, END_TO_END, "surface")["claim"]["met"]
+
+
+def test_median_worse_beyond_its_bound_is_flagged_in_the_metrics_direction():
+    bench_pairs = load_bench_pairs()
+    ones = [1.0] * 10
+    all_runs = (
+        # op_p50_ms 24% worse: inside the 25% bound
+        runs("decide", ones, [1.24] * 10)
+        # op_p50_ms 26% worse
+        + runs("arbitrate", ones, [1.26] * 10)
+        # items_per_s 26% lower is worse; 26% higher is not
+        + runs("surface", ones, ones, items=(ones, [0.74] * 10))
+        + runs("model_swap", ones, ones, items=(ones, [1.26] * 10))
+    )
+    verdict = bench_pairs.verdicts(all_runs, END_TO_END, "decide")
+    assert verdict["beyond_bound"] == ["arbitrate op_p50_ms", "surface items_per_s"]
+    assert not verdict["claim"]["met"]
+    report = "\n".join(bench_pairs.report(verdict, END_TO_END))
+    assert "claim decide op_p50_ms: NOT MET" in report
+    assert "bounds: arbitrate op_p50_ms, surface items_per_s worse beyond bound" in report
+    assert report.count("WORSE BEYOND BOUND 25%") == 2

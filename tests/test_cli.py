@@ -348,6 +348,30 @@ class TestSweep:
             assert out == ""
             assert "steps must be in [2, 1001]" in err
 
+    @pytest.mark.parametrize(
+        "axis1, fix_velocity, message",
+        [
+            ("signal_dbm:-100", "velocity_kmh=50", "bad axis 'signal_dbm:-100'; expected NAME:LO:HI"),
+            ("signal_dbm:low:-20", "velocity_kmh=50", "bad axis 'signal_dbm:low:-20': could not convert string to float: 'low'"),
+            ("signal_dbm:-100:-20x", "velocity_kmh=50", "bad axis 'signal_dbm:-100:-20x': could not convert string to float: '-20x'"),
+            ("signal_dbm:-100:-20", "velocity_kmh50", "bad --fix 'velocity_kmh50'; expected NAME=VALUE"),
+            ("signal_dbm:-100:-20", "velocity_kmh=fast", "bad --fix 'velocity_kmh=fast': could not convert string to float: 'fast'"),
+        ],
+        ids=["axis-not-name-lo-hi", "bad-axis-lo", "bad-axis-hi", "fix-without-equals", "bad-fix-number"],
+    )
+    def test_malformed_axis_or_fix_is_a_usage_error(self, capsys, axis1, fix_velocity, message):
+        code, out, err = run_cli(
+            capsys,
+            "sweep",
+            "--axis1", axis1,
+            "--axis2", "distance_m:0:100",
+            "--fix", fix_velocity,
+            "--fix", "spectrum_ratio=0.5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_explicit_pieces(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis1", "signal_dbm:-100:-20")
         assert code == 2

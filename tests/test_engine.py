@@ -255,6 +255,32 @@ class TestDefuzzifyCentroid:
                 with pytest.raises(ValueError, match="curve points and degrees must be finite"):
                     defuzzify_centroid(broken)
 
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            # a negative degree pulled the centroid to 20.999999999999982, outside [0, 1]
+            ([(0, -1.0), (1, 1.05)], "curve degrees must be in [0, 1], got -1.0"),
+            # the points' spacing overflowed, with numpy warnings and a nan result
+            (
+                [(-1e308, 1.0), (1e308, 1.0)],
+                "curve points [-1e+308, 1e+308] too wide to defuzzify, (hi - lo) * max(|lo|, |hi|) must be finite",
+            ),
+            # degrees near the largest double overflowed the running sum the same way
+            ([(0, 1e308), (1, 1e308), (2, 1e308)], "curve degrees must be in [0, 1], got 1e+308"),
+        ],
+        ids=["negative-degree", "overflowing-span", "huge-degrees"],
+    )
+    def test_curve_whose_sums_leave_the_points_rejected(self, curve, message):
+        with pytest.raises(ValueError) as info:
+            defuzzify_centroid(curve)
+        assert str(info.value) == message
+
+    def test_widest_accepted_span_and_unit_degrees_stay_finite(self):
+        # 4 * (hi - lo) * max(|lo|, |hi|) = 8e306 is finite, so this span is
+        # accepted; degrees of exactly 0.0, -0.0 and 1.0 are in range
+        assert defuzzify_centroid([(-1e153, 1.0), (0.0, -0.0), (1e153, 1.0)]) == 0.0
+        assert defuzzify_centroid([(0.0, 0.0), (1.0, 1.0)]) == 1.0
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
     def test_result_within_curve_support(self, seed):
@@ -814,6 +840,25 @@ class TestTypeValidation:
         terms = (GaussianTerm("a", 1.0, 1.0), GaussianTerm("a", 2.0, 1.0))
         with pytest.raises(ValueError):
             FuzzyVariable("x", 0.0, 10.0, terms)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: GaussianTerm("", 0.0, 1.0), "term name must be non-empty"),
+            (lambda: FuzzyVariable("", 0.0, 1.0, (GaussianTerm("t", 0.5, 1.0),)), "variable name must be non-empty"),
+            (lambda: FuzzyVariable("x", 0.0, 1.0, ()), "variable 'x': needs at least one term"),
+            (lambda: FuzzyModel((), three_term_variable("y", 0.0, 1.0), ()), "model needs at least one input variable"),
+            (
+                lambda: FuzzyModel((three_term_variable("x", 0.0, 1.0),), three_term_variable("x", 0.0, 1.0), (Rule((0,), 0),)),
+                "variable names must be unique across the model",
+            ),
+        ],
+        ids=["empty-term-name", "empty-variable-name", "variable-without-terms", "model-without-inputs", "duplicate-variable-names"],
+    )
+    def test_invalid_definition_gives_its_exact_message(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_rule_weight_range(self):
         with pytest.raises(ValueError):

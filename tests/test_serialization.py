@@ -207,6 +207,9 @@ def broken_documents(draw):
     return raw, f"rule {k + 1}: expected {len(inputs)} antecedent names"
 
 
+_DELETE = object()
+
+
 class TestModelDocumentStrictness:
     @given(broken_documents())
     @settings(max_examples=200, deadline=None)
@@ -222,6 +225,41 @@ class TestModelDocumentStrictness:
     def _expect_error(self, raw, fragment):
         with pytest.raises(ModelDocumentError, match=fragment):
             parse_document(json.dumps(raw))
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("variables", "inputs", 0), 5, "input variable 1 must be an object"),
+            (("variables", "output", "terms", 1), "Medium", "output variable, term 2 must be an object"),
+            (("variables", "inputs", 2, "terms"), [], "field 'terms' in input variable 3 must be a non-empty list"),
+            (("variables", "output", "terms"), {"name": "Low"}, "field 'terms' in output variable must be a non-empty list"),
+            ((), [1, 2], "document must be a JSON object"),
+            (("schema_version",), _DELETE, "missing field 'schema_version' in document"),
+            (("variables", "inputs"), {"name": "signal_dbm"}, "field 'inputs' in variables must be a non-empty list"),
+            (("rules",), {"1": []}, "field 'rules' in document must be a list"),
+        ],
+        ids=[
+            "variable-not-object", "term-not-object", "empty-terms", "terms-not-list",
+            "document-not-object", "missing-schema-version", "inputs-not-list", "rules-not-list",
+        ],
+    )
+    def test_malformed_structure_gives_its_exact_message(self, path, value, message):
+        # value replaces the item at path, a tuple of keys and indices into
+        # the default document (the whole document for ()), or deletes it
+        raw = self._dict()
+        if not path:
+            raw = value
+        else:
+            target = raw
+            for key in path[:-1]:
+                target = target[key]
+            if value is _DELETE:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = value
+        with pytest.raises(ModelDocumentError) as excinfo:
+            parse_document(json.dumps(raw))
+        assert str(excinfo.value) == message
 
     def test_unknown_top_level_field(self):
         raw = self._dict()

@@ -131,6 +131,37 @@ class TestSpecValidation:
         with pytest.raises(SweepSpecError, match="outside"):
             run_sweep(spec, default_model())
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: SweepAxis("signal_dbm", -20, -100, 3), "axis 'signal_dbm': lo -20.0 > hi -100.0"),
+            (
+                lambda: SweepSpec(
+                    axis1=SweepAxis("signal_dbm", -100, -20, 3),
+                    axis2=SweepAxis("distance_m", 0, 100, 3),
+                    fixed=(("velocity_kmh", 50.0), ("velocity_kmh", 60.0)),
+                ),
+                "fixed values name a variable twice",
+            ),
+            (
+                lambda: run_sweep(
+                    SweepSpec(
+                        axis1=SweepAxis("signal_dbm", -100, -20, 3),
+                        axis2=SweepAxis("distance_m", 0, 100, 3),
+                        fixed={"velocity_kmh": 50.0, "spectrum_ratio": 0.5, "snr_db": 3.0},
+                    ),
+                    default_model(),
+                ),
+                "unexpected fixed values for ['snr_db']",
+            ),
+        ],
+        ids=["axis-lo-above-hi", "fixed-value-named-twice", "unexpected-fixed-value"],
+    )
+    def test_invalid_spec_gives_its_exact_message(self, build, message):
+        with pytest.raises(SweepSpecError) as info:
+            build()
+        assert str(info.value) == message
+
 
 class TestRunSweep:
     def test_two_by_two_corners_match_single_evaluations(self):

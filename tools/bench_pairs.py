@@ -111,13 +111,13 @@ def verdicts(runs: list[dict], end_to_end: list[dict], claim_workload: str) -> d
 
 def report(verdict: dict, end_to_end: list[dict]) -> list[str]:
     """The printed summary of a verdicts() result."""
-    units = {metric["name"]: metric for metric in end_to_end}
+    bounds = {metric["name"]: metric["bound"] for metric in end_to_end}
     lines = []
     for workload, by_name in verdict["metrics"].items():
         lines.append(f"workload {workload}")
         for name, m in by_name.items():
             p50, c50, (q1, q3) = m["parent_median"], m["change_median"], m["parent_quartiles"]
-            flag = f"  WORSE BEYOND BOUND {units[name]['bound']:.0%}" if m["beyond_bound"] else ""
+            flag = f"  WORSE BEYOND BOUND {bounds[name]:.0%}" if m["beyond_bound"] else ""
             lines.append(
                 f"  {name:12s} parent {p50:.6g} (IQR {q1:.6g}-{q3:.6g}, {q3 - q1:.3g})"
                 f"  change {c50:.6g} ({(c50 - p50) / p50:+.1%})  better in {m['better_in']} of {m['pairs']}{flag}"
