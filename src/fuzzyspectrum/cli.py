@@ -134,7 +134,7 @@ def cmd_eval(args) -> int:
         spectrum_ratio=args.spectrum_ratio,
         distance_m=args.distance_m,
     )
-    result = decision_possibility(candidate, model, threshold, with_trace=args.trace)
+    result = decision_possibility(candidate, model, threshold, with_trace=args.trace and args.format == "human")
 
     if args.format == "csv":
         text = "possibility,admitted\n"
@@ -207,14 +207,15 @@ def _parse_axis(text: str, steps: int) -> SweepAxis:
         raise CliError(f"bad axis '{text}': {exc}", code=2) from exc
 
 
-def _parse_fix(items) -> dict[str, float]:
-    fixed = {}
+def _parse_fix(items) -> list[tuple[str, float]]:
+    # pairs, not a dict, so that SweepSpec sees a variable fixed twice
+    fixed = []
     for item in items:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise CliError(f"bad --fix '{item}'; expected NAME=VALUE", code=2)
         try:
-            fixed[name] = float(value)
+            fixed.append((name, float(value)))
         except ValueError as exc:
             raise CliError(f"bad --fix '{item}': {exc}", code=2) from exc
     return fixed

@@ -313,32 +313,22 @@ class _Compiled:
     """A model's plain arrays, built once when the model is constructed from
     its checked (rules, inputs + 1) table of antecedents and consequent.
 
-    Input term parameters are padded to the widest variable; no rule
-    indexes the padding.  One row reads them as Python floats from
-    fuzzifiers, a batch as arrays.  The rule arrays hold the rules sorted by
-    consequent, stably, so that the rules concluding each output term are
-    one run and the term's clip level one max over it.
+    Each input's term parameters are kept once, as Python floats in
+    fuzzifiers, padded to the widest variable; no rule indexes the padding.
+    The rule arrays hold the rules sorted by consequent, stably, so that the
+    rules concluding each output term are one run and the term's clip level
+    one max over it.
     """
 
     def __init__(self, model: FuzzyModel, table: np.ndarray):
         n_in, output = len(model.inputs), model.output
         width = max(len(v.terms) for v in model.inputs)
         self.table = table
-        self.lo = np.array([v.lo for v in model.inputs])
-        self.hi = np.array([v.hi for v in model.inputs])
         # per input: (lo, hi, [(center, 2*sigma*sigma) per term], padding memberships)
         self.fuzzifiers = tuple(
             (v.lo, v.hi, [(t.center, 2.0 * t.sigma * t.sigma) for t in v.terms], [0.0] * (width - len(v.terms)))
             for v in model.inputs
         )
-        centers, two_sigma_sq = [], []
-        for _, _, terms, pad in self.fuzzifiers:
-            centers += [center for center, _ in terms] + pad
-            two_sigma_sq += [spread for _, spread in terms] + [1.0] * len(pad)
-        self.centers = np.array(centers).reshape(n_in, width)
-        self.two_sigma_sq = np.array(two_sigma_sq).reshape(n_in, width)
-        # _exponents' parameters; the values of input i take row i of each
-        self.params = (self.lo, self.hi, self.centers, self.two_sigma_sq)
         # rule order[p] sits at position p of the sorted layout, and rule r
         # at position positions[r].  Python's sort is stable like numpy's
         # kind="stable", and pages in no numpy sort code, which would add
@@ -367,7 +357,7 @@ class _Compiled:
         # is rules x inputs, inputs x terms or the clip levels) and clip
         # vectors per chunk of the curve stage (its buffers are grid points x
         # clip vectors)
-        row_elements = max(self.antecedents.size, self.centers.size, len(output.terms))
+        row_elements = max(self.antecedents.size, n_in * width, len(output.terms))
         self.fire_rows = max(1, CHUNK_ELEMENTS // row_elements)
         self.curve_rows = max(1, CHUNK_ELEMENTS // model.grid_points)
 
@@ -455,9 +445,11 @@ def _exp(a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
-def _exponents(x: np.ndarray, lo, hi, centers: np.ndarray, two_sigma_sq: np.ndarray) -> np.ndarray:
+def _exponents(x: np.ndarray, lo: float, hi: float, terms: list, pad: list) -> np.ndarray:
     """Gaussian exponents (n, terms) of finite values x of one input,
-    clamped into [lo, hi] first, with that input's row of each param."""
+    clamped into [lo, hi] first, from that input's entry of fuzzifiers; a
+    padding term reads center 0.0 and 2*sigma*sigma 1.0."""
+    centers, two_sigma_sq = np.array(terms + [(0.0, 1.0)] * len(pad)).T
     # the same clamp as np.clip, in two cheaper calls
     d = np.minimum(np.maximum(x, lo), hi)[..., None] - centers
     return -(d**2) / two_sigma_sq
@@ -469,7 +461,7 @@ def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # math.exp, the costly step, runs once per distinct value of each input;
     # merging -0.0 with 0.0 is harmless, as both give the same exponents
     columns = [np.unique(column, return_inverse=True) for column in x.T]
-    table = _exp(np.concatenate([_exponents(values, *(p[i] for p in c.params)) for i, (values, _) in enumerate(columns)]))
+    table = _exp(np.concatenate([_exponents(values, *f) for (values, _), f in zip(columns, c.fuzzifiers)]))
     offsets = np.cumsum([0] + [len(values) for values, _ in columns[:-1]])
     return table, np.column_stack([inverse + offset for (_, inverse), offset in zip(columns, offsets)])
 
@@ -505,8 +497,8 @@ def _infer_row(model: FuzzyModel, row: Sequence[float]) -> float:
     """Crisp output of one row of n_inputs finite floats (InvalidInputError
     for any other length)."""
     c = model._compiled
-    if len(row) != len(c.lo):
-        raise InvalidInputError(f"expected {len(c.lo)} inputs, got {len(row)}")
+    if len(row) != len(c.fuzzifiers):
+        raise InvalidInputError(f"expected {len(c.fuzzifiers)} inputs, got {len(row)}")
     return _row_centroid(_one_row(c, row)[2], c.grid, c.w)
 
 
@@ -514,12 +506,10 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
     for any other row length).  Each is bit-identical to infer on the same
     row, and chunking keeps memory bounded for any N."""
-    if len(x) == 1:
-        return np.array([_infer_row(model, x[0].tolist() if isinstance(x, np.ndarray) else x[0])])
     c = model._compiled
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != len(c.lo):
-        raise InvalidInputError(f"expected {len(c.lo)} inputs, got {x.shape[-1]}")
+    if x.shape[-1] != len(c.fuzzifiers):
+        raise InvalidInputError(f"expected {len(c.fuzzifiers)} inputs, got {x.shape[-1]}")
     table, index = _membership_table(c, x)
     clip = np.empty((len(x), len(c.term_curves)))
     for i in range(0, len(x), c.fire_rows):

@@ -171,6 +171,8 @@ def parse_document(text: str) -> ModelDocument:
         raise ModelDocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an integer over int's digit limit
+        raise ModelDocumentError(f"invalid JSON: {exc}") from exc
 
     try:
         if not isinstance(raw, dict):

@@ -139,6 +139,14 @@ def candidate_files(draw) -> bytes:
     return raw
 
 
+# documents that json.loads rejects without a JSONDecodeError: nesting past
+# the recursion limit, and an integer literal past int's default 4300 digits
+UNDECODABLE_JSON = {
+    "deeply-nested": "[" * 5000 + "]" * 5000,
+    "huge-integer-literal": '{"schema_version": ' + "1" * 5000 + "}",
+}
+
+
 def random_inputs(rng: np.random.Generator, model: FuzzyModel) -> list[float]:
     return [float(rng.uniform(v.lo, v.hi)) for v in model.inputs]
 

@@ -25,7 +25,7 @@ from fuzzyspectrum.serialization import (
     serialize_document,
 )
 
-from conftest import candidate_files, dead_model, rule_table_rows
+from conftest import UNDECODABLE_JSON, candidate_files, dead_model, rule_table_rows
 from oracle import reference_read_candidates
 
 HEADER = "id,signal_dbm,velocity_kmh,spectrum_ratio,distance_m"
@@ -82,6 +82,13 @@ class TestEval:
         assert out == ""
         assert "no rule fired" in err
         assert "Traceback" not in err
+
+    def test_csv_format_builds_no_trace(self, capsys, monkeypatch):
+        _, want, _ = run_cli(capsys, "eval", "-60", "50", "0.5", "50", "--format", "csv")
+        calls, infer = [], fuzzyspectrum.model.infer
+        monkeypatch.setattr(fuzzyspectrum.model, "infer", lambda *args: calls.append(args) or infer(*args))
+        assert run_cli(capsys, "eval", "-60", "50", "0.5", "50", "--trace", "--format", "csv") == (0, want, "")
+        assert calls == []
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "eval", "-72.3", "18", "0.81", "64", "--trace")
@@ -372,6 +379,18 @@ class TestSweep:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_variable_fixed_twice_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep",
+            "--axis1", "signal_dbm:-100:-20",
+            "--axis2", "distance_m:0:100",
+            "--fix", "velocity_kmh=50",
+            "--fix", "velocity_kmh=60",
+            "--fix", "spectrum_ratio=0.5",
+        )
+        assert (code, out, err) == (1, "", "error: fixed values name a variable twice\n")
+
     def test_missing_explicit_pieces(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--axis1", "signal_dbm:-100:-20")
         assert code == 2
@@ -515,6 +534,15 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--model", str(path))
         assert code == 1
         assert "line 1" in err
+
+    @pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+    def test_undecodable_json_exits_one_without_traceback(self, capsys, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unreadable_model_path(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "eval", "-60", "50", "0.5", "50",

@@ -40,7 +40,7 @@ from fuzzyspectrum import (
 )
 from fuzzyspectrum.engine import _MAX_CURVE_POINTS, MAX_GRID_POINTS
 
-from conftest import candidate_files, rule_table_rows, three_term_variable
+from conftest import UNDECODABLE_JSON, candidate_files, rule_table_rows, three_term_variable
 from oracle import reference_read_candidates
 
 
@@ -304,6 +304,11 @@ class TestModelDocumentStrictness:
     def test_invalid_json_reports_location(self):
         with pytest.raises(ModelDocumentError, match=r"line \d+, column \d+"):
             parse_document('{"schema_version": 1,\n  "variables": }')
+
+    @pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+    def test_every_json_failure_is_a_document_error(self, text):
+        with pytest.raises(ModelDocumentError, match="^invalid JSON: "):
+            parse_document(text)
 
     def test_model_invariant_violations_surface(self):
         raw = self._dict()
