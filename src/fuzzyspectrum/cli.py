@@ -15,9 +15,10 @@ from dataclasses import replace
 
 from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, clamp_to_universe
-from .model import Candidate, check_threshold, decision_possibility, validate_model
+from .model import INPUT_ORDER, Candidate, check_threshold, decision_possibility, validate_model
 from .serialization import (
     _csv_text,
+    _rule_line,
     default_document,
     format_rules_csv,
     format_rules_table,
@@ -117,6 +118,17 @@ def _resolve_model(args) -> tuple[FuzzyModel, float]:
     return model, threshold
 
 
+def _resolve_candidate_model(args) -> tuple[FuzzyModel, float]:
+    """_resolve_model's model and threshold, for a command that feeds the
+    model a Candidate's fields by position: its inputs must be INPUT_ORDER."""
+    model, threshold = _resolve_model(args)
+    names = tuple(var.name for var in model.inputs)
+    if names != INPUT_ORDER:
+        got = ", ".join(name if name.isprintable() else repr(name) for name in names)
+        raise CliError(f"model inputs must be {', '.join(INPUT_ORDER)} in that order, got {got}")
+    return model, threshold
+
+
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -126,7 +138,7 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    model, threshold = _resolve_model(args)
+    model, threshold = _resolve_candidate_model(args)
     candidate = Candidate(
         id="eval",
         signal_dbm=args.signal_dbm,
@@ -158,20 +170,15 @@ def cmd_eval(args) -> int:
             )
             lines.append(f"  {var.name}: {parts}")
         lines.append("top rules:")
-        ranked = sorted(
-            enumerate(trace.firing_strengths, start=1), key=lambda rs: (-rs[1], rs[0])
-        )
-        for row, strength in ranked[:TRACE_TOP_RULES]:
-            rule = model.rules[row - 1]
-            antecedents = ", ".join(model.term_names(rule.antecedents))
-            consequent = model.output.terms[rule.consequent].name
-            lines.append(f"  {row}. {antecedents} -> {consequent}  (strength {strength:.6f})")
+        ranked = sorted(enumerate(trace.firing_strengths), key=lambda rs: (-rs[1], rs[0]))
+        for r, strength in ranked[:TRACE_TOP_RULES]:
+            lines.append(f"  {_rule_line(model, r)}  (strength {strength:.6f})")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_arbitrate(args) -> int:
-    model, threshold = _resolve_model(args)
+    model, threshold = _resolve_candidate_model(args)
     candidates = read_candidates_csv(args.candidates)
     outcome = arbitrate(candidates, model, threshold)
 

@@ -323,7 +323,6 @@ class _Compiled:
     def __init__(self, model: FuzzyModel, table: np.ndarray):
         n_in, output = len(model.inputs), model.output
         width = max(len(v.terms) for v in model.inputs)
-        self.table = table
         # per input: (lo, hi, [(center, 2*sigma*sigma) per term], padding memberships)
         self.fuzzifiers = tuple(
             (v.lo, v.hi, [(t.center, 2.0 * t.sigma * t.sigma) for t in v.terms], [0.0] * (width - len(v.terms)))

@@ -311,45 +311,33 @@ def validate_model(model: FuzzyModel) -> ModelValidationReport:
     Universes and term order need no check here: FuzzyVariable rejects a
     degenerate universe and centers that are not strictly increasing.
     """
-    sizes = [len(var.terms) for var in model.inputs]
-    expected = math.prod(sizes)
-    c = model._compiled
-    # complete: every weight 1 and each mixed-radix antecedent code once;
-    # counted only when the rule count matches, so the counts stay small
-    if (
-        len(model.rules) == expected
-        and (c.weights == 1.0).all()
-        and (np.bincount(np.ravel_multi_index(c.table[:, :-1].T, sizes), minlength=expected) == 1).all()
-    ):
-        return ModelValidationReport(failures=())
-
-    # otherwise one walk over the rules names every failure
+    expected = math.prod(len(var.terms) for var in model.inputs)
     failures: list[str] = []
     if len(model.rules) != expected:
         failures.append(f"rule count {len(model.rules)} != expected {expected}")
 
-    seen: dict[tuple[int, ...], int] = {}
+    # one walk over the rules; first maps each combination to its first rule
+    first: dict[tuple[int, ...], int] = {}
     for r, rule in enumerate(model.rules):
-        prior = seen.get(rule.antecedents)
-        if prior is not None:
+        prior = first.setdefault(rule.antecedents, r)
+        if prior != r:
             failures.append(
                 f"rule {r + 1}: duplicate antecedent combination "
                 f"{_combo_names(model, rule.antecedents)} (first at rule {prior + 1})"
             )
-        else:
-            seen[rule.antecedents] = r
         if rule.weight != 1.0:
             failures.append(f"rule {r + 1}: weight {rule.weight} deviates from 1")
 
     # the first few missing combinations are named and the rest counted, so
     # the walk takes at most len(rules) + _MISSING_NAMED steps
-    combos = itertools.product(*(range(len(v.terms)) for v in model.inputs))
-    missing = expected - len(seen)
-    named = min(missing, _MISSING_NAMED)
-    for combo in itertools.islice((combo for combo in combos if combo not in seen), named):
-        failures.append(f"missing antecedent combination {_combo_names(model, combo)}")
-    if missing > named:
-        failures.append(f"… and {missing - named} more missing antecedent combinations")
+    missing = expected - len(first)
+    if missing:
+        combos = itertools.product(*(range(len(v.terms)) for v in model.inputs))
+        named = min(missing, _MISSING_NAMED)
+        for combo in itertools.islice((combo for combo in combos if combo not in first), named):
+            failures.append(f"missing antecedent combination {_combo_names(model, combo)}")
+        if missing > named:
+            failures.append(f"… and {missing - named} more missing antecedent combinations")
 
     return ModelValidationReport(failures=tuple(failures))
 

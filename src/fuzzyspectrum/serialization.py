@@ -242,7 +242,7 @@ def load_document(path) -> ModelDocument:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelDocumentError(f"cannot read model document '{path}': {exc}") from exc
     return parse_document(text)
 
@@ -260,7 +260,7 @@ def read_candidates_csv(path) -> CandidateBatch:
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows.extend(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CandidatesCsvError(f"cannot read candidates CSV '{path}': {exc}") from exc
     except csv.Error as exc:  # a field over csv.field_size_limit(), in the next record
         raise CandidatesCsvError(f"line {len(rows) + 1}: {exc}") from exc
@@ -306,14 +306,15 @@ def read_candidates_csv(path) -> CandidateBatch:
     return batch
 
 
+def _rule_line(model: FuzzyModel, r: int) -> str:
+    """Rule r of the rule base as "r + 1. antecedent terms -> consequent term"."""
+    rule = model.rules[r]
+    return f"{r + 1}. {', '.join(model.term_names(rule.antecedents))} -> {model.output.terms[rule.consequent].name}"
+
+
 def format_rules_table(model: FuzzyModel) -> str:
     """Rules as numbered text lines, 1-based, in rule-base order."""
-    lines = []
-    for r, rule in enumerate(model.rules, start=1):
-        antecedents = ", ".join(model.term_names(rule.antecedents))
-        consequent = model.output.terms[rule.consequent].name
-        lines.append(f"{r}. {antecedents} -> {consequent}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_rule_line(model, r) for r in range(len(model.rules))) + "\n"
 
 
 def _csv_text(header: Sequence, rows) -> str:

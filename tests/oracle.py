@@ -187,7 +187,7 @@ def reference_read_candidates(path, error=ValueError):
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             for row in csv.reader(fh):
                 rows.append(row)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read candidates CSV '{path}': {exc}") from exc
     except csv.Error as exc:
         raise error(f"line {len(rows) + 1}: {exc}") from exc

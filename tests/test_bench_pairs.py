@@ -84,3 +84,28 @@ def test_median_worse_beyond_its_bound_is_flagged_in_the_metrics_direction():
     assert "claim decide op_p50_ms: NOT MET" in report
     assert "bounds: arbitrate op_p50_ms, surface items_per_s worse beyond bound" in report
     assert report.count("WORSE BEYOND BOUND 25%") == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--workload", "decide", "--seeds", "10-1"],
+        ["--workload", "decide", "--seeds", "1-x"],
+        ["--workload", "decide", "--seeds", "1.5"],
+        ["--workload", "decide", "--seeds", ""],
+        ["--workload", "decide,nope", "--seeds", "1-2"],
+        ["--workload", "decide,", "--seeds", "1-2"],
+    ],
+    ids=["empty-range", "non-integer", "fraction", "no-seeds", "unknown-workload", "empty-workload"],
+)
+def test_bad_arguments_are_a_usage_error_before_any_export(monkeypatch, capsys, flags):
+    bench_pairs = load_bench_pairs()
+
+    def no_subprocess(*args, **kwargs):
+        raise AssertionError(f"ran {args[0]}")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_subprocess)
+    with pytest.raises(SystemExit) as excinfo:
+        bench_pairs.main(["HEAD", "HEAD", *flags])
+    assert excinfo.value.code == 2
+    assert "error: --" in capsys.readouterr().err

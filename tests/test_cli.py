@@ -622,6 +622,63 @@ class TestInProcessReuse:
 # tokens for random command lines: numbers, odd numbers and junk
 NUMBERS = ["0", "-1", "0.5", "50", "-60", "100", "-0.0", "1e999", "nan", "-inf", "abc", ""]
 # grid points and steps only far below or above their caps, which are
+def _swap_first_two_inputs(raw):
+    # the same model: the rules' antecedents are permuted with the inputs
+    inputs = raw["variables"]["inputs"]
+    inputs[0], inputs[1] = inputs[1], inputs[0]
+    for rule in raw["rules"]:
+        names = rule["antecedents"]
+        names[0], names[1] = names[1], names[0]
+
+
+def _rename_signal(raw):
+    raw["variables"]["inputs"][0]["name"] = "rssi"
+
+
+class TestCandidateInputOrder:
+    """eval and arbitrate feed a candidate's fields to the model by position."""
+
+    @pytest.mark.parametrize(
+        "edit, got",
+        [
+            (_swap_first_two_inputs, "velocity_kmh, signal_dbm, spectrum_ratio, distance_m"),
+            (_rename_signal, "rssi, velocity_kmh, spectrum_ratio, distance_m"),
+        ],
+        ids=["reordered", "renamed"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "arbitrate"])
+    def test_inputs_other_than_the_candidate_fields_are_rejected(self, capsys, tmp_path, edit, got, command):
+        raw = json.loads(serialize_document(default_document()))
+        edit(raw)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        # the edited document is a valid model; only its input order differs
+        assert run_cli(capsys, "validate", "--model", str(path)) == (0, "81 rules, complete\n", "")
+        batch = tmp_path / "batch.csv"
+        batch.write_text(HEADER + "\na,-80,20,0.3,40\n")
+        args = ["-80", "20", "0.3", "40"] if command == "eval" else [str(batch)]
+        message = f"error: model inputs must be signal_dbm, velocity_kmh, spectrum_ratio, distance_m in that order, got {got}\n"
+        assert run_cli(capsys, command, *args, "--model", str(path)) == (1, "", message)
+
+
+class TestUndecodableFiles:
+    def test_arbitrate_names_the_csv(self, capsys, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_bytes(f"{HEADER}\n\xff,-60,50,0.5,50\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, "arbitrate", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read candidates CSV '{path}': 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+    def test_validate_names_the_document(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"schema_version": "\xff"}')
+        code, out, err = run_cli(capsys, "validate", "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read model document '{path}': 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+
+
 # checked before anything is allocated
 GRID_POINTS = ["-1", "0", "1", "2", "3", "11", str(MAX_GRID_POINTS + 1), "10000000000", "x"]
 STEPS = ["-1", "0", "1", "2", "3", "5", str(MAX_STEPS + 1), "10000000000", "x"]

@@ -319,6 +319,13 @@ class TestModelDocumentStrictness:
         with pytest.raises(ModelDocumentError, match="cannot read"):
             load_document(tmp_path / "missing.json")
 
+    def test_undecodable_bytes_are_a_document_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"schema_version": "\xff"}')
+        with pytest.raises(ModelDocumentError) as excinfo:
+            load_document(path)
+        assert str(excinfo.value).startswith(f"cannot read model document '{path}': 'utf-8' codec can't decode byte 0xff")
+
     def test_weight_defaults_to_one_when_omitted(self):
         raw = self._dict()
         del raw["rules"][0]["weight"]
@@ -374,7 +381,9 @@ class TestRuleNames:
         want = parse_document(json.dumps(by_string))
         got = parse_document(json.dumps(by_value))
         assert got == want and got.model == want.model
-        assert got.model._compiled.table.tobytes() == want.model._compiled.table.tobytes()
+        got_c, want_c = got.model._compiled, want.model._compiled
+        assert got_c.antecedents.tobytes() == want_c.antecedents.tobytes()
+        assert got_c.weights.tobytes() == want_c.weights.tobytes()
         assert serialize_document(got) == json.dumps(by_string, indent=2) + "\n"
 
 
@@ -469,6 +478,13 @@ class TestCandidatesCsv:
             except (CandidatesCsvError, ValueError) as exc:
                 got = (type(exc), str(exc))
         assert got == want
+
+    def test_undecodable_bytes_are_a_csv_error(self, tmp_path):
+        path = tmp_path / "batch.csv"
+        path.write_bytes(f"{self.HEADER}\n\xff,-60,50,0.5,50\n".encode("latin-1"))
+        with pytest.raises(CandidatesCsvError) as excinfo:
+            read_candidates_csv(path)
+        assert str(excinfo.value).startswith(f"cannot read candidates CSV '{path}': 'utf-8' codec can't decode byte 0xff")
 
     def test_header_only_gives_empty_batch(self, tmp_path):
         path = self._write(tmp_path, f"{self.HEADER}\n")

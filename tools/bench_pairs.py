@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -138,9 +139,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--output", type=Path, help="where to write the runs (default: BENCH_<change>.json)")
     args = parser.parse_args(argv)
-    first, _, last = args.seeds.partition("-")
-    seeds = range(int(first), int(last or first) + 1)
+    # both checked before any commit is exported
+    bounds = re.fullmatch(r"(\d+)(?:-(\d+))?", args.seeds)
+    seeds = range(int(bounds[1]), int(bounds[2] or bounds[1]) + 1) if bounds else range(0)
+    if not seeds:
+        parser.error(f"--seeds {args.seeds!r} is not a non-empty range A-B of integers")
     workloads = args.workload.split(",")
+    known = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"--workload {', '.join(map(repr, unknown))} not in BENCHMARK.json ({', '.join(known)})")
     parent, change = git("rev-parse", "--short", args.parent), git("rev-parse", "--short", args.change)
 
     runs = []
