@@ -6,7 +6,7 @@ spectrum currently free, and its distance to the licensed primary user (m).
 The model turns those into one access possibility in [0, 1].
 """
 
-from fuzzyspectrum import Candidate, decision_possibility, default_model
+from fuzzyspectrum import Candidate, decision_possibility, default_model, infer
 
 model = default_model()
 
@@ -24,12 +24,11 @@ for c in candidates:
     verdict = "admit" if result.admitted else "reject"
     print(f"{c.id:>9}: possibility {result.possibility:.4f} -> {verdict}")
 
-# The trace exposes every intermediate: per-term memberships, the firing
-# strength of each rule, and the aggregated output curve.
+# infer explains the same inference: per-term memberships, the firing
+# strength of each rule, the aggregated output curve and the same centroid.
 print()
 print("=== inside the 'typical' evaluation ===")
-result = decision_possibility(candidates[1], model, with_trace=True)
-trace = result.trace
+trace = infer(model, candidates[1].inputs())
 
 for var, degrees in zip(model.inputs, trace.memberships):
     rendered = ", ".join(f"{t.name}={d:.4f}" for t, d in zip(var.terms, degrees))

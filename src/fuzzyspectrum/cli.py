@@ -14,8 +14,8 @@ import sys
 from dataclasses import replace
 
 from .arbitration import arbitrate
-from .engine import FuzzyError, FuzzyModel, clamp_to_universe
-from .model import INPUT_ORDER, Candidate, check_threshold, decision_possibility, validate_model
+from .engine import FuzzyError, FuzzyModel, clamp_to_universe, infer
+from .model import INPUT_ORDER, Candidate, _shown_name, check_threshold, decision_possibility, validate_model
 from .serialization import (
     _csv_text,
     _rule_line,
@@ -63,10 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one candidate")
-    p_eval.add_argument("signal_dbm", type=float)
-    p_eval.add_argument("velocity_kmh", type=float)
-    p_eval.add_argument("spectrum_ratio", type=float)
-    p_eval.add_argument("distance_m", type=float)
+    for name in INPUT_ORDER:
+        p_eval.add_argument(name, type=float)
     p_eval.add_argument("--trace", action="store_true", help="show memberships and top rules")
     p_eval.add_argument("--format", choices=("human", "csv"), default="human")
     _add_common(p_eval)
@@ -124,7 +122,7 @@ def _resolve_candidate_model(args) -> tuple[FuzzyModel, float]:
     model, threshold = _resolve_model(args)
     names = tuple(var.name for var in model.inputs)
     if names != INPUT_ORDER:
-        got = ", ".join(name if name.isprintable() else repr(name) for name in names)
+        got = ", ".join(map(_shown_name, names))
         raise CliError(f"model inputs must be {', '.join(INPUT_ORDER)} in that order, got {got}")
     return model, threshold
 
@@ -139,14 +137,8 @@ def _emit(args, text: str) -> None:
 
 def cmd_eval(args) -> int:
     model, threshold = _resolve_candidate_model(args)
-    candidate = Candidate(
-        id="eval",
-        signal_dbm=args.signal_dbm,
-        velocity_kmh=args.velocity_kmh,
-        spectrum_ratio=args.spectrum_ratio,
-        distance_m=args.distance_m,
-    )
-    result = decision_possibility(candidate, model, threshold, with_trace=args.trace and args.format == "human")
+    candidate = Candidate("eval", *(getattr(args, name) for name in INPUT_ORDER))
+    result = decision_possibility(candidate, model, threshold)
 
     if args.format == "csv":
         text = "possibility,admitted\n"
@@ -159,14 +151,15 @@ def cmd_eval(args) -> int:
         f"admitted: {'yes' if result.admitted else 'no'}",
     ]
     if args.trace:
-        trace = result.trace
+        trace = infer(model, candidate.inputs())
+        # the input names are INPUT_ORDER's; only term names can need showing
         lines.append("inputs (clamped):")
         for var, x in zip(model.inputs, candidate.inputs()):
             lines.append(f"  {var.name}: {clamp_to_universe(var, x):.6f}")
         lines.append("memberships:")
         for var, degrees in zip(model.inputs, trace.memberships):
             parts = " ".join(
-                f"{t.name}={d:.6f}" for t, d in zip(var.terms, degrees)
+                f"{_shown_name(t.name)}={d:.6f}" for t, d in zip(var.terms, degrees)
             )
             lines.append(f"  {var.name}: {parts}")
         lines.append("top rules:")
@@ -189,8 +182,7 @@ def cmd_arbitrate(args) -> int:
         _emit(args, _csv_text(("rank", "id", "possibility", "admitted"), rows))
         return 0
 
-    # an id with a character that is not printable is shown as its repr
-    shown = [cid if cid.isprintable() else repr(cid) for cid, _ in outcome.ranking]
+    shown = [_shown_name(cid) for cid, _ in outcome.ranking]
     lines = ["ranking:"]
     for rank, (cid, (_, possibility)) in enumerate(zip(shown, outcome.ranking), start=1):
         admitted = "yes" if possibility >= outcome.threshold else "no"

@@ -328,14 +328,12 @@ class _Compiled:
             (v.lo, v.hi, [(t.center, 2.0 * t.sigma * t.sigma) for t in v.terms], [0.0] * (width - len(v.terms)))
             for v in model.inputs
         )
-        # rule order[p] sits at position p of the sorted layout, and rule r
-        # at position positions[r].  Python's sort is stable like numpy's
-        # kind="stable", and pages in no numpy sort code, which would add
-        # ~0.14 MB to the peak RSS of a process that only decides
+        # rule order[p] sits at position p of the sorted layout.  Python's
+        # sort is stable like numpy's kind="stable", and pages in no numpy
+        # sort code, which would add ~0.14 MB to the peak RSS of a process
+        # that only decides
         consequents = table[:, n_in]
         self.order = np.array(sorted(range(len(table)), key=consequents.tolist().__getitem__), np.intp)
-        self.positions = np.empty_like(self.order)
-        self.positions[self.order] = np.arange(len(self.order))
         # (inputs, rules) antecedent positions in a row's flat memberships
         antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * width
         self.antecedents = np.ascontiguousarray(antecedents)
@@ -588,12 +586,15 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
     row = [_as_finite_float(x, f"input for '{var.name}'") for var, x in zip(model.inputs, inputs)]
     c = model._compiled
     memberships, strengths, degrees = _one_row(c, row)
+    # back from the sorted layout to rule order, by one scatter
+    in_rule_order = np.empty_like(strengths)
+    in_rule_order[c.order] = strengths
     return InferenceTrace(
         memberships=tuple(
             tuple(m[: len(var.terms)].tolist())
             for m, var in zip(memberships.reshape(len(model.inputs), -1), model.inputs)
         ),
-        firing_strengths=tuple(strengths.take(c.positions).tolist()),
+        firing_strengths=tuple(in_rule_order.tolist()),
         aggregated_curve=np.column_stack((c.grid, degrees)),
         crisp_output=_row_centroid(degrees, c.grid, c.w),
     )

@@ -16,15 +16,8 @@ from functools import cache
 
 import numpy as np
 
-from .engine import (
-    FuzzyModel,
-    FuzzyVariable,
-    GaussianTerm,
-    InferenceTrace,
-    Rule,
-    _infer_row,
-    infer,
-)
+from .engine import FuzzyModel, FuzzyVariable, GaussianTerm, Rule, _infer_row
+from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 
 __all__ = [
     "LEVEL_NAMES",
@@ -50,6 +43,9 @@ LEVEL_NAMES = ("Low", "Medium", "High")
 _LEVEL_INDEX = {"L": 0, "M": 1, "H": 2}
 
 INPUT_ORDER = ("signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m")
+
+# The candidate fields that must be >= 0, in the order Candidate checks them.
+_NON_NEGATIVE = ("spectrum_ratio", "velocity_kmh", "distance_m")
 
 # Universe bounds chosen so each variable's Medium center sits at the
 # operating point used throughout the reference surfaces (-60 dBm, 50 km/h,
@@ -197,6 +193,12 @@ def _quoted_id(cid: str) -> str:
     return f"'{cid}'" if cid.isprintable() else repr(cid)
 
 
+def _shown_name(name: str) -> str:
+    # a name as the text reports show it: as it is, or as its repr if a
+    # character in it is not printable, so that a line break cannot split a line
+    return name if name.isprintable() else repr(name)
+
+
 @dataclass(frozen=True)
 class Candidate:
     """One secondary user's measured inputs plus an identifier."""
@@ -210,12 +212,12 @@ class Candidate:
     def __post_init__(self):
         if not self.id:
             raise ValueError("candidate id must be non-empty")
-        for field in ("signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m"):
+        for field in INPUT_ORDER:
             value = float(getattr(self, field))
             object.__setattr__(self, field, value)
             if not math.isfinite(value):
                 raise ValueError(f"candidate {_quoted_id(self.id)}: {field} must be finite")
-        for field in ("spectrum_ratio", "velocity_kmh", "distance_m"):
+        for field in _NON_NEGATIVE:
             if getattr(self, field) < 0:
                 raise ValueError(f"candidate {_quoted_id(self.id)}: {field} must be >= 0")
 
@@ -250,8 +252,8 @@ class CandidateBatch(Sequence):
 
 def _first_invalid_row(ids: tuple[str, ...], values: np.ndarray) -> int | None:
     """Index of the first row a Candidate would reject, if any."""
-    # every input after signal_dbm must be >= 0
-    bad = ~np.isfinite(values).all(axis=1) | (values[:, 1:] < 0.0).any(axis=1)
+    non_negative = values[:, [INPUT_ORDER.index(field) for field in _NON_NEGATIVE]]
+    bad = ~np.isfinite(values).all(axis=1) | (non_negative < 0.0).any(axis=1)
     bad[[i for i, cid in enumerate(ids) if not cid]] = True
     return int(bad.argmax()) if bad.any() else None
 
@@ -263,33 +265,26 @@ class DecisionResult:
     candidate_id: str
     possibility: float
     admitted: bool
-    trace: InferenceTrace | None = None
 
 
 def decision_possibility(
     candidate: Candidate,
     model: FuzzyModel | None = None,
     threshold: float = DEFAULT_ADMISSION_THRESHOLD,
-    with_trace: bool = False,
 ) -> DecisionResult:
     """Evaluate one candidate through the model.
 
     Deterministic: identical candidate fields and model give bit-identical
     results.  Inputs outside a variable's universe are clamped to its bounds.
-    The InferenceTrace is built only when with_trace is true; without it the
-    candidate is scored by the one-row kernel, to the same bits.
+    The explanation of the same decision, an InferenceTrace whose
+    crisp_output is this possibility bit for bit, is infer(model,
+    candidate.inputs()).
     """
     if model is None:
         model = default_model()
     threshold = check_threshold(threshold)
-    trace = infer(model, candidate.inputs()) if with_trace else None
-    possibility = trace.crisp_output if with_trace else _infer_row(model, candidate.inputs())
-    return DecisionResult(
-        candidate_id=candidate.id,
-        possibility=possibility,
-        admitted=possibility >= threshold,
-        trace=trace,
-    )
+    possibility = _infer_row(model, candidate.inputs())
+    return DecisionResult(candidate.id, possibility, possibility >= threshold)
 
 
 @dataclass(frozen=True)
@@ -343,4 +338,4 @@ def validate_model(model: FuzzyModel) -> ModelValidationReport:
 
 
 def _combo_names(model: FuzzyModel, combo: tuple[int, ...]) -> str:
-    return f"({', '.join(model.term_names(combo))})"
+    return f"({', '.join(map(_shown_name, model.term_names(combo)))})"

@@ -25,7 +25,8 @@ from .engine import (
     ModelIntegrityError,
     Rule,
 )
-from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row, check_threshold, default_model
+from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, check_threshold, default_model
+from .model import _first_invalid_row, _shown_name
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -254,53 +255,58 @@ def save_document(doc: ModelDocument, path) -> None:
 
 def read_candidates_csv(path) -> CandidateBatch:
     """Load a candidate batch; the header must match CANDIDATE_HEADER exactly.
-    The first bad csv record is named by its number: a wrong field count, a
-    cell float() rejects (first column first), then what Candidate rejects."""
-    rows = []
+    The first bad csv record is named by the line it starts on: a wrong
+    field count, a cell float() rejects (first column first), then what
+    Candidate rejects."""
+    # (line the record starts on, record); a quoted line break carries a
+    # record on to the next line
+    records, start = [], 1
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows.extend(csv.reader(fh))
+            reader = csv.reader(fh)
+            for row in reader:
+                records.append((start, row))
+                start = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise CandidatesCsvError(f"cannot read candidates CSV '{path}': {exc}") from exc
-    except csv.Error as exc:  # a field over csv.field_size_limit(), in the next record
-        raise CandidatesCsvError(f"line {len(rows) + 1}: {exc}") from exc
+    except csv.Error as exc:  # a field over csv.field_size_limit(), in the record at line start
+        raise CandidatesCsvError(f"line {start}: {exc}") from exc
 
-    if not rows:
+    if not records:
         raise CandidatesCsvError(
             f"empty file; expected header {','.join(CANDIDATE_HEADER)}"
         )
-    header = tuple(rows[0])
+    header = tuple(records[0][1])
     if header != CANDIDATE_HEADER:
         raise CandidatesCsvError(
             f"expected header {','.join(CANDIDATE_HEADER)}, got {','.join(header)}"
         )
 
     ids, values, malformed = [], [], None
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in records[1:]:
         if not row:
             continue
         if len(row) != len(CANDIDATE_HEADER):
             malformed = f"line {lineno}: expected {len(CANDIDATE_HEADER)} fields, got {len(row)}"
             break
-        cid, signal, velocity, ratio, distance = row
         try:
-            values += (float(signal), float(velocity), float(ratio), float(distance))
+            values += tuple(map(float, row[1:]))
         except ValueError:
-            for column, cell in zip(CANDIDATE_HEADER[1:], row[1:]):
+            for column, cell in zip(INPUT_ORDER, row[1:]):
                 try:
                     float(cell)
                 except ValueError:
                     malformed = f"line {lineno}: bad {column} value {cell!r}"
                     break
             break
-        ids.append(cid)
+        ids.append(row[0])
     # the records before a malformed one are checked first, as one array
-    values = np.reshape(values, (len(ids), len(CANDIDATE_HEADER) - 1))
+    values = np.reshape(values, (len(ids), len(INPUT_ORDER)))
     try:
         batch = CandidateBatch(ids, values)
     except ValueError as exc:
-        records = [n for n, record in enumerate(rows[1:], start=2) if record]
-        raise CandidatesCsvError(f"line {records[_first_invalid_row(tuple(ids), values)]}: {exc}") from exc
+        lines = [lineno for lineno, row in records[1:] if row]
+        raise CandidatesCsvError(f"line {lines[_first_invalid_row(tuple(ids), values)]}: {exc}") from exc
     if malformed is not None:
         raise CandidatesCsvError(malformed)
     return batch
@@ -309,7 +315,8 @@ def read_candidates_csv(path) -> CandidateBatch:
 def _rule_line(model: FuzzyModel, r: int) -> str:
     """Rule r of the rule base as "r + 1. antecedent terms -> consequent term"."""
     rule = model.rules[r]
-    return f"{r + 1}. {', '.join(model.term_names(rule.antecedents))} -> {model.output.terms[rule.consequent].name}"
+    names = map(_shown_name, model.term_names(rule.antecedents))
+    return f"{r + 1}. {', '.join(names)} -> {_shown_name(model.output.terms[rule.consequent].name)}"
 
 
 def format_rules_table(model: FuzzyModel) -> str:

@@ -180,26 +180,30 @@ CANDIDATE_HEADER = ("id", "signal_dbm", "velocity_kmh", "spectrum_ratio", "dista
 def reference_read_candidates(path, error=ValueError):
     """Read a candidates CSV one record and one field at a time: a list of
     (id, signal_dbm, velocity_kmh, spectrum_ratio, distance_m) tuples, or
-    error(message) naming the first bad record.  Records are counted as
-    csv.reader yields them, so a quoted line break stays in its record."""
+    error(message) naming the first bad record by the line it starts on.
+    Records are taken as csv.reader yields them, so a quoted line break
+    stays in its record and moves the start of every later record down."""
     rows = []
+    start = 1
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            for row in csv.reader(fh):
-                rows.append(row)
+            reader = csv.reader(fh)
+            for row in reader:
+                rows.append((start, row))
+                start = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read candidates CSV '{path}': {exc}") from exc
     except csv.Error as exc:
-        raise error(f"line {len(rows) + 1}: {exc}") from exc
+        raise error(f"line {start}: {exc}") from exc
 
     if not rows:
         raise error(f"empty file; expected header {','.join(CANDIDATE_HEADER)}")
-    header = tuple(rows[0])
+    header = tuple(rows[0][1])
     if header != CANDIDATE_HEADER:
         raise error(f"expected header {','.join(CANDIDATE_HEADER)}, got {','.join(header)}")
 
     candidates = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(CANDIDATE_HEADER):

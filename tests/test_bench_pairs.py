@@ -1,4 +1,4 @@
-"""The claim and bound verdicts of tools/bench_pairs.py, on synthetic runs."""
+"""The gain and bound verdicts of tools/bench_pairs.py, on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -41,7 +41,7 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     [
         # better in 10 of 10, median gap 0.10 against a parent IQR of ~0.03
         ([p - 0.10 for p in PARENT], True),
-        # better in 9 of 10 still meets the claim
+        # better in 9 of 10 still meets the gain test
         ([p - 0.10 for p in PARENT[:9]] + [PARENT[9] + 0.01], True),
         # better in 8 of 10 does not
         ([p - 0.10 for p in PARENT[:8]] + [p + 0.01 for p in PARENT[8:]], False),
@@ -52,17 +52,23 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     ],
     ids=["clear-gain", "nine-of-ten", "eight-of-ten", "inside-iqr", "ties"],
 )
-def test_claim_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_iqr(change, met):
+def test_gain_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_iqr(change, met):
     bench_pairs = load_bench_pairs()
-    verdict = bench_pairs.verdicts(runs("decide", PARENT, change), END_TO_END, "decide")
-    assert verdict["claim"] == {"workload": "decide", "metric": "op_p50_ms", "met": met}
+    verdict = bench_pairs.verdicts(runs("decide", PARENT, change), END_TO_END)
+    assert verdict["op_p50_ms_gain"] == {"decide": met}
 
 
-def test_claim_reads_the_named_workload():
+def test_every_workload_gets_its_own_gain_verdict():
     bench_pairs = load_bench_pairs()
     all_runs = runs("decide", PARENT, PARENT) + runs("surface", PARENT, [p - 0.10 for p in PARENT])
-    assert not bench_pairs.verdicts(all_runs, END_TO_END, "decide")["claim"]["met"]
-    assert bench_pairs.verdicts(all_runs, END_TO_END, "surface")["claim"]["met"]
+    verdict = bench_pairs.verdicts(all_runs, END_TO_END)
+    assert verdict["op_p50_ms_gain"] == {"decide": False, "surface": True}
+    report = bench_pairs.report(verdict, END_TO_END)
+    assert [line for line in report if line.startswith("gain ")] == [
+        "gain decide op_p50_ms: not met",
+        "gain surface op_p50_ms: met",
+    ]
+    assert not any("claim" in line for line in report)
 
 
 def test_median_worse_beyond_its_bound_is_flagged_in_the_metrics_direction():
@@ -77,11 +83,9 @@ def test_median_worse_beyond_its_bound_is_flagged_in_the_metrics_direction():
         + runs("surface", ones, ones, items=(ones, [0.74] * 10))
         + runs("model_swap", ones, ones, items=(ones, [1.26] * 10))
     )
-    verdict = bench_pairs.verdicts(all_runs, END_TO_END, "decide")
+    verdict = bench_pairs.verdicts(all_runs, END_TO_END)
     assert verdict["beyond_bound"] == ["arbitrate op_p50_ms", "surface items_per_s"]
-    assert not verdict["claim"]["met"]
     report = "\n".join(bench_pairs.report(verdict, END_TO_END))
-    assert "claim decide op_p50_ms: NOT MET" in report
     assert "bounds: arbitrate op_p50_ms, surface items_per_s worse beyond bound" in report
     assert report.count("WORSE BEYOND BOUND 25%") == 2
 

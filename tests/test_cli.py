@@ -37,6 +37,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def model_with_term_named(tmp_path, name, input_index=None, term=0):
+    """Path of a document of the default model with one term renamed: a term
+    of input input_index, or of the output when that is None."""
+    model = default_model()
+    var = model.output if input_index is None else model.inputs[input_index]
+    var = replace(var, terms=(*var.terms[:term], replace(var.terms[term], name=name), *var.terms[term + 1:]))
+    if input_index is None:
+        model = replace(model, output=var)
+    else:
+        model = replace(model, inputs=(*model.inputs[:input_index], var, *model.inputs[input_index + 1:]))
+    path = tmp_path / "model.json"
+    path.write_text(serialize_document(ModelDocument(model)), encoding="utf-8")
+    return str(path)
+
+
 class TestEval:
     def test_matches_library_evaluation(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "-60", "50", "0.5", "50")
@@ -85,10 +100,21 @@ class TestEval:
 
     def test_csv_format_builds_no_trace(self, capsys, monkeypatch):
         _, want, _ = run_cli(capsys, "eval", "-60", "50", "0.5", "50", "--format", "csv")
-        calls, infer = [], fuzzyspectrum.model.infer
-        monkeypatch.setattr(fuzzyspectrum.model, "infer", lambda *args: calls.append(args) or infer(*args))
+        calls, infer = [], fuzzyspectrum.cli.infer
+        monkeypatch.setattr(fuzzyspectrum.cli, "infer", lambda *args: calls.append(args) or infer(*args))
         assert run_cli(capsys, "eval", "-60", "50", "0.5", "50", "--trace", "--format", "csv") == (0, want, "")
         assert calls == []
+
+    def test_a_term_name_with_a_line_break_keeps_one_line_per_input(self, capsys, tmp_path):
+        path = model_with_term_named(tmp_path, "Lo\nw", input_index=0)
+        code, out, _ = run_cli(capsys, "eval", "-100", "0", "0", "0", "--trace", "--model", path)
+        assert code == 0
+        lines = out.splitlines()
+        memberships = lines[lines.index("memberships:") + 1:lines.index("top rules:")]
+        assert len(memberships) == 4
+        assert memberships[0] == "  signal_dbm: 'Lo\\nw'=1.000000 Medium=0.062500 High=0.000015"
+        assert lines[lines.index("top rules:") + 1] == "  1. 'Lo\\nw', Low, Low, Low -> High  (strength 1.000000)"
+        assert len(lines) == 2 + 1 + 4 + 1 + 4 + 1 + 5
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(capsys, "eval", "-72.3", "18", "0.81", "64", "--trace")
@@ -152,6 +178,20 @@ class TestArbitrate:
     def test_unprintable_duplicate_id_keeps_one_error_line(self, capsys, tmp_path):
         path = self._write(tmp_path, ['"x\ny",-60,50,0.5,50', '"x\ny",-100,0,0,0'])
         assert run_cli(capsys, "arbitrate", path) == (1, "", "error: duplicate candidate id 'x\\ny'\n")
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("c,-60,-5,0.5,50", "line 4: candidate 'c': velocity_kmh must be >= 0"),
+            ("c,-60,fast,0.5,50", "line 4: bad velocity_kmh value 'fast'"),
+            (f"{'c' * 140000},-60,50,0.5,50", f"line 4: field larger than field limit ({csv.field_size_limit()})"),
+        ],
+        ids=["candidate", "cell", "csv-error"],
+    )
+    def test_error_names_the_line_its_record_starts_on(self, capsys, tmp_path, record, message):
+        # the quoted id of the first record spans lines 2 and 3
+        path = self._write(tmp_path, ['"a\nb",-60,50,0.5,50', record])
+        assert run_cli(capsys, "arbitrate", path) == (1, "", f"error: {message}\n")
 
     def test_oversized_field_exits_one_without_traceback(self, capsys, tmp_path):
         path = self._write(tmp_path, [f"{'a' * 140000},-60,50,0.5,50"])
@@ -434,6 +474,18 @@ class TestValidate:
             1, "", "error: rule weight must be in [0, 1], got inf\n"
         )
 
+    def test_a_term_name_with_a_line_break_keeps_one_line_per_failure(self, capsys, tmp_path):
+        path = Path(model_with_term_named(tmp_path, "Lo\nw", input_index=0))
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        del raw["rules"][0]  # ("Lo\nw", Low, Low, Low)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "validate", "--model", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            "rule count 80 != expected 81",
+            "missing antecedent combination ('Lo\\nw', Low, Low, Low)",
+        ]
+
     def test_off_weight_is_reported(self, capsys, tmp_path):
         raw = json.loads(serialize_document(default_document()))
         raw["rules"][4]["weight"] = 0.9
@@ -560,6 +612,15 @@ class TestDumpRules:
     def test_81_rows(self, capsys):
         _, out, _ = run_cli(capsys, "dump-rules")
         assert len(out.splitlines()) == 81
+
+    def test_a_term_name_with_a_line_break_keeps_one_line_per_rule(self, capsys, tmp_path):
+        path = model_with_term_named(tmp_path, "Hi\ngh", term=2)
+        code, out, _ = run_cli(capsys, "dump-rules", "--model", path)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 81
+        assert lines[0] == "1. Low, Low, Low, Low -> 'Hi\\ngh'"
+        assert lines[2] == "3. Low, Low, Low, High -> Medium"
 
     def test_csv_rows_follow_the_rule_table(self, capsys):
         code, out, _ = run_cli(capsys, "dump-rules", "--format", "csv")

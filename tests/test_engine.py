@@ -453,6 +453,16 @@ class TestInfer:
 
 
 class TestCurveStage:
+    def test_a_chunk_column_without_mass_raises_no_rule_fired(self):
+        # one narrow term at the bottom of a wide universe: its membership
+        # underflows to 0.0 at 100.0, so that row's clip vector has no mass,
+        # and it shares a curve chunk with the row at 1.0
+        x = FuzzyVariable("x", 0.0, 100.0, (GaussianTerm("T", 0.0, 1.0),))
+        model = FuzzyModel((x,), three_term_variable("y", 0.0, 1.0), (Rule((0,), 2),))
+        with pytest.raises(NoRuleFiredError) as excinfo:
+            _infer_rows(model, [[0.0], [1.0], [100.0]])
+        assert str(excinfo.value) == f"total output mass 0.0 below {MASS_EPSILON}; no rule fired"
+
     @pytest.mark.parametrize("grid_points", [101, 1001, 5001])
     def test_batch_matches_left_to_right_centroid_at_every_width(self, grid_points):
         # the curve stage sums a single column and a chunk of many columns

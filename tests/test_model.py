@@ -2,7 +2,7 @@ import itertools
 import math
 import time
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from fuzzyspectrum import (
     UNIVERSES,
     Candidate,
     CandidateBatch,
+    DecisionResult,
     FuzzyModel,
     FuzzyVariable,
     GaussianTerm,
@@ -254,11 +255,10 @@ class TestDecisionPossibility:
         # about 0.5, so the centroid sits at mid-universe
         model = default_model()
         candidate = Candidate("op", -60.0, 50.0, 0.5, 50.0)
-        result = decision_possibility(candidate, model, with_trace=True)
+        result = decision_possibility(candidate, model)
         assert abs(result.possibility - 0.5) < 1e-3
         assert abs(result.possibility - oracle_possibility(model, candidate.inputs())) < 1e-6
-        assert result.trace is not None
-        assert result.trace.firing_strengths[40] == 1.0  # row 41: all Medium
+        assert infer(model, candidate.inputs()).firing_strengths[40] == 1.0  # row 41: all Medium
 
     def test_operating_point_summed_left_to_right(self):
         # the centroid adds the grid one point at a time; a pairwise sum
@@ -286,8 +286,10 @@ class TestDecisionPossibility:
         with pytest.raises(ValueError):
             decision_possibility(Candidate("c", -60, 50, 0.5, 50), threshold=1.5)
 
-    def test_trace_omitted_by_default(self):
-        assert decision_possibility(Candidate("c", -60, 50, 0.5, 50)).trace is None
+    def test_result_holds_the_decision_only(self):
+        result = decision_possibility(Candidate("c", -60.0, 50.0, 0.5, 50.0))
+        assert [f.name for f in fields(result)] == ["candidate_id", "possibility", "admitted"]
+        assert result == DecisionResult("c", 0.4999999999999993, False)
 
     def test_model_of_other_arity_rejected_like_arbitrate(self, unit_output_model):
         candidate = Candidate("a", -60.0, 50.0, 0.5, 50.0)
@@ -313,8 +315,8 @@ class TestDecisionPossibility:
         assert validate_model(model).failures == ()
         for candidate in EDGE_CANDIDATES:
             scored = decision_possibility(candidate, model)
-            traced = decision_possibility(candidate, model, with_trace=True)
-            assert scored.possibility == traced.possibility
+            traced = infer(model, candidate.inputs())
+            assert scored.possibility == traced.crisp_output
 
 
 def assert_trace_free_bits(model, candidates):

@@ -12,15 +12,16 @@ odd ones.  For each workload, the medians of every end-to-end metric, the
 interquartile range of the parent's runs and the pairs the change won are
 printed, with the ``src/`` line count of each commit.  The report and result
 lines of every run, tagged with its workload, are written to
-``BENCH_<change>.json`` with the line counts; the claim is the first
-workload's ``op_p50_ms``.
+``BENCH_<change>.json`` with the line counts.
 
-Two verdicts are printed and stored with the runs.  The claim is met only
-when the change is better in at least nine tenths of the pairs (ties count
-for neither side) and its median is better than the parent's by more than
-the parent's interquartile range.  A metric of any workload is beyond its
-bound when the change's median is worse than the parent's by more than the
-metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.
+Two verdicts are printed and stored with the runs.  Each workload's
+``op_p50_ms`` gain is met only when the change is better in at least nine
+tenths of the pairs (ties count for neither side) and its median is better
+than the parent's by more than the parent's interquartile range; whether a
+gain was claimed is for the change's description to say.  A metric of any
+workload is beyond its bound when the change's median is worse than the
+parent's by more than the metric's ``bound`` in ``BENCHMARK.json``, a
+fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 
 
 def compare(runs: list[dict], metric: dict) -> dict:
-    """Medians, the parent's quartiles, the wins and both verdicts for one
-    end-to-end metric of one workload's runs, paired by seed."""
+    """Medians, the parent's quartiles, the wins and both verdicts (gain and
+    bound) for one end-to-end metric of one workload's runs, paired by seed."""
     name, lower = metric["name"], metric["better"] == "lower"
     value = {(run["side"], run["seed"]): run["lines"][1]["metrics"][name]["value"] for run in runs}
     seeds = sorted({seed for _, seed in value})
@@ -87,23 +88,22 @@ def compare(runs: list[dict], metric: dict) -> dict:
         "change_median": c50,
         "better_in": wins,
         "pairs": len(seeds),
-        "claim_met": 10 * wins >= 9 * len(seeds) and gain > q3 - q1,
+        "gain_met": 10 * wins >= 9 * len(seeds) and gain > q3 - q1,
         "beyond_bound": -gain > metric["bound"] * abs(p50),
     }
 
 
-def verdicts(runs: list[dict], end_to_end: list[dict], claim_workload: str) -> dict:
-    """The claim on claim_workload's op_p50_ms, and every workload's
-    end-to-end metrics compared with their bounds."""
+def verdicts(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Every workload's op_p50_ms gain, and its end-to-end metrics compared
+    with their bounds."""
     workloads = list(dict.fromkeys(run["workload"] for run in runs))
     metrics = {
         workload: {metric["name"]: compare([run for run in runs if run["workload"] == workload], metric)
                    for metric in end_to_end}
         for workload in workloads
     }
-    claim = metrics[claim_workload]["op_p50_ms"]
     return {
-        "claim": {"workload": claim_workload, "metric": "op_p50_ms", "met": claim["claim_met"]},
+        "op_p50_ms_gain": {workload: by_name["op_p50_ms"]["gain_met"] for workload, by_name in metrics.items()},
         "beyond_bound": [f"{workload} {name}" for workload, by_name in metrics.items()
                          for name, compared in by_name.items() if compared["beyond_bound"]],
         "metrics": metrics,
@@ -123,8 +123,8 @@ def report(verdict: dict, end_to_end: list[dict]) -> list[str]:
                 f"  {name:12s} parent {p50:.6g} (IQR {q1:.6g}-{q3:.6g}, {q3 - q1:.3g})"
                 f"  change {c50:.6g} ({(c50 - p50) / p50:+.1%})  better in {m['better_in']} of {m['pairs']}{flag}"
             )
-    claim = verdict["claim"]
-    lines.append(f"claim {claim['workload']} {claim['metric']}: {'met' if claim['met'] else 'NOT MET'}")
+    for workload, met in verdict["op_p50_ms_gain"].items():
+        lines.append(f"gain {workload} op_p50_ms: {'met' if met else 'not met'}")
     lines.append("bounds: " + (", ".join(verdict["beyond_bound"]) + " worse beyond bound"
                                if verdict["beyond_bound"] else "no metric worse than its bound"))
     return lines
@@ -169,13 +169,12 @@ def main(argv=None) -> int:
                     print(f"pair {pair} seed {seed} {workload} {side:6s} op_p50_ms {metrics['op_p50_ms']['value']:.4f}",
                           flush=True)
 
-    verdict = verdicts(runs, end_to_end, workloads[0])
+    verdict = verdicts(runs, end_to_end)
     print("\n".join(report(verdict, end_to_end)))
     shown = workloads[0] if len(workloads) == 1 else "WORKLOAD"
     record = {
         "parent": parent,
         "change": change,
-        "claim": f"{workloads[0]} op_p50_ms",
         "command": f"python3 perfbench/run.py --workload {shown} --seed SEED --seconds {args.seconds}",
         "protocol": (
             f"{len(seeds)} alternating pairs, seeds {seeds[0]}-{seeds[-1]}, parent first on even pair index;"
