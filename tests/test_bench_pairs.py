@@ -52,7 +52,7 @@ PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
     ],
     ids=["clear-gain", "nine-of-ten", "eight-of-ten", "inside-iqr", "ties"],
 )
-def test_gain_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_iqr(change, met):
+def test_claim_needs_nine_tenths_of_pairs_and_a_gap_wider_than_the_iqr(change, met):
     bench_pairs = load_bench_pairs()
     verdict = bench_pairs.verdicts(runs("decide", PARENT, change), END_TO_END)
     assert verdict["op_p50_ms_gain"] == {"decide": met}

@@ -455,8 +455,9 @@ class TestInfer:
 class TestCurveStage:
     def test_a_chunk_column_without_mass_raises_no_rule_fired(self):
         # one narrow term at the bottom of a wide universe: its membership
-        # underflows to 0.0 at 100.0, so that row's clip vector has no mass,
-        # and it shares a curve chunk with the row at 1.0
+        # underflows to 0.0 at 100.0, so that row's clip vector has no mass;
+        # the other rows make the chunk's clip vectors distinct, so the
+        # multi-column _centroid scores it, not _row_centroid
         x = FuzzyVariable("x", 0.0, 100.0, (GaussianTerm("T", 0.0, 1.0),))
         model = FuzzyModel((x,), three_term_variable("y", 0.0, 1.0), (Rule((0,), 2),))
         with pytest.raises(NoRuleFiredError) as excinfo:
