@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import FuzzyError, FuzzyModel, _infer_rows
+from .engine import FuzzyError, FuzzyModel, _infer_rows, _quoted
 from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
     INPUT_ORDER,
@@ -20,7 +20,6 @@ from .model import (
     check_threshold,
     decision_possibility,  # noqa: F401  (unused; kept for perfbench/tracing.py)
     default_model,
-    _quoted_id,
 )
 
 __all__ = [
@@ -87,7 +86,7 @@ def arbitrate(
     seen: set[str] = set()
     for cid in candidates.ids:
         if cid in seen:
-            raise DuplicateCandidateError(f"duplicate candidate id {_quoted_id(cid)}")
+            raise DuplicateCandidateError(f"duplicate candidate id {_quoted(cid)}")
         seen.add(cid)
 
     possibilities = _infer_rows(model or default_model(), candidates.values).tolist()

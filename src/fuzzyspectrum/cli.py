@@ -14,9 +14,10 @@ import sys
 from dataclasses import replace
 
 from .arbitration import arbitrate
-from .engine import FuzzyError, FuzzyModel, clamp_to_universe, infer
-from .model import INPUT_ORDER, Candidate, _shown_name, check_threshold, decision_possibility, validate_model
+from .engine import FuzzyError, FuzzyModel, _quoted, _shown_name, clamp_to_universe, infer
+from .model import INPUT_ORDER, Candidate, check_threshold, decision_possibility, validate_model
 from .serialization import (
+    ModelDocument,
     _csv_text,
     _rule_line,
     default_document,
@@ -38,21 +39,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--model", metavar="PATH", help="model document JSON (default: embedded model)"
-    )
-    parser.add_argument(
-        "--threshold", type=float, metavar="T",
-        help="admission threshold in [0, 1] (default: model document setting)",
-    )
-    parser.add_argument(
-        "--grid-points", type=int, dest="grid_points", metavar="N",
-        help="override the output-grid resolution",
-    )
-    parser.add_argument(
-        "--output", metavar="PATH", help="write the report to PATH instead of stdout"
-    )
+# options that more than one command takes; each command adds the ones its cmd_* reads
+_OPTIONS = {
+    "--model": dict(metavar="PATH", help="model document JSON (default: embedded model)"),
+    "--threshold": dict(type=float, metavar="T", help="admission threshold in [0, 1] (default: model document setting)"),
+    "--grid-points": dict(type=int, metavar="N", help="override the output-grid resolution"),
+    "--output": dict(metavar="PATH", help="write the report to PATH instead of stdout"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,13 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
         p_eval.add_argument(name, type=float)
     p_eval.add_argument("--trace", action="store_true", help="show memberships and top rules")
     p_eval.add_argument("--format", choices=("human", "csv"), default="human")
-    _add_common(p_eval)
+    _add_options(p_eval, "--model", "--threshold", "--grid-points", "--output")
     p_eval.set_defaults(func=cmd_eval)
 
     p_arb = sub.add_parser("arbitrate", help="rank a CSV batch of candidates")
     p_arb.add_argument("candidates", metavar="CSV", help="candidate batch file")
     p_arb.add_argument("--format", choices=("human", "csv"), default="human")
-    _add_common(p_arb)
+    _add_options(p_arb, "--model", "--threshold", "--grid-points", "--output")
     p_arb.set_defaults(func=cmd_arbitrate)
 
     p_sweep = sub.add_parser("sweep", help="emit a decision-surface CSV")
@@ -85,16 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="fixed value for a non-swept variable (give twice)",
     )
     p_sweep.add_argument("--steps", type=int, default=PRESET_STEPS, help="samples per axis (default %(default)s)")
-    _add_common(p_sweep)
+    _add_options(p_sweep, "--model", "--grid-points", "--output")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="validate a model document")
-    _add_common(p_val)
+    _add_options(p_val, "--model", "--output")
     p_val.set_defaults(func=cmd_validate)
 
     p_dump = sub.add_parser("dump-rules", help="list the rule base")
     p_dump.add_argument("--format", choices=("table", "csv"), default="table")
-    _add_common(p_dump)
+    _add_options(p_dump, "--model", "--output")
     p_dump.set_defaults(func=cmd_dump_rules)
 
     return parser
@@ -105,21 +103,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _resolve_model(args) -> tuple[FuzzyModel, float]:
-    doc = load_document(args.model) if args.model else default_document()
-    model, threshold = doc.model, doc.admission_threshold
-    # a document's threshold was checked when it was read
-    if args.threshold is not None:
-        threshold = check_threshold(args.threshold, error=lambda message: CliError(message, code=2))
-    if args.grid_points is not None:
-        model = replace(model, grid_points=args.grid_points)
-    return model, threshold
+def _document(args) -> ModelDocument:
+    return load_document(args.model) if args.model else default_document()
+
+
+def _gridded(args, model: FuzzyModel) -> FuzzyModel:
+    """model at the --grid-points resolution, when one is given."""
+    return model if args.grid_points is None else replace(model, grid_points=args.grid_points)
 
 
 def _resolve_candidate_model(args) -> tuple[FuzzyModel, float]:
-    """_resolve_model's model and threshold, for a command that feeds the
-    model a Candidate's fields by position: its inputs must be INPUT_ORDER."""
-    model, threshold = _resolve_model(args)
+    """The model and threshold of a command that feeds the model a
+    Candidate's fields by position: its inputs must be INPUT_ORDER."""
+    doc = _document(args)
+    # a document's threshold was checked when it was read
+    threshold = doc.admission_threshold
+    if args.threshold is not None:
+        threshold = check_threshold(args.threshold, error=lambda message: CliError(message, code=2))
+    model = _gridded(args, doc.model)
     names = tuple(var.name for var in model.inputs)
     if names != INPUT_ORDER:
         got = ", ".join(map(_shown_name, names))
@@ -198,12 +199,12 @@ def cmd_arbitrate(args) -> int:
 def _parse_axis(text: str, steps: int) -> SweepAxis:
     parts = text.split(":")
     if len(parts) != 3:
-        raise CliError(f"bad axis '{text}'; expected NAME:LO:HI", code=2)
+        raise CliError(f"bad axis {_quoted(text)}; expected NAME:LO:HI", code=2)
     name, lo, hi = parts
     try:
         return SweepAxis(name=name, lo=float(lo), hi=float(hi), steps=steps)
     except ValueError as exc:
-        raise CliError(f"bad axis '{text}': {exc}", code=2) from exc
+        raise CliError(f"bad axis {_quoted(text)}: {exc}", code=2) from exc
 
 
 def _parse_fix(items) -> list[tuple[str, float]]:
@@ -212,16 +213,16 @@ def _parse_fix(items) -> list[tuple[str, float]]:
     for item in items:
         name, sep, value = item.partition("=")
         if not sep or not name:
-            raise CliError(f"bad --fix '{item}'; expected NAME=VALUE", code=2)
+            raise CliError(f"bad --fix {_quoted(item)}; expected NAME=VALUE", code=2)
         try:
             fixed.append((name, float(value)))
         except ValueError as exc:
-            raise CliError(f"bad --fix '{item}': {exc}", code=2) from exc
+            raise CliError(f"bad --fix {_quoted(item)}: {exc}", code=2) from exc
     return fixed
 
 
 def cmd_sweep(args) -> int:
-    model, _ = _resolve_model(args)
+    model = _gridded(args, _document(args).model)
     explicit = args.axis1 or args.axis2 or args.fix
     if args.preset is not None and explicit:
         raise CliError("--preset conflicts with --axis1/--axis2/--fix", code=2)
@@ -243,7 +244,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    model, _ = _resolve_model(args)
+    model = _document(args).model
     report = validate_model(model)
     if report.ok:
         _emit(args, f"{len(model.rules)} rules, complete\n")
@@ -253,7 +254,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dump_rules(args) -> int:
-    model, _ = _resolve_model(args)
+    model = _document(args).model
     if args.format == "csv":
         _emit(args, format_rules_csv(model))
     else:
@@ -271,7 +272,3 @@ def main(argv=None) -> int:
     except (FuzzyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

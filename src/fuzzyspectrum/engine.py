@@ -67,6 +67,21 @@ _MAX_CURVE_POINTS = 10 * MAX_GRID_POINTS
 CHUNK_ELEMENTS = 1 << 16
 
 
+def _shown_name(name) -> str:
+    # a name as the text reports show it: as it is, or as its repr if a
+    # character in it is not printable, so that a line break cannot split a line
+    text = str(name)
+    return text if text.isprintable() else repr(text)
+
+
+def _quoted(name) -> str:
+    # a name, key or id as messages quote it: in single quotes, or as its
+    # repr (which brings its own) if a character in it is not printable, so
+    # that a line break cannot split the message
+    text = str(name)
+    return f"'{text}'" if text.isprintable() else repr(text)
+
+
 @dataclass(frozen=True, init=False)
 class GaussianTerm:
     """One linguistic term shaped as a Gaussian bump.
@@ -89,15 +104,15 @@ class GaussianTerm:
         if not self.name:
             raise ValueError("term name must be non-empty")
         if not math.isfinite(self.center):
-            raise ValueError(f"term '{self.name}': center must be finite")
+            raise ValueError(f"term {_quoted(self.name)}: center must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"term '{self.name}': sigma must be positive, got {self.sigma}")
+            raise ValueError(f"term {_quoted(self.name)}: sigma must be positive, got {self.sigma}")
         # the kernel divides by 2.0 * sigma * sigma, which must neither
         # underflow to 0.0 nor overflow to inf
         spread = 2.0 * self.sigma * self.sigma
         if not (0.0 < spread < math.inf):
             raise ValueError(
-                f"term '{self.name}': sigma {self.sigma} out of range, "
+                f"term {_quoted(self.name)}: sigma {self.sigma} out of range, "
                 f"2*sigma*sigma must be positive and finite, got {spread}"
             )
 
@@ -124,25 +139,25 @@ class FuzzyVariable:
         if not self.name:
             raise ValueError("variable name must be non-empty")
         if not (-math.inf < self.lo < self.hi < math.inf):
-            raise ValueError(f"variable '{self.name}': need finite lo < hi, got [{self.lo}, {self.hi}]")
+            raise ValueError(f"variable {_quoted(self.name)}: need finite lo < hi, got [{self.lo}, {self.hi}]")
         if not self.terms:
-            raise ValueError(f"variable '{self.name}': needs at least one term")
+            raise ValueError(f"variable {_quoted(self.name)}: needs at least one term")
         object.__setattr__(self, "_term_indices", {t.name: i for i, t in enumerate(self.terms)})
         if len(self._term_indices) != len(self.terms):
-            raise ValueError(f"variable '{self.name}': duplicate term names")
+            raise ValueError(f"variable {_quoted(self.name)}: duplicate term names")
         for t in self.terms:
             if not (self.lo <= t.center <= self.hi):
                 raise ValueError(
-                    f"variable '{self.name}': term '{t.name}' center {t.center} "
+                    f"variable {_quoted(self.name)}: term {_quoted(t.name)} center {t.center} "
                     f"outside universe [{self.lo}, {self.hi}]"
                 )
         centers = [t.center for t in self.terms]
         if any(a >= b for a, b in zip(centers, centers[1:])):
-            raise ValueError(f"variable '{self.name}': term centers must be strictly increasing")
+            raise ValueError(f"variable {_quoted(self.name)}: term centers must be strictly increasing")
 
     def term_index(self, name: str) -> int:
         if name not in self._term_indices:
-            raise ModelIntegrityError(f"variable '{self.name}' has no term named '{name}'")
+            raise ModelIntegrityError(f"variable {_quoted(self.name)} has no term named {_quoted(name)}")
         return self._term_indices[name]
 
 
@@ -208,7 +223,7 @@ class FuzzyModel:
                 f"output terms x grid_points must be <= {_MAX_CURVE_POINTS}, "
                 f"got {len(out.terms)} x {self.grid_points}"
             )
-        _check_defuzzifiable(out.lo, out.hi, f"variable '{out.name}': output universe")
+        _check_defuzzifiable(out.lo, out.hi, f"variable {_quoted(out.name)}: output universe")
         # a Gaussian exponent, squared distance over 2*sigma*sigma as the
         # kernel computes it, is largest at the farther bound of the universe
         # and must not overflow there
@@ -217,7 +232,7 @@ class FuzzyModel:
                 d = max(t.center - var.lo, var.hi - t.center)
                 if not math.isfinite(d * d / (2.0 * t.sigma * t.sigma)):
                     raise ValueError(
-                        f"variable '{var.name}': term '{t.name}' exponent overflows at the universe's bounds, "
+                        f"variable {_quoted(var.name)}: term {_quoted(t.name)} exponent overflows at the universe's bounds, "
                         f"d*d / (2*sigma*sigma) must be finite, got d = {d}, sigma = {t.sigma}"
                     )
         object.__setattr__(self, "_compiled", _Compiled(self, table))
@@ -262,7 +277,7 @@ def _check_rule(model: FuzzyModel, r: int, rule: Rule) -> None:
         raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {len(rule.antecedents)}")
     for var, idx in zip(model.inputs, rule.antecedents):
         if not (0 <= idx < len(var.terms)):
-            raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable '{var.name}'")
+            raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable {_quoted(var.name)}")
     if not (0 <= rule.consequent < len(model.output.terms)):
         raise ModelIntegrityError(f"{where}: consequent index {rule.consequent} out of range")
 
@@ -305,7 +320,7 @@ def _as_finite_float(x, what: str) -> float:
 
 def fuzzify(var: FuzzyVariable, x: float) -> np.ndarray:
     """Degrees of x in each of var's terms, in term order."""
-    xf = _as_finite_float(x, f"input for '{var.name}'")
+    xf = _as_finite_float(x, f"input for {_quoted(var.name)}")
     return np.array([gaussian_membership(xf, t) for t in var.terms])
 
 
@@ -502,7 +517,9 @@ def _infer_row(model: FuzzyModel, row: Sequence[float]) -> float:
 def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
     for any other row length).  Each is bit-identical to infer on the same
-    row, and chunking keeps memory bounded for any N."""
+    row.  Chunking bounds only the firing and curve stages' intermediates;
+    the rows, their membership index and their clip levels are held for the
+    whole batch, about 180 bytes per row."""
     c = model._compiled
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(c.fuzzifiers):
@@ -583,7 +600,7 @@ def infer(model: FuzzyModel, inputs: Sequence[float]) -> InferenceTrace:
         raise InvalidInputError(
             f"expected {len(model.inputs)} inputs, got {len(inputs)}"
         )
-    row = [_as_finite_float(x, f"input for '{var.name}'") for var, x in zip(model.inputs, inputs)]
+    row = [_as_finite_float(x, f"input for {_quoted(var.name)}") for var, x in zip(model.inputs, inputs)]
     c = model._compiled
     memberships, strengths, degrees = _one_row(c, row)
     # back from the sorted layout to rule order, by one scatter

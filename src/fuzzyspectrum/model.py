@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .engine import FuzzyModel, FuzzyVariable, GaussianTerm, Rule, _infer_row
+from .engine import FuzzyModel, FuzzyVariable, GaussianTerm, Rule, _infer_row, _quoted, _shown_name
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 
 __all__ = [
@@ -187,18 +187,6 @@ def default_model() -> FuzzyModel:
     return FuzzyModel(inputs=inputs, output=output, rules=rules)
 
 
-def _quoted_id(cid: str) -> str:
-    # an id as messages name it: quoted, or as its repr if a character in it
-    # is not printable, so that a line break cannot split the message
-    return f"'{cid}'" if cid.isprintable() else repr(cid)
-
-
-def _shown_name(name: str) -> str:
-    # a name as the text reports show it: as it is, or as its repr if a
-    # character in it is not printable, so that a line break cannot split a line
-    return name if name.isprintable() else repr(name)
-
-
 @dataclass(frozen=True)
 class Candidate:
     """One secondary user's measured inputs plus an identifier."""
@@ -216,10 +204,10 @@ class Candidate:
             value = float(getattr(self, field))
             object.__setattr__(self, field, value)
             if not math.isfinite(value):
-                raise ValueError(f"candidate {_quoted_id(self.id)}: {field} must be finite")
+                raise ValueError(f"candidate {_quoted(self.id)}: {field} must be finite")
         for field in _NON_NEGATIVE:
             if getattr(self, field) < 0:
-                raise ValueError(f"candidate {_quoted_id(self.id)}: {field} must be >= 0")
+                raise ValueError(f"candidate {_quoted(self.id)}: {field} must be >= 0")
 
     def inputs(self) -> tuple[float, float, float, float]:
         """Input vector in model input order."""

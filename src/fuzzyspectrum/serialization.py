@@ -24,9 +24,10 @@ from .engine import (
     GaussianTerm,
     ModelIntegrityError,
     Rule,
+    _quoted,
+    _shown_name,
 )
-from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, check_threshold, default_model
-from .model import _first_invalid_row, _shown_name
+from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row, check_threshold, default_model
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -125,16 +126,16 @@ def _require_keys(obj, keys: Sequence[str], where: str, optional: Collection[str
         raise ModelDocumentError(f"{where} must be an object")
     for key in obj:
         if key not in keys and key not in optional:
-            raise ModelDocumentError(f"unknown field '{key}' in {where}")
+            raise ModelDocumentError(f"unknown field {_quoted(key)} in {where}")
     for key in keys:
         if key not in obj:
-            raise ModelDocumentError(f"missing field '{key}' in {where}")
+            raise ModelDocumentError(f"missing field {_quoted(key)} in {where}")
 
 
 def _number(obj, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelDocumentError(f"field '{key}' in {where} must be a number")
+        raise ModelDocumentError(f"field {_quoted(key)} in {where} must be a number")
     try:
         return float(value)
     except OverflowError:  # an int too large for a float, read as json reads 1e400

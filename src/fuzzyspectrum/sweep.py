@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import FuzzyError, FuzzyModel, _infer_rows
+from .engine import FuzzyError, FuzzyModel, _infer_rows, _quoted
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 from .model import UNIVERSES, default_model
 
@@ -64,12 +64,12 @@ class SweepAxis:
         object.__setattr__(self, "steps", int(self.steps))
         if not (2 <= self.steps <= MAX_STEPS):
             raise SweepSpecError(
-                f"axis '{self.name}': steps must be in [2, {MAX_STEPS}], got {self.steps}"
+                f"axis {_quoted(self.name)}: steps must be in [2, {MAX_STEPS}], got {self.steps}"
             )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise SweepSpecError(f"axis '{self.name}': range [{self.lo}, {self.hi}] must be finite")
+            raise SweepSpecError(f"axis {_quoted(self.name)}: range [{self.lo}, {self.hi}] must be finite")
         if self.lo > self.hi:
-            raise SweepSpecError(f"axis '{self.name}': lo {self.lo} > hi {self.hi}")
+            raise SweepSpecError(f"axis {_quoted(self.name)}: lo {self.lo} > hi {self.hi}")
 
     def samples(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
@@ -89,15 +89,15 @@ class SweepSpec:
         object.__setattr__(self, "fixed", fixed)
         for name, value in fixed:
             if not math.isfinite(value):
-                raise SweepSpecError(f"fixed value {value} for '{name}' must be finite")
+                raise SweepSpecError(f"fixed value {value} for {_quoted(name)} must be finite")
         if self.axis1.name == self.axis2.name:
-            raise SweepSpecError(f"axes must name distinct variables, both are '{self.axis1.name}'")
+            raise SweepSpecError(f"axes must name distinct variables, both are {_quoted(self.axis1.name)}")
         names = [k for k, _ in self.fixed]
         if len(set(names)) != len(names):
             raise SweepSpecError("fixed values name a variable twice")
         overlap = set(names) & {self.axis1.name, self.axis2.name}
         if overlap:
-            raise SweepSpecError(f"variable '{overlap.pop()}' is both swept and fixed")
+            raise SweepSpecError(f"variable {_quoted(overlap.pop())} is both swept and fixed")
 
     def fixed_dict(self) -> dict[str, float]:
         return dict(self.fixed)
@@ -133,10 +133,10 @@ def _validate_against_model(spec: SweepSpec, model: FuzzyModel) -> None:
     for axis in (spec.axis1, spec.axis2):
         var = by_name.get(axis.name)
         if var is None:
-            raise SweepSpecError(f"unknown variable '{axis.name}'")
+            raise SweepSpecError(f"unknown variable {_quoted(axis.name)}")
         if axis.lo < var.lo or axis.hi > var.hi:
             raise SweepSpecError(
-                f"axis '{axis.name}' range [{axis.lo}, {axis.hi}] outside "
+                f"axis {_quoted(axis.name)} range [{axis.lo}, {axis.hi}] outside "
                 f"universe [{var.lo}, {var.hi}]"
             )
     fixed = spec.fixed_dict()
@@ -154,7 +154,7 @@ def _validate_against_model(spec: SweepSpec, model: FuzzyModel) -> None:
         var = by_name[name]
         if value < var.lo or value > var.hi:
             raise SweepSpecError(
-                f"fixed value {value} for '{name}' outside universe [{var.lo}, {var.hi}]"
+                f"fixed value {value} for {_quoted(name)} outside universe [{var.lo}, {var.hi}]"
             )
 
 

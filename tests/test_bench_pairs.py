@@ -113,3 +113,28 @@ def test_bad_arguments_are_a_usage_error_before_any_export(monkeypatch, capsys, 
         bench_pairs.main(["HEAD", "HEAD", *flags])
     assert excinfo.value.code == 2
     assert "error: --" in capsys.readouterr().err
+
+
+def test_src_lines_are_counted_by_file_and_each_changed_file_gets_a_line(tmp_path):
+    bench_pairs = load_bench_pairs()
+    files = {
+        "parent": {"pkg/a.py": "x\n" * 10, "pkg/b.py": "y\n" * 3, "pkg/gone.py": "z\n", "pkg/data.json": "{}\n" * 7},
+        "change": {"pkg/a.py": "x\n" * 4, "pkg/b.py": "y\n" * 3, "pkg/new.py": "w\n" * 2 + "no newline"},
+    }
+    by_file = {}
+    for side, contents in files.items():
+        for name, text in contents.items():
+            path = tmp_path / side / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        by_file[side] = bench_pairs.src_lines_by_file(tmp_path / side)
+    # only Python files, keyed by their path below src/, counted as wc -l counts
+    assert by_file == {
+        "parent": {"pkg/a.py": 10, "pkg/b.py": 3, "pkg/gone.py": 1},
+        "change": {"pkg/a.py": 4, "pkg/b.py": 3, "pkg/new.py": 2},
+    }
+    assert bench_pairs.src_file_deltas(by_file) == [
+        "  pkg/a.py: 10 -> 4 (-6)",
+        "  pkg/gone.py: 1 -> 0 (-1)",
+        "  pkg/new.py: 0 -> 2 (+2)",
+    ]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -680,6 +681,120 @@ class TestInProcessReuse:
             assert capsys.readouterr().out == build_parser().format_help()
 
 
+# the options each command's cmd_* reads, in the order --help lists them
+COMMAND_OPTIONS = {
+    "eval": ["--trace", "--format", "--model", "--threshold", "--grid-points", "--output"],
+    "arbitrate": ["--format", "--model", "--threshold", "--grid-points", "--output"],
+    "sweep": ["--preset", "--axis1", "--axis2", "--fix", "--steps", "--model", "--grid-points", "--output"],
+    "validate": ["--model", "--output"],
+    "dump-rules": ["--format", "--model", "--output"],
+}
+# a run of each command that reads every option it takes
+COMMAND_RUNS = {
+    "eval": ["-60", "50", "0.5", "50"],
+    "arbitrate": ["CSV"],
+    "sweep": ["--preset", "7", "--steps", "2"],
+    "validate": [],
+    "dump-rules": [],
+}
+
+
+class ReadRecorder(argparse.Namespace):
+    """A Namespace that records the name of each attribute read from it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+class TestOptions:
+    def test_the_table_names_every_command(self):
+        assert list(subcommand_parsers()) == list(COMMAND_OPTIONS)
+
+    @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+    def test_each_command_takes_exactly_the_options_it_reads(self, capsys, tmp_path, command):
+        actions = [a for a in subcommand_parsers()[command]._actions if a.option_strings and a.dest != "help"]
+        assert [flag for a in actions for flag in a.option_strings] == COMMAND_OPTIONS[command]
+
+        csv_path = tmp_path / "batch.csv"
+        csv_path.write_text(HEADER + "\na,-90,10,0.2,20\n")
+        argv = [command, *(str(csv_path) if token == "CSV" else token for token in COMMAND_RUNS[command])]
+        args = ReadRecorder()
+        args._read = set()
+        build_parser().parse_args(argv, namespace=args)
+        args._read.clear()  # parsing reads every option too
+        assert args.func(args) == 0
+        capsys.readouterr()
+        assert {a.dest for a in actions} <= args._read
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--preset", "7", "--threshold", "0.5"],
+            ["validate", "--threshold", "0.5"],
+            ["dump-rules", "--threshold", "0.5"],
+            ["validate", "--grid-points", "11"],
+            ["dump-rules", "--grid-points", "11"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
+    )
+    def test_an_option_the_command_does_not_read_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        assert "Traceback" not in captured.err
+
+
+def _rename_input_with_a_center_outside(raw):
+    var = raw["variables"]["inputs"][1]
+    var["name"] = "v\nx"
+    var["terms"][0]["center"] = -5.0
+
+
+# the rest of an explicit sweep after its --axis1
+REST_OF_SWEEP = ["--axis2", "distance_m:0:100", "--fix", "velocity_kmh=50", "--fix", "spectrum_ratio=0.5"]
+
+
+class TestOneErrorLine:
+    """A name, key or argument that is not printable is quoted as its repr,
+    so the error stays one line."""
+
+    @pytest.mark.parametrize(
+        "edit, argv, code, message",
+        [
+            (lambda raw: raw.update({"a\nb": 1}), ["validate"], 1, "unknown field 'a\\nb' in document"),
+            (lambda raw: raw["rules"][0].update(consequent="Hi\ngh"), ["validate"], 1,
+             "variable 'decision' has no term named 'Hi\\ngh'"),
+            (lambda raw: raw["variables"]["inputs"][0]["terms"][0].update(name="L\nx", sigma=-1.0), ["validate"], 1,
+             "term 'L\\nx': sigma must be positive, got -1.0"),
+            (_rename_input_with_a_center_outside, ["validate"], 1,
+             "variable 'v\\nx': term 'Low' center -5.0 outside universe [0.0, 100.0]"),
+            (None, ["sweep", "--axis1", "sig\nnal:-100:-20", *REST_OF_SWEEP], 1, "unknown variable 'sig\\nnal'"),
+            (None, ["sweep", "--axis1", "a\nb", *REST_OF_SWEEP], 2, "bad axis 'a\\nb'; expected NAME:LO:HI"),
+            (None, ["sweep", "--axis1", "signal_dbm:-100:-20", *REST_OF_SWEEP[:2], "--fix", "a\nb", *REST_OF_SWEEP[4:]], 2,
+             "bad --fix 'a\\nb'; expected NAME=VALUE"),
+        ],
+        ids=["document-key", "term-index", "term", "variable", "sweep-axis-name", "axis-text", "fix-text"],
+    )
+    def test_message_is_one_line(self, capsys, tmp_path, edit, argv, code, message):
+        if edit is not None:
+            raw = json.loads(serialize_document(default_document()))
+            edit(raw)
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(raw))
+            argv = [*argv, "--model", str(path)]
+        assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
 # tokens for random command lines: numbers, odd numbers and junk
 NUMBERS = ["0", "-1", "0.5", "50", "-60", "100", "-0.0", "1e999", "nan", "-inf", "abc", ""]
 # grid points and steps only far below or above their caps, which are
@@ -758,34 +873,37 @@ def random_argv(draw, tmp_path):
         + [str(tmp_path)]
     )
     axis = st.builds(lambda n, lo, hi: f"{n}:{lo}:{hi}", st.sampled_from(names), number, number)
-    common = [
+    # file options, which every command takes
+    files = [
         st.tuples(st.just("--model"), path),
-        st.tuples(st.just("--threshold"), number),
-        st.tuples(st.just("--grid-points"), st.sampled_from(GRID_POINTS)),
         st.tuples(st.just("--output"), st.sampled_from(
             [str(tmp_path / "out.txt"), str(tmp_path / "no" / "out.txt"), str(tmp_path)])),
     ]
+    threshold = st.tuples(st.just("--threshold"), number)
+    grid_points = st.tuples(st.just("--grid-points"), st.sampled_from(GRID_POINTS))
     fmt = st.tuples(st.just("--format"), st.sampled_from(["human", "csv", "table", "json"]))
     flags = {
-        "eval": [*common, fmt, st.just(("--trace",))],
-        "arbitrate": [*common, fmt],
+        "eval": [*files, threshold, grid_points, fmt, st.just(("--trace",))],
+        "arbitrate": [*files, threshold, grid_points, fmt],
         "sweep": [
-            *common,
+            *files,
+            grid_points,
             st.tuples(st.just("--preset"), st.sampled_from(["7", "9", "11", "6", "x"])),
             st.tuples(st.sampled_from(["--axis1", "--axis2"]), st.one_of(axis, st.sampled_from(JUNK))),
             st.tuples(st.just("--fix"), st.builds("{}={}".format, st.sampled_from(names), number)),
             st.tuples(st.just("--steps"), st.sampled_from(STEPS)),
         ],
-        "validate": common,
-        "dump-rules": [*common, fmt],
-        "evaluate": common,
+        "validate": files,
+        "dump-rules": [*files, fmt],
+        "evaluate": [*files, threshold, grid_points],
     }
     positionals = {"eval": st.lists(number, min_size=4, max_size=4), "arbitrate": st.lists(path, min_size=1, max_size=1)}
     command = draw(st.sampled_from(sorted(flags)))
     pieces = [(token,) for token in draw(positionals.get(command, st.just([])))]
     pieces += draw(st.lists(st.one_of(flags[command]), max_size=6))
     if draw(st.integers(0, 3)) == 0:
-        stray = st.one_of(*flags["sweep"], fmt, st.just(("--trace",)), st.tuples(st.sampled_from(JUNK)))
+        # --threshold and --grid-points too, a usage error where the command does not take them
+        stray = st.one_of(*flags["sweep"], threshold, fmt, st.just(("--trace",)), st.tuples(st.sampled_from(JUNK)))
         pieces.append(draw(stray))
     return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
 

@@ -458,3 +458,17 @@ class TestPublicSurface:
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         }
         assert exported == listed
+
+
+class TestPackageAll:
+    def test_is_the_union_of_the_modules_lists(self):
+        fs = fuzzyspectrum
+        lists = [m.__all__ for m in (fs.engine, fs.model, fs.arbitration, fs.sweep, fs.serialization)]
+        assert set(fs.__all__) == set().union(*lists)
+        # no name is listed by two modules, or twice
+        assert len(fs.__all__) == sum(map(len, lists))
+
+    def test_star_import_gives_exactly_the_listed_names(self):
+        namespace = {}
+        exec("from fuzzyspectrum import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(fuzzyspectrum.__all__)

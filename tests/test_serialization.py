@@ -78,6 +78,12 @@ def _odd_name(taken):
     return st.text(max_size=6).filter(lambda name: name not in taken)
 
 
+def _quoted(name):
+    # a name as messages quote it: in single quotes, or as its repr if a
+    # character in it is not printable, so the message keeps one line
+    return f"'{name}'" if name.isprintable() else repr(name)
+
+
 @st.composite
 def broken_documents(draw):
     """The default document as a dict with one fault, and the exact message
@@ -140,7 +146,7 @@ def broken_documents(draw):
         ]))
         key = draw(_odd_name(set(target)))
         target[key] = draw(st.sampled_from([0, "x", None]))
-        return raw, f"unknown field '{key}' in {target_where}"
+        return raw, f"unknown field {_quoted(key)} in {target_where}"
     if fault == "huge_int":
         # an integer too large for a float reads as the infinity of its sign
         sign = draw(st.sampled_from([1, -1]))
@@ -198,11 +204,11 @@ def broken_documents(draw):
         v = draw(st.integers(0, len(inputs) - 1))
         name = draw(_odd_name({t["name"] for t in inputs[v]["terms"]}))
         rule["antecedents"][v] = name
-        return raw, f"variable '{inputs[v]['name']}' has no term named '{name}'"
+        return raw, f"variable '{inputs[v]['name']}' has no term named {_quoted(name)}"
     if fault == "consequent_name":
         name = draw(_odd_name({t["name"] for t in output["terms"]}))
         rule["consequent"] = name
-        return raw, f"variable '{output['name']}' has no term named '{name}'"
+        return raw, f"variable '{output['name']}' has no term named {_quoted(name)}"
     rule["antecedents"] = draw(st.sampled_from([rule["antecedents"][:-1], rule["antecedents"] * 2, "Low"]))
     return raw, f"rule {k + 1}: expected {len(inputs)} antecedent names"
 

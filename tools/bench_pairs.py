@@ -10,9 +10,10 @@ and ``perfbench/run.py`` runs in each export with the same seed, one pair
 per seed and workload: the parent first on even pairs, the change first on
 odd ones.  For each workload, the medians of every end-to-end metric, the
 interquartile range of the parent's runs and the pairs the change won are
-printed, with the ``src/`` line count of each commit.  The report and result
-lines of every run, tagged with its workload, are written to
-``BENCH_<change>.json`` with the line counts.
+printed, with the ``src/`` line count of each commit and one line for each
+``src/`` file whose count differs.  The report and result lines of every
+run, tagged with its workload, are written to ``BENCH_<change>.json`` with
+the line counts, in total and by file.
 
 Two verdicts are printed and stored with the runs.  Each workload's
 ``op_p50_ms`` gain is met only when the change is better in at least nine
@@ -50,9 +51,23 @@ def export(commit: str, tree: Path) -> Path:
     return tree
 
 
-def src_lines(tree: Path) -> int:
-    """The lines of the Python files under src/ in tree, as wc -l counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+def src_lines_by_file(tree: Path) -> dict[str, int]:
+    """The lines of each Python file under src/ in tree, as wc -l counts
+    them, by its path below src/."""
+    src = tree / "src"
+    return {path.relative_to(src).as_posix(): path.read_bytes().count(b"\n") for path in sorted(src.rglob("*.py"))}
+
+
+def src_file_deltas(by_file: dict[str, dict[str, int]]) -> list[str]:
+    """One line for each src/ file whose line count differs between the
+    parent and the change; a file only one side has counts 0 on the other."""
+    parent, change = by_file["parent"], by_file["change"]
+    lines = []
+    for name in sorted(parent.keys() | change.keys()):
+        p, c = parent.get(name, 0), change.get(name, 0)
+        if p != c:
+            lines.append(f"  {name}: {p} -> {c} ({c - p:+d})")
+    return lines
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> list[dict]:
@@ -155,8 +170,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export(parent, Path(tmp, "parent")), "change": export(change, Path(tmp, "change"))}
         end_to_end = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
-        counts = {side: src_lines(tree) for side, tree in trees.items()}
+        by_file = {side: src_lines_by_file(tree) for side, tree in trees.items()}
+        counts = {side: sum(lines.values()) for side, lines in by_file.items()}
         print(f"src/ lines: parent {counts['parent']}, change {counts['change']} ({counts['change'] - counts['parent']:+d})")
+        for line in src_file_deltas(by_file):
+            print(line)
         # the workloads take turns within each seed, so drift of the host
         # spreads over all of them
         for pair, seed in enumerate(seeds):
@@ -182,6 +200,7 @@ def main(argv=None) -> int:
             + (f"; each pair runs the workloads {', '.join(workloads)} in turn" if len(workloads) > 1 else "")
         ),
         "src_lines": counts,
+        "src_lines_by_file": by_file,
         "verdicts": verdict,
         "runs": runs,
     }
