@@ -247,7 +247,7 @@ def cmd_validate(args) -> int:
     model = _document(args).model
     report = validate_model(model)
     if report.ok:
-        _emit(args, f"{len(model.rules)} rules, complete\n")
+        _emit(args, f"{len(model._weights)} rules, complete\n")
         return 0
     _emit(args, "\n".join(report.failures) + "\n")
     return 1

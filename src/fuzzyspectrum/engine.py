@@ -182,12 +182,14 @@ class Rule:
             raise ValueError(f"rule weight must be in [0, 1], got {self.weight}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FuzzyModel:
     """Input variables, one output variable, a rule base, and grid settings.
 
     grid_points controls the output-universe discretization used for
-    aggregation and centroid defuzzification (endpoints inclusive).
+    aggregation and centroid defuzzification (endpoints inclusive).  The rule
+    base is kept as a table, each rule's antecedent index tuple, consequent
+    and weight in three lists; rules, as Rule objects, is built on first read.
     """
 
     inputs: tuple[FuzzyVariable, ...]
@@ -195,39 +197,58 @@ class FuzzyModel:
     rules: tuple[Rule, ...]
     grid_points: int = 1001
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "grid_points", int(self.grid_points))
+    def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[Rule], grid_points: int = 1001):
+        object.__setattr__(self, "rules", tuple(rules))
+        table = [r.antecedents for r in self.rules], [r.consequent for r in self.rules], [r.weight for r in self.rules]
+        self._build(inputs, output, *table, grid_points)
+
+    @classmethod
+    def _from_table(cls, inputs, output, antecedents: list, consequents: list, weights: list, grid_points: int = 1001):
+        """The model of a rule table whose weights are floats in [0, 1], checked as FuzzyModel(...) checks it."""
+        model = cls.__new__(cls)
+        model._build(inputs, output, antecedents, consequents, weights, grid_points)
+        return model
+
+    def _build(self, inputs, output, antecedents: list, consequents: list, weights: list, grid_points: int) -> None:
+        # written by hand so that each field is converted and set once
+        vars(self).update(inputs=tuple(inputs), output=output, grid_points=int(grid_points))
+        vars(self).update(_antecedents=antecedents, _consequents=consequents, _weights=weights)
         if not self.inputs:
             raise ValueError("model needs at least one input variable")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         if self.grid_points > MAX_GRID_POINTS:
             raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {self.grid_points}")
-        names = [v.name for v in self.inputs] + [self.output.name]
+        names = [v.name for v in self.inputs] + [output.name]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique across the model")
-        # one (rules, inputs + 1) table of antecedents and consequent, checked
-        # as a whole; a ragged rule base or an index too big for intp fails
-        # to build it, and the walk below then names the first bad rule
-        sizes = [len(v.terms) for v in self.inputs] + [len(self.output.terms)]
-        table = _rule_table(self.rules, len(self.inputs))
-        if table is None or ((table < 0) | (table >= sizes)).any():
-            for r, rule in enumerate(self.rules):
-                _check_rule(self, r, rule)
+        # one (rules, inputs + 1) array of antecedents and consequent, read flat
+        # (numpy discovers a nested sequence's shape far more slowly), checked as
+        # a whole; a ragged rule base or an index too big for intp fails to
+        # build it, and the walk below then names the first bad rule
+        n, n_in = len(consequents), len(self.inputs)
+        table = None
+        if set(map(len, antecedents)) <= {n_in}:
+            table = np.empty((n, n_in + 1), np.intp)
+            try:
+                table[:, :n_in] = np.fromiter(itertools.chain.from_iterable(antecedents), np.intp, n * n_in).reshape(n, n_in)
+                table[:, n_in] = consequents
+            except OverflowError:
+                table = None
+        if table is None or ((table < 0) | (table >= [len(v.terms) for v in (*self.inputs, output)])).any():
+            for r in range(n):
+                _check_rule(self, r, antecedents[r], consequents[r])
         # checked before the grid and the term curves are allocated
-        out = self.output
-        if len(out.terms) * self.grid_points > _MAX_CURVE_POINTS:
+        if len(output.terms) * self.grid_points > _MAX_CURVE_POINTS:
             raise ValueError(
                 f"output terms x grid_points must be <= {_MAX_CURVE_POINTS}, "
-                f"got {len(out.terms)} x {self.grid_points}"
+                f"got {len(output.terms)} x {self.grid_points}"
             )
-        _check_defuzzifiable(out.lo, out.hi, f"variable {_quoted(out.name)}: output universe")
+        _check_defuzzifiable(output.lo, output.hi, f"variable {_quoted(output.name)}: output universe")
         # a Gaussian exponent, squared distance over 2*sigma*sigma as the
         # kernel computes it, is largest at the farther bound of the universe
         # and must not overflow there
-        for var in (*self.inputs, out):
+        for var in (*self.inputs, output):
             for t in var.terms:
                 d = max(t.center - var.lo, var.hi - t.center)
                 if not math.isfinite(d * d / (2.0 * t.sigma * t.sigma)):
@@ -236,6 +257,13 @@ class FuzzyModel:
                         f"d*d / (2*sigma*sigma) must be finite, got d = {d}, sigma = {t.sigma}"
                     )
         object.__setattr__(self, "_compiled", _Compiled(self, table))
+
+    def __getattr__(self, name: str):
+        # only for an attribute the model lacks: rules, built once from the table
+        if name != "rules":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "rules", tuple(map(Rule, self._antecedents, self._consequents, self._weights)))
+        return self.rules
 
     def term_names(self, antecedents: Sequence[int]) -> list[str]:
         """The input term names a rule's antecedent indices select, in input order."""
@@ -252,34 +280,16 @@ def _check_defuzzifiable(lo: float, hi: float, what: str) -> None:
         raise ValueError(f"{what} [{lo}, {hi}] too wide to defuzzify, (hi - lo) * max(|lo|, |hi|) must be finite")
 
 
-def _rule_table(rules: tuple[Rule, ...], n_in: int) -> np.ndarray | None:
-    """The (rules, n_in + 1) table of the rules' antecedents and consequent,
-    or None when a rule has another number of antecedents or an index does
-    not fit in intp."""
-    antecedents = [r.antecedents for r in rules]
-    if not set(map(len, antecedents)) <= {n_in}:
-        return None
-    # two flat reads: numpy discovers a nested sequence's shape far more slowly
-    table = np.empty((len(rules), n_in + 1), np.intp)
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(antecedents), np.intp, len(rules) * n_in)
-        table[:, :n_in] = flat.reshape(len(rules), n_in)
-        table[:, n_in] = np.fromiter([r.consequent for r in rules], np.intp, len(rules))
-    except OverflowError:
-        return None
-    return table
-
-
-def _check_rule(model: FuzzyModel, r: int, rule: Rule) -> None:
+def _check_rule(model: FuzzyModel, r: int, antecedents: Sequence[int], consequent: int) -> None:
     """Raise the ModelIntegrityError naming the first fault of rule r + 1, if it has one."""
     where = f"rule {r + 1}"
-    if len(rule.antecedents) != len(model.inputs):
-        raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {len(rule.antecedents)}")
-    for var, idx in zip(model.inputs, rule.antecedents):
+    if len(antecedents) != len(model.inputs):
+        raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {len(antecedents)}")
+    for var, idx in zip(model.inputs, antecedents):
         if not (0 <= idx < len(var.terms)):
             raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable {_quoted(var.name)}")
-    if not (0 <= rule.consequent < len(model.output.terms)):
-        raise ModelIntegrityError(f"{where}: consequent index {rule.consequent} out of range")
+    if not (0 <= consequent < len(model.output.terms)):
+        raise ModelIntegrityError(f"{where}: consequent index {consequent} out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,15 +357,14 @@ class _Compiled:
         # sort is stable like numpy's kind="stable", and pages in no numpy
         # sort code, which would add ~0.14 MB to the peak RSS of a process
         # that only decides
-        consequents = table[:, n_in]
-        self.order = np.array(sorted(range(len(table)), key=consequents.tolist().__getitem__), np.intp)
+        self.order = np.array(sorted(range(len(table)), key=model._consequents.__getitem__), np.intp)
         # (inputs, rules) antecedent positions in a row's flat memberships
         antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * width
         self.antecedents = np.ascontiguousarray(antecedents)
-        self.weights = np.array([r.weight for r in model.rules])[self.order]
+        self.weights = np.array(model._weights)[self.order]
         # the output terms that some rule concludes, and the first sorted
         # rule of each
-        counts = np.bincount(consequents, minlength=len(output.terms))
+        counts = np.bincount(table[:, n_in], minlength=len(output.terms))
         self.concluded = np.flatnonzero(counts)
         self.starts = (np.cumsum(counts) - counts)[self.concluded]
         self.grid = np.linspace(output.lo, output.hi, model.grid_points)
@@ -557,9 +566,9 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
     """
     c = model._compiled
     strengths = np.asarray(firing_strengths, dtype=float)
-    if strengths.shape != (len(model.rules),):
+    if strengths.shape != (len(model._weights),):
         raise ModelIntegrityError(
-            f"expected {len(model.rules)} firing strengths, got shape {strengths.shape}"
+            f"expected {len(model._weights)} firing strengths, got shape {strengths.shape}"
         )
     if not (strengths >= 0.0).all():
         raise ValueError(f"firing strengths must be >= 0, got {strengths.min()}")

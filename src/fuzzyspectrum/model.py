@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .engine import FuzzyModel, FuzzyVariable, GaussianTerm, Rule, _infer_row, _quoted, _shown_name
+from .engine import FuzzyModel, FuzzyVariable, GaussianTerm, _infer_row, _quoted, _shown_name
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 
 __all__ = [
@@ -176,15 +176,9 @@ def default_model() -> FuzzyModel:
     """The shipped model: four inputs, decision output, all 81 rules at weight 1."""
     inputs = tuple(_three_level_variable(n, *UNIVERSES[n]) for n in INPUT_ORDER)
     output = _three_level_variable("decision", *UNIVERSES["decision"])
-    rules = tuple(
-        Rule(
-            antecedents=tuple(_LEVEL_INDEX[ch] for ch in antecedents),
-            consequent=_LEVEL_INDEX[consequent],
-            weight=1.0,
-        )
-        for antecedents, consequent in RULE_TABLE
-    )
-    return FuzzyModel(inputs=inputs, output=output, rules=rules)
+    antecedents = [tuple(_LEVEL_INDEX[ch] for ch in levels) for levels, _ in RULE_TABLE]
+    consequents = [_LEVEL_INDEX[level] for _, level in RULE_TABLE]
+    return FuzzyModel._from_table(inputs, output, antecedents, consequents, [1.0] * len(RULE_TABLE))
 
 
 @dataclass(frozen=True)
@@ -294,30 +288,34 @@ def validate_model(model: FuzzyModel) -> ModelValidationReport:
     Universes and term order need no check here: FuzzyVariable rejects a
     degenerate universe and centers that are not strictly increasing.
     """
+    antecedents, weights = model._antecedents, model._weights
     expected = math.prod(len(var.terms) for var in model.inputs)
     failures: list[str] = []
-    if len(model.rules) != expected:
-        failures.append(f"rule count {len(model.rules)} != expected {expected}")
+    if len(weights) != expected:
+        failures.append(f"rule count {len(weights)} != expected {expected}")
 
-    # one walk over the rules; first maps each combination to its first rule
-    first: dict[tuple[int, ...], int] = {}
-    for r, rule in enumerate(model.rules):
-        prior = first.setdefault(rule.antecedents, r)
-        if prior != r:
-            failures.append(
-                f"rule {r + 1}: duplicate antecedent combination "
-                f"{_combo_names(model, rule.antecedents)} (first at rule {prior + 1})"
-            )
-        if rule.weight != 1.0:
-            failures.append(f"rule {r + 1}: weight {rule.weight} deviates from 1")
+    # the rule table is walked only to name its duplicates and weights other
+    # than 1, in rule order; first maps each combination to its first rule
+    present = set(antecedents)
+    if len(present) < len(antecedents) or weights.count(1.0) < len(weights):
+        first: dict[tuple[int, ...], int] = {}
+        for r, (combo, weight) in enumerate(zip(antecedents, weights)):
+            prior = first.setdefault(combo, r)
+            if prior != r:
+                failures.append(
+                    f"rule {r + 1}: duplicate antecedent combination "
+                    f"{_combo_names(model, combo)} (first at rule {prior + 1})"
+                )
+            if weight != 1.0:
+                failures.append(f"rule {r + 1}: weight {weight} deviates from 1")
 
     # the first few missing combinations are named and the rest counted, so
     # the walk takes at most len(rules) + _MISSING_NAMED steps
-    missing = expected - len(first)
+    missing = expected - len(present)
     if missing:
         combos = itertools.product(*(range(len(v.terms)) for v in model.inputs))
         named = min(missing, _MISSING_NAMED)
-        for combo in itertools.islice((combo for combo in combos if combo not in first), named):
+        for combo in itertools.islice((combo for combo in combos if combo not in present), named):
             failures.append(f"missing antecedent combination {_combo_names(model, combo)}")
         if missing > named:
             failures.append(f"… and {missing - named} more missing antecedent combinations")

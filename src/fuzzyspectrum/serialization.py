@@ -23,7 +23,6 @@ from .engine import (
     FuzzyVariable,
     GaussianTerm,
     ModelIntegrityError,
-    Rule,
     _quoted,
     _shown_name,
 )
@@ -201,7 +200,8 @@ def parse_document(text: str) -> ModelDocument:
         if not isinstance(raw["rules"], list):
             raise ModelDocumentError("field 'rules' in document must be a list")
         in_indices, out_indices = [v._term_indices for v in inputs], output._term_indices
-        rules = []
+        # the rule table, filled in rule order; no Rule is built
+        antecedent_rows, consequents, weights = [], [], []
         for i, r in enumerate(raw["rules"]):
             # one key test per rule; _require_keys only names a fault
             if not (isinstance(r, dict) and _RULE_REQUIRED <= r.keys() <= _RULE_FIELDS):
@@ -223,7 +223,11 @@ def parse_document(text: str) -> ModelDocument:
             weight = r.get("weight", 1.0)
             if type(weight) is not float:
                 weight = _number(r, "weight", f"rule {i + 1}")
-            rules.append(Rule(antecedents, consequent, weight))
+            if not (0.0 <= weight <= 1.0):
+                raise ModelDocumentError(f"rule weight must be in [0, 1], got {weight}")
+            antecedent_rows.append(antecedents)
+            consequents.append(consequent)
+            weights.append(weight)
 
         settings = raw["settings"]
         _require_keys(settings, ("grid_points", "admission_threshold"), "settings")
@@ -232,9 +236,7 @@ def parse_document(text: str) -> ModelDocument:
             raise ModelDocumentError("field 'grid_points' in settings must be an integer")
         threshold = _number(settings, "admission_threshold", "settings")
 
-        model = FuzzyModel(
-            inputs=inputs, output=output, rules=tuple(rules), grid_points=grid_points
-        )
+        model = FuzzyModel._from_table(inputs, output, antecedent_rows, consequents, weights, grid_points)
         return ModelDocument(model=model, admission_threshold=threshold)
     except (ValueError, ModelIntegrityError) as exc:
         raise ModelDocumentError(str(exc)) from exc
@@ -245,7 +247,7 @@ def load_document(path) -> ModelDocument:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ModelDocumentError(f"cannot read model document '{path}': {exc}") from exc
+        raise ModelDocumentError(f"cannot read model document {_quoted(path)}: {exc}") from exc
     return parse_document(text)
 
 
@@ -269,7 +271,7 @@ def read_candidates_csv(path) -> CandidateBatch:
                 records.append((start, row))
                 start = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
-        raise CandidatesCsvError(f"cannot read candidates CSV '{path}': {exc}") from exc
+        raise CandidatesCsvError(f"cannot read candidates CSV {_quoted(path)}: {exc}") from exc
     except csv.Error as exc:  # a field over csv.field_size_limit(), in the record at line start
         raise CandidatesCsvError(f"line {start}: {exc}") from exc
 

@@ -177,6 +177,12 @@ def riemann_centroid(fn, lo, hi, n):
 CANDIDATE_HEADER = ("id", "signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m")
 
 
+def _quoted(text):
+    # an id or path in single quotes, or as its repr if it is not printable
+    text = str(text)
+    return f"'{text}'" if text.isprintable() else repr(text)
+
+
 def reference_read_candidates(path, error=ValueError):
     """Read a candidates CSV one record and one field at a time: a list of
     (id, signal_dbm, velocity_kmh, spectrum_ratio, distance_m) tuples, or
@@ -192,7 +198,7 @@ def reference_read_candidates(path, error=ValueError):
                 rows.append((start, row))
                 start = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read candidates CSV '{path}': {exc}") from exc
+        raise error(f"cannot read candidates CSV {_quoted(path)}: {exc}") from exc
     except csv.Error as exc:
         raise error(f"line {start}: {exc}") from exc
 
@@ -228,8 +234,7 @@ def reference_candidate(cid, values):
     at least 0.  Returns (cid, *values)."""
     if not cid:
         raise ValueError("candidate id must be non-empty")
-    # an id that is not printable is named by its repr
-    shown = f"'{cid}'" if cid.isprintable() else repr(cid)
+    shown = _quoted(cid)
     fields = dict(zip(CANDIDATE_HEADER[1:], values))
     for field, value in fields.items():
         if not math.isfinite(value):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fuzzyspectrum
-from fuzzyspectrum import Candidate, decision_possibility, default_model
+from fuzzyspectrum import Candidate, Rule, decision_possibility, default_model
 from fuzzyspectrum.cli import build_parser, main
 from fuzzyspectrum.engine import MAX_GRID_POINTS
 from fuzzyspectrum.sweep import MAX_STEPS
@@ -457,6 +457,16 @@ class TestValidate:
             assert code == 0
             assert out == "81 rules, complete\n"
 
+    def test_rule_count_is_read_from_the_rule_table(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        path.write_text(serialize_document(default_document()), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Rule was built")
+
+        monkeypatch.setattr(Rule, "__init__", refuse)
+        assert run_cli(capsys, "validate", "--model", str(path)) == (0, "81 rules, complete\n", "")
+
     def test_missing_rule_is_reported(self, capsys, tmp_path):
         raw = json.loads(serialize_document(default_document()))
         del raw["rules"][1]  # (Low, Low, Low, Medium)
@@ -793,6 +803,16 @@ class TestOneErrorLine:
             path.write_text(json.dumps(raw))
             argv = [*argv, "--model", str(path)]
         assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [(["validate", "--model"], "model document"), (["arbitrate"], "candidates CSV")],
+        ids=["validate", "arbitrate"],
+    )
+    def test_a_path_with_a_line_break_is_quoted_as_its_repr(self, capsys, tmp_path, argv, what):
+        path = str(tmp_path / "no\nsuch.file")
+        message = f"error: cannot read {what} {path!r}: [Errno 2] No such file or directory: {path!r}\n"
+        assert run_cli(capsys, *argv, path) == (1, "", message)
 
 
 # tokens for random command lines: numbers, odd numbers and junk

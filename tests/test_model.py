@@ -32,9 +32,9 @@ from fuzzyspectrum import (
     infer,
     validate_model,
 )
-from fuzzyspectrum.engine import _infer_rows
+from fuzzyspectrum.engine import _infer_row, _infer_rows
 from fuzzyspectrum.model import _MISSING_NAMED
-from fuzzyspectrum.serialization import default_document, parse_document, serialize_document
+from fuzzyspectrum.serialization import ModelDocument, default_document, parse_document, serialize_document
 
 from conftest import dead_model, random_model, three_term_variable
 from oracle import oracle_possibility, reference_validate_model
@@ -370,6 +370,84 @@ class TestTraceFreeDecision:
         assert len(models) >= 5
         for model in models:
             assert_trace_free_bits(model, candidates_around(rng, model, 8))
+
+
+def rule_built_twin(model):
+    """The model built again through FuzzyModel(...) from fresh Rules."""
+    rules = tuple(Rule(r.antecedents, r.consequent, r.weight) for r in model.rules)
+    return FuzzyModel(inputs=model.inputs, output=model.output, rules=rules, grid_points=model.grid_points)
+
+
+def rows_around(rng, model, n):
+    """n rows drawn up to one universe width beyond each input's bounds."""
+    lo = np.array([v.lo for v in model.inputs])
+    hi = np.array([v.hi for v in model.inputs])
+    return rng.uniform(lo - (hi - lo), hi + (hi - lo), size=(n, len(lo))).tolist()
+
+
+def scores(model, rows):
+    """The bits of each row's decision, trace and batch output."""
+    return (
+        [_infer_row(model, row).hex() for row in rows],
+        [infer(model, row).crisp_output.hex() for row in rows],
+        _infer_rows(model, rows).tobytes(),
+    )
+
+
+class TestRuleTable:
+    """A model keeps its rule base as a table; a parsed model builds its
+    Rules only when rules is read."""
+
+    def test_parsing_validating_and_scoring_build_no_rule(self, monkeypatch):
+        text = serialize_document(default_document())
+        off_weight = text.replace('"weight": 1.0', '"weight": 0.5', 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Rule was built")
+
+        monkeypatch.setattr(Rule, "__init__", refuse)
+        model = parse_document(text).model
+        assert validate_model(model).failures == ()
+        assert validate_model(parse_document(off_weight).model).failures == ("rule 1: weight 0.5 deviates from 1",)
+        for candidate in EDGE_CANDIDATES:
+            scored = decision_possibility(candidate, model)
+            assert infer(model, candidate.inputs()).crisp_output == scored.possibility
+        assert arbitrate(EDGE_CANDIDATES, model).ranking
+        fresh = default_model.__wrapped__()
+        monkeypatch.undo()
+        # == reads rules, which builds them
+        assert model == fresh == default_model()
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_a_parsed_model_equals_its_rule_built_twin(self, seed):
+        built = rule_built_twin(default_model() if seed is None else random_model(np.random.default_rng(seed)))
+        text = serialize_document(ModelDocument(built))
+        parsed = parse_document(text).model
+        assert parsed == built
+        assert parsed.rules == built.rules
+        assert parsed.rules is parsed.rules
+        assert repr(parsed) == repr(built)
+        assert serialize_document(ModelDocument(parsed)) == text
+
+    @pytest.mark.parametrize("seed", [None, 4, 5])
+    def test_replaced_parsed_model_scores_as_its_rule_built_twin(self, seed):
+        rng = np.random.default_rng(seed)
+        built = rule_built_twin(default_model() if seed is None else random_model(rng))
+        parsed = parse_document(serialize_document(ModelDocument(built))).model
+        rows = rows_around(rng, built, 12)
+        assert scores(parsed, rows) == scores(built, rows)
+        for grid_points in (2, 257, 4001):
+            assert scores(replace(parsed, grid_points=grid_points), rows) == scores(
+                replace(built, grid_points=grid_points), rows
+            )
+        fewer = built.rules[::2] + built.rules[:3]
+        assert scores(replace(parsed, rules=fewer), rows) == scores(replace(built, rules=fewer), rows)
+
+    def test_default_model_rules_are_the_rule_table(self):
+        rules = tuple(Rule(tuple(LEVEL[c] for c in ants), LEVEL[consequent]) for ants, consequent in RULE_TABLE)
+        model = default_model.__wrapped__()
+        assert model.rules == rules
+        assert repr(model) == repr(FuzzyModel(model.inputs, model.output, rules))
 
 
 class TestCandidateValidation:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -20,6 +21,7 @@ from fuzzyspectrum import (
     GaussianTerm,
     ModelDocument,
     ModelDocumentError,
+    ModelIntegrityError,
     RULE_TABLE,
     Rule,
     SweepAxis,
@@ -342,6 +344,80 @@ class TestModelDocumentStrictness:
         raw = self._dict()
         raw["settings"]["admission_threshold"] = 1.5
         self._expect_error(raw, "admission_threshold")
+
+
+def _document_with(**edits):
+    """The default document's text with rule N's fields updated by edits["rN"]."""
+    raw = json.loads(serialize_document(default_document()))
+    for rule, fields in edits.items():
+        raw["rules"][int(rule[1:]) - 1].update(fields)
+    return json.dumps(raw)
+
+
+def _rules_with(*rules_at):
+    """The default model built through FuzzyModel(...) with each (r, Rule)
+    of rules_at as its rule r."""
+    model = default_model()
+    rules = list(model.rules)
+    for r, rule in rules_at:
+        rules[r - 1] = rule
+    return FuzzyModel(inputs=model.inputs, output=model.output, rules=rules)
+
+
+# each rejected rule base with its exact message: the first fault in rule
+# order, a document's weight checked as its rule is read, before any later rule
+REJECTED_RULE_BASES = {
+    "weight-before-unknown-term": (
+        lambda: parse_document(_document_with(r2={"weight": 1.5}, r5={"consequent": "Extreme"})),
+        ModelDocumentError, "rule weight must be in [0, 1], got 1.5",
+    ),
+    "nan-weight": (
+        lambda: parse_document(_document_with(r4={"weight": math.nan})),
+        ModelDocumentError, "rule weight must be in [0, 1], got nan",
+    ),
+    "integer-weights": (
+        lambda: parse_document(_document_with(r1={"weight": 1}, r2={"weight": 2})),
+        ModelDocumentError, "rule weight must be in [0, 1], got 2.0",
+    ),
+    "arity-after-weight": (
+        lambda: parse_document(_document_with(r2={"weight": -0.5}, r3={"antecedents": ["Low", "Low", "Low"]})),
+        ModelDocumentError, "rule weight must be in [0, 1], got -0.5",
+    ),
+    "negative-index": (
+        lambda: _rules_with((1, Rule((0, -1, 0, 0), 0))),
+        ModelIntegrityError, "rule 1: antecedent index -1 out of range for variable 'velocity_kmh'",
+    ),
+    "index-before-ragged": (
+        lambda: _rules_with((2, Rule((0, 0, 3, 0), 0)), (3, Rule((0, 0, 0), 0))),
+        ModelIntegrityError, "rule 2: antecedent index 3 out of range for variable 'spectrum_ratio'",
+    ),
+    "ragged": (
+        lambda: _rules_with((3, Rule((0, 0, 0, 0, 0), 0))),
+        ModelIntegrityError, "rule 3: expected 4 antecedents, got 5",
+    ),
+    "index-beyond-intp": (
+        lambda: _rules_with((3, Rule((0, 10**30, 0, 0), 0))),
+        ModelIntegrityError,
+        "rule 3: antecedent index 1000000000000000000000000000000 out of range for variable 'velocity_kmh'",
+    ),
+    "negative-consequent": (
+        lambda: replace(default_model(), rules=default_model().rules[:80] + (Rule((2, 2, 2, 2), -1),)),
+        ModelIntegrityError, "rule 81: consequent index -1 out of range",
+    ),
+}
+
+
+class TestRejectedRuleBases:
+    @pytest.mark.parametrize("build, error, message", REJECTED_RULE_BASES.values(), ids=REJECTED_RULE_BASES.keys())
+    def test_reports_the_first_fault(self, build, error, message):
+        with pytest.raises(error) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    def test_an_integer_weight_in_range_is_read_as_a_float(self):
+        model = parse_document(_document_with(r1={"weight": 1}, r2={"weight": 0})).model
+        assert [r.weight for r in model.rules[:2]] == [1.0, 0.0]
+        assert all(type(r.weight) is float for r in model.rules[:2])
 
 
 class TestRuleNames:
