@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, _quoted, _shown_name, clamp_to_universe, infer
@@ -109,7 +108,9 @@ def _document(args) -> ModelDocument:
 
 def _gridded(args, model: FuzzyModel) -> FuzzyModel:
     """model at the --grid-points resolution, when one is given."""
-    return model if args.grid_points is None else replace(model, grid_points=args.grid_points)
+    if args.grid_points is None:
+        return model
+    return FuzzyModel._from_table(model.inputs, model.output, *model._table, args.grid_points)
 
 
 def _resolve_candidate_model(args) -> tuple[FuzzyModel, float]:
@@ -247,7 +248,7 @@ def cmd_validate(args) -> int:
     model = _document(args).model
     report = validate_model(model)
     if report.ok:
-        _emit(args, f"{len(model._weights)} rules, complete\n")
+        _emit(args, f"{len(model._table[2])} rules, complete\n")
         return 0
     _emit(args, "\n".join(report.failures) + "\n")
     return 1

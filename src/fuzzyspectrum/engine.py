@@ -9,9 +9,10 @@ concurrent inferences.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -188,14 +189,18 @@ class FuzzyModel:
 
     grid_points controls the output-universe discretization used for
     aggregation and centroid defuzzification (endpoints inclusive).  The rule
-    base is kept as a table, each rule's antecedent index tuple, consequent
-    and weight in three lists; rules, as Rule objects, is built on first read.
+    base is kept as one table, _table: each rule's antecedent index tuple,
+    consequent and weight, in three tuples.  The model compares and hashes
+    its inputs, output, grid_points and table; rules, the same rules as Rule
+    objects, is built from the table on its first read and kept.
     """
 
     inputs: tuple[FuzzyVariable, ...]
     output: FuzzyVariable
-    rules: tuple[Rule, ...]
+    # the class attribute is this cached_property, which builds rules on their first read and keeps them
+    rules: tuple[Rule, ...] = field(default=functools.cached_property(lambda self: tuple(map(Rule, *self._table))), compare=False)
     grid_points: int = 1001
+    _table: tuple[tuple, tuple, tuple] = field(init=False, repr=False)
 
     def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[Rule], grid_points: int = 1001):
         object.__setattr__(self, "rules", tuple(rules))
@@ -203,16 +208,16 @@ class FuzzyModel:
         self._build(inputs, output, *table, grid_points)
 
     @classmethod
-    def _from_table(cls, inputs, output, antecedents: list, consequents: list, weights: list, grid_points: int = 1001):
+    def _from_table(cls, inputs, output, antecedents: Sequence, consequents: Sequence, weights: Sequence, grid_points: int = 1001):
         """The model of a rule table whose weights are floats in [0, 1], checked as FuzzyModel(...) checks it."""
         model = cls.__new__(cls)
         model._build(inputs, output, antecedents, consequents, weights, grid_points)
         return model
 
-    def _build(self, inputs, output, antecedents: list, consequents: list, weights: list, grid_points: int) -> None:
+    def _build(self, inputs, output, antecedents: Sequence, consequents: Sequence, weights: Sequence, grid_points: int) -> None:
         # written by hand so that each field is converted and set once
         vars(self).update(inputs=tuple(inputs), output=output, grid_points=int(grid_points))
-        vars(self).update(_antecedents=antecedents, _consequents=consequents, _weights=weights)
+        vars(self)["_table"] = tuple(antecedents), tuple(consequents), tuple(weights)
         if not self.inputs:
             raise ValueError("model needs at least one input variable")
         if self.grid_points < 2:
@@ -257,13 +262,6 @@ class FuzzyModel:
                         f"d*d / (2*sigma*sigma) must be finite, got d = {d}, sigma = {t.sigma}"
                     )
         object.__setattr__(self, "_compiled", _Compiled(self, table))
-
-    def __getattr__(self, name: str):
-        # only for an attribute the model lacks: rules, built once from the table
-        if name != "rules":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "rules", tuple(map(Rule, self._antecedents, self._consequents, self._weights)))
-        return self.rules
 
     def term_names(self, antecedents: Sequence[int]) -> list[str]:
         """The input term names a rule's antecedent indices select, in input order."""
@@ -357,11 +355,12 @@ class _Compiled:
         # sort is stable like numpy's kind="stable", and pages in no numpy
         # sort code, which would add ~0.14 MB to the peak RSS of a process
         # that only decides
-        self.order = np.array(sorted(range(len(table)), key=model._consequents.__getitem__), np.intp)
+        _, consequents, weights = model._table
+        self.order = np.array(sorted(range(len(table)), key=consequents.__getitem__), np.intp)
         # (inputs, rules) antecedent positions in a row's flat memberships
         antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * width
         self.antecedents = np.ascontiguousarray(antecedents)
-        self.weights = np.array(model._weights)[self.order]
+        self.weights = np.array(weights)[self.order]
         # the output terms that some rule concludes, and the first sorted
         # rule of each
         counts = np.bincount(table[:, n_in], minlength=len(output.terms))
@@ -566,10 +565,9 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
     """
     c = model._compiled
     strengths = np.asarray(firing_strengths, dtype=float)
-    if strengths.shape != (len(model._weights),):
-        raise ModelIntegrityError(
-            f"expected {len(model._weights)} firing strengths, got shape {strengths.shape}"
-        )
+    rules = len(model._table[2])
+    if strengths.shape != (rules,):
+        raise ModelIntegrityError(f"expected {rules} firing strengths, got shape {strengths.shape}")
     if not (strengths >= 0.0).all():
         raise ValueError(f"firing strengths must be >= 0, got {strengths.min()}")
     return np.column_stack((c.grid, _row_degrees(c, strengths.take(c.order))))

@@ -288,7 +288,7 @@ def validate_model(model: FuzzyModel) -> ModelValidationReport:
     Universes and term order need no check here: FuzzyVariable rejects a
     degenerate universe and centers that are not strictly increasing.
     """
-    antecedents, weights = model._antecedents, model._weights
+    antecedents, _, weights = model._table
     expected = math.prod(len(var.terms) for var in model.inputs)
     failures: list[str] = []
     if len(weights) != expected:

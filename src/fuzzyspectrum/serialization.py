@@ -85,6 +85,7 @@ def _variable_to_dict(var: FuzzyVariable) -> dict:
 
 def document_to_dict(doc: ModelDocument) -> dict:
     model = doc.model
+    terms = model.output.terms
     return {
         "schema_version": SCHEMA_VERSION,
         "variables": {
@@ -92,12 +93,8 @@ def document_to_dict(doc: ModelDocument) -> dict:
             "output": _variable_to_dict(model.output),
         },
         "rules": [
-            {
-                "antecedents": model.term_names(rule.antecedents),
-                "consequent": model.output.terms[rule.consequent].name,
-                "weight": rule.weight,
-            }
-            for rule in model.rules
+            {"antecedents": model.term_names(antecedents), "consequent": terms[consequent].name, "weight": weight}
+            for antecedents, consequent, weight in zip(*model._table)
         ],
         "settings": {
             "grid_points": model.grid_points,
@@ -317,14 +314,14 @@ def read_candidates_csv(path) -> CandidateBatch:
 
 def _rule_line(model: FuzzyModel, r: int) -> str:
     """Rule r of the rule base as "r + 1. antecedent terms -> consequent term"."""
-    rule = model.rules[r]
-    names = map(_shown_name, model.term_names(rule.antecedents))
-    return f"{r + 1}. {', '.join(names)} -> {_shown_name(model.output.terms[rule.consequent].name)}"
+    antecedents, consequents, _ = model._table
+    names = map(_shown_name, model.term_names(antecedents[r]))
+    return f"{r + 1}. {', '.join(names)} -> {_shown_name(model.output.terms[consequents[r]].name)}"
 
 
 def format_rules_table(model: FuzzyModel) -> str:
     """Rules as numbered text lines, 1-based, in rule-base order."""
-    return "\n".join(_rule_line(model, r) for r in range(len(model.rules))) + "\n"
+    return "\n".join(_rule_line(model, r) for r in range(len(model._table[2]))) + "\n"
 
 
 def _csv_text(header: Sequence, rows) -> str:
@@ -347,7 +344,7 @@ def format_rules_csv(model: FuzzyModel) -> str:
     return _csv_text(
         ("row", *(v.name for v in model.inputs), model.output.name, "weight"),
         (
-            (r, *model.term_names(rule.antecedents), model.output.terms[rule.consequent].name, f"{rule.weight:.6f}")
-            for r, rule in enumerate(model.rules, start=1)
+            (r, *model.term_names(antecedents), model.output.terms[consequent].name, f"{weight:.6f}")
+            for r, (antecedents, consequent, weight) in enumerate(zip(*model._table), start=1)
         ),
     )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 import types
@@ -32,9 +33,16 @@ from fuzzyspectrum import (
     infer,
     validate_model,
 )
+from fuzzyspectrum.cli import main
 from fuzzyspectrum.engine import _infer_row, _infer_rows
 from fuzzyspectrum.model import _MISSING_NAMED
-from fuzzyspectrum.serialization import ModelDocument, default_document, parse_document, serialize_document
+from fuzzyspectrum.serialization import (
+    ModelDocument,
+    default_document,
+    document_to_dict,
+    parse_document,
+    serialize_document,
+)
 
 from conftest import dead_model, random_model, three_term_variable
 from oracle import oracle_possibility, reference_validate_model
@@ -378,6 +386,37 @@ def rule_built_twin(model):
     return FuzzyModel(inputs=model.inputs, output=model.output, rules=rules, grid_points=model.grid_points)
 
 
+# how two model documents differ, and whether their models are equal
+EQUALITY_PAIRS = {
+    "rule 1 weighs 0.0 and -0.0": True,
+    "rule 1 weighs 1 and 1.0": True,
+    "rule 1 concludes another term": False,
+    "the first and last rules swap": False,
+    "the last rule is dropped": False,
+    "grid_points differ by one": False,
+}
+
+
+def equality_pair(model, change):
+    """Two documents of model, as parsed JSON, that differ as change says."""
+    a, b = document_to_dict(ModelDocument(model)), document_to_dict(ModelDocument(model))
+    first, rules = a["rules"][0], b["rules"]
+    if change == "rule 1 weighs 0.0 and -0.0":
+        first["weight"], rules[0]["weight"] = 0.0, -0.0
+    elif change == "rule 1 weighs 1 and 1.0":
+        first["weight"], rules[0]["weight"] = 1, 1.0
+    elif change == "rule 1 concludes another term":
+        terms = [t["name"] for t in b["variables"]["output"]["terms"]]
+        rules[0]["consequent"] = terms[terms.index(first["consequent"]) - 1]
+    elif change == "the first and last rules swap":
+        rules[0], rules[-1] = rules[-1], rules[0]
+    elif change == "the last rule is dropped":
+        rules.pop()
+    else:
+        b["settings"]["grid_points"] += 1
+    return a, b
+
+
 def rows_around(rng, model, n):
     """n rows drawn up to one universe width beyond each input's bounds."""
     lo = np.array([v.lo for v in model.inputs])
@@ -398,9 +437,13 @@ class TestRuleTable:
     """A model keeps its rule base as a table; a parsed model builds its
     Rules only when rules is read."""
 
-    def test_parsing_validating_and_scoring_build_no_rule(self, monkeypatch):
+    def test_parsing_validating_and_scoring_build_no_rule(self, monkeypatch, tmp_path, capsys):
         text = serialize_document(default_document())
         off_weight = text.replace('"weight": 1.0', '"weight": 0.5', 1)
+        path, batch = tmp_path / "model.json", tmp_path / "batch.csv"
+        path.write_text(text)
+        rows = [",".join(("id", *INPUT_ORDER))] + [",".join((c.id, *map(repr, c.inputs()))) for c in EDGE_CANDIDATES]
+        batch.write_text("\n".join(rows) + "\n")
 
         def refuse(*args, **kwargs):
             raise AssertionError("a Rule was built")
@@ -414,9 +457,21 @@ class TestRuleTable:
             assert infer(model, candidate.inputs()).crisp_output == scored.possibility
         assert arbitrate(EDGE_CANDIDATES, model).ranking
         fresh = default_model.__wrapped__()
-        monkeypatch.undo()
-        # == reads rules, which builds them
         assert model == fresh == default_model()
+        assert hash(model) == hash(fresh) == hash(default_model())
+        assert serialize_document(ModelDocument(model)) == text
+        # each command reads a freshly parsed model, regridded where asked
+        gridded = ["--model", str(path), "--grid-points", "257"]
+        for argv in (
+            ["dump-rules", "--model", str(path)],
+            ["dump-rules", "--model", str(path), "--format", "csv"],
+            ["eval", "-60", "50", "0.5", "50", "--model", str(path), "--trace"],
+            ["eval", "-60", "50", "0.5", "50", *gridded],
+            ["arbitrate", str(batch), *gridded],
+            ["sweep", "--preset", "9", *gridded],
+        ):
+            assert main(argv) == 0, argv
+            assert capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
     def test_a_parsed_model_equals_its_rule_built_twin(self, seed):
@@ -424,10 +479,19 @@ class TestRuleTable:
         text = serialize_document(ModelDocument(built))
         parsed = parse_document(text).model
         assert parsed == built
+        assert hash(parsed) == hash(built)
         assert parsed.rules == built.rules
         assert parsed.rules is parsed.rules
         assert repr(parsed) == repr(built)
         assert serialize_document(ModelDocument(parsed)) == text
+        # models equal exactly when their rules, inputs, output and grid_points
+        # are, and equal models hash equal
+        for change, equal in EQUALITY_PAIRS.items():
+            a, b = (parse_document(json.dumps(d)).model for d in equality_pair(built, change))
+            for other in (b, rule_built_twin(b)):
+                fields_equal = all(getattr(a, f) == getattr(other, f) for f in ("rules", "inputs", "output", "grid_points"))
+                assert (a == other) == fields_equal == equal, change
+                assert hash(a) == hash(other) or not equal, change
 
     @pytest.mark.parametrize("seed", [None, 4, 5])
     def test_replaced_parsed_model_scores_as_its_rule_built_twin(self, seed):
