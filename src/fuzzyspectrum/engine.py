@@ -480,10 +480,12 @@ def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     (distinct values, terms) table, and each row's (n_inputs,) entries in it."""
     # math.exp, the costly step, runs once per distinct value of each input;
     # merging -0.0 with 0.0 is harmless, as both give the same exponents
-    columns = [np.unique(column, return_inverse=True) for column in x.T]
-    table = _exp(np.concatenate([_exponents(values, *f) for (values, _), f in zip(columns, c.fuzzifiers)]))
-    offsets = np.cumsum([0] + [len(values) for values, _ in columns[:-1]])
-    return table, np.column_stack([inverse + offset for (_, inverse), offset in zip(columns, offsets)])
+    values, inverses = zip(*(np.unique(column, return_inverse=True) for column in x.T))
+    # one _exp per input, so that its list of floats is one input's long
+    table = np.concatenate([_exp(_exponents(v, *f)) for v, f in zip(values, c.fuzzifiers)])
+    index = np.column_stack(inverses)
+    index += np.cumsum([0, *map(len, values[:-1])])
+    return table, index
 
 
 def _fire(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
@@ -526,8 +528,8 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
     for any other row length).  Each is bit-identical to infer on the same
     row.  Chunking bounds only the firing and curve stages' intermediates;
-    the rows, their membership index and their clip levels are held for the
-    whole batch, about 180 bytes per row."""
+    the membership table and index (until the clip levels are filled) and
+    the clip levels and their dedupe span the batch, about 280 bytes a row."""
     c = model._compiled
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(c.fuzzifiers):
@@ -536,6 +538,7 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     clip = np.empty((len(x), len(c.term_curves)))
     for i in range(0, len(x), c.fire_rows):
         clip[i:i + c.fire_rows] = _fire(c, table.take(index[i:i + c.fire_rows], axis=0))
+    del table, index
     # a row's crisp output depends on its clip levels alone, so the curve
     # stage runs once per distinct clip vector, compared bit for bit so that
     # -0.0 and 0.0 stay apart

@@ -258,55 +258,52 @@ def read_candidates_csv(path) -> CandidateBatch:
     The first bad csv record is named by the line it starts on: a wrong
     field count, a cell float() rejects (first column first), then what
     Candidate rejects."""
-    # (line the record starts on, record); a quoted line break carries a
-    # record on to the next line
-    records, start = [], 1
+    # each record's id, floats and the line it starts on, up to the first
+    # malformed one; a quoted line break carries a record on to the next line
+    ids, values, starts, malformed, start = [], [], [], None, 1
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
+            header = next(reader, None)
+            start = reader.line_num + 1
             for row in reader:
-                records.append((start, row))
+                # past a malformed record the file is only read on, so that
+                # a later read or csv error is still the one reported
+                if row and malformed is None:
+                    if len(row) != len(CANDIDATE_HEADER):
+                        malformed = f"line {start}: expected {len(CANDIDATE_HEADER)} fields, got {len(row)}"
+                    else:
+                        try:
+                            values += tuple(map(float, row[1:]))
+                            ids.append(row[0])
+                            starts.append(start)
+                        except ValueError:
+                            for column, cell in zip(INPUT_ORDER, row[1:]):
+                                try:
+                                    float(cell)
+                                except ValueError:
+                                    malformed = f"line {start}: bad {column} value {cell!r}"
+                                    break
                 start = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise CandidatesCsvError(f"cannot read candidates CSV {_quoted(path)}: {exc}") from exc
     except csv.Error as exc:  # a field over csv.field_size_limit(), in the record at line start
         raise CandidatesCsvError(f"line {start}: {exc}") from exc
 
-    if not records:
+    if header is None:
         raise CandidatesCsvError(
             f"empty file; expected header {','.join(CANDIDATE_HEADER)}"
         )
-    header = tuple(records[0][1])
-    if header != CANDIDATE_HEADER:
+    if tuple(header) != CANDIDATE_HEADER:
         raise CandidatesCsvError(
             f"expected header {','.join(CANDIDATE_HEADER)}, got {','.join(header)}"
         )
-
-    ids, values, malformed = [], [], None
-    for lineno, row in records[1:]:
-        if not row:
-            continue
-        if len(row) != len(CANDIDATE_HEADER):
-            malformed = f"line {lineno}: expected {len(CANDIDATE_HEADER)} fields, got {len(row)}"
-            break
-        try:
-            values += tuple(map(float, row[1:]))
-        except ValueError:
-            for column, cell in zip(INPUT_ORDER, row[1:]):
-                try:
-                    float(cell)
-                except ValueError:
-                    malformed = f"line {lineno}: bad {column} value {cell!r}"
-                    break
-            break
-        ids.append(row[0])
     # the records before a malformed one are checked first, as one array
     values = np.reshape(values, (len(ids), len(INPUT_ORDER)))
     try:
         batch = CandidateBatch(ids, values)
     except ValueError as exc:
-        lines = [lineno for lineno, row in records[1:] if row]
-        raise CandidatesCsvError(f"line {lines[_first_invalid_row(tuple(ids), values)]}: {exc}") from exc
+        raise CandidatesCsvError(f"line {starts[_first_invalid_row(tuple(ids), values)]}: {exc}") from exc
     if malformed is not None:
         raise CandidatesCsvError(malformed)
     return batch

@@ -170,12 +170,10 @@ def run_sweep(spec: SweepSpec, model: FuzzyModel | None = None) -> SweepResult:
     _validate_against_model(spec, model)
     axis1_values = spec.axis1.samples()
     axis2_values = spec.axis2.samples()
-    a, b = np.meshgrid(axis1_values, axis2_values, indexing="ij")
-    columns = {**spec.fixed_dict(), spec.axis1.name: a, spec.axis2.name: b}
-    rows = np.column_stack(
-        [np.broadcast_to(columns[v.name], a.shape).ravel() for v in model.inputs]
-    )
-    grid = _infer_rows(model, rows).reshape(a.shape)
+    columns = {**spec.fixed_dict(), spec.axis1.name: axis1_values[:, None], spec.axis2.name: axis2_values}
+    # (axis1 samples, axis2 samples, inputs) cells, stacked from broadcast views
+    cells = np.stack(np.broadcast_arrays(*(columns[v.name] for v in model.inputs)), axis=-1)
+    grid = _infer_rows(model, cells.reshape(-1, len(model.inputs))).reshape(cells.shape[:2])
     return SweepResult(spec=spec, axis1_values=axis1_values, axis2_values=axis2_values, grid=grid)
 
 
@@ -187,5 +185,5 @@ def format_surface_csv(result: SweepResult) -> str:
     cells = ",".join(["%.6f"] * len(result.axis2_values))
     row = "%.6f," + cells + "\n"
     lines = [("," + cells + "\n") % tuple(result.axis2_values.tolist())]
-    lines += [row % (a, *values) for a, values in zip(result.axis1_values.tolist(), result.grid.tolist())]
+    lines += [row % (a, *values) for a, values in zip(result.axis1_values.tolist(), map(np.ndarray.tolist, result.grid))]
     return "".join(lines)

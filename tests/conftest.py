@@ -1,9 +1,11 @@
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 from fuzzyspectrum import (
@@ -92,6 +94,12 @@ ODD_CELLS = [
 ODD_IDS = ["u1", "a,b", 'x"y', "x\ny", "x\r\ny", "", " ", "\t", "\u00fc"]
 
 
+# every phase but explain, for the candidate_files() properties: explain
+# only annotates a failure, and on these it kept a failing reader from
+# being reported for minutes
+CANDIDATE_FILE_PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
+
+
 @st.composite
 def candidate_files(draw) -> bytes:
     """Bytes of a candidates CSV: a BOM or not, a header that is right,
@@ -149,6 +157,25 @@ UNDECODABLE_JSON = {
 
 def random_inputs(rng: np.random.Generator, model: FuzzyModel) -> list[float]:
     return [float(rng.uniform(v.lo, v.hi)) for v in model.inputs]
+
+
+def random_rows(n: int) -> np.ndarray:
+    """n seeded rows of the default model's inputs, each drawn uniformly
+    from its universe, so that no two rows share a value."""
+    rng = np.random.default_rng(22)
+    return np.column_stack([rng.uniform(v.lo, v.hi, n) for v in default_model().inputs])
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak in bytes of call(), run once untraced first:
+    numpy allocates for some calls only the first time."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

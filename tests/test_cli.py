@@ -26,7 +26,7 @@ from fuzzyspectrum.serialization import (
     serialize_document,
 )
 
-from conftest import UNDECODABLE_JSON, candidate_files, dead_model, rule_table_rows
+from conftest import CANDIDATE_FILE_PHASES, UNDECODABLE_JSON, candidate_files, dead_model, rule_table_rows
 from oracle import reference_read_candidates
 
 HEADER = "id,signal_dbm,velocity_kmh,spectrum_ratio,distance_m"
@@ -286,7 +286,7 @@ class TestArbitrate:
         assert lines[4] == "winner: 'x\\ny'"
 
     @given(candidate_files())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=CANDIDATE_FILE_PHASES)
     def test_bad_file_exits_one_with_the_reader_message(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "batch.csv")

@@ -31,7 +31,7 @@ from fuzzyspectrum import (
 
 from fuzzyspectrum.engine import CHUNK_ELEMENTS, MASS_EPSILON, MAX_GRID_POINTS, _infer_rows, _membership_table
 
-from conftest import random_inputs, random_model, three_term_variable
+from conftest import random_inputs, random_model, random_rows, three_term_variable, traced_peak
 from oracle import (
     model_params,
     oracle_possibility,
@@ -625,6 +625,14 @@ class TestFiringStage:
         assert fire_rows >= 1
         if fire_rows > 1:
             assert fire_rows * largest <= CHUNK_ELEMENTS
+
+    def test_peak_memory_per_row_is_bounded(self):
+        # distinct random rows, so that each input's table is as long as the
+        # batch: about 280 bytes a row above the rows themselves, against
+        # about 640 when one _exp ran over all inputs at once and the table
+        # was kept through the clip dedupe
+        rows, model = random_rows(20_000), default_model()
+        assert traced_peak(lambda: _infer_rows(model, rows)) < 450 * len(rows)
 
     def test_signed_zeros_and_clamped_values_bit_identical_to_infer(self):
         # each input has a term centred at 0: inside, at lo and at hi

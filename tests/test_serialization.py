@@ -29,6 +29,7 @@ from fuzzyspectrum import (
     SweepSpec,
     default_document,
     default_model,
+    figure_preset,
     format_rules_csv,
     format_rules_table,
     format_surface_csv,
@@ -42,7 +43,15 @@ from fuzzyspectrum import (
 )
 from fuzzyspectrum.engine import _MAX_CURVE_POINTS, MAX_GRID_POINTS
 
-from conftest import UNDECODABLE_JSON, candidate_files, rule_table_rows, three_term_variable
+from conftest import (
+    CANDIDATE_FILE_PHASES,
+    UNDECODABLE_JSON,
+    candidate_files,
+    random_rows,
+    rule_table_rows,
+    three_term_variable,
+    traced_peak,
+)
 from oracle import reference_read_candidates
 
 
@@ -104,7 +113,7 @@ def broken_documents(draw):
         "bound", "center", "sigma", "weight", "threshold", "grid_high", "grid_low",
         "grid_type", "weight_type", "unknown_key", "antecedent_name", "consequent_name",
         "antecedent_count", "huge_int", "schema_version", "tiny_sigma", "huge_sigma",
-        "wide_output", "curve_cap",
+        "wide_output", "curve_cap", "term_type",
     ]))
     if fault == "bound":
         side = draw(st.sampled_from(["lo", "hi"]))
@@ -134,6 +143,10 @@ def broken_documents(draw):
     if fault == "grid_type":
         raw["settings"]["grid_points"] = draw(st.sampled_from([True, False, 1001.0, "1001", None]))
         return raw, "field 'grid_points' in settings must be an integer"
+    if fault == "term_type":
+        key = draw(st.sampled_from(["center", "sigma"]))
+        term[key] = draw(st.sampled_from([True, "1", None, [1.0]]))
+        return raw, f"field '{key}' in {where}, term {j + 1} must be a number"
     if fault == "weight_type":
         rule["weight"] = draw(st.sampled_from([True, False, "1", None, [1.0]]))
         return raw, f"field 'weight' in rule {k + 1} must be a number"
@@ -418,6 +431,13 @@ class TestRejectedRuleBases:
         model = parse_document(_document_with(r1={"weight": 1}, r2={"weight": 0})).model
         assert [r.weight for r in model.rules[:2]] == [1.0, 0.0]
         assert all(type(r.weight) is float for r in model.rules[:2])
+        # and so are an integer center and an integer sigma
+        raw = json.loads(_document_with())
+        low, _, high = raw["variables"]["inputs"][0]["terms"]
+        low["center"], high["sigma"] = -100, 17
+        low, _, high = parse_document(json.dumps(raw)).model.inputs[0].terms
+        assert (low.center, high.sigma) == (-100.0, 17.0)
+        assert type(low.center) is float and type(high.sigma) is float
 
 
 class TestRuleNames:
@@ -544,7 +564,7 @@ class TestCandidatesCsv:
         assert str(info.value) == f"line 4: field larger than field limit ({csv.field_size_limit()})"
 
     @given(candidate_files())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None, phases=CANDIDATE_FILE_PHASES)
     def test_matches_the_line_by_line_reader(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "batch.csv")
@@ -560,6 +580,15 @@ class TestCandidatesCsv:
             except (CandidatesCsvError, ValueError) as exc:
                 got = (type(exc), str(exc))
         assert got == want
+
+    def test_peak_memory_per_row_is_bounded(self, tmp_path):
+        # each record is held once, as its id, floats and start line: about
+        # 270 bytes a row here, against about 700 when every record's
+        # strings were kept until the file was read
+        rows = random_rows(20_000).tolist()
+        lines = [f"u{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows)]
+        path = self._write(tmp_path, f"{self.HEADER}\n" + "".join(lines))
+        assert traced_peak(lambda: read_candidates_csv(path)) < 450 * len(rows)
 
     def test_undecodable_bytes_are_a_csv_error(self, tmp_path):
         path = tmp_path / "batch.csv"
@@ -594,13 +623,18 @@ class TestSurfaceCsv:
         )
 
     def test_preset_dimensions(self):
-        from fuzzyspectrum import figure_preset
-
         text = format_surface_csv(run_sweep(figure_preset(7, steps=5)))
         lines = text.splitlines()
         assert len(lines) == 6
         assert all(len(line.split(",")) == 6 for line in lines)
         assert lines[0].startswith(",")
+
+    def test_peak_memory_per_cell_is_bounded(self):
+        # one grid row is a list of floats at a time: about 19 bytes a cell
+        # of a 201-step sweep, most of it the text, against about 42 when
+        # the whole grid was one
+        result = run_sweep(figure_preset(7, steps=201))
+        assert traced_peak(lambda: format_surface_csv(result)) < 30 * result.grid.size
 
 
 class TestRuleListings:

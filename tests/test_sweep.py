@@ -17,7 +17,7 @@ from fuzzyspectrum import (
 
 from fuzzyspectrum.sweep import MAX_STEPS
 
-from conftest import dead_model
+from conftest import dead_model, traced_peak
 from oracle import oracle_possibility
 
 
@@ -164,6 +164,13 @@ class TestSpecValidation:
 
 
 class TestRunSweep:
+    def test_peak_memory_per_cell_is_bounded(self):
+        # the cells are stacked once from broadcast views: about 135 bytes a
+        # cell of a 201-step sweep, against about 183 through a meshgrid
+        # and a copy of each column
+        spec = figure_preset(7, steps=201)
+        assert traced_peak(lambda: run_sweep(spec)) < 160 * 201 * 201
+
     def test_two_by_two_corners_match_single_evaluations(self):
         model = default_model()
         spec = SweepSpec(
