@@ -459,30 +459,26 @@ def _row_centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> float:
     return total.imag / total.real
 
 
-def _exp(a: np.ndarray) -> np.ndarray:
-    # math.exp elementwise: numpy's SIMD exp differs from it in the last bit
-    # for some arguments, and memberships must equal gaussian_membership's
-    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
-def _exponents(x: np.ndarray, lo: float, hi: float, terms: list, pad: list) -> np.ndarray:
-    """Gaussian exponents (n, terms) of finite values x of one input,
-    clamped into [lo, hi] first, from that input's entry of fuzzifiers; a
-    padding term reads center 0.0 and 2*sigma*sigma 1.0."""
+def _memberships(x: np.ndarray, lo: float, hi: float, terms: list, pad: list) -> np.ndarray:
+    """Memberships (n, terms) of finite values x of one input, clamped into
+    [lo, hi] first, from that input's entry of fuzzifiers; a padding term
+    reads center 0.0 and 2*sigma*sigma 1.0."""
     centers, two_sigma_sq = np.array(terms + [(0.0, 1.0)] * len(pad)).T
     # the same clamp as np.clip, in two cheaper calls
     d = np.minimum(np.maximum(x, lo), hi)[..., None] - centers
-    return -(d**2) / two_sigma_sq
+    # numpy's complex exp calls the C library's exp, as math.exp does, so it
+    # equals gaussian_membership bit for bit (its real exp may take a SIMD
+    # path that differs in the last bit); the copy lets the complex go
+    return np.exp(-(d**2) / two_sigma_sq, dtype=complex).real.copy()
 
 
 def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Memberships of each input's distinct values in rows x, as one
     (distinct values, terms) table, and each row's (n_inputs,) entries in it."""
-    # math.exp, the costly step, runs once per distinct value of each input;
+    # exp, the costly step, runs once per distinct value of each input;
     # merging -0.0 with 0.0 is harmless, as both give the same exponents
     values, inverses = zip(*(np.unique(column, return_inverse=True) for column in x.T))
-    # one _exp per input, so that its list of floats is one input's long
-    table = np.concatenate([_exp(_exponents(v, *f)) for v, f in zip(values, c.fuzzifiers)])
+    table = np.concatenate([_memberships(v, *f) for v, f in zip(values, c.fuzzifiers)])
     index = np.column_stack(inverses)
     index += np.cumsum([0, *map(len, values[:-1])])
     return table, index
@@ -501,7 +497,7 @@ def _one_row(c: _Compiled, row: Sequence[float]) -> tuple[np.ndarray, np.ndarray
     layout and aggregated degrees (grid points,) of one row of n_inputs
     finite floats."""
     # a dozen memberships cost less as floats than as numpy calls; the clamp
-    # and the exponent are _exponents' operations, in its order
+    # and the exponent are _memberships' operations, in its order
     memberships = []
     for x, (lo, hi, terms, pad) in zip(row, c.fuzzifiers):
         x = min(max(x, lo), hi)
@@ -529,7 +525,7 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     for any other row length).  Each is bit-identical to infer on the same
     row.  Chunking bounds only the firing and curve stages' intermediates;
     the membership table and index (until the clip levels are filled) and
-    the clip levels and their dedupe span the batch, about 280 bytes a row."""
+    the clip levels and their dedupe span the batch, about 260 bytes a row."""
     c = model._compiled
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(c.fuzzifiers):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Collection, Sequence
@@ -259,8 +260,9 @@ def read_candidates_csv(path) -> CandidateBatch:
     field count, a cell float() rejects (first column first), then what
     Candidate rejects."""
     # each record's id, floats and the line it starts on, up to the first
-    # malformed one; a quoted line break carries a record on to the next line
-    ids, values, starts, malformed, start = [], [], [], None, 1
+    # malformed one, numbers in flat arrays; a quoted line break carries a
+    # record on to the next line
+    ids, values, starts, malformed, start = [], array("d"), array("q"), None, 1
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
@@ -274,7 +276,7 @@ def read_candidates_csv(path) -> CandidateBatch:
                         malformed = f"line {start}: expected {len(CANDIDATE_HEADER)} fields, got {len(row)}"
                     else:
                         try:
-                            values += tuple(map(float, row[1:]))
+                            values.fromlist(list(map(float, row[1:])))  # all four, or none
                             ids.append(row[0])
                             starts.append(start)
                         except ValueError:
@@ -298,8 +300,9 @@ def read_candidates_csv(path) -> CandidateBatch:
         raise CandidatesCsvError(
             f"expected header {','.join(CANDIDATE_HEADER)}, got {','.join(header)}"
         )
-    # the records before a malformed one are checked first, as one array
-    values = np.reshape(values, (len(ids), len(INPUT_ORDER)))
+    # the records before a malformed one are checked first, as one array,
+    # a view that CandidateBatch copies once
+    values = np.frombuffer(values).reshape(len(ids), len(INPUT_ORDER))
     try:
         batch = CandidateBatch(ids, values)
     except ValueError as exc:

@@ -11,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import fuzzyspectrum
@@ -285,8 +285,11 @@ class TestArbitrate:
         assert lines[3].startswith("  3. plain id  possibility=")
         assert lines[4] == "winner: 'x\\ny'"
 
+    # no shrink phase either: each example runs cli.main, so shrinking a
+    # failure took most of a minute; the reader's own property shrinks the
+    # same faults in about a second
     @given(candidate_files())
-    @settings(max_examples=150, deadline=None, phases=CANDIDATE_FILE_PHASES)
+    @settings(max_examples=150, deadline=None, phases=tuple(p for p in CANDIDATE_FILE_PHASES if p is not Phase.shrink))
     def test_bad_file_exits_one_with_the_reader_message(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "batch.csv")

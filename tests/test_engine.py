@@ -29,7 +29,8 @@ from fuzzyspectrum import (
     run_sweep,
 )
 
-from fuzzyspectrum.engine import CHUNK_ELEMENTS, MASS_EPSILON, MAX_GRID_POINTS, _infer_rows, _membership_table
+from fuzzyspectrum import engine
+from fuzzyspectrum.engine import CHUNK_ELEMENTS, MASS_EPSILON, MAX_GRID_POINTS, _infer_rows, _membership_table, _memberships
 
 from conftest import random_inputs, random_model, random_rows, three_term_variable, traced_peak
 from oracle import (
@@ -607,12 +608,34 @@ class TestOneRow:
 class TestFiringStage:
     def test_exp_runs_once_per_distinct_value_of_each_input(self, monkeypatch):
         default_model()  # built before counting
-        calls = []
-        exp = math.exp
-        monkeypatch.setattr(math, "exp", lambda a: calls.append(a) or exp(a))
+        sizes, memberships = [], engine._memberships
+
+        def counted(*args):
+            result = memberships(*args)
+            sizes.append(result.size)
+            return result
+
+        monkeypatch.setattr(engine, "_memberships", counted)
         run_sweep(figure_preset(7))
         # two swept inputs of 41 samples, two fixed ones, three terms each
-        assert len(calls) == (41 + 41 + 1 + 1) * 3
+        assert sum(sizes) == (41 + 41 + 1 + 1) * 3
+
+    def test_memberships_equal_gaussian_membership_bit_for_bit(self):
+        # the batch takes numpy's complex exp, which calls the C library's exp
+        # as math.exp does; numpy's real exp may differ from it in the last bit
+        rng = np.random.default_rng(23)
+        lo, hi = -3.0, 5.0
+        sigmas = (hi - lo) * np.logspace(-6, 3, 40)
+        terms = [GaussianTerm(f"t{k}", c, s) for k, (c, s) in enumerate(zip(rng.uniform(lo, hi, 40), sigmas))]
+        # each center, points whose exponents run from 0 past the underflow to
+        # 0.0 (about 745), points inside the universe and past either bound
+        offsets = np.sqrt(2.0 * rng.uniform(0.0, 800.0, (40, 50))) * sigmas[:, None] * rng.choice([-1.0, 1.0], (40, 50))
+        centers = np.array([t.center for t in terms])
+        x = np.concatenate([centers, (centers[:, None] + offsets).ravel(), rng.uniform(lo - 4.0, hi + 4.0, 500)])
+        got = _memberships(x, lo, hi, [(t.center, 2.0 * t.sigma * t.sigma) for t in terms], [])
+        want = np.array([[gaussian_membership(min(max(v, lo), hi), t) for t in terms] for v in x.tolist()])
+        assert ((want > 0.0) & (want < np.finfo(float).tiny)).any() and (want == 0.0).any() and (want == 1.0).any()
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("copies", [1, 2, 50, 203])
     def test_chunk_stays_under_the_element_cap(self, copies):
@@ -628,8 +651,9 @@ class TestFiringStage:
 
     def test_peak_memory_per_row_is_bounded(self):
         # distinct random rows, so that each input's table is as long as the
-        # batch: about 280 bytes a row above the rows themselves, against
-        # about 640 when one _exp ran over all inputs at once and the table
+        # batch: about 260 bytes a row above the rows themselves (280 when
+        # each input's exp went through a list of Python floats), against
+        # about 640 when one exp ran over all inputs at once and the table
         # was kept through the clip dedupe
         rows, model = random_rows(20_000), default_model()
         assert traced_peak(lambda: _infer_rows(model, rows)) < 450 * len(rows)

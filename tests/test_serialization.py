@@ -582,13 +582,14 @@ class TestCandidatesCsv:
         assert got == want
 
     def test_peak_memory_per_row_is_bounded(self, tmp_path):
-        # each record is held once, as its id, floats and start line: about
-        # 270 bytes a row here, against about 700 when every record's
-        # strings were kept until the file was read
+        # each record is held once, as its id, its floats in a flat array and
+        # its start line: about 175 bytes a row here, against about 270 when
+        # the floats were a list of Python floats and about 700 when every
+        # record's strings were kept until the file was read
         rows = random_rows(20_000).tolist()
         lines = [f"u{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows)]
         path = self._write(tmp_path, f"{self.HEADER}\n" + "".join(lines))
-        assert traced_peak(lambda: read_candidates_csv(path)) < 450 * len(rows)
+        assert traced_peak(lambda: read_candidates_csv(path)) < 220 * len(rows)
 
     def test_undecodable_bytes_are_a_csv_error(self, tmp_path):
         path = tmp_path / "batch.csv"
