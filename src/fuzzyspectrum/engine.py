@@ -64,7 +64,7 @@ _MAX_CURVE_POINTS = 10 * MAX_GRID_POINTS
 
 # Cap on the elements of the largest intermediate of one chunk of the kernel:
 # rows x rules x inputs (or another per-row rule-base array) in the firing
-# stage, grid points x clip vectors in the curve stage.
+# stage, (output terms + 1) x grid rows x clip vectors in the curve stage.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -373,13 +373,10 @@ class _Compiled:
         out_centers = np.array([t.center for t in output.terms])[:, None]
         out_sigmas = np.array([t.sigma for t in output.terms])[:, None]
         self.term_curves = np.exp(-((self.grid - out_centers) ** 2) / (2.0 * out_sigmas * out_sigmas))
-        # rows per chunk of the firing stage (its largest intermediate per row
-        # is rules x inputs, inputs x terms or the clip levels) and clip
-        # vectors per chunk of the curve stage (its buffers are grid points x
-        # clip vectors)
+        # rows per chunk of the firing stage: its largest intermediate per row
+        # is rules x inputs, inputs x terms or the clip levels
         row_elements = max(self.antecedents.size, n_in * width, len(output.terms))
         self.fire_rows = max(1, CHUNK_ELEMENTS // row_elements)
-        self.curve_rows = max(1, CHUNK_ELEMENTS // model.grid_points)
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
@@ -389,55 +386,10 @@ def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     return (edged[2:] - edged[:-2]) / 2.0
 
 
-def _clip_levels(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
-    """Clip levels (rows, output terms) of a chunk's strengths (rows, rules)
-    in the sorted layout."""
-    # max over rules of min(strength, consequent curve), evaluated per
-    # consequent term: min is monotone in the clip level, so taking the max
-    # strength of each consequent's run of rules first gives bit-identical
-    # values with far less work
-    levels = np.maximum.reduceat(strengths, c.starts, axis=1)
-    # no strength is below 0.0 (aggregate rejects one; a -0.0 weight gives
-    # -0.0), so no level is either; a term that no rule concludes reads 0.0
-    clip = np.zeros((len(levels), len(c.term_curves)))
-    clip[:, c.concluded] = levels
-    return clip
-
-
-def _degrees(c: _Compiled, clip: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Grid-major aggregated degrees (grid points, clip vectors) of a chunk's
-    (clip vectors, output terms), computed in work, a (2, grid points, clip
-    vectors) array that a caller scoring chunk after chunk allocates (and
-    page-faults) once; the result is work[0]."""
-    degrees, clipped = work
-    np.minimum(clip[:, 0], c.term_curves[0][:, None], out=degrees)
-    for k in range(1, clip.shape[1]):
-        np.maximum(degrees, np.minimum(clip[:, k], c.term_curves[k][:, None], out=clipped), out=degrees)
-    return degrees
-
-
-def _centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Centroids of grid-major (grid points, columns) degrees, passed in
-    mass, which is overwritten."""
-    # each column's mass and moment are summed strictly in grid order, so a
-    # column's sums are bit-identical whatever else is in the batch (a BLAS
-    # product is not) and equal to adding its points left to right one at a
-    # time.  Reducing axis 0 adds whole grid rows in order; numpy reduces a
-    # lone contiguous column pairwise instead, so one column takes
-    # _row_centroid
-    mass *= w[:, None]
-    den = np.add.reduce(mass, axis=0)
-    mass *= points[:, None]
-    moment = np.add.reduce(mass, axis=0)
-    least = den.min()
-    if least < MASS_EPSILON:
-        raise NoRuleFiredError(f"total output mass {least} below {MASS_EPSILON}; no rule fired")
-    return moment / den
-
-
 def _row_degrees(c: _Compiled, strengths: np.ndarray) -> np.ndarray:
     """Aggregated degrees (grid points,) of one row's strengths (rules,) in
-    the sorted layout: _clip_levels and _degrees on one row, in their order."""
+    the sorted layout: the IEEE operations of a batch's _fire and
+    _centroids on one row, in their order."""
     clip = np.zeros(len(c.term_curves))
     clip[c.concluded] = np.maximum.reduceat(strengths, c.starts)
     # one broadcast over the terms makes two numpy calls where the term loop
@@ -484,12 +436,84 @@ def _membership_table(c: _Compiled, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return table, index
 
 
-def _fire(c: _Compiled, memberships: np.ndarray) -> np.ndarray:
-    """Clip levels (n, output terms) of rows' (n, n_inputs, terms) memberships."""
+def _fire(c: _Compiled, memberships: np.ndarray, weights: np.ndarray, runs: list, clip: np.ndarray) -> None:
+    """Write the clip levels of rows' (n, n_inputs, terms) memberships into
+    clip, their (n, output terms) rows; weights is a (rules, n or more) tile
+    of the sorted weights, and runs holds each concluded term's (term, first
+    rule, end) in the sorted layout."""
     # taken along the first axis of the (inputs x terms, rows) transpose; along
     # the second axis of the rows, take is ~15x slower on a 200-row chunk
     flat = memberships.reshape(len(memberships), -1).T
-    return _clip_levels(c, c.weights * flat.take(c.antecedents, axis=0).min(axis=0).T)
+    strengths = flat.take(c.antecedents, axis=0).min(axis=0)
+    strengths *= weights[:, : len(memberships)]
+    # max over rules of min(strength, consequent curve), evaluated per
+    # consequent term: min is monotone in the clip level, so the max strength
+    # of each consequent's run of rules gives bit-identical values with far
+    # less work.  No strength is below 0.0 (aggregate rejects one; a -0.0
+    # weight gives -0.0), so no level is either
+    for term, first, end in runs:
+        np.maximum.reduce(strengths[first:end], axis=0, out=clip[:, term])
+
+
+def _curve_chunks(terms: int, distinct: int, grid_points: int) -> tuple[int, int]:
+    """Clip vectors per column chunk and grid rows per block of the curve
+    stage, for distinct clip vectors of terms levels each: the (terms, rows,
+    columns) tile of clip levels and a (rows, columns) scratch array hold
+    (terms + 1) x rows x columns <= CHUNK_ELEMENTS elements, unless a chunk
+    is a lone column."""
+    widest = max(1, CHUNK_ELEMENTS // max(16, terms + 1))
+    # chunks of equal width, so that the last is not a lone column
+    chunks = max(1, -(-distinct // widest))
+    columns = max(1, -(-distinct // chunks))
+    return columns, min(grid_points, max(1, CHUNK_ELEMENTS // ((terms + 1) * columns)))
+
+
+def _centroids(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
+    """Centroids of a chunk's (columns, output terms) clip vectors, walking
+    the grid in blocks of rows grid points."""
+    terms = len(c.term_curves)
+    if len(clip) == 1:
+        # numpy would reduce a lone contiguous column pairwise, so it takes
+        # _row_degrees' curve and the running sum of _row_centroid
+        return _row_centroid(np.maximum.reduce(np.minimum(clip.T, c.term_curves), axis=0), c.grid, c.w)
+    # a ufunc with a broadcast operand shorter than numpy's 8192-element
+    # buffer takes the buffered iterator, ~3x slower per element than
+    # same-shape contiguous operands, so every broadcast is one copyto into
+    # scratch: the clip levels once per chunk, the curves, w and the points
+    # once per block
+    levels = np.empty((terms, rows, len(clip)))
+    np.copyto(levels, clip.T[:, None, :])
+    degrees, clipped, tile = np.empty((3, rows, len(clip)))
+    mass, moment = np.empty((2, len(clip)))
+    for g in range(0, len(c.grid), rows):
+        n = min(rows, len(c.grid) - g)
+        d, m, t = degrees[:n], clipped[:n], tile[:n]
+        # the row path's operations in its order: the clip level first in
+        # min, the running max first in max
+        np.copyto(t, c.term_curves[0, g:g + n, None])
+        np.minimum(levels[0, :n], t, out=d)
+        for k in range(1, terms):
+            np.copyto(t, c.term_curves[k, g:g + n, None])
+            np.maximum(d, np.minimum(levels[k, :n], t, out=m), out=d)
+        np.copyto(t, c.w[g:g + n, None])
+        d *= t
+        np.copyto(t, c.grid[g:g + n, None])
+        np.multiply(d, t, out=m)
+        # each column's mass and moment are summed strictly in grid order, so
+        # a column's sums are bit-identical whatever else is in the batch (a
+        # BLAS product is not) and equal to adding its points left to right:
+        # reducing axis 0 adds whole grid rows in order, and each block after
+        # the first starts from the running sums, added into its first row
+        # (fl(S + t) is fl(t + S))
+        if g:
+            d[0] += mass
+            m[0] += moment
+        np.add.reduce(d, axis=0, out=mass)
+        np.add.reduce(m, axis=0, out=moment)
+    least = mass.min()
+    if least < MASS_EPSILON:
+        raise NoRuleFiredError(f"total output mass {least} below {MASS_EPSILON}; no rule fired")
+    return moment / mass
 
 
 def _one_row(c: _Compiled, row: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -525,16 +549,25 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     for any other row length).  Each is bit-identical to infer on the same
     row.  Chunking bounds only the firing and curve stages' intermediates;
     the membership table and index (until the clip levels are filled) and
-    the clip levels and their dedupe span the batch, about 260 bytes a row."""
+    the clip levels and their dedupe span the batch, about 260 bytes a row.
+
+    The firing stage takes the rows in chunks of fire_rows, the curve stage
+    the distinct clip vectors in column chunks, each over the grid in blocks
+    (_curve_chunks), and every ufunc in a chunk runs on same-shape arrays."""
     c = model._compiled
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(c.fuzzifiers):
         raise InvalidInputError(f"expected {len(c.fuzzifiers)} inputs, got {x.shape[-1]}")
     table, index = _membership_table(c, x)
-    clip = np.empty((len(x), len(c.term_curves)))
+    # a term that no rule concludes reads 0.0
+    clip = np.zeros((len(x), len(c.term_curves)))
+    weights = np.empty((len(c.weights), min(len(x), c.fire_rows)))
+    np.copyto(weights, c.weights[:, None])
+    ends = [*c.starts[1:].tolist(), len(c.weights)]
+    runs = list(zip(c.concluded.tolist(), c.starts.tolist(), ends))
     for i in range(0, len(x), c.fire_rows):
-        clip[i:i + c.fire_rows] = _fire(c, table.take(index[i:i + c.fire_rows], axis=0))
-    del table, index
+        _fire(c, table.take(index[i:i + c.fire_rows], axis=0), weights, runs, clip[i:i + c.fire_rows])
+    del table, index, weights
     # a row's crisp output depends on its clip levels alone, so the curve
     # stage runs once per distinct clip vector, compared bit for bit so that
     # -0.0 and 0.0 stay apart
@@ -542,17 +575,9 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     distinct = clip[first]
     crisp = np.empty(len(distinct))
-    work = np.empty(2 * len(c.grid) * min(len(distinct), c.curve_rows))
-    for i in range(0, len(distinct), c.curve_rows):
-        chunk = distinct[i:i + c.curve_rows]
-        # a contiguous view even for a short last chunk: a strided one
-        # costs numpy's ufuncs up to twice as much
-        chunk_work = work[: 2 * len(c.grid) * len(chunk)].reshape(2, len(c.grid), len(chunk))
-        degrees = _degrees(c, chunk, chunk_work)
-        if len(chunk) == 1:
-            crisp[i] = _row_centroid(degrees[:, 0], c.grid, c.w)
-        else:
-            crisp[i:i + len(chunk)] = _centroid(degrees, c.grid, c.w)
+    columns, rows = _curve_chunks(clip.shape[1], len(distinct), len(c.grid))
+    for i in range(0, len(distinct), columns):
+        crisp[i:i + columns] = _centroids(c, distinct[i:i + columns], rows)
     return crisp[inverse.ravel()]
 
 

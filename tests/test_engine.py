@@ -30,7 +30,16 @@ from fuzzyspectrum import (
 )
 
 from fuzzyspectrum import engine
-from fuzzyspectrum.engine import CHUNK_ELEMENTS, MASS_EPSILON, MAX_GRID_POINTS, _infer_rows, _membership_table, _memberships
+from fuzzyspectrum.engine import (
+    CHUNK_ELEMENTS,
+    MASS_EPSILON,
+    MAX_GRID_POINTS,
+    _curve_chunks,
+    _infer_row,
+    _infer_rows,
+    _membership_table,
+    _memberships,
+)
 
 from conftest import random_inputs, random_model, random_rows, three_term_variable, traced_peak
 from oracle import (
@@ -389,17 +398,19 @@ class TestInfer:
 
     def test_batch_rows_bit_identical_to_infer_at_every_position(self):
         model = default_model()
-        # the firing stage and the curve stage chunk the batch differently;
-        # the batch spans more than two chunks of each (random rows rarely
-        # share a clip vector, so the curve stage sees about as many rows)
+        # the firing stage chunks the rows and the curve stage walks the grid
+        # in blocks: the batch spans more than two firing chunks, and its
+        # clip vectors (random rows rarely share one) take several grid
+        # blocks with a partial last one
         c = model._compiled
-        rows_per_chunk = max(c.fire_rows, c.curve_rows)
         rng = np.random.default_rng(31)
         # some rows fall outside the universes, so clamping is covered too
         lo = np.array([v.lo for v in model.inputs])
         hi = np.array([v.hi for v in model.inputs])
         span = hi - lo
-        rows = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(2 * rows_per_chunk + 5, lo.size))
+        rows = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(2 * c.fire_rows + 5, lo.size))
+        columns, block = _curve_chunks(len(c.term_curves), len(rows), model.grid_points)
+        assert columns == len(rows) and block < model.grid_points and model.grid_points % block
         single = [infer(model, row).crisp_output for row in rows]
         # rolling the batch moves every row through every position, across
         # chunk boundaries included
@@ -420,13 +431,28 @@ class TestInfer:
         a, b = np.meshgrid(np.linspace(lo[0], hi[0], 11), np.linspace(lo[3], hi[3], 11))
         sweep = np.column_stack([a.ravel(), np.full(a.size, 50.0), np.full(a.size, 0.5), b.ravel()])
         # random rows, some of them repeated exactly
-        spread = rng.uniform(lo, hi, size=(2 * model._compiled.curve_rows + 5, lo.size))
+        c = model._compiled
+        spread = rng.uniform(lo, hi, size=(c.fire_rows + 5, lo.size))
         rows = np.concatenate([corners, sweep, spread, spread[::3]])
         rng.shuffle(rows)
 
         distinct = {clip_levels(model, row) for row in rows}
-        assert 2 * model._compiled.curve_rows < len(distinct) < len(rows)
+        # more rows than a firing chunk, and more distinct clip vectors than
+        # one grid block holds
+        assert c.fire_rows < len(distinct) < len(rows)
+        assert _curve_chunks(len(c.term_curves), len(distinct), model.grid_points)[1] < model.grid_points
         assert _infer_rows(model, rows).tolist() == [infer(model, row).crisp_output for row in rows]
+
+    def test_two_column_chunks_bit_identical_to_infer(self):
+        # more distinct clip vectors than one column chunk holds
+        model = default_model()
+        rows = random_rows(4200)
+        c = model._compiled
+        columns, _ = _curve_chunks(len(c.term_curves), len(rows), model.grid_points)
+        assert columns < len(rows) <= 2 * columns
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        got = _infer_rows(model, rows)
+        assert got.tobytes() == np.array([_infer_row(model, row) for row in rows.tolist()]).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -458,7 +484,7 @@ class TestCurveStage:
         # one narrow term at the bottom of a wide universe: its membership
         # underflows to 0.0 at 100.0, so that row's clip vector has no mass;
         # the other rows make the chunk's clip vectors distinct, so the
-        # multi-column _centroid scores it, not _row_centroid
+        # block walk of _centroids scores it, not _row_centroid
         x = FuzzyVariable("x", 0.0, 100.0, (GaussianTerm("T", 0.0, 1.0),))
         model = FuzzyModel((x,), three_term_variable("y", 0.0, 1.0), (Rule((0,), 2),))
         with pytest.raises(NoRuleFiredError) as excinfo:
@@ -467,14 +493,20 @@ class TestCurveStage:
 
     @pytest.mark.parametrize("grid_points", [101, 1001, 5001])
     def test_batch_matches_left_to_right_centroid_at_every_width(self, grid_points):
-        # the curve stage sums a single column and a chunk of many columns
-        # differently; both must equal adding the grid one point at a time
+        # the curve stage sums a lone column as a running sum and a chunk of
+        # columns block by block; both must equal adding the grid one point
+        # at a time.  Widths: one column, two, and the fewest columns whose
+        # grid walk carries the sums across a block boundary into a partial
+        # last block
         model = replace(default_model(), grid_points=grid_points)
         c = model._compiled
+        terms = len(c.term_curves)
+        carry = next(n for n in itertools.count(3) if grid_points % _curve_chunks(terms, n, grid_points)[1])
+        assert _curve_chunks(terms, 2, grid_points)[1] == grid_points
         rng = np.random.default_rng(grid_points)
         lo = np.array([v.lo for v in model.inputs])
         hi = np.array([v.hi for v in model.inputs])
-        distinct = rng.uniform(lo, hi, size=(c.curve_rows + 1, lo.size))
+        distinct = rng.uniform(lo, hi, size=(carry, lo.size))
         clips = [clip_levels(model, row) for row in distinct]
         assert len(set(clips)) == len(distinct)
         grid = c.grid.tolist()
@@ -487,7 +519,7 @@ class TestCurveStage:
             ]
             want.append(trapezoid_centroid(grid, degrees))
 
-        for n in (1, 2, c.curve_rows, c.curve_rows + 1):
+        for n in (1, 2, carry):
             picks = np.concatenate([np.arange(n), rng.integers(0, n, size=n + 3)])
             rng.shuffle(picks)
             assert _infer_rows(model, distinct[picks]).tolist() == [want[i] for i in picks]
@@ -533,10 +565,17 @@ class TestCurveStage:
         "grid_points", [2, 101, 1001, 5001, CHUNK_ELEMENTS, CHUNK_ELEMENTS + 1, MAX_GRID_POINTS]
     )
     def test_chunk_stays_under_the_element_cap(self, grid_points):
-        c = replace(default_model(), grid_points=grid_points)._compiled
-        assert c.curve_rows >= 1
-        if c.curve_rows > 1:
-            assert c.curve_rows * grid_points <= CHUNK_ELEMENTS
+        # the (terms, rows, columns) tile of clip levels and each (rows,
+        # columns) scratch array, for 1 to 10 output terms; a lone column
+        # takes the row path's arrays
+        for terms, distinct in itertools.product(range(1, 11), (1, 2, 3, 100, 4096, 4097, 10_000, 1_000_000)):
+            columns, rows = _curve_chunks(terms, distinct, grid_points)
+            chunks = -(-distinct // columns)
+            assert 1 <= columns <= CHUNK_ELEMENTS // 16 and 1 <= rows <= grid_points
+            assert (chunks - 1) * columns < distinct <= chunks * columns
+            assert (columns == 1) == (distinct == 1)
+            if columns > 1:
+                assert (terms + 1) * rows * columns <= CHUNK_ELEMENTS
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -720,6 +759,38 @@ class TestClipStage:
         if live:
             rows, want = zip(*live)
             assert [v.hex() for v in _infer_rows(model, rows + rows[::-1])] == list(want + want[::-1])
+
+    def test_runs_of_signed_zero_weights_bit_identical_to_infer(self):
+        # each output term's rules form one run that a single max reduces:
+        # runs of -0.0 weights alone, of 0.0 alone, of both, and of both with
+        # a positive weight, and a term that no rule concludes
+        output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / 4, 0.1) for k in range(5)))
+        x = (three_term_variable("a", 0.0, 1.0), three_term_variable("b", -1.0, 1.0))
+        runs = {0: [-0.0] * 4, 1: [0.0] * 4, 2: [-0.0, 0.0, -0.0, 0.0], 3: [0.0, -0.0, 0.5, -0.0]}
+        combos = list(itertools.product(range(3), range(3)))
+        rules = tuple(Rule(combos[(3 * k + i) % 9], k, w) for k, weights in runs.items() for i, w in enumerate(weights))
+        rules += tuple(Rule(a, 3, 1.0) for a in combos[::4])
+        model = FuzzyModel(x, output, rules)
+        assert len(model._compiled.concluded) == 4
+        rng = np.random.default_rng(8)
+        rows = np.column_stack([rng.uniform(-0.5, 1.5, 300), rng.choice([-2.0, -0.0, 0.0, 0.3, 2.0], 300)])
+        want = np.array([infer(model, row).crisp_output for row in rows])
+        assert _infer_rows(model, rows).tobytes() == want.tobytes()
+        # the clip levels the firing stage writes: a run of -0.0 keeps it,
+        # and the term without rules is left as it was
+        c = model._compiled
+        table, index = _membership_table(c, rows)
+        clip = np.full((len(rows), 5), np.nan)
+        weights = np.empty((len(c.weights), len(rows)))
+        np.copyto(weights, c.weights[:, None])
+        ends = [*c.starts[1:].tolist(), len(c.weights)]
+        engine._fire(c, table.take(index, axis=0), weights, list(zip(c.concluded.tolist(), c.starts.tolist(), ends)), clip)
+        assert np.isnan(clip[:, 4]).all()  # _infer_rows starts from zeros
+        assert np.signbit(clip[:, 0]).all() and (clip[:, 0] == 0.0).all()
+        assert not np.signbit(clip[:, 1]).any() and (clip[:, 1] == 0.0).all()
+        assert (clip[:, 2] == 0.0).all() and (clip[:, 3] > 0.0).all()
+        for row, levels in zip(rows, clip.tolist()):
+            assert levels[3] == clip_levels(model, row)[3]
 
     def test_aggregate_of_signed_zeros_and_negatives(self):
         # the kernel's strengths are never below 0.0, and aggregate rejects
