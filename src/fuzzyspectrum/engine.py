@@ -461,10 +461,7 @@ def _curve_chunks(terms: int, distinct: int, grid_points: int) -> tuple[int, int
     columns) tile of clip levels and a (rows, columns) scratch array hold
     (terms + 1) x rows x columns <= CHUNK_ELEMENTS elements, unless a chunk
     is a lone column."""
-    widest = max(1, CHUNK_ELEMENTS // max(16, terms + 1))
-    # chunks of equal width, so that the last is not a lone column
-    chunks = max(1, -(-distinct // widest))
-    columns = max(1, -(-distinct // chunks))
+    columns = max(1, min(distinct, CHUNK_ELEMENTS // max(16, terms + 1)))
     return columns, min(grid_points, max(1, CHUNK_ELEMENTS // ((terms + 1) * columns)))
 
 
@@ -563,8 +560,7 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     clip = np.zeros((len(x), len(c.term_curves)))
     weights = np.empty((len(c.weights), min(len(x), c.fire_rows)))
     np.copyto(weights, c.weights[:, None])
-    ends = [*c.starts[1:].tolist(), len(c.weights)]
-    runs = list(zip(c.concluded.tolist(), c.starts.tolist(), ends))
+    runs = list(zip(c.concluded.tolist(), c.starts.tolist(), [*c.starts[1:].tolist(), len(c.weights)]))
     for i in range(0, len(x), c.fire_rows):
         _fire(c, table.take(index[i:i + c.fire_rows], axis=0), weights, runs, clip[i:i + c.fire_rows])
     del table, index, weights

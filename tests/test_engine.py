@@ -444,15 +444,17 @@ class TestInfer:
         assert _infer_rows(model, rows).tolist() == [infer(model, row).crisp_output for row in rows]
 
     def test_two_column_chunks_bit_identical_to_infer(self):
-        # more distinct clip vectors than one column chunk holds
+        # more distinct clip vectors than one column chunk holds: the second
+        # chunk narrower than the first, or a lone column
         model = default_model()
         rows = random_rows(4200)
         c = model._compiled
         columns, _ = _curve_chunks(len(c.term_curves), len(rows), model.grid_points)
-        assert columns < len(rows) <= 2 * columns
+        assert columns + 1 < len(rows) <= 2 * columns
         assert len(np.unique(rows, axis=0)) == len(rows)
-        got = _infer_rows(model, rows)
-        assert got.tobytes() == np.array([_infer_row(model, row) for row in rows.tolist()]).tobytes()
+        want = np.array([_infer_row(model, row) for row in rows.tolist()])
+        assert _infer_rows(model, rows).tobytes() == want.tobytes()
+        assert _infer_rows(model, rows[: columns + 1]).tobytes() == want[: columns + 1].tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -567,13 +569,11 @@ class TestCurveStage:
     def test_chunk_stays_under_the_element_cap(self, grid_points):
         # the (terms, rows, columns) tile of clip levels and each (rows,
         # columns) scratch array, for 1 to 10 output terms; a lone column
-        # takes the row path's arrays
+        # (one distinct vector, or a last chunk of one) takes the row path's
+        # arrays
         for terms, distinct in itertools.product(range(1, 11), (1, 2, 3, 100, 4096, 4097, 10_000, 1_000_000)):
             columns, rows = _curve_chunks(terms, distinct, grid_points)
-            chunks = -(-distinct // columns)
-            assert 1 <= columns <= CHUNK_ELEMENTS // 16 and 1 <= rows <= grid_points
-            assert (chunks - 1) * columns < distinct <= chunks * columns
-            assert (columns == 1) == (distinct == 1)
+            assert columns == min(distinct, CHUNK_ELEMENTS // 16) and 1 <= rows <= grid_points
             if columns > 1:
                 assert (terms + 1) * rows * columns <= CHUNK_ELEMENTS
 
