@@ -781,10 +781,9 @@ class TestClipStage:
         c = model._compiled
         table, index = _membership_table(c, rows)
         clip = np.full((len(rows), 5), np.nan)
-        weights = np.empty((len(c.weights), len(rows)))
-        np.copyto(weights, c.weights[:, None])
-        ends = [*c.starts[1:].tolist(), len(c.weights)]
-        engine._fire(c, table.take(index, axis=0), weights, list(zip(c.concluded.tolist(), c.starts.tolist(), ends)), clip)
+        weights = np.repeat(c.weights[:, None], len(rows), axis=1)
+        runs = list(zip(c.concluded.tolist(), c.starts.tolist(), [*c.starts[1:].tolist(), len(c.weights)]))
+        engine._fire(c, table.take(index, axis=0), weights, runs, clip)
         assert np.isnan(clip[:, 4]).all()  # _infer_rows starts from zeros
         assert np.signbit(clip[:, 0]).all() and (clip[:, 0] == 0.0).all()
         assert not np.signbit(clip[:, 1]).any() and (clip[:, 1] == 0.0).all()
