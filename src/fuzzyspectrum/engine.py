@@ -337,7 +337,8 @@ class _Compiled:
     its checked (rules, inputs + 1) table of antecedents and consequent.
 
     Each input's term parameters are kept once, as Python floats in
-    fuzzifiers, padded to the widest variable; no rule indexes the padding.
+    fuzzifiers, padded to the widest variable with copies of its first term,
+    whose exponent FuzzyModel checks; no rule indexes the padding.
     The rule arrays hold the rules sorted by consequent, stably, so that the
     rules concluding each output term are one run and the term's clip level
     one max over it.
@@ -346,9 +347,9 @@ class _Compiled:
     def __init__(self, model: FuzzyModel, table: np.ndarray):
         n_in, output = len(model.inputs), model.output
         width = max(len(v.terms) for v in model.inputs)
-        # per input: (lo, hi, [(center, 2*sigma*sigma) per term], padding memberships)
+        # per input: (lo, hi, [(center, 2*sigma*sigma) per term and padding slot])
         self.fuzzifiers = tuple(
-            (v.lo, v.hi, [(t.center, 2.0 * t.sigma * t.sigma) for t in v.terms], [0.0] * (width - len(v.terms)))
+            (v.lo, v.hi, [(t.center, 2.0 * t.sigma * t.sigma) for t in v.terms + v.terms[:1] * (width - len(v.terms))])
             for v in model.inputs
         )
         # rule order[p] sits at position p of the sorted layout.  Python's
@@ -411,11 +412,10 @@ def _row_centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> float:
     return total.imag / total.real
 
 
-def _memberships(x: np.ndarray, lo: float, hi: float, terms: list, pad: list) -> np.ndarray:
+def _memberships(x: np.ndarray, lo: float, hi: float, terms: list) -> np.ndarray:
     """Memberships (n, terms) of finite values x of one input, clamped into
-    [lo, hi] first, from that input's entry of fuzzifiers; a padding term
-    reads center 0.0 and 2*sigma*sigma 1.0."""
-    centers, two_sigma_sq = np.array(terms + [(0.0, 1.0)] * len(pad)).T
+    [lo, hi] first, from that input's entry of fuzzifiers."""
+    centers, two_sigma_sq = np.array(terms).T
     # the same clamp as np.clip, in two cheaper calls
     d = np.minimum(np.maximum(x, lo), hi)[..., None] - centers
     # numpy's complex exp calls the C library's exp, as math.exp does, so it
@@ -520,12 +520,11 @@ def _one_row(c: _Compiled, row: Sequence[float]) -> tuple[np.ndarray, np.ndarray
     # a dozen memberships cost less as floats than as numpy calls; the clamp
     # and the exponent are _memberships' operations, in its order
     memberships = []
-    for x, (lo, hi, terms, pad) in zip(row, c.fuzzifiers):
+    for x, (lo, hi, terms) in zip(row, c.fuzzifiers):
         x = min(max(x, lo), hi)
         for center, two_sigma_sq in terms:
             d = x - center
             memberships.append(math.exp(-(d * d) / two_sigma_sq))
-        memberships += pad
     memberships = np.array(memberships)
     strengths = np.minimum.reduce(memberships.take(c.antecedents), axis=0)
     strengths *= c.weights

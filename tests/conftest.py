@@ -19,6 +19,8 @@ from fuzzyspectrum import (
     default_model,
 )
 
+from oracle import model_params, reference_infer
+
 
 def three_term_variable(name, lo, hi):
     """Low/Medium/High at {lo, mid, hi} with the 0.5-crossover sigma."""
@@ -94,10 +96,10 @@ ODD_CELLS = [
 ODD_IDS = ["u1", "a,b", 'x"y', "x\ny", "x\r\ny", "", " ", "\t", "\u00fc"]
 
 
-# every phase but explain, for the candidate_files() properties: explain
-# only annotates a failure, and on these it kept a failing reader from
-# being reported for minutes
-CANDIDATE_FILE_PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
+# every phase but explain, for the properties that compare with a
+# reference: explain only annotates a failure, and on the candidate_files()
+# properties it kept a failing reader from being reported for minutes
+NO_EXPLAIN_PHASES = tuple(phase for phase in Phase if phase is not Phase.explain)
 
 
 @st.composite
@@ -157,6 +159,14 @@ UNDECODABLE_JSON = {
 
 def random_inputs(rng: np.random.Generator, model: FuzzyModel) -> list[float]:
     return [float(rng.uniform(v.lo, v.hi)) for v in model.inputs]
+
+
+def exact_outputs(model: FuzzyModel, rows) -> list[float]:
+    """The reference's crisp output of each row (tests/oracle.py), at the
+    model's own grid and given its own output term curves: what both
+    kernels must equal."""
+    params, curves = model_params(model), model._compiled.term_curves.tolist()
+    return [reference_infer(row, *params, model.grid_points, curves) for row in rows]
 
 
 def random_rows(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import itertools
 import math
 
 DENSE_GRID_POINTS = 10001
+MASS_EPSILON = 1e-12  # the least centroid mass the package divides by
 
 
 def gauss(x, center, sigma):
@@ -17,7 +18,7 @@ def gauss(x, center, sigma):
     return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
-def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POINTS):
+def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POINTS, curves=None):
     """Straight-line Mamdani inference: clamp, fuzzify, weight * min firing,
     min-implication / max-aggregation on an inclusive grid, trapezoid
     centroid accumulated left to right.
@@ -25,34 +26,39 @@ def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POI
     input_vars: sequence of (lo, hi, ((center, sigma), ...))
     output_var: (lo, hi, ((center, sigma), ...))
     rules: sequence of (antecedent_indices, consequent_index, weight)
+    curves: each output term's values on the n_grid points, as lists, in
+    place of gauss; given the package's own, the result is its crisp
+    output bit for bit.  Python's max and min keep the first of two equal
+    values, numpy the second, and the clip levels and degrees here start
+    from 0.0: where the package keeps a -0.0 (a run of -0.0 weights) they
+    read 0.0, so compare degree bytes only where no degree is zero.
     """
-    strengths = reference_strengths(inputs, input_vars, rules)
-
-    # one clip level per output term: the max strength among rules with that
-    # consequent (max-aggregation regrouped by consequent; selections only,
-    # so values match the rule-by-rule max bit for bit)
     out_lo, out_hi, out_terms = output_var
-    clip = [0.0] * len(out_terms)
-    for (_, consequent, _), s in zip(rules, strengths):
-        if s > clip[consequent]:
-            clip[consequent] = s
-
-    # aggregated curve on the inclusive grid
     step = (out_hi - out_lo) / (n_grid - 1)
     points = [out_lo + i * step for i in range(n_grid)]
     points[-1] = out_hi
-    degrees = []
-    for x in points:
-        best = 0.0
-        for (c, s), level in zip(out_terms, clip):
-            mu = gauss(x, c, s)
-            if mu > level:
-                mu = level
-            if mu > best:
-                best = mu
-        degrees.append(best)
+    if curves is None:
+        curves = ([gauss(x, c, s) for x in points] for c, s in out_terms)
+    clip = reference_clip_levels(inputs, input_vars, output_var, rules)
+    return trapezoid_centroid(points, reference_degrees(clip, curves))
 
-    return trapezoid_centroid(points, degrees)
+
+def reference_clip_levels(inputs, input_vars, output_var, rules):
+    """One clip level per output term: the max strength among rules with that
+    consequent, from 0.0 (max-aggregation regrouped by consequent; selections
+    only, so values match the rule-by-rule max bit for bit)."""
+    clip = [0.0] * len(output_var[2])
+    for (_, consequent, _), s in zip(rules, reference_strengths(inputs, input_vars, rules)):
+        if s > clip[consequent]:
+            clip[consequent] = s
+    return clip
+
+
+def reference_degrees(clip, curves):
+    """The aggregated degree at each grid point: the max, from 0.0, over the
+    output terms of min(the term's curve value, its clip level)."""
+    clipped = ([level if y > level else y for y in curve] for curve, level in zip(curves, clip))
+    return list(map(max, itertools.repeat(0.0), *clipped))
 
 
 def reference_strengths(inputs, input_vars, rules):
@@ -78,8 +84,11 @@ def reference_strengths(inputs, input_vars, rules):
 
 def trapezoid_centroid(points, degrees):
     """Centroid of a sampled curve with trapezoid weights, each sum
-    accumulated left to right one point at a time; a lone point weighs 1."""
+    accumulated left to right one point at a time; a lone point weighs 1.
+    ZeroDivisionError where the mass is below MASS_EPSILON."""
     num, den = trapezoid_sums(points, degrees)
+    if den < MASS_EPSILON:
+        raise ZeroDivisionError(f"mass {den} below {MASS_EPSILON}")
     return num / den
 
 
@@ -121,9 +130,9 @@ def model_params(model):
     return input_vars, output_var, rules
 
 
-def oracle_possibility(model, inputs, n_grid=DENSE_GRID_POINTS):
+def oracle_possibility(model, inputs, n_grid=DENSE_GRID_POINTS, curves=None):
     input_vars, output_var, rules = model_params(model)
-    return reference_infer(inputs, input_vars, output_var, rules, n_grid=n_grid)
+    return reference_infer(inputs, input_vars, output_var, rules, n_grid=n_grid, curves=curves)
 
 
 def reference_validate_model(input_terms, rules):

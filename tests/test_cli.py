@@ -26,7 +26,7 @@ from fuzzyspectrum.serialization import (
     serialize_document,
 )
 
-from conftest import CANDIDATE_FILE_PHASES, UNDECODABLE_JSON, candidate_files, dead_model, rule_table_rows
+from conftest import NO_EXPLAIN_PHASES, UNDECODABLE_JSON, candidate_files, dead_model, rule_table_rows
 from oracle import reference_read_candidates
 
 HEADER = "id,signal_dbm,velocity_kmh,spectrum_ratio,distance_m"
@@ -289,7 +289,7 @@ class TestArbitrate:
     # failure took most of a minute; the reader's own property shrinks the
     # same faults in about a second
     @given(candidate_files())
-    @settings(max_examples=150, deadline=None, phases=tuple(p for p in CANDIDATE_FILE_PHASES if p is not Phase.shrink))
+    @settings(max_examples=150, deadline=None, phases=tuple(p for p in NO_EXPLAIN_PHASES if p is not Phase.shrink))
     def test_bad_file_exits_one_with_the_reader_message(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "batch.csv")

@@ -44,7 +44,7 @@ from fuzzyspectrum.serialization import (
     serialize_document,
 )
 
-from conftest import dead_model, random_model, three_term_variable
+from conftest import dead_model, exact_outputs, random_model, three_term_variable
 from oracle import oracle_possibility, reference_validate_model
 
 FIXTURE = Path(__file__).parent / "data" / "table1_rules.txt"
@@ -274,6 +274,8 @@ class TestDecisionPossibility:
         result = decision_possibility(Candidate("op", -60.0, 50.0, 0.5, 50.0))
         assert result.possibility == 0.4999999999999993
         assert not result.admitted
+        # the reference, given the model's own output curves, as well
+        assert exact_outputs(default_model(), [[-60.0, 50.0, 0.5, 50.0]]) == [0.4999999999999993]
 
     def test_identical_candidates_identical_possibility(self):
         a = decision_possibility(Candidate("a", -72.5, 31.0, 0.62, 18.0))
@@ -329,12 +331,13 @@ class TestDecisionPossibility:
 
 def assert_trace_free_bits(model, candidates):
     """A decision without a trace equals infer's crisp output and the same
-    row's entry in a larger batch, bit for bit."""
+    row's entry in a larger batch, bit for bit, and the exact reference."""
     rows = [c.inputs() for c in candidates]
     batch = _infer_rows(model, rows + rows[::-1]).tolist()
-    for c, batched in zip(candidates, batch):
+    for c, batched, exact in zip(candidates, batch, exact_outputs(model, rows)):
         got = decision_possibility(c, model).possibility
         assert got.hex() == infer(model, c.inputs()).crisp_output.hex() == batched.hex()
+        assert got == exact
 
 
 def candidates_around(rng, model, n):

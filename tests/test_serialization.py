@@ -44,7 +44,7 @@ from fuzzyspectrum import (
 from fuzzyspectrum.engine import _MAX_CURVE_POINTS, MAX_GRID_POINTS
 
 from conftest import (
-    CANDIDATE_FILE_PHASES,
+    NO_EXPLAIN_PHASES,
     UNDECODABLE_JSON,
     candidate_files,
     random_rows,
@@ -564,7 +564,7 @@ class TestCandidatesCsv:
         assert str(info.value) == f"line 4: field larger than field limit ({csv.field_size_limit()})"
 
     @given(candidate_files())
-    @settings(max_examples=400, deadline=None, phases=CANDIDATE_FILE_PHASES)
+    @settings(max_examples=400, deadline=None, phases=NO_EXPLAIN_PHASES)
     def test_matches_the_line_by_line_reader(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "batch.csv")

@@ -17,7 +17,7 @@ from fuzzyspectrum import (
 
 from fuzzyspectrum.sweep import MAX_STEPS
 
-from conftest import dead_model, traced_peak
+from conftest import dead_model, exact_outputs, traced_peak
 from oracle import oracle_possibility
 
 
@@ -212,6 +212,22 @@ class TestRunSweep:
                     model, [s, fixed["velocity_kmh"], fixed["spectrum_ratio"], d]
                 )
                 assert abs(result.grid[i, j] - want) < 1e-6
+
+    @pytest.mark.parametrize("fig", [7, 8, 9, 10, 11])
+    def test_preset_cells_equal_the_exact_reference(self, fig):
+        # a seeded sample of the cells, against the reference given the
+        # model's own curves; tools/gen_goldens.py checks every cell
+        model = default_model()
+        result = run_sweep(figure_preset(fig), model)
+        rng = np.random.default_rng(fig)
+        cells = rng.integers(0, result.grid.shape, size=(30, 2))
+        point = result.spec.fixed_dict()
+        rows = []
+        for i, j in cells:
+            point[result.spec.axis1.name] = result.axis1_values[i]
+            point[result.spec.axis2.name] = result.axis2_values[j]
+            rows.append([point[v.name] for v in model.inputs])
+        assert result.grid[cells[:, 0], cells[:, 1]].tolist() == exact_outputs(model, rows)
 
     def test_degenerate_equal_corner_axes(self):
         model = default_model()
