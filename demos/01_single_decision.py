@@ -38,10 +38,11 @@ print()
 print("strongest rules:")
 ranked = sorted(enumerate(trace.firing_strengths, start=1), key=lambda rs: -rs[1])
 for row, strength in ranked[:5]:
-    rule = model.rules[row - 1]
-    antecedents = ", ".join(model.term_names(rule.antecedents))
-    consequent = model.output.terms[rule.consequent].name
-    print(f"  row {row:2d}: IF ({antecedents}) THEN {consequent}   strength {strength:.4f}")
+    # each rule is an (antecedent term indices, consequent term index, weight) triple
+    antecedents, consequent, weight = model.rules[row - 1]
+    names = ", ".join(model.term_names(antecedents))
+    print(f"  row {row:2d}: IF ({names}) THEN {model.output.terms[consequent].name} (weight {weight})"
+          f"   strength {strength:.4f}")
 
 print()
 print(f"aggregated curve has {len(trace.aggregated_curve)} samples; "

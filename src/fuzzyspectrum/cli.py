@@ -110,7 +110,7 @@ def _gridded(args, model: FuzzyModel) -> FuzzyModel:
     """model at the --grid-points resolution, when one is given."""
     if args.grid_points is None:
         return model
-    return FuzzyModel._from_table(model.inputs, model.output, *model._table, args.grid_points)
+    return FuzzyModel(model.inputs, model.output, model.rules, args.grid_points)
 
 
 def _resolve_candidate_model(args) -> tuple[FuzzyModel, float]:
@@ -248,7 +248,7 @@ def cmd_validate(args) -> int:
     model = _document(args).model
     report = validate_model(model)
     if report.ok:
-        _emit(args, f"{len(model._table[2])} rules, complete\n")
+        _emit(args, f"{len(model.rules)} rules, complete\n")
         return 0
     _emit(args, "\n".join(report.failures) + "\n")
     return 1

@@ -9,10 +9,9 @@ concurrent inferences.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "NoRuleFiredError",
     "GaussianTerm",
     "FuzzyVariable",
-    "Rule",
     "FuzzyModel",
     "InferenceTrace",
     "gaussian_membership",
@@ -163,61 +161,25 @@ class FuzzyVariable:
 
 
 @dataclass(frozen=True, init=False)
-class Rule:
-    """IF antecedents THEN consequent, with a firing weight in [0, 1].
-
-    Antecedents hold one term index per model input variable, in model input
-    order; the consequent indexes the output variable's terms.
-    """
-
-    antecedents: tuple[int, ...]
-    consequent: int
-    weight: float = 1.0
-
-    def __init__(self, antecedents: Sequence[int], consequent: int, weight: float = 1.0):
-        # written by hand so that each field is converted and set once
-        object.__setattr__(self, "antecedents", tuple(map(int, antecedents)))
-        object.__setattr__(self, "consequent", int(consequent))
-        object.__setattr__(self, "weight", float(weight))
-        if not (0.0 <= self.weight <= 1.0):
-            raise ValueError(f"rule weight must be in [0, 1], got {self.weight}")
-
-
-@dataclass(frozen=True, init=False)
 class FuzzyModel:
     """Input variables, one output variable, a rule base, and grid settings.
 
-    grid_points controls the output-universe discretization used for
-    aggregation and centroid defuzzification (endpoints inclusive).  The rule
-    base is kept as one table, _table: each rule's antecedent index tuple,
-    consequent and weight, in three tuples.  The model compares and hashes
-    its inputs, output, grid_points and table; rules, the same rules as Rule
-    objects, is built from the table on its first read and kept.
+    Each rule is an (antecedents, consequent, weight) triple: one term index
+    per input variable, in input order, the index of the output term it
+    concludes, and a firing weight in [0, 1].  grid_points controls the
+    output-universe discretization used for aggregation and centroid
+    defuzzification (endpoints inclusive).
     """
 
     inputs: tuple[FuzzyVariable, ...]
     output: FuzzyVariable
-    # the class attribute is this cached_property, which builds rules on their first read and keeps them
-    rules: tuple[Rule, ...] = field(default=functools.cached_property(lambda self: tuple(map(Rule, *self._table))), compare=False)
+    rules: tuple[tuple[tuple[int, ...], int, float], ...]
     grid_points: int = 1001
-    _table: tuple[tuple, tuple, tuple] = field(init=False, repr=False)
 
-    def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[Rule], grid_points: int = 1001):
-        object.__setattr__(self, "rules", tuple(rules))
-        table = [r.antecedents for r in self.rules], [r.consequent for r in self.rules], [r.weight for r in self.rules]
-        self._build(inputs, output, *table, grid_points)
-
-    @classmethod
-    def _from_table(cls, inputs, output, antecedents: Sequence, consequents: Sequence, weights: Sequence, grid_points: int = 1001):
-        """The model of a rule table whose weights are floats in [0, 1], checked as FuzzyModel(...) checks it."""
-        model = cls.__new__(cls)
-        model._build(inputs, output, antecedents, consequents, weights, grid_points)
-        return model
-
-    def _build(self, inputs, output, antecedents: Sequence, consequents: Sequence, weights: Sequence, grid_points: int) -> None:
+    def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[tuple], grid_points: int = 1001):
         # written by hand so that each field is converted and set once
         vars(self).update(inputs=tuple(inputs), output=output, grid_points=int(grid_points))
-        vars(self)["_table"] = tuple(antecedents), tuple(consequents), tuple(weights)
+        antecedents, consequents, weights = tuple(zip(*rules, strict=True)) or ((), (), ())
         if not self.inputs:
             raise ValueError("model needs at least one input variable")
         if self.grid_points < 2:
@@ -228,9 +190,11 @@ class FuzzyModel:
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique across the model")
         # one (rules, inputs + 1) array of antecedents and consequent, read flat
-        # (numpy discovers a nested sequence's shape far more slowly), checked as
-        # a whole; a ragged rule base or an index too big for intp fails to
-        # build it, and the walk below then names the first bad rule
+        # (numpy discovers a nested sequence's shape far more slowly), which
+        # converts each index as int() does and is checked as a whole; a ragged
+        # rule base or an index too big for intp fails to build it, and the
+        # walk below then names the first bad rule (it raises for every table
+        # not built); the rules are kept as read back from the table
         n, n_in = len(consequents), len(self.inputs)
         table = None
         if set(map(len, antecedents)) <= {n_in}:
@@ -240,9 +204,14 @@ class FuzzyModel:
                 table[:, n_in] = consequents
             except OverflowError:
                 table = None
+        weights = tuple(map(float, weights))
+        for weight in weights:
+            if not (0.0 <= weight <= 1.0):
+                raise ValueError(f"rule weight must be in [0, 1], got {weight}")
         if table is None or ((table < 0) | (table >= [len(v.terms) for v in (*self.inputs, output)])).any():
             for r in range(n):
-                _check_rule(self, r, antecedents[r], consequents[r])
+                _check_rule(self, r, tuple(map(int, antecedents[r])), int(consequents[r]))
+        vars(self)["rules"] = tuple(zip(map(tuple, table[:, :n_in].tolist()), table[:, n_in].tolist(), weights))
         # checked before the grid and the term curves are allocated
         if len(output.terms) * self.grid_points > _MAX_CURVE_POINTS:
             raise ValueError(
@@ -261,7 +230,7 @@ class FuzzyModel:
                         f"variable {_quoted(var.name)}: term {_quoted(t.name)} exponent overflows at the universe's bounds, "
                         f"d*d / (2*sigma*sigma) must be finite, got d = {d}, sigma = {t.sigma}"
                     )
-        object.__setattr__(self, "_compiled", _Compiled(self, table))
+        object.__setattr__(self, "_compiled", _Compiled(self, table, weights))
 
     def term_names(self, antecedents: Sequence[int]) -> list[str]:
         """The input term names a rule's antecedent indices select, in input order."""
@@ -334,7 +303,8 @@ def fuzzify(var: FuzzyVariable, x: float) -> np.ndarray:
 
 class _Compiled:
     """A model's plain arrays, built once when the model is constructed from
-    its checked (rules, inputs + 1) table of antecedents and consequent.
+    its checked (rules, inputs + 1) table of antecedents and consequent and
+    its rule weights.
 
     Each input's term parameters are kept once, as Python floats in
     fuzzifiers, padded to the widest variable with copies of its first term,
@@ -344,7 +314,7 @@ class _Compiled:
     one max over it.
     """
 
-    def __init__(self, model: FuzzyModel, table: np.ndarray):
+    def __init__(self, model: FuzzyModel, table: np.ndarray, weights: tuple[float, ...]):
         n_in, output = len(model.inputs), model.output
         width = max(len(v.terms) for v in model.inputs)
         # per input: (lo, hi, [(center, 2*sigma*sigma) per term and padding slot])
@@ -356,7 +326,7 @@ class _Compiled:
         # sort is stable like numpy's kind="stable", and pages in no numpy
         # sort code, which would add ~0.14 MB to the peak RSS of a process
         # that only decides
-        _, consequents, weights = model._table
+        consequents = table[:, n_in].tolist()
         self.order = np.array(sorted(range(len(table)), key=consequents.__getitem__), np.intp)
         # (inputs, rules) antecedent positions in a row's flat memberships
         antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * width
@@ -584,7 +554,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
     """
     c = model._compiled
     strengths = np.asarray(firing_strengths, dtype=float)
-    rules = len(model._table[2])
+    rules = len(model.rules)
     if strengths.shape != (rules,):
         raise ModelIntegrityError(f"expected {rules} firing strengths, got shape {strengths.shape}")
     if not (strengths >= 0.0).all():

@@ -176,9 +176,8 @@ def default_model() -> FuzzyModel:
     """The shipped model: four inputs, decision output, all 81 rules at weight 1."""
     inputs = tuple(_three_level_variable(n, *UNIVERSES[n]) for n in INPUT_ORDER)
     output = _three_level_variable("decision", *UNIVERSES["decision"])
-    antecedents = [tuple(_LEVEL_INDEX[ch] for ch in levels) for levels, _ in RULE_TABLE]
-    consequents = [_LEVEL_INDEX[level] for _, level in RULE_TABLE]
-    return FuzzyModel._from_table(inputs, output, antecedents, consequents, [1.0] * len(RULE_TABLE))
+    rules = [(tuple(_LEVEL_INDEX[ch] for ch in levels), _LEVEL_INDEX[level], 1.0) for levels, level in RULE_TABLE]
+    return FuzzyModel(inputs, output, rules)
 
 
 @dataclass(frozen=True)
@@ -288,18 +287,18 @@ def validate_model(model: FuzzyModel) -> ModelValidationReport:
     Universes and term order need no check here: FuzzyVariable rejects a
     degenerate universe and centers that are not strictly increasing.
     """
-    antecedents, _, weights = model._table
+    rules = model.rules
     expected = math.prod(len(var.terms) for var in model.inputs)
     failures: list[str] = []
-    if len(weights) != expected:
-        failures.append(f"rule count {len(weights)} != expected {expected}")
+    if len(rules) != expected:
+        failures.append(f"rule count {len(rules)} != expected {expected}")
 
-    # the rule table is walked only to name its duplicates and weights other
+    # the rules are walked only to name their duplicates and weights other
     # than 1, in rule order; first maps each combination to its first rule
-    present = set(antecedents)
-    if len(present) < len(antecedents) or weights.count(1.0) < len(weights):
+    present = {combo for combo, _, _ in rules}
+    if len(present) < len(rules) or any(weight != 1.0 for _, _, weight in rules):
         first: dict[tuple[int, ...], int] = {}
-        for r, (combo, weight) in enumerate(zip(antecedents, weights)):
+        for r, (combo, _, weight) in enumerate(rules):
             prior = first.setdefault(combo, r)
             if prior != r:
                 failures.append(

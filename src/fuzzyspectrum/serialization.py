@@ -95,7 +95,7 @@ def document_to_dict(doc: ModelDocument) -> dict:
         },
         "rules": [
             {"antecedents": model.term_names(antecedents), "consequent": terms[consequent].name, "weight": weight}
-            for antecedents, consequent, weight in zip(*model._table)
+            for antecedents, consequent, weight in model.rules
         ],
         "settings": {
             "grid_points": model.grid_points,
@@ -198,8 +198,7 @@ def parse_document(text: str) -> ModelDocument:
         if not isinstance(raw["rules"], list):
             raise ModelDocumentError("field 'rules' in document must be a list")
         in_indices, out_indices = [v._term_indices for v in inputs], output._term_indices
-        # the rule table, filled in rule order; no Rule is built
-        antecedent_rows, consequents, weights = [], [], []
+        rules = []
         for i, r in enumerate(raw["rules"]):
             # one key test per rule; _require_keys only names a fault
             if not (isinstance(r, dict) and _RULE_REQUIRED <= r.keys() <= _RULE_FIELDS):
@@ -223,9 +222,7 @@ def parse_document(text: str) -> ModelDocument:
                 weight = _number(r, "weight", f"rule {i + 1}")
             if not (0.0 <= weight <= 1.0):
                 raise ModelDocumentError(f"rule weight must be in [0, 1], got {weight}")
-            antecedent_rows.append(antecedents)
-            consequents.append(consequent)
-            weights.append(weight)
+            rules.append((antecedents, consequent, weight))
 
         settings = raw["settings"]
         _require_keys(settings, ("grid_points", "admission_threshold"), "settings")
@@ -234,7 +231,7 @@ def parse_document(text: str) -> ModelDocument:
             raise ModelDocumentError("field 'grid_points' in settings must be an integer")
         threshold = _number(settings, "admission_threshold", "settings")
 
-        model = FuzzyModel._from_table(inputs, output, antecedent_rows, consequents, weights, grid_points)
+        model = FuzzyModel(inputs, output, rules, grid_points)
         return ModelDocument(model=model, admission_threshold=threshold)
     except (ValueError, ModelIntegrityError) as exc:
         raise ModelDocumentError(str(exc)) from exc
@@ -314,14 +311,14 @@ def read_candidates_csv(path) -> CandidateBatch:
 
 def _rule_line(model: FuzzyModel, r: int) -> str:
     """Rule r of the rule base as "r + 1. antecedent terms -> consequent term"."""
-    antecedents, consequents, _ = model._table
-    names = map(_shown_name, model.term_names(antecedents[r]))
-    return f"{r + 1}. {', '.join(names)} -> {_shown_name(model.output.terms[consequents[r]].name)}"
+    antecedents, consequent, _ = model.rules[r]
+    names = map(_shown_name, model.term_names(antecedents))
+    return f"{r + 1}. {', '.join(names)} -> {_shown_name(model.output.terms[consequent].name)}"
 
 
 def format_rules_table(model: FuzzyModel) -> str:
     """Rules as numbered text lines, 1-based, in rule-base order."""
-    return "\n".join(_rule_line(model, r) for r in range(len(model._table[2]))) + "\n"
+    return "\n".join(_rule_line(model, r) for r in range(len(model.rules))) + "\n"
 
 
 def _csv_text(header: Sequence, rows) -> str:
@@ -345,6 +342,6 @@ def format_rules_csv(model: FuzzyModel) -> str:
         ("row", *(v.name for v in model.inputs), model.output.name, "weight"),
         (
             (r, *model.term_names(antecedents), model.output.terms[consequent].name, f"{weight:.6f}")
-            for r, (antecedents, consequent, weight) in enumerate(zip(*model._table), start=1)
+            for r, (antecedents, consequent, weight) in enumerate(model.rules, start=1)
         ),
     )

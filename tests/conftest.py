@@ -14,7 +14,6 @@ from fuzzyspectrum import (
     GaussianTerm,
     LEVEL_NAMES,
     RULE_TABLE,
-    Rule,
     crossover_sigma,
     default_model,
 )
@@ -60,10 +59,10 @@ def random_model(rng: np.random.Generator, max_rules=100) -> FuzzyModel:
 
     n_rules = int(rng.integers(1, max_rules + 1))
     rules = tuple(
-        Rule(
-            antecedents=tuple(int(rng.integers(0, len(var.terms))) for var in inputs),
-            consequent=int(rng.integers(0, len(output.terms))),
-            weight=float(rng.uniform(0.05, 1.0)),
+        (
+            tuple(int(rng.integers(0, len(var.terms))) for var in inputs),
+            int(rng.integers(0, len(output.terms))),
+            float(rng.uniform(0.05, 1.0)),
         )
         for _ in range(n_rules)
     )
@@ -73,7 +72,7 @@ def random_model(rng: np.random.Generator, max_rules=100) -> FuzzyModel:
 def dead_model() -> FuzzyModel:
     """The default model with every rule weight 0: no rule can fire."""
     model = default_model()
-    return replace(model, rules=tuple(replace(r, weight=0.0) for r in model.rules))
+    return replace(model, rules=tuple((a, c, 0.0) for a, c, _ in model.rules))
 
 
 def rule_table_rows() -> list[list[str]]:
@@ -193,5 +192,5 @@ def unit_output_model():
     """One input, one always-relevant rule, output Medium centered at 0.5."""
     x = three_term_variable("x", 0.0, 10.0)
     y = three_term_variable("y", 0.0, 1.0)
-    rules = (Rule(antecedents=(1,), consequent=1, weight=1.0),)
+    rules = (((1,), 1, 1.0),)
     return FuzzyModel(inputs=(x,), output=y, rules=rules)

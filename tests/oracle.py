@@ -126,8 +126,7 @@ def model_params(model):
         model.output.hi,
         tuple((t.center, t.sigma) for t in model.output.terms),
     )
-    rules = tuple((tuple(r.antecedents), r.consequent, r.weight) for r in model.rules)
-    return input_vars, output_var, rules
+    return input_vars, output_var, model.rules
 
 
 def oracle_possibility(model, inputs, n_grid=DENSE_GRID_POINTS, curves=None):

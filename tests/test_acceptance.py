@@ -79,8 +79,8 @@ def test_criterion_1_rule_base_fidelity(capsys):
     assert report.failures == ()
     model = default_model()
     assert len(model.rules) == 3 ** 4
-    assert len({r.antecedents for r in model.rules}) == 81
-    assert all(r.weight == 1.0 for r in model.rules)
+    assert len({antecedents for antecedents, _, _ in model.rules}) == 81
+    assert all(weight == 1.0 for _, _, weight in model.rules)
 
 
 @acceptance(2, "engine-oracle equivalence", 10.0)

@@ -1,11 +1,15 @@
-"""The gain and bound verdicts of tools/bench_pairs.py, on synthetic runs."""
+"""The gain and bound verdicts of tools/bench_pairs.py, on synthetic runs,
+and the side-by-side loading of tools/bench_layers.py."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_PAIRS = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_PAIRS = ROOT / "tools" / "bench_pairs.py"
+BENCH_LAYERS = ROOT / "tools" / "bench_layers.py"
 
 END_TO_END = [
     {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
@@ -138,3 +142,49 @@ def test_src_lines_are_counted_by_file_and_each_changed_file_gets_a_line(tmp_pat
         "  pkg/gone.py: 1 -> 0 (-1)",
         "  pkg/new.py: 0 -> 2 (+2)",
     ]
+
+
+def load_bench_layers(monkeypatch):
+    # bench_layers.py puts tools/ on sys.path to import bench_pairs
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH_LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_loads_of_the_working_tree_share_no_module(monkeypatch):
+    bench_layers = load_bench_layers(monkeypatch)
+    src, names = ROOT / "src", ("tree_a", "tree_b")
+    installed = sys.modules.get("fuzzyspectrum")
+    try:
+        a, b = (bench_layers.load_package(src, name) for name in names)
+        loaded = {name: {key: m for key, m in sys.modules.items() if key.split(".")[0] == name} for name in names}
+        # each copy has every module of the package, all its own
+        assert {key.partition(".")[2] for key in loaded["tree_a"]} == {key.partition(".")[2] for key in loaded["tree_b"]}
+        assert {"engine", "model", "serialization", "sweep", "arbitration"} <= {key.partition(".")[2] for key in loaded["tree_a"]}
+        assert not set(map(id, loaded["tree_a"].values())) & set(map(id, loaded["tree_b"].values()))
+        assert all(Path(m.__file__).is_relative_to(src) for modules in loaded.values() for m in modules.values())
+        # relative imports resolve within each copy
+        assert a.model.FuzzyModel is a.engine.FuzzyModel is a.FuzzyModel
+        assert a.FuzzyModel is not b.FuzzyModel and a.engine._infer_rows is not b.engine._infer_rows
+        assert type(a.default_model()) is a.FuzzyModel and type(b.default_model()) is b.FuzzyModel
+        assert sys.modules.get("fuzzyspectrum") is installed
+    finally:
+        for key in [key for key in sys.modules if key.split(".")[0] in names]:
+            del sys.modules[key]
+
+
+def test_a_layer_whose_results_differ_is_reported_not_timed(monkeypatch):
+    bench_layers = load_bench_layers(monkeypatch)
+    sides = {
+        "parent": {"same": (lambda: 0.5, float.hex), "other": (lambda: 0.5, float.hex)},
+        "change": {"same": (lambda: 0.5, float.hex), "other": (lambda: 0.5000000000000001, float.hex)},
+    }
+    results = bench_layers.time_layers(sides, ["same", "other"], spells=4)
+    assert results["other"] == {"differs": True}
+    assert results["same"]["differs"] is False and len(results["same"]["parent"]["spells_us"]) == 4
+    assert 0 <= results["same"]["change_better_in"] <= 4
+    report = bench_layers.report(results)
+    assert report[1] == "other                  DIFFERS between the commits: not timed"
+    assert report[0].startswith("same ") and "change better in" in report[0]

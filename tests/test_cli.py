@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import fuzzyspectrum
-from fuzzyspectrum import Candidate, Rule, decision_possibility, default_model
+from fuzzyspectrum import Candidate, FuzzyModel, decision_possibility, default_model
 from fuzzyspectrum.cli import build_parser, main
 from fuzzyspectrum.engine import MAX_GRID_POINTS
 from fuzzyspectrum.sweep import MAX_STEPS
@@ -460,15 +460,13 @@ class TestValidate:
             assert code == 0
             assert out == "81 rules, complete\n"
 
-    def test_rule_count_is_read_from_the_rule_table(self, capsys, tmp_path, monkeypatch):
+    def test_rule_count_is_read_from_the_rule_table(self, capsys, tmp_path):
+        # a complete rule base over two of the inputs: 3 x 3 rules
+        model = default_model()
+        rules = [((i, j), (i + j) % 3, 1.0) for i in range(3) for j in range(3)]
         path = tmp_path / "model.json"
-        path.write_text(serialize_document(default_document()), encoding="utf-8")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Rule was built")
-
-        monkeypatch.setattr(Rule, "__init__", refuse)
-        assert run_cli(capsys, "validate", "--model", str(path)) == (0, "81 rules, complete\n", "")
+        path.write_text(serialize_document(ModelDocument(FuzzyModel(model.inputs[:2], model.output, rules))), encoding="utf-8")
+        assert run_cli(capsys, "validate", "--model", str(path)) == (0, "9 rules, complete\n", "")
 
     def test_missing_rule_is_reported(self, capsys, tmp_path):
         raw = json.loads(serialize_document(default_document()))

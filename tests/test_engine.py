@@ -16,7 +16,6 @@ from fuzzyspectrum import (
     InvalidInputError,
     ModelIntegrityError,
     NoRuleFiredError,
-    Rule,
     aggregate,
     arbitrate,
     clamp_to_universe,
@@ -149,11 +148,11 @@ class TestFiringStrength:
     def test_never_exceeds_any_antecedent(self, seed, weight):
         rng = np.random.default_rng(seed)
         model = random_model(rng, max_rules=40)
-        model = replace(model, rules=tuple(replace(r, weight=weight) for r in model.rules))
+        model = replace(model, rules=tuple((a, c, weight) for a, c, _ in model.rules))
         for x in out_of_range_rows(rng, model, 4):
             trace = infer(model, x)
-            for rule, strength in zip(model.rules, trace.firing_strengths):
-                degrees = [m[i] for m, i in zip(trace.memberships, rule.antecedents)]
+            for (antecedents, _, _), strength in zip(model.rules, trace.firing_strengths):
+                degrees = [m[i] for m, i in zip(trace.memberships, antecedents)]
                 assert all(strength <= d for d in degrees)
                 assert strength == weight * min(degrees)
                 if weight == 1.0:
@@ -164,10 +163,7 @@ class TestAggregate:
     def _model(self):
         x = three_term_variable("x", 0.0, 10.0)
         y = three_term_variable("y", 0.0, 1.0)
-        rules = (
-            Rule(antecedents=(0,), consequent=0),
-            Rule(antecedents=(1,), consequent=2),
-        )
+        rules = (((0,), 0, 1.0), ((1,), 2, 1.0))
         return FuzzyModel(inputs=(x,), output=y, rules=rules, grid_points=101)
 
     def test_all_zero_strengths(self):
@@ -211,8 +207,8 @@ class TestAggregate:
         curve = aggregate(model, strengths)
         grid = curve[:, 0]
         stacked = []
-        for rule, s in zip(model.rules, strengths):
-            term = model.output.terms[rule.consequent]
+        for (_, consequent, _), s in zip(model.rules, strengths):
+            term = model.output.terms[consequent]
             clipped = np.minimum(
                 s, np.exp(-((grid - term.center) ** 2) / (2 * term.sigma**2))
             )
@@ -380,7 +376,7 @@ class TestInfer:
         y = three_term_variable("y", 0.0, 1.0)
         dead = FuzzyModel(
             inputs=(x,), output=y,
-            rules=(Rule(antecedents=(1,), consequent=1, weight=0.0),),
+            rules=(((1,), 1, 0.0),),
         )
         with pytest.raises(NoRuleFiredError):
             infer(dead, [5.0])
@@ -501,7 +497,7 @@ class TestCurveStage:
         # the other rows make the chunk's clip vectors distinct, so the
         # block walk of _centroids scores it, not _row_centroid
         x = FuzzyVariable("x", 0.0, 100.0, (GaussianTerm("T", 0.0, 1.0),))
-        model = FuzzyModel((x,), three_term_variable("y", 0.0, 1.0), (Rule((0,), 2),))
+        model = FuzzyModel((x,), three_term_variable("y", 0.0, 1.0), (((0,), 2, 1.0),))
         with pytest.raises(NoRuleFiredError) as excinfo:
             _infer_rows(model, [[0.0], [1.0], [100.0]])
         assert str(excinfo.value) == f"total output mass 0.0 below {MASS_EPSILON}; no rule fired"
@@ -542,7 +538,7 @@ class TestCurveStage:
         sigmas = data.draw(st.lists(st.floats((hi - lo) * 1e-3, (hi - lo) * 10), min_size=len(centers), max_size=len(centers)))
         output = FuzzyVariable("y", lo, hi, tuple(GaussianTerm(f"t{k}", c, s) for k, (c, s) in enumerate(zip(centers, sigmas))))
         grid_points = data.draw(st.integers(2, 5001), label="grid_points")
-        c = FuzzyModel((three_term_variable("x", 0.0, 1.0),), output, (Rule((0,), 0),), grid_points)._compiled
+        c = FuzzyModel((three_term_variable("x", 0.0, 1.0),), output, (((0,), 0, 1.0),), grid_points)._compiled
         want = np.stack([np.exp(-((c.grid - t.center) ** 2) / (2.0 * t.sigma * t.sigma)) for t in output.terms])
         assert c.term_curves.shape == want.shape
         assert c.term_curves.tobytes() == want.tobytes()
@@ -606,7 +602,7 @@ def mixed_width_model():
         three_term_variable("d", 0.0, 6.0),
     )
     combinations = itertools.product(*(range(len(v.terms)) for v in inputs))
-    rules = tuple(Rule(a, sum(a) % 3, (1.0, 0.5, 0.25)[r % 3]) for r, a in enumerate(combinations))
+    rules = tuple((a, sum(a) % 3, (1.0, 0.5, 0.25)[r % 3]) for r, a in enumerate(combinations))
     return FuzzyModel(inputs, three_term_variable("y", 0.0, 1.0), rules)
 
 
@@ -721,7 +717,7 @@ class TestFiringStage:
     def test_signed_zeros_and_clamped_values_bit_identical_to_infer(self):
         # each input has a term centred at 0: inside, at lo and at hi
         inputs = tuple(three_term_variable(n, lo, hi) for n, lo, hi in [("a", -1, 1), ("b", 0, 10), ("c", -4, 0)])
-        rules = tuple(Rule((i % 3, i // 3 % 3, i // 9), i % 2) for i in range(27))
+        rules = tuple(((i % 3, i // 3 % 3, i // 9), i % 2, 1.0) for i in range(27))
         model = FuzzyModel(inputs, three_term_variable("y", 0, 1), rules)
         rng = np.random.default_rng(5)
         # signed zeros, and values past either bound that clamp to the same one
@@ -751,8 +747,8 @@ class TestClipStage:
         concluded = data.draw(st.lists(st.integers(0, n_out - 1), min_size=1, unique=True), label="concluded")
         weights = st.sampled_from([-0.0, 0.0, 0.5, 1.0])
         rules = tuple(
-            replace(rule, consequent=data.draw(st.sampled_from(concluded)), weight=data.draw(weights))
-            for rule in base.rules
+            (antecedents, data.draw(st.sampled_from(concluded)), data.draw(weights))
+            for antecedents, _, _ in base.rules
         )
         model = replace(base, rules=rules, grid_points=data.draw(st.integers(2, 201), label="grid_points"))
         params = model_params(model)
@@ -789,8 +785,8 @@ class TestClipStage:
         x = (three_term_variable("a", 0.0, 1.0), three_term_variable("b", -1.0, 1.0))
         runs = {0: [-0.0] * 4, 1: [0.0] * 4, 2: [-0.0, 0.0, -0.0, 0.0], 3: [0.0, -0.0, 0.5, -0.0]}
         combos = list(itertools.product(range(3), range(3)))
-        rules = tuple(Rule(combos[(3 * k + i) % 9], k, w) for k, weights in runs.items() for i, w in enumerate(weights))
-        rules += tuple(Rule(a, 3, 1.0) for a in combos[::4])
+        rules = tuple((combos[(3 * k + i) % 9], k, w) for k, weights in runs.items() for i, w in enumerate(weights))
+        rules += tuple((a, 3, 1.0) for a in combos[::4])
         model = FuzzyModel(x, output, rules)
         assert len(model._compiled.concluded) == 4
         rng = np.random.default_rng(8)
@@ -837,7 +833,7 @@ class TestClipStage:
         # padded to the largest consequent group would grow as n * 10n
         def build_peak(n):
             output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n, 0.1) for k in range(n)))
-            rules = tuple(Rule((r % 3,), 0) for r in range(10 * n))
+            rules = tuple(((r % 3,), 0, 1.0) for r in range(10 * n))
             inputs = (three_term_variable("x", 0.0, 1.0),)
             tracemalloc.start()
             try:
@@ -882,7 +878,7 @@ class TestExtremeModels:
             inputs = tuple(self.variable(data, f"x{i}") for i in range(data.draw(st.integers(1, 2))))
             output = self.variable(data, "y")
             rule = st.tuples(*(st.integers(0, len(v.terms) - 1) for v in inputs), st.integers(0, len(output.terms) - 1), st.floats(0.0, 1.0))
-            rules = tuple(Rule(r[:-2], r[-2], r[-1]) for r in data.draw(st.lists(rule, min_size=1, max_size=6), label="rules"))
+            rules = tuple((r[:-2], r[-2], r[-1]) for r in data.draw(st.lists(rule, min_size=1, max_size=6), label="rules"))
             model = FuzzyModel(inputs, output, rules, grid_points=data.draw(st.integers(2, 64), label="grid_points"))
         except ValueError:
             return  # a 2*sigma*sigma, an output universe or an exponent out of range
@@ -931,10 +927,10 @@ class TestMetamorphic:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_appending_a_weight_zero_rule_changes_nothing(self, seed):
         rng, model, rows = self.draw(seed)
-        rule = Rule(
-            antecedents=tuple(int(rng.integers(0, len(v.terms))) for v in model.inputs),
-            consequent=int(rng.integers(0, len(model.output.terms))),
-            weight=0.0,
+        rule = (
+            tuple(int(rng.integers(0, len(v.terms))) for v in model.inputs),
+            int(rng.integers(0, len(model.output.terms))),
+            0.0,
         )
         self.assert_same_bits(model, rows, replace(model, rules=model.rules + (rule,)), rows)
 
@@ -985,7 +981,7 @@ class TestTypeValidation:
             (lambda: FuzzyVariable("x", 0.0, 1.0, ()), "variable 'x': needs at least one term"),
             (lambda: FuzzyModel((), three_term_variable("y", 0.0, 1.0), ()), "model needs at least one input variable"),
             (
-                lambda: FuzzyModel((three_term_variable("x", 0.0, 1.0),), three_term_variable("x", 0.0, 1.0), (Rule((0,), 0),)),
+                lambda: FuzzyModel((three_term_variable("x", 0.0, 1.0),), three_term_variable("x", 0.0, 1.0), (((0,), 0, 1.0),)),
                 "variable names must be unique across the model",
             ),
         ],
@@ -996,37 +992,44 @@ class TestTypeValidation:
             build()
         assert str(info.value) == message
 
+    @staticmethod
+    def one_rule_model(rule, n_inputs=1):
+        inputs = tuple(three_term_variable(f"x{i}", 0.0, 1.0) for i in range(n_inputs))
+        return FuzzyModel(inputs, three_term_variable("y", 0.0, 1.0), (rule,), grid_points=11)
+
     def test_rule_weight_range(self):
         with pytest.raises(ValueError):
-            Rule(antecedents=(0,), consequent=0, weight=1.5)
+            self.one_rule_model(((0,), 0, 1.5))
 
     def test_rule_converts_each_field_once(self):
-        rule = Rule(np.array([0, 2]), np.int64(1), np.float32(0.5))
-        assert rule.antecedents == (0, 2)
-        assert [type(i) for i in rule.antecedents] == [int, int]
-        assert type(rule.consequent) is int and type(rule.weight) is float
-        assert Rule(antecedents=[np.intp(1)], consequent=2.0) == Rule((1,), 2, 1.0)
+        model = self.one_rule_model((np.array([0, 2]), np.int64(1), np.float32(0.5)), n_inputs=2)
+        ((antecedents, consequent, weight),) = model.rules
+        assert antecedents == (0, 2)
+        assert [type(i) for i in antecedents] == [int, int]
+        assert type(consequent) is int and type(weight) is float
+        assert self.one_rule_model(([np.intp(1)], 2.0, True)).rules == (((1,), 2, 1.0),)
         # antecedents are converted before the weight is checked
         with pytest.raises(ValueError, match="invalid literal"):
-            Rule(("x",), 0, 2.0)
+            self.one_rule_model((("x",), 0, 2.0))
 
     @pytest.mark.parametrize("weight", [1.5, -0.25, math.nan, math.inf, np.float64(1.0000000000000002)])
     def test_rule_weight_message(self, weight):
         with pytest.raises(ValueError) as excinfo:
-            Rule((0,), 0, weight)
+            self.one_rule_model(((0,), 0, weight))
         assert str(excinfo.value) == f"rule weight must be in [0, 1], got {float(weight)}"
 
     def test_rule_is_a_frozen_value(self):
-        rule = Rule((0, 1), 2, 0.5)
-        assert replace(rule, weight=1.0) == Rule((0, 1), 2)
-        assert replace(rule, antecedents=[np.int64(2), 0]).antecedents == (2, 0)
+        # a model keeps its rules as tuples, compared and hashed by value
+        model = self.one_rule_model(((0, 1), 2, 0.5), n_inputs=2)
+        assert model.rules == (((0, 1), 2, 0.5),)
+        twin = replace(model, rules=[([0, 1], np.int64(2), 0.5)])
+        assert twin == model and hash(twin) == hash(model)
+        assert replace(model, rules=[((0, 1), 2, 1.0)]) != model and replace(model, rules=[((1, 0), 2, 0.5)]) != model
         with pytest.raises(ValueError, match="rule weight"):
-            replace(rule, weight=2.0)
-        assert rule == Rule([0, 1], np.int64(2), 0.5) and hash(rule) == hash(Rule([0, 1], np.int64(2), 0.5))
-        assert rule != Rule((0, 1), 2, 1.0) and rule != Rule((1, 0), 2, 0.5)
-        assert repr(rule) == "Rule(antecedents=(0, 1), consequent=2, weight=0.5)"
+            replace(model, rules=[((0, 1), 2, 2.0)])
+        assert "rules=(((0, 1), 2, 0.5),)" in repr(model)
         with pytest.raises(FrozenInstanceError):
-            rule.weight = 1.0
+            model.rules = ()
 
     @pytest.mark.parametrize(
         "rules, message",
@@ -1053,24 +1056,24 @@ class TestTypeValidation:
         z = three_term_variable("z", 0.0, 10.0)
         y = three_term_variable("y", 0.0, 1.0)
         with pytest.raises(ModelIntegrityError) as excinfo:
-            FuzzyModel(inputs=(x, z), output=y, rules=tuple(Rule(a, c) for a, c in rules))
+            FuzzyModel(inputs=(x, z), output=y, rules=tuple((a, c, 1.0) for a, c in rules))
         assert str(excinfo.value) == message
 
     def test_model_rejects_an_index_too_big_for_an_array(self):
         model = default_model()
         with pytest.raises(ModelIntegrityError) as excinfo:
-            replace(model, rules=(*model.rules[:5], Rule((2**70, 0, 0, 0), 0)))
+            replace(model, rules=(*model.rules[:5], ((2**70, 0, 0, 0), 0, 1.0)))
         assert str(excinfo.value) == f"rule 6: antecedent index {2**70} out of range for variable 'signal_dbm'"
 
     def test_model_checks_rule_arity_and_indices(self):
         x = three_term_variable("x", 0.0, 10.0)
         y = three_term_variable("y", 0.0, 1.0)
         with pytest.raises(ModelIntegrityError):
-            FuzzyModel(inputs=(x,), output=y, rules=(Rule(antecedents=(0, 0), consequent=0),))
+            FuzzyModel(inputs=(x,), output=y, rules=(((0, 0), 0, 1.0),))
         with pytest.raises(ModelIntegrityError):
-            FuzzyModel(inputs=(x,), output=y, rules=(Rule(antecedents=(5,), consequent=0),))
+            FuzzyModel(inputs=(x,), output=y, rules=(((5,), 0, 1.0),))
         with pytest.raises(ModelIntegrityError):
-            FuzzyModel(inputs=(x,), output=y, rules=(Rule(antecedents=(0,), consequent=9),))
+            FuzzyModel(inputs=(x,), output=y, rules=(((0,), 9, 1.0),))
 
     def test_grid_points_minimum(self):
         x = three_term_variable("x", 0.0, 10.0)
@@ -1087,7 +1090,7 @@ class TestTypeValidation:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as excinfo:
-                FuzzyModel(inputs=(x,), output=y, rules=(Rule((0,), 0),), grid_points=grid_points)
+                FuzzyModel(inputs=(x,), output=y, rules=(((0,), 0, 1.0),), grid_points=grid_points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

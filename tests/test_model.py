@@ -24,8 +24,8 @@ from fuzzyspectrum import (
     FuzzyVariable,
     GaussianTerm,
     InvalidInputError,
+    ModelIntegrityError,
     NoRuleFiredError,
-    Rule,
     arbitrate,
     crossover_sigma,
     decision_possibility,
@@ -33,7 +33,6 @@ from fuzzyspectrum import (
     infer,
     validate_model,
 )
-from fuzzyspectrum.cli import main
 from fuzzyspectrum.engine import _infer_row, _infer_rows
 from fuzzyspectrum.model import _MISSING_NAMED
 from fuzzyspectrum.serialization import (
@@ -89,7 +88,7 @@ class TestDefaultModelStructure:
     def test_81_rules_all_weight_one(self):
         model = default_model()
         assert len(model.rules) == 81
-        assert all(r.weight == 1.0 for r in model.rules)
+        assert all(weight == 1.0 for _, _, weight in model.rules)
 
     @pytest.mark.parametrize(
         "row, antecedents, consequent",
@@ -101,9 +100,7 @@ class TestDefaultModelStructure:
         ],
     )
     def test_known_rows(self, row, antecedents, consequent):
-        rule = default_model().rules[row - 1]
-        assert rule.antecedents == tuple(LEVEL[c] for c in antecedents)
-        assert rule.consequent == LEVEL[consequent]
+        assert default_model().rules[row - 1][:2] == (tuple(LEVEL[c] for c in antecedents), LEVEL[consequent])
 
     def test_rows_are_lexicographic_in_level_order(self):
         combos = [tuple(LEVEL[c] for c in ants) for ants, _ in RULE_TABLE]
@@ -139,11 +136,12 @@ def edited_rule_bases(draw):
         elif edit == "duplicate":
             rules.insert(draw(st.integers(0, len(rules))), rules[i])
         elif edit == "term":
-            antecedents = list(rules[i].antecedents)
+            antecedents, _, weight = rules[i]
+            antecedents = list(antecedents)
             antecedents[draw(st.integers(0, len(antecedents) - 1))] = draw(st.integers(0, 2))
-            rules[i] = replace(rules[i], antecedents=antecedents, consequent=draw(st.integers(0, 2)))
+            rules[i] = (tuple(antecedents), draw(st.integers(0, 2)), weight)
         else:
-            rules[i] = replace(rules[i], weight=draw(st.sampled_from([0.0, 0.5, 0.9999999999999999, 1.0])))
+            rules[i] = (*rules[i][:2], draw(st.sampled_from([0.0, 0.5, 0.9999999999999999, 1.0])))
     return tuple(rules)
 
 
@@ -153,8 +151,7 @@ class TestValidateModel:
     def test_matches_the_rule_by_rule_walk(self, rules):
         model = replace(default_model(), rules=rules)
         input_terms = tuple(tuple(t.name for t in v.terms) for v in model.inputs)
-        params = tuple((r.antecedents, r.consequent, r.weight) for r in rules)
-        assert validate_model(model).failures == tuple(reference_validate_model(input_terms, params))
+        assert validate_model(model).failures == tuple(reference_validate_model(input_terms, rules))
 
     def test_default_model_is_clean(self):
         report = validate_model(default_model())
@@ -178,7 +175,7 @@ class TestValidateModel:
     def test_off_spec_weight_is_flagged(self):
         model = default_model()
         rules = list(model.rules)
-        rules[3] = replace(rules[3], weight=0.5)
+        rules[3] = (*rules[3][:2], 0.5)
         broken = FuzzyModel(
             inputs=model.inputs, output=model.output, rules=tuple(rules),
             grid_points=model.grid_points,
@@ -207,7 +204,7 @@ class TestValidateModelBounds:
     def test_missing_combinations_named_up_to_a_cap(self, n_inputs):
         # one rule leaves 6**n - 1 combinations missing: 46655 for six
         # inputs, about 2e9 for twelve; the first few are named, the rest counted
-        model = FuzzyModel(six_term_inputs(n_inputs), three_term_variable("y", 0.0, 1.0), (Rule((0,) * n_inputs, 0),))
+        model = FuzzyModel(six_term_inputs(n_inputs), three_term_variable("y", 0.0, 1.0), (((0,) * n_inputs, 0, 1.0),))
         start = time.perf_counter()
         failures = validate_model(model).failures
         assert time.perf_counter() - start < 1.0
@@ -225,10 +222,10 @@ class TestValidateModelBounds:
         terms = tuple(GaussianTerm(f"t{k}", float(k), 1.0) for k in range(11))
         inputs = (FuzzyVariable("a", 0.0, 10.0, terms), FuzzyVariable("b", 0.0, 10.0, terms))
         combos = list(itertools.product(range(11), repeat=2))
-        rules = tuple(Rule(combo, 0) for combo in combos[_MISSING_NAMED + beyond:])
+        rules = tuple((combo, 0, 1.0) for combo in combos[_MISSING_NAMED + beyond:])
         model = FuzzyModel(inputs, three_term_variable("y", 0.0, 1.0), rules)
         input_terms = tuple(tuple(t.name for t in v.terms) for v in inputs)
-        want = reference_validate_model(input_terms, [(r.antecedents, r.consequent, r.weight) for r in rules])
+        want = reference_validate_model(input_terms, rules)
         more = (f"… and {beyond} more missing antecedent combinations",) if beyond else ()
         assert validate_model(model).failures == tuple(want[: _MISSING_NAMED + 1]) + more
 
@@ -384,8 +381,8 @@ class TestTraceFreeDecision:
 
 
 def rule_built_twin(model):
-    """The model built again through FuzzyModel(...) from fresh Rules."""
-    rules = tuple(Rule(r.antecedents, r.consequent, r.weight) for r in model.rules)
+    """The model built again through FuzzyModel(...) from fresh lists."""
+    rules = [(list(antecedents), consequent, weight) for antecedents, consequent, weight in model.rules]
     return FuzzyModel(inputs=model.inputs, output=model.output, rules=rules, grid_points=model.grid_points)
 
 
@@ -437,44 +434,39 @@ def scores(model, rows):
 
 
 class TestRuleTable:
-    """A model keeps its rule base as a table; a parsed model builds its
-    Rules only when rules is read."""
+    """A model keeps its rule base as (antecedents, consequent, weight)
+    triples of Python ints and floats, however it was built."""
 
-    def test_parsing_validating_and_scoring_build_no_rule(self, monkeypatch, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda a, c, w: (tuple(map(np.int64, a)), np.int64(c), int(w)), None),
+            (lambda a, c, w: (list(a), c, bool(w)), None),
+            (lambda a, c, w: (np.array(a), np.intp(c), np.float32(w)), None),
+            (lambda a, c, w: (a, c, -0.5), (ValueError, "rule weight must be in [0, 1], got -0.5")),
+            (lambda a, c, w: (a, c, np.float32(1.5)), (ValueError, "rule weight must be in [0, 1], got 1.5")),
+            (lambda a, c, w: (a, c, math.nan), (ValueError, "rule weight must be in [0, 1], got nan")),
+            (lambda a, c, w: ((*a[:3], 3), c, w), (ModelIntegrityError, "rule 7: antecedent index 3 out of range for variable 'distance_m'")),
+            (lambda a, c, w: (a[:3], c, w), (ModelIntegrityError, "rule 7: expected 4 antecedents, got 3")),
+            (lambda a, c, w: (a, c, w, 1.0), (ValueError, "zip() argument 7 is longer than arguments 1-6")),
+        ],
+        ids=["numpy-ints-int-weight", "lists-bool-weight", "array-float32-weight", "weight-below-0", "weight-above-1",
+             "nan-weight", "antecedent-out-of-range", "ragged-antecedents", "four-fields"],
+    )
+    def test_triples_are_converted_and_checked_once(self, edit, error):
+        # every rule edited where the model is accepted, rule 7 alone where not
+        model = default_model()
+        rules = [edit(*rule) if error is None or r == 6 else rule for r, rule in enumerate(model.rules)]
         text = serialize_document(default_document())
-        off_weight = text.replace('"weight": 1.0', '"weight": 0.5', 1)
-        path, batch = tmp_path / "model.json", tmp_path / "batch.csv"
-        path.write_text(text)
-        rows = [",".join(("id", *INPUT_ORDER))] + [",".join((c.id, *map(repr, c.inputs()))) for c in EDGE_CANDIDATES]
-        batch.write_text("\n".join(rows) + "\n")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a Rule was built")
-
-        monkeypatch.setattr(Rule, "__init__", refuse)
-        model = parse_document(text).model
-        assert validate_model(model).failures == ()
-        assert validate_model(parse_document(off_weight).model).failures == ("rule 1: weight 0.5 deviates from 1",)
-        for candidate in EDGE_CANDIDATES:
-            scored = decision_possibility(candidate, model)
-            assert infer(model, candidate.inputs()).crisp_output == scored.possibility
-        assert arbitrate(EDGE_CANDIDATES, model).ranking
-        fresh = default_model.__wrapped__()
-        assert model == fresh == default_model()
-        assert hash(model) == hash(fresh) == hash(default_model())
-        assert serialize_document(ModelDocument(model)) == text
-        # each command reads a freshly parsed model, regridded where asked
-        gridded = ["--model", str(path), "--grid-points", "257"]
-        for argv in (
-            ["dump-rules", "--model", str(path)],
-            ["dump-rules", "--model", str(path), "--format", "csv"],
-            ["eval", "-60", "50", "0.5", "50", "--model", str(path), "--trace"],
-            ["eval", "-60", "50", "0.5", "50", *gridded],
-            ["arbitrate", str(batch), *gridded],
-            ["sweep", "--preset", "9", *gridded],
-        ):
-            assert main(argv) == 0, argv
-            assert capsys.readouterr().out
+        if error is not None:
+            with pytest.raises(error[0]) as excinfo:
+                FuzzyModel(model.inputs, model.output, rules)
+            assert str(excinfo.value) == error[1]
+            return
+        built, parsed = FuzzyModel(model.inputs, model.output, rules), parse_document(text).model
+        assert built == parsed and hash(built) == hash(parsed)
+        assert serialize_document(ModelDocument(built)) == text
+        assert {type(x) for a, c, w in built.rules for x in (*a, c, w)} == {int, float}
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
     def test_a_parsed_model_equals_its_rule_built_twin(self, seed):
@@ -484,7 +476,6 @@ class TestRuleTable:
         assert parsed == built
         assert hash(parsed) == hash(built)
         assert parsed.rules == built.rules
-        assert parsed.rules is parsed.rules
         assert repr(parsed) == repr(built)
         assert serialize_document(ModelDocument(parsed)) == text
         # models equal exactly when their rules, inputs, output and grid_points
@@ -511,7 +502,7 @@ class TestRuleTable:
         assert scores(replace(parsed, rules=fewer), rows) == scores(replace(built, rules=fewer), rows)
 
     def test_default_model_rules_are_the_rule_table(self):
-        rules = tuple(Rule(tuple(LEVEL[c] for c in ants), LEVEL[consequent]) for ants, consequent in RULE_TABLE)
+        rules = tuple((tuple(LEVEL[c] for c in ants), LEVEL[consequent], 1.0) for ants, consequent in RULE_TABLE)
         model = default_model.__wrapped__()
         assert model.rules == rules
         assert repr(model) == repr(FuzzyModel(model.inputs, model.output, rules))

@@ -23,7 +23,6 @@ from fuzzyspectrum import (
     ModelDocumentError,
     ModelIntegrityError,
     RULE_TABLE,
-    Rule,
     SweepAxis,
     SweepResult,
     SweepSpec,
@@ -351,7 +350,7 @@ class TestModelDocumentStrictness:
         raw = self._dict()
         del raw["rules"][0]["weight"]
         doc = parse_document(json.dumps(raw))
-        assert doc.model.rules[0].weight == 1.0
+        assert doc.model.rules[0][2] == 1.0
 
     def test_threshold_range_enforced(self):
         raw = self._dict()
@@ -368,7 +367,7 @@ def _document_with(**edits):
 
 
 def _rules_with(*rules_at):
-    """The default model built through FuzzyModel(...) with each (r, Rule)
+    """The default model built through FuzzyModel(...) with each (r, rule)
     of rules_at as its rule r."""
     model = default_model()
     rules = list(model.rules)
@@ -397,24 +396,24 @@ REJECTED_RULE_BASES = {
         ModelDocumentError, "rule weight must be in [0, 1], got -0.5",
     ),
     "negative-index": (
-        lambda: _rules_with((1, Rule((0, -1, 0, 0), 0))),
+        lambda: _rules_with((1, ((0, -1, 0, 0), 0, 1.0))),
         ModelIntegrityError, "rule 1: antecedent index -1 out of range for variable 'velocity_kmh'",
     ),
     "index-before-ragged": (
-        lambda: _rules_with((2, Rule((0, 0, 3, 0), 0)), (3, Rule((0, 0, 0), 0))),
+        lambda: _rules_with((2, ((0, 0, 3, 0), 0, 1.0)), (3, ((0, 0, 0), 0, 1.0))),
         ModelIntegrityError, "rule 2: antecedent index 3 out of range for variable 'spectrum_ratio'",
     ),
     "ragged": (
-        lambda: _rules_with((3, Rule((0, 0, 0, 0, 0), 0))),
+        lambda: _rules_with((3, ((0, 0, 0, 0, 0), 0, 1.0))),
         ModelIntegrityError, "rule 3: expected 4 antecedents, got 5",
     ),
     "index-beyond-intp": (
-        lambda: _rules_with((3, Rule((0, 10**30, 0, 0), 0))),
+        lambda: _rules_with((3, ((0, 10**30, 0, 0), 0, 1.0))),
         ModelIntegrityError,
         "rule 3: antecedent index 1000000000000000000000000000000 out of range for variable 'velocity_kmh'",
     ),
     "negative-consequent": (
-        lambda: replace(default_model(), rules=default_model().rules[:80] + (Rule((2, 2, 2, 2), -1),)),
+        lambda: replace(default_model(), rules=default_model().rules[:80] + (((2, 2, 2, 2), -1, 1.0),)),
         ModelIntegrityError, "rule 81: consequent index -1 out of range",
     ),
 }
@@ -429,8 +428,8 @@ class TestRejectedRuleBases:
 
     def test_an_integer_weight_in_range_is_read_as_a_float(self):
         model = parse_document(_document_with(r1={"weight": 1}, r2={"weight": 0})).model
-        assert [r.weight for r in model.rules[:2]] == [1.0, 0.0]
-        assert all(type(r.weight) is float for r in model.rules[:2])
+        weights = [weight for _, _, weight in model.rules[:2]]
+        assert weights == [1.0, 0.0] and all(type(weight) is float for weight in weights)
         # and so are an integer center and an integer sigma
         raw = json.loads(_document_with())
         low, _, high = raw["variables"]["inputs"][0]["terms"]
@@ -495,7 +494,7 @@ class TestModelDocumentMemory:
         # document, its term curves and one decision's curves all grow as n
         def peak(n):
             output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n, 0.1) for k in range(n)))
-            rules = tuple(Rule((k % 3,), k) for k in range(n))
+            rules = tuple(((k % 3,), k, 1.0) for k in range(n))
             model = FuzzyModel((three_term_variable("x", 0.0, 1.0),), output, rules, grid_points=11)
             text = serialize_document(ModelDocument(model))
             tracemalloc.start()

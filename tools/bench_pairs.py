@@ -13,7 +13,8 @@ interquartile range of the parent's runs and the pairs the change won are
 printed, with the ``src/`` line count of each commit and one line for each
 ``src/`` file whose count differs.  The report and result lines of every
 run, tagged with its workload, are written to ``BENCH_<change>.json`` with
-the line counts, in total and by file.
+the line counts, in total and by file; the ``layers`` figures that
+``tools/bench_layers.py`` wrote to that file are kept.
 
 Two verdicts are printed and stored with the runs.  Each workload's
 ``op_p50_ms`` gain is met only when the change is better in at least nine
@@ -205,6 +206,9 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     output = args.output or ROOT / f"BENCH_{change}.json"
+    # the in-process layer figures of tools/bench_layers.py, if any, stay
+    if output.exists() and "layers" in (earlier := json.loads(output.read_text())):
+        record["layers"] = earlier["layers"]
     output.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {output}")
     return 0
