@@ -310,7 +310,7 @@ def read_candidates_csv(path) -> CandidateBatch:
 
 
 def _rule_line(model: FuzzyModel, r: int) -> str:
-    """Rule r of the rule base as "r + 1. antecedent terms -> consequent term"."""
+    """The rule at index r as "r + 1. antecedent terms -> consequent term"."""
     antecedents, consequent, _ = model.rules[r]
     names = map(_shown_name, model.term_names(antecedents))
     return f"{r + 1}. {', '.join(names)} -> {_shown_name(model.output.terms[consequent].name)}"
