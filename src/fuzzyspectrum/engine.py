@@ -179,7 +179,13 @@ class FuzzyModel:
     def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[tuple], grid_points: int = 1001):
         # written by hand so that each field is converted and set once
         vars(self).update(inputs=tuple(inputs), output=output, grid_points=int(grid_points))
-        antecedents, consequents, weights = tuple(zip(*rules, strict=True)) or ((), (), ())
+        try:
+            antecedents, consequents, weights = tuple(zip(*rules, strict=True)) or ((), (), ())
+        except ValueError:
+            for r, rule in enumerate(rules):
+                if len(rule) != 3:
+                    raise ModelIntegrityError(f"rule {r + 1}: expected (antecedents, consequent, weight), got {len(rule)} fields") from None
+            raise
         if not self.inputs:
             raise ValueError("model needs at least one input variable")
         if self.grid_points < 2:
@@ -211,7 +217,9 @@ class FuzzyModel:
         if table is None or ((table < 0) | (table >= [len(v.terms) for v in (*self.inputs, output)])).any():
             for r in range(n):
                 _check_rule(self, r, tuple(map(int, antecedents[r])), int(consequents[r]))
-        vars(self)["rules"] = tuple(zip(map(tuple, table[:, :n_in].tolist()), table[:, n_in].tolist(), weights))
+        # read back by column: one list per column, zipped into the rules
+        columns = table.T.tolist()
+        vars(self)["rules"] = tuple(zip(zip(*columns[:n_in]), columns[n_in], weights))
         # checked before the grid and the term curves are allocated
         if len(output.terms) * self.grid_points > _MAX_CURVE_POINTS:
             raise ValueError(
@@ -230,7 +238,7 @@ class FuzzyModel:
                         f"variable {_quoted(var.name)}: term {_quoted(t.name)} exponent overflows at the universe's bounds, "
                         f"d*d / (2*sigma*sigma) must be finite, got d = {d}, sigma = {t.sigma}"
                     )
-        object.__setattr__(self, "_compiled", _Compiled(self, table, weights))
+        object.__setattr__(self, "_compiled", _Compiled(self, table, columns[n_in], weights))
 
     def term_names(self, antecedents: Sequence[int]) -> list[str]:
         """The input term names a rule's antecedent indices select, in input order."""
@@ -303,8 +311,8 @@ def fuzzify(var: FuzzyVariable, x: float) -> np.ndarray:
 
 class _Compiled:
     """A model's plain arrays, built once when the model is constructed from
-    its checked (rules, inputs + 1) table of antecedents and consequent and
-    its rule weights.
+    its checked (rules, inputs + 1) table of antecedents and consequent, the
+    consequents as a list and the rule weights.
 
     Each input's term parameters are kept once, as Python floats in
     fuzzifiers, padded to the widest variable with copies of its first term,
@@ -314,7 +322,7 @@ class _Compiled:
     one max over it.
     """
 
-    def __init__(self, model: FuzzyModel, table: np.ndarray, weights: tuple[float, ...]):
+    def __init__(self, model: FuzzyModel, table: np.ndarray, consequents: list[int], weights: tuple[float, ...]):
         n_in, output = len(model.inputs), model.output
         width = max(len(v.terms) for v in model.inputs)
         # per input: (lo, hi, [(center, 2*sigma*sigma) per term and padding slot])
@@ -322,28 +330,32 @@ class _Compiled:
             (v.lo, v.hi, [(t.center, 2.0 * t.sigma * t.sigma) for t in v.terms + v.terms[:1] * (width - len(v.terms))])
             for v in model.inputs
         )
-        # rule order[p] sits at position p of the sorted layout.  Python's
-        # sort is stable like numpy's kind="stable", and pages in no numpy
-        # sort code, which would add ~0.14 MB to the peak RSS of a process
-        # that only decides
-        consequents = table[:, n_in].tolist()
-        self.order = np.array(sorted(range(len(table)), key=consequents.__getitem__), np.intp)
+        # the rules concluding each output term, in rule order; joined, they
+        # are a stable sort by consequent, rule order[p] at position p of the
+        # sorted layout, which pages in no numpy sort code (that would add
+        # ~0.14 MB to the peak RSS of a process that only decides)
+        runs = [[] for _ in output.terms]
+        for r, k in enumerate(consequents):
+            runs[k].append(r)
+        self.order = np.array([r for run in runs for r in run], np.intp)
         # (inputs, rules) antecedent positions in a row's flat memberships
         antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * width
         self.antecedents = np.ascontiguousarray(antecedents)
         self.weights = np.array(weights)[self.order]
         # the output terms that some rule concludes, and the first sorted
         # rule of each
-        counts = np.bincount(table[:, n_in], minlength=len(output.terms))
-        self.concluded = np.flatnonzero(counts)
-        self.starts = (np.cumsum(counts) - counts)[self.concluded]
+        self.concluded = np.array([k for k, run in enumerate(runs) if run], np.intp)
+        self.starts = np.array([0, *itertools.accumulate(len(run) for run in runs if run)][:-1], np.intp)
         self.grid = np.linspace(output.lo, output.hi, model.grid_points)
         self.w = _trapezoid_weights(self.grid)
-        # (output terms, grid points) in one expression, bit for bit each
-        # term's np.exp(-((grid - center) ** 2) / (2.0 * sigma * sigma))
-        out_centers = np.array([t.center for t in output.terms])[:, None]
-        out_sigmas = np.array([t.sigma for t in output.terms])[:, None]
-        self.term_curves = np.exp(-((self.grid - out_centers) ** 2) / (2.0 * out_sigmas * out_sigmas))
+        # (output terms, grid points) in one buffer, bit for bit each term's
+        # np.exp(-((grid - center) ** 2) / (2.0 * sigma * sigma)): squaring
+        # is x * x, and dividing by the negated spread rounds as negating
+        # the quotient does
+        curves = self.grid - np.array([t.center for t in output.terms])[:, None]
+        np.multiply(curves, curves, out=curves)
+        np.divide(curves, np.array([-2.0 * t.sigma * t.sigma for t in output.terms])[:, None], out=curves)
+        self.term_curves = np.exp(curves, out=curves)
         # rows per chunk of the firing stage: its largest intermediate per row
         # is rules x inputs, inputs x terms or the clip levels
         row_elements = max(self.antecedents.size, n_in * width, len(output.terms))

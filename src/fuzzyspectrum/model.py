@@ -287,18 +287,18 @@ def validate_model(model: FuzzyModel) -> ModelValidationReport:
     Universes and term order need no check here: FuzzyVariable rejects a
     degenerate universe and centers that are not strictly increasing.
     """
-    rules = model.rules
+    antecedents, _, weights = tuple(zip(*model.rules)) or ((), (), ())
     expected = math.prod(len(var.terms) for var in model.inputs)
     failures: list[str] = []
-    if len(rules) != expected:
-        failures.append(f"rule count {len(rules)} != expected {expected}")
+    if len(weights) != expected:
+        failures.append(f"rule count {len(weights)} != expected {expected}")
 
     # the rules are walked only to name their duplicates and weights other
     # than 1, in rule order; first maps each combination to its first rule
-    present = {combo for combo, _, _ in rules}
-    if len(present) < len(rules) or any(weight != 1.0 for _, _, weight in rules):
+    present = set(antecedents)
+    if len(present) < len(antecedents) or weights.count(1.0) < len(weights):
         first: dict[tuple[int, ...], int] = {}
-        for r, (combo, _, weight) in enumerate(rules):
+        for r, (combo, weight) in enumerate(zip(antecedents, weights)):
             prior = first.setdefault(combo, r)
             if prior != r:
                 failures.append(

@@ -448,10 +448,11 @@ class TestRuleTable:
             (lambda a, c, w: (a, c, math.nan), (ValueError, "rule weight must be in [0, 1], got nan")),
             (lambda a, c, w: ((*a[:3], 3), c, w), (ModelIntegrityError, "rule 7: antecedent index 3 out of range for variable 'distance_m'")),
             (lambda a, c, w: (a[:3], c, w), (ModelIntegrityError, "rule 7: expected 4 antecedents, got 3")),
-            (lambda a, c, w: (a, c, w, 1.0), (ValueError, "zip() argument 7 is longer than arguments 1-6")),
+            (lambda a, c, w: (a, c, w, 1.0), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 4 fields")),
+            (lambda a, c, w: (a, c), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 2 fields")),
         ],
         ids=["numpy-ints-int-weight", "lists-bool-weight", "array-float32-weight", "weight-below-0", "weight-above-1",
-             "nan-weight", "antecedent-out-of-range", "ragged-antecedents", "four-fields"],
+             "nan-weight", "antecedent-out-of-range", "ragged-antecedents", "four-fields", "two-fields"],
     )
     def test_triples_are_converted_and_checked_once(self, edit, error):
         # every rule edited where the model is accepted, rule 7 alone where not
@@ -467,6 +468,14 @@ class TestRuleTable:
         assert built == parsed and hash(built) == hash(parsed)
         assert serialize_document(ModelDocument(built)) == text
         assert {type(x) for a, c, w in built.rules for x in (*a, c, w)} == {int, float}
+
+    @pytest.mark.parametrize("fields", [2, 4])
+    def test_a_base_of_rules_that_are_not_triples_names_rule_1(self, fields):
+        model = default_model()
+        rules = [(a, c, w, w)[:fields] for a, c, w in model.rules]
+        with pytest.raises(ModelIntegrityError) as excinfo:
+            FuzzyModel(model.inputs, model.output, rules)
+        assert str(excinfo.value) == f"rule 1: expected (antecedents, consequent, weight), got {fields} fields"
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
     def test_a_parsed_model_equals_its_rule_built_twin(self, seed):

@@ -3,19 +3,19 @@
 
 Run from the repository root:
 
-    python3 tools/bench_layers.py PARENT CHANGE [--layer NAME,...] [--spells 40] [--seed 1]
+    python3 tools/bench_layers.py PARENT CHANGE [--layer NAME,...]
 
 Both commits are exported with ``git archive``, as ``tools/bench_pairs.py``
 exports them, and each export's package is imported under its own name
 (``bench_parent`` and ``bench_change``), so that the two copies share no
-module.  Every layer of the table below gets the same seeded inputs on both
-sides.  Before a layer is timed, both sides' results are compared bit for
-bit; a layer whose results differ is reported and not timed.
+module.  Every layer of the table below gets the same inputs on both sides,
+drawn with seed SEED.  Before a layer is timed, both sides' results are
+compared bit for bit; a layer whose results differ is reported and not timed.
 
-The timing runs in alternating spells, the parent first on even spells.  A
-spell calls the layer a fixed number of times, sized on the parent to about
-20 ms, and yields its time per call.  For each layer the median and the
-interquartile range of each side's spells are printed, with the spells in
+The timing runs in SPELLS alternating spells, the parent first on even
+spells.  A spell calls the layer a fixed number of times, sized on the parent
+to about 20 ms, and yields its time per call.  For each layer the median and
+the interquartile range of each side's spells are printed, with the spells in
 which the change was faster.  The figures are written to
 ``BENCH_<change>.json`` under the key ``layers``; the rest of an existing
 file, such as the runs of ``tools/bench_pairs.py``, is kept.
@@ -42,6 +42,8 @@ from bench_pairs import ROOT, export, git, quartiles  # noqa: E402
 BATCH_ROWS = 250
 DECISION_ROWS = 32
 SPELL_SECONDS = 0.02
+SPELLS = 60
+SEED = 1
 
 
 def load_package(src: Path, name: str):
@@ -194,16 +196,12 @@ def main(argv=None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--layer", default=",".join(LAYERS), help=f"layers separated by commas (default: all of {', '.join(LAYERS)})")
-    parser.add_argument("--spells", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--output", type=Path, help="where to write the figures (default: BENCH_<change>.json)")
     args = parser.parse_args(argv)
     names = args.layer.split(",")
     unknown = [name for name in names if name not in LAYERS]
     if unknown:
         parser.error(f"--layer {', '.join(map(repr, unknown))} not a layer ({', '.join(LAYERS)})")
-    if args.spells < 2:
-        parser.error(f"--spells must be at least 2, got {args.spells}")
     parent, change = git("rev-parse", "--short", args.parent), git("rev-parse", "--short", args.change)
 
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as tmp:
@@ -212,18 +210,18 @@ def main(argv=None) -> int:
             for side, commit in (("parent", parent), ("change", change))
         }
         # drawn once, through the parent's package, and read by both
-        data = inputs(args.seed, packages["parent"], Path(tmp))
+        data = inputs(SEED, packages["parent"], Path(tmp))
         sides = {side: layers(pkg, data) for side, pkg in packages.items()}
-        results = time_layers(sides, names, args.spells)
+        results = time_layers(sides, names, SPELLS)
 
-    print(f"parent {parent}, change {change}, {args.spells} alternating spells, seed {args.seed}")
+    print(f"parent {parent}, change {change}, {SPELLS} alternating spells, seed {SEED}")
     print("\n".join(report(results)))
     output = args.output or ROOT / f"BENCH_{change}.json"
     record = json.loads(output.read_text()) if output.exists() else {"parent": parent, "change": change}
     record["layers"] = {
         "parent": parent,
         "change": change,
-        "command": f"python3 tools/bench_layers.py {parent} {change} --layer {','.join(names)} --spells {args.spells} --seed {args.seed}",
+        "command": f"python3 tools/bench_layers.py {parent} {change} --layer {','.join(names)}",
         "results": results,
     }
     output.write_text(json.dumps(record, indent=1) + "\n")
