@@ -179,13 +179,6 @@ class FuzzyModel:
     def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[tuple], grid_points: int = 1001):
         # written by hand so that each field is converted and set once
         vars(self).update(inputs=tuple(inputs), output=output, grid_points=int(grid_points))
-        try:
-            antecedents, consequents, weights = tuple(zip(*rules, strict=True)) or ((), (), ())
-        except ValueError:
-            for r, rule in enumerate(rules):
-                if len(rule) != 3:
-                    raise ModelIntegrityError(f"rule {r + 1}: expected (antecedents, consequent, weight), got {len(rule)} fields") from None
-            raise
         if not self.inputs:
             raise ValueError("model needs at least one input variable")
         if self.grid_points < 2:
@@ -195,31 +188,30 @@ class FuzzyModel:
         names = [v.name for v in self.inputs] + [output.name]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique across the model")
-        # one (rules, inputs + 1) array of antecedents and consequent, read flat
-        # (numpy discovers a nested sequence's shape far more slowly), which
-        # converts each index as int() does and is checked as a whole; a ragged
-        # rule base or an index too big for intp fails to build it, and the
-        # walk below then names the first bad rule (it raises for every table
-        # not built); the rules are kept as read back from the table
-        n, n_in = len(consequents), len(self.inputs)
-        table = None
-        if set(map(len, antecedents)) <= {n_in}:
-            table = np.empty((n, n_in + 1), np.intp)
-            try:
-                table[:, :n_in] = np.fromiter(itertools.chain.from_iterable(antecedents), np.intp, n * n_in).reshape(n, n_in)
-                table[:, n_in] = consequents
-            except OverflowError:
-                table = None
-        weights = tuple(map(float, weights))
-        for weight in weights:
-            if not (0.0 <= weight <= 1.0):
-                raise ValueError(f"rule weight must be in [0, 1], got {weight}")
-        if table is None or ((table < 0) | (table >= [len(v.terms) for v in (*self.inputs, output)])).any():
-            for r in range(n):
-                _check_rule(self, r, tuple(map(int, antecedents[r])), int(consequents[r]))
-        # read back by column: one list per column, zipped into the rules
-        columns = table.T.tolist()
-        vars(self)["rules"] = tuple(zip(zip(*columns[:n_in]), columns[n_in], weights))
+        # the admission test: every rule a triple of n_inputs antecedents, a
+        # consequent and a weight, every index an integer in range and every
+        # weight a number in [0, 1].  The indices are read flat, column by
+        # column, into one (inputs + 1, rules) table (numpy discovers a nested
+        # sequence's shape far more slowly), which must read back as given; a
+        # rule base that fails the test is walked for its first faulty rule
+        n_in = len(self.inputs)
+        sizes = np.array([len(v.terms) for v in (*self.inputs, output)], np.uintp)[:, None]
+        try:
+            antecedents, consequents, weights = tuple(zip(*rules, strict=True)) or ((), (), ())
+            n = len(consequents)
+            flat = [*itertools.chain.from_iterable(zip(*antecedents, strict=True)), *consequents]
+            table = np.fromiter(flat, np.intp, len(flat)).reshape(n_in + 1, n)
+            weights, columns = np.fromiter(weights, float, n), table.tolist()
+            # unsigned, a negative index reads as one too large
+            if [*itertools.chain(*columns)] != flat or (table.view(np.uintp) >= sizes).any():
+                raise ValueError
+            if not (weights.min(initial=0.0) >= 0.0 and weights.max(initial=1.0) <= 1.0):
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            for r, rule in enumerate(rules):
+                _check_rule(self, r, rule)
+            raise  # only for a value that numpy refuses and int() or float() reads
+        vars(self)["rules"] = tuple(zip(zip(*columns[:n_in]), columns[n_in], weights.tolist()))
         # checked before the grid and the term curves are allocated
         if len(output.terms) * self.grid_points > _MAX_CURVE_POINTS:
             raise ValueError(
@@ -255,16 +247,33 @@ def _check_defuzzifiable(lo: float, hi: float, what: str) -> None:
         raise ValueError(f"{what} [{lo}, {hi}] too wide to defuzzify, (hi - lo) * max(|lo|, |hi|) must be finite")
 
 
-def _check_rule(model: FuzzyModel, r: int, antecedents: Sequence[int], consequent: int) -> None:
-    """Raise the ModelIntegrityError naming the first fault of rule r + 1, if it has one."""
+def _rule_weight(weight) -> float:
+    """weight as a float, or the ValueError naming it unless it is a number in [0, 1]."""
+    try:
+        weight = float(weight)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if 0.0 <= weight <= 1.0:
+            return weight
+    raise ValueError(f"rule weight must be in [0, 1], got {weight}")
+
+
+def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
+    """Raise the error naming the first fault of rule r + 1, if it has one; an
+    index is read as int() reads it, and out of range unless equal to it."""
     where = f"rule {r + 1}"
+    if len(rule) != 3:
+        raise ModelIntegrityError(f"{where}: expected (antecedents, consequent, weight), got {len(rule)} fields")
+    antecedents, consequent, weight = rule
     if len(antecedents) != len(model.inputs):
         raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {len(antecedents)}")
     for var, idx in zip(model.inputs, antecedents):
-        if not (0 <= idx < len(var.terms)):
+        if not (0 <= int(idx) == idx < len(var.terms)):
             raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable {_quoted(var.name)}")
-    if not (0 <= consequent < len(model.output.terms)):
+    if not (0 <= int(consequent) == consequent < len(model.output.terms)):
         raise ModelIntegrityError(f"{where}: consequent index {consequent} out of range")
+    _rule_weight(weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +320,8 @@ def fuzzify(var: FuzzyVariable, x: float) -> np.ndarray:
 
 class _Compiled:
     """A model's plain arrays, built once when the model is constructed from
-    its checked (rules, inputs + 1) table of antecedents and consequent, the
-    consequents as a list and the rule weights.
+    its admitted (inputs + 1, rules) table of antecedents and consequent, the
+    consequents as a list and the rule weights as an array.
 
     Each input's term parameters are kept once, as Python floats in
     fuzzifiers, padded to the widest variable with copies of its first term,
@@ -322,7 +331,7 @@ class _Compiled:
     one max over it.
     """
 
-    def __init__(self, model: FuzzyModel, table: np.ndarray, consequents: list[int], weights: tuple[float, ...]):
+    def __init__(self, model: FuzzyModel, table: np.ndarray, consequents: list[int], weights: np.ndarray):
         n_in, output = len(model.inputs), model.output
         width = max(len(v.terms) for v in model.inputs)
         # per input: (lo, hi, [(center, 2*sigma*sigma) per term and padding slot])
@@ -339,9 +348,9 @@ class _Compiled:
             runs[k].append(r)
         self.order = np.array([r for run in runs for r in run], np.intp)
         # (inputs, rules) antecedent positions in a row's flat memberships
-        antecedents = table[self.order, :n_in].T + np.arange(n_in)[:, None] * width
-        self.antecedents = np.ascontiguousarray(antecedents)
-        self.weights = np.array(weights)[self.order]
+        self.antecedents = table[:n_in].take(self.order, axis=1)
+        self.antecedents += np.arange(n_in)[:, None] * width
+        self.weights = weights[self.order]
         # the output terms that some rule concludes, and the first sorted
         # rule of each
         self.concluded = np.array([k for k, run in enumerate(runs) if run], np.intp)
@@ -352,9 +361,11 @@ class _Compiled:
         # np.exp(-((grid - center) ** 2) / (2.0 * sigma * sigma)): squaring
         # is x * x, and dividing by the negated spread rounds as negating
         # the quotient does
-        curves = self.grid - np.array([t.center for t in output.terms])[:, None]
-        np.multiply(curves, curves, out=curves)
-        np.divide(curves, np.array([-2.0 * t.sigma * t.sigma for t in output.terms])[:, None], out=curves)
+        curves = np.empty((len(output.terms), model.grid_points))
+        for t, curve in zip(output.terms, curves):
+            np.subtract(self.grid, t.center, out=curve)
+            np.multiply(curve, curve, out=curve)
+            np.divide(curve, -2.0 * t.sigma * t.sigma, out=curve)
         self.term_curves = np.exp(curves, out=curves)
         # rows per chunk of the firing stage: its largest intermediate per row
         # is rules x inputs, inputs x terms or the clip levels
@@ -365,8 +376,12 @@ class _Compiled:
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
     if len(points) == 1:
         return np.ones(1)
-    edged = np.concatenate((points[:1], points, points[-1:]))
-    return (edged[2:] - edged[:-2]) / 2.0
+    # half the span of each point's neighbours, an end point its own neighbour
+    w = np.empty(len(points))
+    np.subtract(points[2:], points[:-2], out=w[1:-1])
+    w[0], w[-1] = points[1] - points[0], points[-1] - points[-2]
+    w /= 2.0
+    return w
 
 
 def _row_degrees(c: _Compiled, strengths: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .engine import (
     GaussianTerm,
     ModelIntegrityError,
     _quoted,
+    _rule_weight,
     _shown_name,
 )
 from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row, check_threshold, default_model
@@ -220,9 +221,7 @@ def parse_document(text: str) -> ModelDocument:
             weight = r.get("weight", 1.0)
             if type(weight) is not float:
                 weight = _number(r, "weight", f"rule {i + 1}")
-            if not (0.0 <= weight <= 1.0):
-                raise ModelDocumentError(f"rule weight must be in [0, 1], got {weight}")
-            rules.append((antecedents, consequent, weight))
+            rules.append((antecedents, consequent, _rule_weight(weight)))
 
         settings = raw["settings"]
         _require_keys(settings, ("grid_points", "admission_threshold"), "settings")

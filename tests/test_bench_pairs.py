@@ -188,3 +188,19 @@ def test_a_layer_whose_results_differ_is_reported_not_timed(monkeypatch):
     report = bench_layers.report(results)
     assert report[1] == "other                  DIFFERS between the commits: not timed"
     assert report[0].startswith("same ") and "change better in" in report[0]
+
+
+def test_every_layer_has_a_call_and_model_build_rebuilds_the_parsed_model(monkeypatch, tmp_path):
+    bench_layers = load_bench_layers(monkeypatch)
+    pkg = bench_layers.load_package(ROOT / "src", "tree_layers")
+    try:
+        data = bench_layers.inputs(bench_layers.SEED, pkg, tmp_path)
+        table = bench_layers.layers(pkg, data)
+        assert list(table) == list(bench_layers.LAYERS)
+        call, digest = table["model_build"]
+        parsed = pkg.parse_document(data["document"]).model
+        built = call()
+        assert built == parsed and built is not parsed and digest(built) == digest(parsed)
+    finally:
+        for key in [key for key in sys.modules if key.split(".")[0] == "tree_layers"]:
+            del sys.modules[key]

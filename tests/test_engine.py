@@ -1012,6 +1012,10 @@ class TestTypeValidation:
         with pytest.raises(ValueError, match="invalid literal"):
             self.one_rule_model((("x",), 0, 2.0))
 
+    def test_an_empty_rule_base_is_a_model_without_rules(self):
+        x, y = three_term_variable("x", 0.0, 1.0), three_term_variable("y", 0.0, 1.0)
+        assert FuzzyModel((x,), y, []).rules == ()
+
     @pytest.mark.parametrize("weight", [1.5, -0.25, math.nan, math.inf, np.float64(1.0000000000000002)])
     def test_rule_weight_message(self, weight):
         with pytest.raises(ValueError) as excinfo:

@@ -450,9 +450,12 @@ class TestRuleTable:
             (lambda a, c, w: (a[:3], c, w), (ModelIntegrityError, "rule 7: expected 4 antecedents, got 3")),
             (lambda a, c, w: (a, c, w, 1.0), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 4 fields")),
             (lambda a, c, w: (a, c), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 2 fields")),
+            (lambda a, c, w: ((a[0], 1.5, *a[2:]), c, w), (ModelIntegrityError, "rule 7: antecedent index 1.5 out of range for variable 'velocity_kmh'")),
+            (lambda a, c, w: (a, c, None), (ValueError, "rule weight must be in [0, 1], got None")),
         ],
         ids=["numpy-ints-int-weight", "lists-bool-weight", "array-float32-weight", "weight-below-0", "weight-above-1",
-             "nan-weight", "antecedent-out-of-range", "ragged-antecedents", "four-fields", "two-fields"],
+             "nan-weight", "antecedent-out-of-range", "ragged-antecedents", "four-fields", "two-fields",
+             "non-integral-index", "none-weight"],
     )
     def test_triples_are_converted_and_checked_once(self, edit, error):
         # every rule edited where the model is accepted, rule 7 alone where not

@@ -395,6 +395,10 @@ REJECTED_RULE_BASES = {
         lambda: parse_document(_document_with(r2={"weight": -0.5}, r3={"antecedents": ["Low", "Low", "Low"]})),
         ModelDocumentError, "rule weight must be in [0, 1], got -0.5",
     ),
+    "index-before-weight": (
+        lambda: _rules_with((2, ((0, 7, 0, 0), 0, 1.0)), (5, ((0, 0, 1, 1), 0, 1.5))),
+        ModelIntegrityError, "rule 2: antecedent index 7 out of range for variable 'velocity_kmh'",
+    ),
     "negative-index": (
         lambda: _rules_with((1, ((0, -1, 0, 0), 0, 1.0))),
         ModelIntegrityError, "rule 1: antecedent index -1 out of range for variable 'velocity_kmh'",

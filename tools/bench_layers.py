@@ -111,6 +111,9 @@ def layers(pkg, data: dict) -> dict:
     decisions, batch, cells = data["decisions"], data["batch"], preset_cells(pkg, 9)
     doc = pkg.parse_document(data["document"])
     twin = pkg.parse_document(data["document"]).model
+    # the parts a parsed document hands FuzzyModel, so that model_build times
+    # the constructor apart from json.loads and the rule loop
+    parts = (doc.model.inputs, doc.model.output, list(doc.model.rules), doc.model.grid_points)
     spec = pkg.figure_preset(9)
     surface = pkg.run_sweep(spec, model)
     digest_array = np.ndarray.tobytes
@@ -130,6 +133,10 @@ def layers(pkg, data: dict) -> dict:
             lambda: pkg.parse_document(data["document"]),
             lambda out: (pkg.serialize_document(out), floats(pkg.engine._infer_row(out.model, row) for row in decisions)),
         ),
+        "model_build": (
+            lambda: pkg.FuzzyModel(*parts),
+            lambda out: (pkg.serialize_document(pkg.ModelDocument(out)), floats(engine._infer_row(out, row) for row in decisions)),
+        ),
         "read_candidates_csv": (
             lambda: pkg.read_candidates_csv(data["csv_path"]),
             lambda out: (out.ids, digest_array(out.values)),
@@ -144,7 +151,7 @@ def layers(pkg, data: dict) -> dict:
 
 LAYERS = (
     "_infer_row", "_infer_rows", "_infer_rows_preset_9", "_membership_table", "parse_document",
-    "read_candidates_csv", "run_sweep", "format_surface_csv", "validate_model", "model_eq", "model_hash",
+    "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "validate_model", "model_eq", "model_hash",
 )
 
 
