@@ -210,7 +210,7 @@ class FuzzyModel:
         except (TypeError, ValueError, OverflowError):
             for r, rule in enumerate(rules):
                 _check_rule(self, r, rule)
-            raise  # only for a value that numpy refuses and int() or float() reads
+            raise  # only if numpy and int() or float() disagree on a value
         vars(self)["rules"] = tuple(zip(zip(*columns[:n_in]), columns[n_in], weights.tolist()))
         # checked before the grid and the term curves are allocated
         if len(output.terms) * self.grid_points > _MAX_CURVE_POINTS:
