@@ -462,9 +462,28 @@ def _curve_chunks(terms: int, distinct: int, grid_points: int) -> tuple[int, int
     return columns, min(grid_points, max(1, CHUNK_ELEMENTS // ((terms + 1) * columns)))
 
 
+def _kept_terms(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
+    """(output terms, grid blocks) flags of the terms that can raise a degree
+    of a chunk's (columns, output terms) clip vectors in each block of rows
+    grid points.  A term's clipped curves lie between its curve's least and
+    greatest value in the block, each clipped at the chunk's lowest and
+    highest level of the term, and every degree is at least the largest
+    lower bound, the floor.  A term whose upper bound is at or below a
+    positive floor is dropped unless it sets the floor: each value it drops
+    is at most a kept positive one, and max of positive doubles has the same
+    bits without it."""
+    starts = np.arange(0, len(c.grid), rows)
+    upper = np.minimum(np.maximum.reduceat(c.term_curves, starts, axis=1), clip.max(axis=0)[:, None])
+    lower = np.minimum(np.minimum.reduceat(c.term_curves, starts, axis=1), clip.min(axis=0)[:, None])
+    floor = lower.max(axis=0)
+    kept = (upper > floor) | (floor <= 0.0)
+    kept[lower.argmax(axis=0), np.arange(len(starts))] = True
+    return kept
+
+
 def _centroids(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
     """Centroids of a chunk's (columns, output terms) clip vectors, walking
-    the grid in blocks of rows grid points."""
+    the grid in blocks of rows grid points over the terms _kept_terms keeps."""
     terms = len(c.term_curves)
     if len(clip) == 1:
         # numpy would reduce a lone contiguous column pairwise, so it takes
@@ -479,14 +498,15 @@ def _centroids(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
     np.copyto(levels, clip.T[:, None, :])
     degrees, clipped, tile = np.empty((3, rows, len(clip)))
     mass, moment = np.empty((2, len(clip)))
-    for g in range(0, len(c.grid), rows):
+    for g, kept in zip(range(0, len(c.grid), rows), _kept_terms(c, clip, rows).T.tolist()):
         n = min(rows, len(c.grid) - g)
         d, m, t = degrees[:n], clipped[:n], tile[:n]
         # the row path's operations in its order: the clip level first in
         # min, the running max first in max
-        np.copyto(t, c.term_curves[0, g:g + n, None])
-        np.minimum(levels[0, :n], t, out=d)
-        for k in range(1, terms):
+        first, *others = itertools.compress(range(terms), kept)
+        np.copyto(t, c.term_curves[first, g:g + n, None])
+        np.minimum(levels[first, :n], t, out=d)
+        for k in others:
             np.copyto(t, c.term_curves[k, g:g + n, None])
             np.maximum(d, np.minimum(levels[k, :n], t, out=m), out=d)
         np.copyto(t, c.w[g:g + n, None])
@@ -537,6 +557,25 @@ def _infer_row(model: FuzzyModel, row: Sequence[float]) -> float:
     return _row_centroid(_one_row(c, row)[2], c.grid, c.w)
 
 
+# the odd multiplier of the key that sorts clip vectors for their dedupe,
+# 2**64 over the golden ratio
+_KEY_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _clip_key(clip: np.ndarray) -> np.ndarray:
+    """A float per row of (rows, output terms) clip levels, equal for rows of
+    equal bytes: each level's bits, their high half folded into the low,
+    mixed in term order into one 64-bit hash by xor and a multiplication,
+    which carries every bit into the top 53 that the float keeps."""
+    bits = clip.view(np.uint64)
+    key = np.zeros(len(clip), np.uint64)
+    for k in range(clip.shape[1]):
+        key ^= bits[:, k]
+        key ^= bits[:, k] >> 32
+        key *= _KEY_MULTIPLIER
+    return key.astype(float)
+
+
 def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
     for any other row length).  Each is bit-identical to infer on the same
@@ -561,16 +600,24 @@ def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
         _fire(c, table.take(index[i:i + c.fire_rows], axis=0), weights, runs, clip[i:i + c.fire_rows])
     del table, index, weights
     # a row's crisp output depends on its clip levels alone, so the curve
-    # stage runs once per distinct clip vector, compared bit for bit so that
-    # -0.0 and 0.0 stay apart
-    bits = clip.view(np.dtype((np.void, clip.itemsize * clip.shape[1]))).ravel()
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    distinct = clip[first]
+    # stage runs once per distinct clip vector.  One argsort of a key brings
+    # byte-equal vectors together, and neighbours are compared bit for bit,
+    # so -0.0 and 0.0 stay apart; keys that collide can split a group, which
+    # only scores its vector twice
+    order = _clip_key(clip).argsort()
+    clip = clip.take(order, axis=0)
+    bits, fresh = clip.view(np.uint64), np.zeros(len(clip), bool)
+    fresh[:1] = True
+    for k in range(bits.shape[1]):
+        fresh[1:] |= bits[1:, k] != bits[:-1, k]
+    distinct = clip[fresh]
+    inverse = np.empty(len(clip), np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
     crisp = np.empty(len(distinct))
-    columns, rows = _curve_chunks(clip.shape[1], len(distinct), len(c.grid))
+    columns, rows = _curve_chunks(distinct.shape[1], len(distinct), len(c.grid))
     for i in range(0, len(distinct), columns):
         crisp[i:i + columns] = _centroids(c, distinct[i:i + columns], rows)
-    return crisp[inverse.ravel()]
+    return crisp[inverse]
 
 
 def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarray:

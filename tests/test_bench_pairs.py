@@ -201,6 +201,11 @@ def test_every_layer_has_a_call_and_model_build_rebuilds_the_parsed_model(monkey
         parsed = pkg.parse_document(data["document"]).model
         built = call()
         assert built == parsed and built is not parsed and digest(built) == digest(parsed)
+        # the surface layer sweeps and formats presets 7 to 11, in order
+        call, digest = table["surface"]
+        model = pkg.default_model()
+        want = [pkg.format_surface_csv(pkg.run_sweep(pkg.figure_preset(preset), model)) for preset in range(7, 12)]
+        assert digest(call()) == want
     finally:
         for key in [key for key in sys.modules if key.split(".")[0] == "tree_layers"]:
             del sys.modules[key]

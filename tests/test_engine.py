@@ -456,11 +456,14 @@ class TestInfer:
         assert _infer_rows(model, rows[: columns + 1]).tobytes() == want[: columns + 1].tobytes()
         # the reference on every 50th row and on each row that either batch
         # scores in its last column chunk; the batch sorts its clip vectors
-        # by their bytes, which the reference's share here, as none is zero
+        # by engine._clip_key of their bytes, which the reference's share
+        # here, as none is zero, and no two keys are equal, so the order is
+        # the argsort's whatever its kind
         params = model_params(model)
         clips = np.array([reference_clip_levels(row, *params) for row in rows])
-        bits = clips.view(np.dtype((np.void, clips[0].nbytes))).ravel()
-        last = [np.unique(bits[:n], return_index=True)[1][columns:] for n in (len(rows), columns + 1)]
+        keys = engine._clip_key(clips)
+        assert len(np.unique(keys)) == len(rows)
+        last = [np.argsort(keys[:n])[columns:] for n in (len(rows), columns + 1)]
         picks = np.union1d(np.concatenate(last), np.arange(0, len(rows), 50))
         assert want[picks].tolist() == exact_outputs(model, rows[picks])
 
@@ -590,6 +593,122 @@ class TestCurveStage:
         n = data.draw(st.integers(1, 60), label="rows")
         rows = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(n, lo.size))
         assert _infer_rows(model, rows).tolist() == exact_outputs(model, rows)
+
+
+def scored_chunks(call):
+    """call(), or None if it raises NoRuleFiredError, and a copy of each
+    (clip vectors, grid rows) chunk that it handed _centroids."""
+    chunks, centroids = [], engine._centroids
+
+    def spy(c, clip, block_rows):
+        chunks.append((clip.copy(), block_rows))
+        return centroids(c, clip, block_rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_centroids", spy)
+        try:
+            return call(), chunks
+        except NoRuleFiredError:
+            return None, chunks
+
+
+class TestTermSkip:
+    """The curve stage drops, per grid block, the output terms whose clipped
+    curves cannot raise a degree of the chunk (engine._kept_terms)."""
+
+    @settings(max_examples=60, deadline=None, phases=NO_EXPLAIN_PHASES)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_dropped_terms_lie_below_a_positive_kept_maximum(self, seed, data):
+        # output terms that no rule concludes, weights of -0.0 and 0.0, and
+        # output terms from narrow to ten times wider than the universe, so
+        # that they overlap everywhere
+        rng = np.random.default_rng(seed)
+        base = random_model(rng, max_rules=30)
+        lo, hi = base.output.lo, base.output.hi
+        n_out = data.draw(st.integers(1, 6), label="output terms")
+        centers = np.sort(rng.choice(np.arange(101), n_out, replace=False)) / 100
+        sigmas = (hi - lo) * 10.0 ** rng.uniform(-2, 1, n_out)
+        output = FuzzyVariable("y", lo, hi, tuple(GaussianTerm(f"t{k}", lo + (hi - lo) * c, s) for k, (c, s) in enumerate(zip(centers, sigmas))))
+        concluded = data.draw(st.lists(st.integers(0, n_out - 1), min_size=1, unique=True), label="concluded")
+        weights = st.sampled_from([-0.0, 0.0, 0.3, 1.0])
+        rules = tuple((a, data.draw(st.sampled_from(concluded)), data.draw(weights)) for a, _, _ in base.rules)
+        model = FuzzyModel(base.inputs, output, rules, data.draw(st.integers(2, 2001), label="grid_points"))
+        rows = np.array(out_of_range_rows(rng, model, data.draw(st.integers(2, 80), label="rows")))
+        crisp, chunks = scored_chunks(lambda: _infer_rows(model, rows))
+        if crisp is not None:
+            assert crisp.tolist() == exact_outputs(model, rows)
+        c = model._compiled
+        for clip, block_rows in chunks:
+            if len(clip) == 1:  # the row path's curve, with every term
+                continue
+            kept = engine._kept_terms(c, clip, block_rows)
+            assert kept.shape == (n_out, -(-model.grid_points // block_rows))
+            for b, g in enumerate(range(0, model.grid_points, block_rows)):
+                # (terms, columns, points) clipped curves, brute force
+                clipped = np.minimum(clip.T[:, :, None], c.term_curves[:, None, g:g + block_rows])
+                top, dropped = clipped[kept[:, b]].max(axis=0), clipped[~kept[:, b]]
+                assert (dropped <= top).all()
+                assert not dropped.size or (top > 0.0).all()
+
+    def test_a_quarter_of_term_blocks_dropped_on_preset_7(self):
+        # every membership and clip level of the default model is at least
+        # 0.0625, so Low cannot raise a degree on the right of the grid, nor
+        # High on the left
+        model = default_model()
+        surface, chunks = scored_chunks(lambda: run_sweep(figure_preset(7), model))
+        assert surface.grid.size == 41 * 41
+        (clip, block_rows), = chunks
+        kept = engine._kept_terms(model._compiled, clip, block_rows)
+        assert kept.shape[1] > 1 and (~kept).sum() >= kept.size / 4
+
+
+class TestClipDedupe:
+    """_infer_rows scores each distinct clip vector once: one argsort of
+    engine._clip_key, then neighbours compared bit for bit."""
+
+    def test_keys_that_all_collide_still_equal_the_reference(self, monkeypatch):
+        # with a zero multiplier every key is 0.0, so byte-equal vectors need
+        # not be neighbours after the argsort and a vector may be scored twice
+        model = default_model()
+        pool = random_rows(12)
+        picks = np.random.default_rng(4).integers(0, len(pool), 200)
+        want = exact_outputs(model, pool)
+        monkeypatch.setattr(engine, "_KEY_MULTIPLIER", np.uint64(0))
+        assert not engine._clip_key(np.random.default_rng(4).random((5, 3))).any()
+        crisp, chunks = scored_chunks(lambda: _infer_rows(model, pool[picks]))
+        assert crisp.tolist() == [want[i] for i in picks]
+        assert sum(map(len, (clip for clip, _ in chunks))) >= len(pool)
+
+    @pytest.mark.parametrize("n_out", [1, 2, 11, 17])
+    def test_any_number_of_output_terms_scores_each_vector_once(self, n_out):
+        output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n_out, 0.2) for k in range(n_out)))
+        inputs = tuple(three_term_variable(name, 0.0, 1.0) for name in "abc")
+        combinations = itertools.product(range(3), repeat=3)
+        model = FuzzyModel(inputs, output, tuple((a, r % n_out, 1.0) for r, a in enumerate(combinations)))
+        rng = np.random.default_rng(n_out)
+        pool = rng.uniform(-0.2, 1.2, (15, 3))
+        # a signed zero beside 0.0: both clamp and fuzzify alike
+        pool[:2, 0] = [-0.0, 0.0]
+        picks = rng.integers(0, len(pool), 120)
+        want = exact_outputs(model, pool)
+        crisp, chunks = scored_chunks(lambda: _infer_rows(model, pool[picks]))
+        assert crisp.tolist() == [want[i] for i in picks]
+        scored = np.concatenate([clip for clip, _ in chunks])
+        assert len(np.unique(scored.view(np.dtype((np.void, scored[0].nbytes))))) == len(scored)
+
+    def test_levels_with_only_high_bits_set_get_distinct_keys(self):
+        # powers of two and signed zeros, as in 0.5 or 0.0625: a
+        # multiplication alone carries only their top 12 bits into the key,
+        # which gave 3309 keys for these 5832 vectors
+        levels = [*(2.0 ** -np.arange(16)), 0.0, -0.0]
+        clip = np.array(list(itertools.product(levels, repeat=3)))
+        assert len(np.unique(engine._clip_key(clip))) == len(clip)
+
+    @pytest.mark.parametrize("preset", range(7, 12))
+    def test_preset_sweeps_score_each_vector_once(self, preset):
+        _, chunks = scored_chunks(lambda: run_sweep(figure_preset(preset), default_model()))
+        scored = np.concatenate([clip for clip, _ in chunks])
+        assert len(np.unique(scored.view(np.dtype((np.void, scored[0].nbytes))))) == len(scored)
 
 
 def mixed_width_model():
@@ -835,14 +954,10 @@ class TestClipStage:
             output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n, 0.1) for k in range(n)))
             rules = tuple(((r % 3,), 0, 1.0) for r in range(10 * n))
             inputs = (three_term_variable("x", 0.0, 1.0),)
-            tracemalloc.start()
-            try:
-                FuzzyModel(inputs, output, rules, grid_points=2)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            # each size built once untraced first: numpy allocates for some
+            # calls only the first time
+            return traced_peak(lambda: FuzzyModel(inputs, output, rules, grid_points=2))
 
-        build_peak(64)  # numpy allocates for some calls only the first time
         # four times the document: at most four times the peak, with slack
         # for allocator steps (the padded layout gave about ten times)
         assert build_peak(64) <= 5 * build_peak(16)

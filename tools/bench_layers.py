@@ -116,6 +116,7 @@ def layers(pkg, data: dict) -> dict:
     parts = (doc.model.inputs, doc.model.output, list(doc.model.rules), doc.model.grid_points)
     spec = pkg.figure_preset(9)
     surface = pkg.run_sweep(spec, model)
+    presets = [pkg.figure_preset(preset) for preset in range(7, 12)]
     digest_array = np.ndarray.tobytes
 
     def floats(values):
@@ -143,6 +144,9 @@ def layers(pkg, data: dict) -> dict:
         ),
         "run_sweep": (lambda: pkg.run_sweep(spec, model), lambda out: digest_array(out.grid)),
         "format_surface_csv": (lambda: pkg.format_surface_csv(surface), str),
+        # perfbench's surface ops without the CLI: each of presets 7 to 11
+        # swept and formatted (run_sweep above times preset 9 alone)
+        "surface": (lambda: [pkg.format_surface_csv(pkg.run_sweep(p, model)) for p in presets], list),
         "validate_model": (lambda: pkg.validate_model(doc.model), lambda out: out.failures),
         "model_eq": (lambda: doc.model == twin, bool),
         "model_hash": (lambda: hash(doc.model), lambda out: out == hash(twin)),
@@ -151,7 +155,8 @@ def layers(pkg, data: dict) -> dict:
 
 LAYERS = (
     "_infer_row", "_infer_rows", "_infer_rows_preset_9", "_membership_table", "parse_document",
-    "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "validate_model", "model_eq", "model_hash",
+    "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "surface", "validate_model", "model_eq",
+    "model_hash",
 )
 
 
