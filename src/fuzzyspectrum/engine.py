@@ -492,8 +492,8 @@ def _centroids(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
     # a ufunc with a broadcast operand shorter than numpy's 8192-element
     # buffer takes the buffered iterator, ~3x slower per element than
     # same-shape contiguous operands, so every broadcast is one copyto into
-    # scratch: the clip levels once per chunk, the curves, w and the points
-    # once per block
+    # scratch: the clip levels once per chunk, each kept term's curve, w and
+    # the points once per block
     levels = np.empty((terms, rows, len(clip)))
     np.copyto(levels, clip.T[:, None, :])
     degrees, clipped, tile = np.empty((3, rows, len(clip)))
