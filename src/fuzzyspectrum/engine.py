@@ -566,7 +566,9 @@ def _clip_key(clip: np.ndarray) -> np.ndarray:
     """A float per row of (rows, output terms) clip levels, equal for rows of
     equal bytes: each level's bits, their high half folded into the low,
     mixed in term order into one 64-bit hash by xor and a multiplication,
-    which carries every bit into the top 53 that the float keeps."""
+    which carries every bit into the top 53 that the float keeps.  As a
+    float it sorts by the argsort that the membership table's np.unique
+    already pages in."""
     bits = clip.view(np.uint64)
     key = np.zeros(len(clip), np.uint64)
     for k in range(clip.shape[1]):
