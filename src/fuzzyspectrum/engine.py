@@ -263,17 +263,34 @@ def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
     """Raise the error naming the first fault of rule r + 1, if it has one; an
     index is read as int() reads it, and out of range unless equal to it."""
     where = f"rule {r + 1}"
-    if len(rule) != 3:
-        raise ModelIntegrityError(f"{where}: expected (antecedents, consequent, weight), got {len(rule)} fields")
+    if _count(rule) != "3":
+        raise ModelIntegrityError(f"{where}: expected (antecedents, consequent, weight), got {_count(rule, ' fields')}")
     antecedents, consequent, weight = rule
-    if len(antecedents) != len(model.inputs):
-        raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {len(antecedents)}")
+    if _count(antecedents) != str(len(model.inputs)):
+        raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {_count(antecedents)}")
     for var, idx in zip(model.inputs, antecedents):
-        if not (0 <= int(idx) == idx < len(var.terms)):
+        if not _in_range(idx, len(var.terms)):
             raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable {_quoted(var.name)}")
-    if not (0 <= int(consequent) == consequent < len(model.output.terms)):
+    if not _in_range(consequent, len(model.output.terms)):
         raise ModelIntegrityError(f"{where}: consequent index {consequent} out of range")
     _rule_weight(weight)
+
+
+def _count(x, unit: str = "") -> str:
+    """What a count check's message says it got: the length of x and unit, or
+    the type of an x that has no length."""
+    try:
+        return f"{len(x)}{unit}"
+    except TypeError:
+        return type(x).__name__
+
+
+def _in_range(idx, size: int) -> bool:
+    """Whether idx reads as an int in [0, size) and equals what it reads as."""
+    try:
+        return bool(0 <= int(idx) == idx < size)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 @dataclass(frozen=True, eq=False)

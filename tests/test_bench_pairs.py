@@ -1,7 +1,10 @@
 """The gain and bound verdicts of tools/bench_pairs.py, on synthetic runs,
-and the side-by-side loading of tools/bench_layers.py."""
+its run length, and the inputs and side-by-side loading of
+tools/bench_layers.py."""
 
 import importlib.util
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -103,8 +106,9 @@ def test_median_worse_beyond_its_bound_is_flagged_in_the_metrics_direction():
         ["--workload", "decide", "--seeds", ""],
         ["--workload", "decide,nope", "--seeds", "1-2"],
         ["--workload", "decide,", "--seeds", "1-2"],
+        ["--workload", "decide", "--seeds", "1-2", "--seconds", "8"],
     ],
-    ids=["empty-range", "non-integer", "fraction", "no-seeds", "unknown-workload", "empty-workload"],
+    ids=["empty-range", "non-integer", "fraction", "no-seeds", "unknown-workload", "empty-workload", "seconds"],
 )
 def test_bad_arguments_are_a_usage_error_before_any_export(monkeypatch, capsys, flags):
     bench_pairs = load_bench_pairs()
@@ -116,7 +120,39 @@ def test_bad_arguments_are_a_usage_error_before_any_export(monkeypatch, capsys, 
     with pytest.raises(SystemExit) as excinfo:
         bench_pairs.main(["HEAD", "HEAD", *flags])
     assert excinfo.value.code == 2
-    assert "error: --" in capsys.readouterr().err
+    # the error names the flag at fault
+    assert re.search(r"error: (unrecognized arguments: )?--", capsys.readouterr().err)
+
+
+def test_every_run_lasts_the_run_seconds_of_the_changes_benchmark(monkeypatch, tmp_path):
+    bench_pairs = load_bench_pairs()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # a length no flag or default gives, so that it can only come from the file
+    benchmark["run_seconds"] = 3
+
+    def export(commit, tree):
+        (tree / "src").mkdir(parents=True)
+        (tree / "BENCHMARK.json").write_text(json.dumps(benchmark))
+        return tree
+
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        calls.append((tree.name, workload, seed, seconds))
+        metrics = {metric["name"]: {"value": 1.0} for metric in benchmark["end_to_end"]}
+        return [{}, {"metrics": metrics}]
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    output = tmp_path / "bench.json"
+    argv = ["p", "c", "--workload", "decide,surface", "--seeds", "1-2", "--output", str(output)]
+    assert bench_pairs.main(argv) == 0
+    # every side, workload and seed, each for the file's run_seconds
+    assert sorted(calls) == sorted(
+        (side, workload, seed, 3) for side in ("parent", "change") for workload in ("decide", "surface") for seed in (1, 2)
+    )
+    assert json.loads(output.read_text())["command"].endswith("--seed SEED --seconds 3")
 
 
 def test_src_lines_are_counted_by_file_and_each_changed_file_gets_a_line(tmp_path):
@@ -190,11 +226,31 @@ def test_a_layer_whose_results_differ_is_reported_not_timed(monkeypatch):
     assert report[0].startswith("same ") and "change better in" in report[0]
 
 
+def test_inputs_are_what_the_perfbench_workloads_draw(monkeypatch, tmp_path):
+    bench_layers = load_bench_layers(monkeypatch)
+    data = bench_layers.inputs(bench_layers.SEED, ROOT, tmp_path)
+    # drawn again here, each by a workload of its own, into a directory of its own
+    spec = importlib.util.spec_from_file_location("workloads_again", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    again = tmp_path / "again"
+    again.mkdir()
+    decide = workloads.Decide(bench_layers.SEED, again, {})
+    assert data["decisions"] == [decide.make_input(i).inputs() for i in range(32)]
+    rows, _ = workloads.Arbitrate(bench_layers.SEED, again, {}).make_input(0)
+    assert data["batch"].tolist() == [list(row[1:]) for row in rows]
+    # 250 rows, of which 25 repeat another's measurements
+    assert data["batch"].shape == (250, 4) and len(set(map(tuple, data["batch"].tolist()))) == 225
+    assert data["csv_path"] == str(tmp_path / "batch.csv")
+    assert (tmp_path / "batch.csv").read_text() == (again / "batch.csv").read_text()
+    assert data["document"] == workloads.ModelSwap(bench_layers.SEED, again, {}).make_input(0)[0]
+
+
 def test_every_layer_has_a_call_and_model_build_rebuilds_the_parsed_model(monkeypatch, tmp_path):
     bench_layers = load_bench_layers(monkeypatch)
     pkg = bench_layers.load_package(ROOT / "src", "tree_layers")
     try:
-        data = bench_layers.inputs(bench_layers.SEED, pkg, tmp_path)
+        data = bench_layers.inputs(bench_layers.SEED, ROOT, tmp_path)
         table = bench_layers.layers(pkg, data)
         assert list(table) == list(bench_layers.LAYERS)
         call, digest = table["model_build"]

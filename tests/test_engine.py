@@ -1122,8 +1122,9 @@ class TestTypeValidation:
         assert type(consequent) is int and type(weight) is float
         assert self.one_rule_model(([np.intp(1)], 2.0, True)).rules == (((1,), 2, 1.0),)
         # antecedents are converted before the weight is checked
-        with pytest.raises(ValueError, match="invalid literal"):
+        with pytest.raises(ModelIntegrityError) as excinfo:
             self.one_rule_model((("x",), 0, 2.0))
+        assert str(excinfo.value) == "rule 1: antecedent index x out of range for variable 'x0'"
 
     def test_an_empty_rule_base_is_a_model_without_rules(self):
         x, y = three_term_variable("x", 0.0, 1.0), three_term_variable("y", 0.0, 1.0)

@@ -452,10 +452,25 @@ class TestRuleTable:
             (lambda a, c, w: (a, c), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 2 fields")),
             (lambda a, c, w: ((a[0], 1.5, *a[2:]), c, w), (ModelIntegrityError, "rule 7: antecedent index 1.5 out of range for variable 'velocity_kmh'")),
             (lambda a, c, w: (a, c, None), (ValueError, "rule weight must be in [0, 1], got None")),
+            (lambda a, c, w: 5, (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got int")),
+            (lambda a, c, w: None, (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got NoneType")),
+            (lambda a, c, w: (5, c, w), (ModelIntegrityError, "rule 7: expected 4 antecedents, got int")),
+            (lambda a, c, w: (None, c, w), (ModelIntegrityError, "rule 7: expected 4 antecedents, got NoneType")),
+            (lambda a, c, w: ("abcd", c, w), (ModelIntegrityError, "rule 7: antecedent index a out of range for variable 'signal_dbm'")),
+            (lambda a, c, w: ((a[0], math.nan, *a[2:]), c, w), (ModelIntegrityError, "rule 7: antecedent index nan out of range for variable 'velocity_kmh'")),
+            (lambda a, c, w: ((*a[:3], "x"), c, w), (ModelIntegrityError, "rule 7: antecedent index x out of range for variable 'distance_m'")),
+            (lambda a, c, w: ((a[0], math.inf, *a[2:]), c, w), (ModelIntegrityError, "rule 7: antecedent index inf out of range for variable 'velocity_kmh'")),
+            (lambda a, c, w: ((None, *a[1:]), c, w), (ModelIntegrityError, "rule 7: antecedent index None out of range for variable 'signal_dbm'")),
+            (lambda a, c, w: (a, math.nan, w), (ModelIntegrityError, "rule 7: consequent index nan out of range")),
+            (lambda a, c, w: (a, "x", w), (ModelIntegrityError, "rule 7: consequent index x out of range")),
+            (lambda a, c, w: (a, -math.inf, w), (ModelIntegrityError, "rule 7: consequent index -inf out of range")),
+            (lambda a, c, w: (a, None, w), (ModelIntegrityError, "rule 7: consequent index None out of range")),
         ],
         ids=["numpy-ints-int-weight", "lists-bool-weight", "array-float32-weight", "weight-below-0", "weight-above-1",
              "nan-weight", "antecedent-out-of-range", "ragged-antecedents", "four-fields", "two-fields",
-             "non-integral-index", "none-weight"],
+             "non-integral-index", "none-weight", "int-rule", "none-rule", "int-antecedents", "none-antecedents",
+             "string-antecedents", "nan-index", "string-index", "inf-index", "none-index", "nan-consequent",
+             "string-consequent", "inf-consequent", "none-consequent"],
     )
     def test_triples_are_converted_and_checked_once(self, edit, error):
         # every rule edited where the model is accepted, rule 7 alone where not

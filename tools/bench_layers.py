@@ -9,8 +9,11 @@ Both commits are exported with ``git archive``, as ``tools/bench_pairs.py``
 exports them, and each export's package is imported under its own name
 (``bench_parent`` and ``bench_change``), so that the two copies share no
 module.  Every layer of the table below gets the same inputs on both sides,
-drawn with seed SEED.  Before a layer is timed, both sides' results are
-compared bit for bit; a layer whose results differ is reported and not timed.
+drawn with seed SEED by the workload classes of the parent's
+``perfbench/workloads.py``: the inputs of DECISION_ROWS ``decide`` ops, the
+rows and the CSV file of one ``arbitrate`` op, and the document of one
+``model_swap`` op.  Before a layer is timed, both sides' results are compared
+bit for bit; a layer whose results differ is reported and not timed.
 
 The timing runs in SPELLS alternating spells, the parent first on even
 spells.  A spell calls the layer a fixed number of times, sized on the parent
@@ -26,12 +29,10 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import random
 import statistics
 import sys
 import tempfile
 import timeit
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, export, git, quartiles  # noqa: E402
 
-BATCH_ROWS = 250
 DECISION_ROWS = 32
 SPELL_SECONDS = 0.02
 SPELLS = 60
@@ -57,43 +57,23 @@ def load_package(src: Path, name: str):
     return package
 
 
-def draw_rows(rng: random.Random, pkg, n: int) -> list[list[float]]:
-    """n rows of the default model's inputs, one value in ten outside its
-    universe but never below 0.0 where a Candidate would reject it."""
-    rows = []
-    for _ in range(n):
-        row = []
-        for name in pkg.INPUT_ORDER:
-            lo, hi = pkg.UNIVERSES[name]
-            x = rng.uniform(lo, hi) if rng.random() >= 0.1 else hi + rng.uniform(0.0, (hi - lo) / 2.0)
-            row.append(x)
-        rows.append(row)
-    return rows
-
-
-def model_document(rng: random.Random, pkg) -> str:
-    """A model document as perfbench's model_swap workload draws one: the
-    default model with its input sigmas scaled a little, at a random grid."""
-    base = pkg.default_model()
-    scale = 1.0 + 1e-9 * rng.random()
-    inputs = tuple(replace(v, terms=tuple(replace(t, sigma=t.sigma * scale) for t in v.terms)) for v in base.inputs)
-    model = replace(base, inputs=inputs, grid_points=rng.randint(101, 5001))
-    return pkg.serialize_document(pkg.ModelDocument(model=model, admission_threshold=0.5))
-
-
-def inputs(seed: int, pkg, workdir: Path) -> dict:
-    """The seeded raw inputs every layer reads: plain data, the same for both
-    packages; pkg only draws them."""
-    rng = random.Random(seed)
-    batch = draw_rows(rng, pkg, BATCH_ROWS)
-    csv_path = workdir / "batch.csv"
-    lines = [",".join(pkg.CANDIDATE_HEADER)] + [",".join([f"su{i}", *map(repr, row)]) for i, row in enumerate(batch)]
-    csv_path.write_text("\n".join(lines) + "\n")
+def inputs(seed: int, tree: Path, workdir: Path) -> dict:
+    """The raw inputs every layer reads, drawn with seed by the perfbench
+    workloads of the exported tree: plain data, the same for both packages.
+    The arbitrate op writes its batch's CSV file into workdir."""
+    # workloads.py imports the package, checks.py and tests/oracle.py by name,
+    # as perfbench/run.py lets it
+    sys.path[:0] = [str(tree / "perfbench"), str(tree / "src"), str(tree / "tests")]
+    spec = importlib.util.spec_from_file_location("bench_workloads", tree / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    decide, arbitrate, model_swap = (workloads.WORKLOADS[name](seed, workdir, {}) for name in ("decide", "arbitrate", "model_swap"))
+    rows, _ = arbitrate.make_input(0)
     return {
-        "decisions": draw_rows(rng, pkg, DECISION_ROWS),
-        "batch": np.array(batch),
-        "csv_path": str(csv_path),
-        "document": model_document(rng, pkg),
+        "decisions": [decide.make_input(i).inputs() for i in range(DECISION_ROWS)],
+        "batch": np.array([row[1:] for row in rows]),
+        "csv_path": arbitrate.path,
+        "document": model_swap.make_input(0)[0],
     }
 
 
@@ -110,7 +90,6 @@ def layers(pkg, data: dict) -> dict:
     engine, model = pkg.engine, pkg.default_model()
     decisions, batch, cells = data["decisions"], data["batch"], preset_cells(pkg, 9)
     doc = pkg.parse_document(data["document"])
-    twin = pkg.parse_document(data["document"]).model
     # the parts a parsed document hands FuzzyModel, so that model_build times
     # the constructor apart from json.loads and the rule loop
     parts = (doc.model.inputs, doc.model.output, list(doc.model.rules), doc.model.grid_points)
@@ -148,15 +127,12 @@ def layers(pkg, data: dict) -> dict:
         # swept and formatted (run_sweep above times preset 9 alone)
         "surface": (lambda: [pkg.format_surface_csv(pkg.run_sweep(p, model)) for p in presets], list),
         "validate_model": (lambda: pkg.validate_model(doc.model), lambda out: out.failures),
-        "model_eq": (lambda: doc.model == twin, bool),
-        "model_hash": (lambda: hash(doc.model), lambda out: out == hash(twin)),
     }
 
 
 LAYERS = (
     "_infer_row", "_infer_rows", "_infer_rows_preset_9", "_membership_table", "parse_document",
-    "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "surface", "validate_model", "model_eq",
-    "model_hash",
+    "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "surface", "validate_model",
 )
 
 
@@ -217,12 +193,10 @@ def main(argv=None) -> int:
     parent, change = git("rev-parse", "--short", args.parent), git("rev-parse", "--short", args.change)
 
     with tempfile.TemporaryDirectory(prefix="bench-layers-") as tmp:
-        packages = {
-            side: load_package(export(commit, Path(tmp, side)) / "src", f"bench_{side}")
-            for side, commit in (("parent", parent), ("change", change))
-        }
-        # drawn once, through the parent's package, and read by both
-        data = inputs(SEED, packages["parent"], Path(tmp))
+        trees = {side: export(commit, Path(tmp, side)) for side, commit in (("parent", parent), ("change", change))}
+        packages = {side: load_package(tree / "src", f"bench_{side}") for side, tree in trees.items()}
+        # drawn once, by the parent's workloads, and read by both
+        data = inputs(SEED, trees["parent"], Path(tmp))
         sides = {side: layers(pkg, data) for side, pkg in packages.items()}
         results = time_layers(sides, names, SPELLS)
 

@@ -3,14 +3,14 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload decide,arbitrate --seeds 1601-1610 --seconds 25
+    python3 tools/bench_pairs.py PARENT CHANGE --workload decide,arbitrate --seeds 1601-1610
 
 Both commits are exported with ``git archive`` into a temporary directory,
-and ``perfbench/run.py`` runs in each export with the same seed, one pair
-per seed and workload: the parent first on even pairs, the change first on
-odd ones.  For each workload, the medians of every end-to-end metric, the
-interquartile range of the parent's runs and the pairs the change won are
-printed, with the ``src/`` line count of each commit and one line for each
+and ``perfbench/run.py`` runs in each export with the same seed, for the
+``run_seconds`` of the change's ``BENCHMARK.json``, one pair per seed and
+workload: the parent first on even pairs, the change first on odd ones.  For
+each workload, the medians of every end-to-end metric, the interquartile
+range of the parent's runs and the pairs the change won are printed, with the ``src/`` line count of each commit and one line for each
 ``src/`` file whose count differs.  The report and result lines of every
 run, tagged with its workload, are written to ``BENCH_<change>.json`` with
 the line counts, in total and by file; the ``layers`` figures that
@@ -152,7 +152,6 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("--workload", required=True, help="one workload, or several separated by commas")
     parser.add_argument("--seeds", required=True, metavar="A-B", help="inclusive seed range, one pair per seed")
-    parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--output", type=Path, help="where to write the runs (default: BENCH_<change>.json)")
     args = parser.parse_args(argv)
     # both checked before any commit is exported
@@ -170,7 +169,8 @@ def main(argv=None) -> int:
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": export(parent, Path(tmp, "parent")), "change": export(change, Path(tmp, "change"))}
-        end_to_end = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+        benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
         by_file = {side: src_lines_by_file(tree) for side, tree in trees.items()}
         counts = {side: sum(lines.values()) for side, lines in by_file.items()}
         print(f"src/ lines: parent {counts['parent']}, change {counts['change']} ({counts['change'] - counts['parent']:+d})")
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
             sides = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in sides:
-                    lines = run_once(trees[side], workload, seed, args.seconds)
+                    lines = run_once(trees[side], workload, seed, seconds)
                     runs.append({"workload": workload, "side": side, "seed": seed, "lines": lines})
                     metrics = lines[1]["metrics"]
                     print(f"pair {pair} seed {seed} {workload} {side:6s} op_p50_ms {metrics['op_p50_ms']['value']:.4f}",
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     record = {
         "parent": parent,
         "change": change,
-        "command": f"python3 perfbench/run.py --workload {shown} --seed SEED --seconds {args.seconds}",
+        "command": f"python3 perfbench/run.py --workload {shown} --seed SEED --seconds {seconds}",
         "protocol": (
             f"{len(seeds)} alternating pairs, seeds {seeds[0]}-{seeds[-1]}, parent first on even pair index;"
             " each side run from a fresh export of its commit"
