@@ -229,7 +229,8 @@ def test_a_layer_whose_results_differ_is_reported_not_timed(monkeypatch):
 def test_inputs_are_what_the_perfbench_workloads_draw(monkeypatch, tmp_path):
     bench_layers = load_bench_layers(monkeypatch)
     data = bench_layers.inputs(bench_layers.SEED, ROOT, tmp_path)
-    # drawn again here, each by a workload of its own, into a directory of its own
+    # drawn again here, into a directory of its own, by a second load of
+    # workloads.py, which finds checks.py on the path that inputs() set
     spec = importlib.util.spec_from_file_location("workloads_again", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)

@@ -10,11 +10,12 @@ and ``perfbench/run.py`` runs in each export with the same seed, for the
 ``run_seconds`` of the change's ``BENCHMARK.json``, one pair per seed and
 workload: the parent first on even pairs, the change first on odd ones.  For
 each workload, the medians of every end-to-end metric, the interquartile
-range of the parent's runs and the pairs the change won are printed, with the ``src/`` line count of each commit and one line for each
-``src/`` file whose count differs.  The report and result lines of every
-run, tagged with its workload, are written to ``BENCH_<change>.json`` with
-the line counts, in total and by file; the ``layers`` figures that
-``tools/bench_layers.py`` wrote to that file are kept.
+range of the parent's runs and the pairs the change won are printed, with
+the ``src/`` line count of each commit and one line for each ``src/`` file
+whose count differs.  The report and result lines of every run, tagged with
+its workload, are written to ``BENCH_<change>.json`` with the line counts,
+in total and by file; the ``layers`` figures that ``tools/bench_layers.py``
+wrote to that file are kept.
 
 Two verdicts are printed and stored with the runs.  Each workload's
 ``op_p50_ms`` gain is met only when the change is better in at least nine
