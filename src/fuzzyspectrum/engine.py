@@ -43,7 +43,7 @@ class InvalidInputError(FuzzyError):
 
 
 class ModelIntegrityError(FuzzyError):
-    """A rule refers to a term or variable that does not exist."""
+    """A rule is malformed or refers to a term or variable that does not exist."""
 
 
 class NoRuleFiredError(FuzzyError):
@@ -273,7 +273,10 @@ def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
             raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable {_quoted(var.name)}")
     if not _in_range(consequent, len(model.output.terms)):
         raise ModelIntegrityError(f"{where}: consequent index {consequent} out of range")
-    _rule_weight(weight)
+    try:
+        _rule_weight(weight)
+    except ValueError as exc:
+        raise ModelIntegrityError(f"{where}: {exc}") from None
 
 
 def _count(x, unit: str = "") -> str:

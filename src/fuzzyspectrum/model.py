@@ -16,20 +16,17 @@ from functools import cache
 
 import numpy as np
 
-from .engine import FuzzyModel, FuzzyVariable, GaussianTerm, _infer_row, _quoted, _shown_name
+from .engine import FuzzyModel, _infer_row, _quoted, _shown_name
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 
 __all__ = [
-    "LEVEL_NAMES",
     "INPUT_ORDER",
     "UNIVERSES",
-    "RULE_TABLE",
     "DEFAULT_ADMISSION_THRESHOLD",
     "Candidate",
     "CandidateBatch",
     "DecisionResult",
     "ModelValidationReport",
-    "crossover_sigma",
     "default_model",
     "decision_possibility",
     "validate_model",
@@ -39,17 +36,14 @@ __all__ = [
 # the rest, whose number grows with the product of the input term counts.
 _MISSING_NAMED = 100
 
-LEVEL_NAMES = ("Low", "Medium", "High")
-_LEVEL_INDEX = {"L": 0, "M": 1, "H": 2}
-
 INPUT_ORDER = ("signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m")
 
 # The candidate fields that must be >= 0, in the order Candidate checks them.
 _NON_NEGATIVE = ("spectrum_ratio", "velocity_kmh", "distance_m")
 
-# Universe bounds chosen so each variable's Medium center sits at the
-# operating point used throughout the reference surfaces (-60 dBm, 50 km/h,
-# ratio 0.5, 50 m).
+# The shipped model's universes, chosen so each variable's Medium center
+# sits at the operating point used throughout the reference surfaces
+# (-60 dBm, 50 km/h, ratio 0.5, 50 m).
 UNIVERSES = {
     "signal_dbm": (-100.0, -20.0),
     "velocity_kmh": (0.0, 100.0),
@@ -60,93 +54,6 @@ UNIVERSES = {
 
 DEFAULT_ADMISSION_THRESHOLD = 0.5
 
-# The 81-row rule base.  Each entry is (antecedent levels, decision level)
-# using L/M/H for Low/Medium/High; antecedents are in INPUT_ORDER
-# (signal, velocity, spectrum ratio, distance).  Row number = index + 1.
-RULE_TABLE = (
-    ("LLLL", "H"),
-    ("LLLM", "H"),
-    ("LLLH", "M"),
-    ("LLML", "H"),
-    ("LLMM", "H"),
-    ("LLMH", "M"),
-    ("LLHL", "M"),
-    ("LLHM", "M"),
-    ("LLHH", "L"),
-    ("LMLL", "H"),
-    ("LMLM", "H"),
-    ("LMLH", "L"),
-    ("LMML", "H"),
-    ("LMMM", "H"),
-    ("LMMH", "M"),
-    ("LMHL", "M"),
-    ("LMHM", "L"),
-    ("LMHH", "L"),
-    ("LHLL", "H"),
-    ("LHLM", "H"),
-    ("LHLH", "H"),
-    ("LHML", "H"),
-    ("LHMM", "H"),
-    ("LHMH", "H"),
-    ("LHHL", "H"),
-    ("LHHM", "M"),
-    ("LHHH", "M"),
-    ("MLLL", "H"),
-    ("MLLM", "M"),
-    ("MLLH", "M"),
-    ("MLML", "M"),
-    ("MLMM", "M"),
-    ("MLMH", "M"),
-    ("MLHL", "M"),
-    ("MLHM", "M"),
-    ("MLHH", "M"),
-    ("MMLL", "M"),
-    ("MMLM", "M"),
-    ("MMLH", "M"),
-    ("MMML", "M"),
-    ("MMMM", "M"),
-    ("MMMH", "M"),
-    ("MMHL", "M"),
-    ("MMHM", "M"),
-    ("MMHH", "M"),
-    ("MHLL", "H"),
-    ("MHLM", "H"),
-    ("MHLH", "M"),
-    ("MHML", "H"),
-    ("MHMM", "H"),
-    ("MHMH", "M"),
-    ("MHHL", "M"),
-    ("MHHM", "M"),
-    ("MHHH", "M"),
-    ("HLLL", "L"),
-    ("HLLM", "L"),
-    ("HLLH", "L"),
-    ("HLML", "L"),
-    ("HLMM", "L"),
-    ("HLMH", "L"),
-    ("HLHL", "L"),
-    ("HLHM", "L"),
-    ("HLHH", "L"),
-    ("HMLL", "L"),
-    ("HMLM", "L"),
-    ("HMLH", "L"),
-    ("HMML", "L"),
-    ("HMMM", "L"),
-    ("HMMH", "L"),
-    ("HMHL", "L"),
-    ("HMHM", "L"),
-    ("HMHH", "L"),
-    ("HHLL", "L"),
-    ("HHLM", "L"),
-    ("HHLH", "L"),
-    ("HHML", "L"),
-    ("HHMM", "L"),
-    ("HHMH", "L"),
-    ("HHHL", "L"),
-    ("HHHM", "L"),
-    ("HHHH", "L"),
-)
-
 
 def check_threshold(threshold: float, name: str = "threshold", error=ValueError) -> float:
     """threshold as a float; raises error(message) naming it unless it lies in [0, 1]."""
@@ -156,28 +63,13 @@ def check_threshold(threshold: float, name: str = "threshold", error=ValueError)
     return t
 
 
-def crossover_sigma(spacing: float) -> float:
-    """Sigma making two Gaussians `spacing` apart cross at membership 0.5."""
-    return spacing / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-
-
-def _three_level_variable(name: str, lo: float, hi: float) -> FuzzyVariable:
-    mid = (lo + hi) / 2.0
-    sigma = crossover_sigma((hi - lo) / 2.0)
-    terms = tuple(
-        GaussianTerm(level, center, sigma)
-        for level, center in zip(LEVEL_NAMES, (lo, mid, hi))
-    )
-    return FuzzyVariable(name, lo, hi, terms)
-
-
 @cache
 def default_model() -> FuzzyModel:
-    """The shipped model: four inputs, decision output, all 81 rules at weight 1."""
-    inputs = tuple(_three_level_variable(n, *UNIVERSES[n]) for n in INPUT_ORDER)
-    output = _three_level_variable("decision", *UNIVERSES["decision"])
-    rules = [(tuple(_LEVEL_INDEX[ch] for ch in levels), _LEVEL_INDEX[level], 1.0) for levels, level in RULE_TABLE]
-    return FuzzyModel(inputs, output, rules)
+    """The shipped model, read once from data/default_model.json: four
+    inputs, decision output, all 81 rules at weight 1."""
+    from .serialization import default_document  # serialization imports this module
+
+    return default_document().model
 
 
 @dataclass(frozen=True)

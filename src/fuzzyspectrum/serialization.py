@@ -13,6 +13,8 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Collection, Sequence
 
@@ -28,7 +30,7 @@ from .engine import (
     _rule_weight,
     _shown_name,
 )
-from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row, check_threshold, default_model
+from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row, check_threshold
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -70,8 +72,10 @@ class ModelDocument:
         check_threshold(self.admission_threshold, "admission_threshold", ModelDocumentError)
 
 
+@cache
 def default_document() -> ModelDocument:
-    return ModelDocument(model=default_model())
+    """The shipped model document, data/default_model.json, read once."""
+    return load_document(Path(__file__).parent / "data" / "default_model.json")
 
 
 def _variable_to_dict(var: FuzzyVariable) -> dict:
@@ -213,15 +217,18 @@ def parse_document(text: str) -> ModelDocument:
             # (null, a number, a list...) goes through term_index, which reads
             # str(name) and names the first unknown term
             try:
-                antecedents = tuple(map(dict.__getitem__, in_indices, names))
-                consequent = out_indices[r["consequent"]]
-            except (KeyError, TypeError):
-                antecedents = tuple(map(FuzzyVariable.term_index, inputs, map(str, names)))
-                consequent = output.term_index(str(r["consequent"]))
-            weight = r.get("weight", 1.0)
-            if type(weight) is not float:
-                weight = _number(r, "weight", f"rule {i + 1}")
-            rules.append((antecedents, consequent, _rule_weight(weight)))
+                try:
+                    antecedents = tuple(map(dict.__getitem__, in_indices, names))
+                    consequent = out_indices[r["consequent"]]
+                except (KeyError, TypeError):
+                    antecedents = tuple(map(FuzzyVariable.term_index, inputs, map(str, names)))
+                    consequent = output.term_index(str(r["consequent"]))
+                weight = r.get("weight", 1.0)
+                if type(weight) is not float:
+                    weight = _number(r, "weight", f"rule {i + 1}")
+                rules.append((antecedents, consequent, _rule_weight(weight)))
+            except (ValueError, ModelIntegrityError) as exc:  # an unknown term name or a weight out of range
+                raise ModelDocumentError(f"rule {i + 1}: {exc}") from exc
 
         settings = raw["settings"]
         _require_keys(settings, ("grid_points", "admission_threshold"), "settings")

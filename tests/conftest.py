@@ -1,7 +1,9 @@
 import csv
 import io
+import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +14,33 @@ from fuzzyspectrum import (
     FuzzyModel,
     FuzzyVariable,
     GaussianTerm,
-    LEVEL_NAMES,
-    RULE_TABLE,
-    crossover_sigma,
     default_model,
 )
 
 from oracle import model_params, reference_infer
+
+# the paper's rule table, transcribed apart from the shipped document
+TABLE1_RULES = Path(__file__).parent / "data" / "table1_rules.txt"
+
+LEVEL_NAMES = ("Low", "Medium", "High")
+
+
+def table1_rules() -> list[tuple[tuple[str, ...], str]]:
+    """The rules of TABLE1_RULES in row order, each as (antecedent term
+    names in input order, consequent term name); a line reads
+    "N. A, B, C, D -> E", N its row number."""
+    rules = []
+    for row, line in enumerate(TABLE1_RULES.read_text().splitlines(), start=1):
+        number, _, rule = line.partition(". ")
+        antecedents, _, consequent = rule.partition(" -> ")
+        assert number == str(row), line
+        rules.append((tuple(antecedents.split(", ")), consequent))
+    return rules
+
+
+def crossover_sigma(spacing):
+    """Sigma making two Gaussians `spacing` apart cross at membership 0.5."""
+    return spacing / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 def three_term_variable(name, lo, hi):
@@ -76,12 +98,11 @@ def dead_model() -> FuzzyModel:
 
 
 def rule_table_rows() -> list[list[str]]:
-    """RULE_TABLE as rules-CSV rows: row number, the L/M/H levels as
-    LEVEL_NAMES, and weight 1.000000."""
-    names = dict(zip("LMH", LEVEL_NAMES))
+    """table1_rules() as rules-CSV rows: row number, the term names, and
+    weight 1.000000."""
     return [
-        [str(r), *(names[level] for level in antecedents), names[consequent], "1.000000"]
-        for r, (antecedents, consequent) in enumerate(RULE_TABLE, start=1)
+        [str(r), *antecedents, consequent, "1.000000"]
+        for r, (antecedents, consequent) in enumerate(table1_rules(), start=1)
     ]
 
 

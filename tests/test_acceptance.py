@@ -16,7 +16,6 @@ import pytest
 
 from fuzzyspectrum import (
     INPUT_ORDER,
-    RULE_TABLE,
     UNIVERSES,
     Candidate,
     arbitrate,
@@ -34,10 +33,10 @@ from fuzzyspectrum.cli import main as cli_main
 from fuzzyspectrum.serialization import default_document, parse_document, serialize_document
 from fuzzyspectrum.sweep import format_surface_csv
 
+from conftest import LEVEL_NAMES, table1_rules
 from oracle import oracle_possibility, riemann_centroid
 
 DATA = Path(__file__).parent / "data"
-LEVEL = {"L": 0, "M": 1, "H": 2}
 
 
 def acceptance(number, name, budget_s):
@@ -154,7 +153,7 @@ def test_criterion_4_membership_closed_forms():
 def test_criterion_5_center_point_ordering():
     model = default_model()
     consequent_of = {
-        tuple(LEVEL[c] for c in ants): LEVEL[cons] for ants, cons in RULE_TABLE
+        tuple(map(LEVEL_NAMES.index, ants)): LEVEL_NAMES.index(cons) for ants, cons in table1_rules()
     }
 
     possibility = {}

@@ -266,3 +266,19 @@ def test_every_layer_has_a_call_and_model_build_rebuilds_the_parsed_model(monkey
     finally:
         for key in [key for key in sys.modules if key.split(".")[0] == "tree_layers"]:
             del sys.modules[key]
+
+
+def test_the_preset_9_layer_scores_the_rows_run_sweep_builds(monkeypatch):
+    bench_layers = load_bench_layers(monkeypatch)
+    pkg = bench_layers.load_package(ROOT / "src", "tree_sweep_rows")
+    try:
+        model, spec = pkg.default_model(), pkg.figure_preset(9)
+        rows = bench_layers.sweep_rows(pkg, spec, model)
+        assert rows.shape == (1681, 4)
+        grid = pkg.run_sweep(spec, model).grid
+        assert pkg.engine._infer_rows(model, rows).reshape(grid.shape).tobytes() == grid.tobytes()
+        # the sweep scores through sweep._infer_rows again once captured
+        assert pkg.sweep._infer_rows is pkg.engine._infer_rows
+    finally:
+        for key in [key for key in sys.modules if key.split(".")[0] == "tree_sweep_rows"]:
+            del sys.modules[key]

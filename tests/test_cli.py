@@ -483,7 +483,7 @@ class TestValidate:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(raw))
         assert run_cli(capsys, "validate", "--model", str(path)) == (
-            1, "", "error: rule weight must be in [0, 1], got inf\n"
+            1, "", "error: rule 5: rule weight must be in [0, 1], got inf\n"
         )
 
     def test_a_term_name_with_a_line_break_keeps_one_line_per_failure(self, capsys, tmp_path):
@@ -784,7 +784,7 @@ class TestOneErrorLine:
         [
             (lambda raw: raw.update({"a\nb": 1}), ["validate"], 1, "unknown field 'a\\nb' in document"),
             (lambda raw: raw["rules"][0].update(consequent="Hi\ngh"), ["validate"], 1,
-             "variable 'decision' has no term named 'Hi\\ngh'"),
+             "rule 1: variable 'decision' has no term named 'Hi\\ngh'"),
             (lambda raw: raw["variables"]["inputs"][0]["terms"][0].update(name="L\nx", sigma=-1.0), ["validate"], 1,
              "term 'L\\nx': sigma must be positive, got -1.0"),
             (_rename_input_with_a_center_outside, ["validate"], 1,

@@ -1111,7 +1111,7 @@ class TestTypeValidation:
         return FuzzyModel(inputs, three_term_variable("y", 0.0, 1.0), (rule,), grid_points=11)
 
     def test_rule_weight_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelIntegrityError):
             self.one_rule_model(((0,), 0, 1.5))
 
     def test_rule_converts_each_field_once(self):
@@ -1132,9 +1132,9 @@ class TestTypeValidation:
 
     @pytest.mark.parametrize("weight", [1.5, -0.25, math.nan, math.inf, np.float64(1.0000000000000002)])
     def test_rule_weight_message(self, weight):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(ModelIntegrityError) as excinfo:
             self.one_rule_model(((0,), 0, weight))
-        assert str(excinfo.value) == f"rule weight must be in [0, 1], got {float(weight)}"
+        assert str(excinfo.value) == f"rule 1: rule weight must be in [0, 1], got {float(weight)}"
 
     def test_rule_is_a_frozen_value(self):
         # a model keeps its rules as tuples, compared and hashed by value
@@ -1143,7 +1143,7 @@ class TestTypeValidation:
         twin = replace(model, rules=[([0, 1], np.int64(2), 0.5)])
         assert twin == model and hash(twin) == hash(model)
         assert replace(model, rules=[((0, 1), 2, 1.0)]) != model and replace(model, rules=[((1, 0), 2, 0.5)]) != model
-        with pytest.raises(ValueError, match="rule weight"):
+        with pytest.raises(ModelIntegrityError, match="rule 1: rule weight"):
             replace(model, rules=[((0, 1), 2, 2.0)])
         assert "rules=(((0, 1), 2, 0.5),)" in repr(model)
         with pytest.raises(FrozenInstanceError):

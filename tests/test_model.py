@@ -4,7 +4,6 @@ import math
 import time
 import types
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from hypothesis import strategies as st
 import fuzzyspectrum
 from fuzzyspectrum import (
     INPUT_ORDER,
-    LEVEL_NAMES,
-    RULE_TABLE,
     UNIVERSES,
     Candidate,
     CandidateBatch,
@@ -27,7 +24,6 @@ from fuzzyspectrum import (
     ModelIntegrityError,
     NoRuleFiredError,
     arbitrate,
-    crossover_sigma,
     decision_possibility,
     default_model,
     infer,
@@ -43,12 +39,28 @@ from fuzzyspectrum.serialization import (
     serialize_document,
 )
 
-from conftest import dead_model, exact_outputs, random_model, three_term_variable
+from conftest import (
+    LEVEL_NAMES,
+    TABLE1_RULES,
+    crossover_sigma,
+    dead_model,
+    exact_outputs,
+    random_model,
+    table1_rules,
+    three_term_variable,
+)
 from oracle import oracle_possibility, reference_validate_model
 
-FIXTURE = Path(__file__).parent / "data" / "table1_rules.txt"
-
 LEVEL = {"L": 0, "M": 1, "H": 2}
+
+
+def table1_triples():
+    """table1_rules() as (antecedents, consequent, weight) triples of term
+    indices, each at weight 1."""
+    return tuple(
+        (tuple(map(LEVEL_NAMES.index, antecedents)), LEVEL_NAMES.index(consequent), 1.0)
+        for antecedents, consequent in table1_rules()
+    )
 
 
 def center_vector(levels):
@@ -103,17 +115,18 @@ class TestDefaultModelStructure:
         assert default_model().rules[row - 1][:2] == (tuple(LEVEL[c] for c in antecedents), LEVEL[consequent])
 
     def test_rows_are_lexicographic_in_level_order(self):
-        combos = [tuple(LEVEL[c] for c in ants) for ants, _ in RULE_TABLE]
+        combos = [antecedents for antecedents, _, _ in table1_triples()]
         assert combos == list(itertools.product(range(3), repeat=4))
 
     def test_consequent_tallies_match_fixture_transcription(self):
         # recount from the independently transcribed fixture, not a literal
         fixture_counts = {"Low": 0, "Medium": 0, "High": 0}
-        for line in FIXTURE.read_text().splitlines():
+        for line in TABLE1_RULES.read_text().splitlines():
             fixture_counts[line.split("-> ")[1]] += 1
         model_counts = {"Low": 0, "Medium": 0, "High": 0}
-        for _, consequent in RULE_TABLE:
-            model_counts[{"L": "Low", "M": "Medium", "H": "High"}[consequent]] += 1
+        model = default_model()
+        for _, consequent, _ in model.rules:
+            model_counts[model.output.terms[consequent].name] += 1
         assert model_counts == fixture_counts
         assert sum(model_counts.values()) == 81
 
@@ -233,8 +246,7 @@ class TestValidateModelBounds:
 class TestRuleTableFaithfulness:
     def test_each_center_vector_peaks_its_own_row(self):
         model = default_model()
-        for row, (ants, _) in enumerate(RULE_TABLE):
-            levels = tuple(LEVEL[c] for c in ants)
+        for row, (levels, _, _) in enumerate(table1_triples()):
             trace = infer(model, center_vector(levels))
             strengths = trace.firing_strengths
             assert strengths[row] == 1.0
@@ -318,7 +330,10 @@ class TestDecisionPossibility:
 
         for name in ("sort", "argsort", "lexsort", "unique"):
             monkeypatch.setattr(np, name, refuse)
-        model = parse_document(serialize_document(default_document())).model
+        # the shipped file is read again, with the sorts refused
+        default_model.cache_clear()
+        default_document.cache_clear()
+        model = default_model()
         assert validate_model(model).failures == ()
         for candidate in EDGE_CANDIDATES:
             scored = decision_possibility(candidate, model)
@@ -443,15 +458,15 @@ class TestRuleTable:
             (lambda a, c, w: (tuple(map(np.int64, a)), np.int64(c), int(w)), None),
             (lambda a, c, w: (list(a), c, bool(w)), None),
             (lambda a, c, w: (np.array(a), np.intp(c), np.float32(w)), None),
-            (lambda a, c, w: (a, c, -0.5), (ValueError, "rule weight must be in [0, 1], got -0.5")),
-            (lambda a, c, w: (a, c, np.float32(1.5)), (ValueError, "rule weight must be in [0, 1], got 1.5")),
-            (lambda a, c, w: (a, c, math.nan), (ValueError, "rule weight must be in [0, 1], got nan")),
+            (lambda a, c, w: (a, c, -0.5), (ModelIntegrityError, "rule 7: rule weight must be in [0, 1], got -0.5")),
+            (lambda a, c, w: (a, c, np.float32(1.5)), (ModelIntegrityError, "rule 7: rule weight must be in [0, 1], got 1.5")),
+            (lambda a, c, w: (a, c, math.nan), (ModelIntegrityError, "rule 7: rule weight must be in [0, 1], got nan")),
             (lambda a, c, w: ((*a[:3], 3), c, w), (ModelIntegrityError, "rule 7: antecedent index 3 out of range for variable 'distance_m'")),
             (lambda a, c, w: (a[:3], c, w), (ModelIntegrityError, "rule 7: expected 4 antecedents, got 3")),
             (lambda a, c, w: (a, c, w, 1.0), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 4 fields")),
             (lambda a, c, w: (a, c), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 2 fields")),
             (lambda a, c, w: ((a[0], 1.5, *a[2:]), c, w), (ModelIntegrityError, "rule 7: antecedent index 1.5 out of range for variable 'velocity_kmh'")),
-            (lambda a, c, w: (a, c, None), (ValueError, "rule weight must be in [0, 1], got None")),
+            (lambda a, c, w: (a, c, None), (ModelIntegrityError, "rule 7: rule weight must be in [0, 1], got None")),
             (lambda a, c, w: 5, (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got int")),
             (lambda a, c, w: None, (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got NoneType")),
             (lambda a, c, w: (5, c, w), (ModelIntegrityError, "rule 7: expected 4 antecedents, got int")),
@@ -529,8 +544,8 @@ class TestRuleTable:
         assert scores(replace(parsed, rules=fewer), rows) == scores(replace(built, rules=fewer), rows)
 
     def test_default_model_rules_are_the_rule_table(self):
-        rules = tuple((tuple(LEVEL[c] for c in ants), LEVEL[consequent], 1.0) for ants, consequent in RULE_TABLE)
-        model = default_model.__wrapped__()
+        rules = table1_triples()
+        model = default_model()
         assert model.rules == rules
         assert repr(model) == repr(FuzzyModel(model.inputs, model.output, rules))
 

@@ -22,7 +22,6 @@ from fuzzyspectrum import (
     ModelDocument,
     ModelDocumentError,
     ModelIntegrityError,
-    RULE_TABLE,
     SweepAxis,
     SweepResult,
     SweepSpec,
@@ -48,6 +47,7 @@ from conftest import (
     candidate_files,
     random_rows,
     rule_table_rows,
+    table1_rules,
     three_term_variable,
     traced_peak,
 )
@@ -72,11 +72,16 @@ class TestModelDocumentRoundTrip:
         assert load_document(path) == doc
 
     def test_shipped_document_matches_default_model(self):
+        # the default model is the shipped document's, whose rules read by
+        # term name are the independently transcribed table, each at weight 1
         shipped = (
             resources.files("fuzzyspectrum") / "data" / "default_model.json"
         ).read_text()
         assert shipped == serialize_document(default_document())
-        assert parse_document(shipped).model == default_model()
+        model = default_model()
+        assert model is default_document().model
+        rules = [(tuple(model.term_names(a)), model.output.terms[c].name, w) for a, c, w in model.rules]
+        assert rules == [(antecedents, consequent, 1.0) for antecedents, consequent in table1_rules()]
 
     def test_parsed_model_infers_identically(self):
         doc = parse_document(serialize_document(default_document()))
@@ -126,7 +131,7 @@ def broken_documents(draw):
         return raw, f"term '{term['name']}': sigma must be positive, got {float(term['sigma'])}"
     if fault == "weight":
         rule["weight"] = draw(st.sampled_from([odd, 1.5, -0.25]))
-        return raw, f"rule weight must be in [0, 1], got {rule['weight']}"
+        return raw, f"rule {k + 1}: rule weight must be in [0, 1], got {rule['weight']}"
     if fault == "threshold":
         raw["settings"]["admission_threshold"] = odd
         return raw, f"admission_threshold must be in [0, 1], got {odd}"
@@ -178,7 +183,7 @@ def broken_documents(draw):
             return raw, f"term '{term['name']}': sigma must be positive, got {inf}"
         if target == "weight":
             rule["weight"] = big
-            return raw, f"rule weight must be in [0, 1], got {inf}"
+            return raw, f"rule {k + 1}: rule weight must be in [0, 1], got {inf}"
         raw["settings"]["admission_threshold"] = big
         return raw, f"admission_threshold must be in [0, 1], got {inf}"
     if fault == "schema_version":
@@ -218,11 +223,11 @@ def broken_documents(draw):
         v = draw(st.integers(0, len(inputs) - 1))
         name = draw(_odd_name({t["name"] for t in inputs[v]["terms"]}))
         rule["antecedents"][v] = name
-        return raw, f"variable '{inputs[v]['name']}' has no term named {_quoted(name)}"
+        return raw, f"rule {k + 1}: variable '{inputs[v]['name']}' has no term named {_quoted(name)}"
     if fault == "consequent_name":
         name = draw(_odd_name({t["name"] for t in output["terms"]}))
         rule["consequent"] = name
-        return raw, f"variable '{output['name']}' has no term named {_quoted(name)}"
+        return raw, f"rule {k + 1}: variable '{output['name']}' has no term named {_quoted(name)}"
     rule["antecedents"] = draw(st.sampled_from([rule["antecedents"][:-1], rule["antecedents"] * 2, "Low"]))
     return raw, f"rule {k + 1}: expected {len(inputs)} antecedent names"
 
@@ -381,19 +386,19 @@ def _rules_with(*rules_at):
 REJECTED_RULE_BASES = {
     "weight-before-unknown-term": (
         lambda: parse_document(_document_with(r2={"weight": 1.5}, r5={"consequent": "Extreme"})),
-        ModelDocumentError, "rule weight must be in [0, 1], got 1.5",
+        ModelDocumentError, "rule 2: rule weight must be in [0, 1], got 1.5",
     ),
     "nan-weight": (
         lambda: parse_document(_document_with(r4={"weight": math.nan})),
-        ModelDocumentError, "rule weight must be in [0, 1], got nan",
+        ModelDocumentError, "rule 4: rule weight must be in [0, 1], got nan",
     ),
     "integer-weights": (
         lambda: parse_document(_document_with(r1={"weight": 1}, r2={"weight": 2})),
-        ModelDocumentError, "rule weight must be in [0, 1], got 2.0",
+        ModelDocumentError, "rule 2: rule weight must be in [0, 1], got 2.0",
     ),
     "arity-after-weight": (
         lambda: parse_document(_document_with(r2={"weight": -0.5}, r3={"antecedents": ["Low", "Low", "Low"]})),
-        ModelDocumentError, "rule weight must be in [0, 1], got -0.5",
+        ModelDocumentError, "rule 2: rule weight must be in [0, 1], got -0.5",
     ),
     "index-before-weight": (
         lambda: _rules_with((2, ((0, 7, 0, 0), 0, 1.0)), (5, ((0, 0, 1, 1), 0, 1.5))),
@@ -464,7 +469,7 @@ class TestRuleNames:
             variable = raw["variables"]["output"]["name"]
         with pytest.raises(ModelDocumentError) as excinfo:
             parse_document(json.dumps(raw))
-        assert str(excinfo.value) == f"variable '{variable}' has no term named '{name}'"
+        assert str(excinfo.value) == f"rule 41: variable '{variable}' has no term named '{name}'"
 
     @pytest.mark.parametrize("term, name", [("1", 1), ("-2", -2), ("1.5", 1.5), ("None", None), ("True", True)])
     def test_a_name_whose_str_is_a_term_name_is_that_term(self, term, name):
@@ -651,7 +656,7 @@ class TestRuleListings:
 
     def test_csv_rows_follow_the_rule_table(self):
         lines = format_rules_csv(default_model()).splitlines()
-        assert len(lines) == 1 + len(RULE_TABLE)
+        assert len(lines) == 1 + len(rule_table_rows())
         assert [line.split(",") for line in lines[1:]] == rule_table_rows()
 
     def test_csv_header_and_weight(self):
@@ -667,7 +672,7 @@ class TestRuleListings:
         output = replace(output, terms=(*output.terms[:2], replace(output.terms[2], name=high)))
         model = replace(model, inputs=(signal, *model.inputs[1:]), output=output)
         records = list(csv.reader(io.StringIO(format_rules_csv(model), newline="")))
-        assert len(records) == 1 + len(RULE_TABLE)
+        assert len(records) == 1 + len(rule_table_rows())
         assert {len(record) for record in records} == {7}
         want = [[row[0], low if row[1] == "Low" else row[1], *row[2:5], high if row[5] == "High" else row[5], row[6]]
                 for row in rule_table_rows()]

@@ -77,23 +77,33 @@ def inputs(seed: int, tree: Path, workdir: Path) -> dict:
     }
 
 
-def preset_cells(pkg, preset: int) -> np.ndarray:
-    """The (cells, inputs) rows that run_sweep scores for a preset."""
-    spec = pkg.figure_preset(preset)
-    columns = {**spec.fixed_dict(), spec.axis1.name: spec.axis1.samples()[:, None], spec.axis2.name: spec.axis2.samples()}
-    return np.stack(np.broadcast_arrays(*(columns[name] for name in pkg.INPUT_ORDER)), axis=-1).reshape(-1, 4)
+def sweep_rows(pkg, spec, model) -> np.ndarray:
+    """The (cells, inputs) rows that run_sweep(spec, model) hands
+    sweep._infer_rows, captured from one sweep."""
+    infer_rows, captured = pkg.sweep._infer_rows, []
+
+    def capture(model, rows):
+        captured.append(rows)
+        return infer_rows(model, rows)
+
+    pkg.sweep._infer_rows = capture
+    try:
+        pkg.run_sweep(spec, model)
+    finally:
+        pkg.sweep._infer_rows = infer_rows
+    (rows,) = captured
+    return rows
 
 
 def layers(pkg, data: dict) -> dict:
     """Each layer's call on pkg's objects, and a digest of its result that
     two packages can compare bit for bit."""
-    engine, model = pkg.engine, pkg.default_model()
-    decisions, batch, cells = data["decisions"], data["batch"], preset_cells(pkg, 9)
+    engine, model, spec = pkg.engine, pkg.default_model(), pkg.figure_preset(9)
+    decisions, batch, cells = data["decisions"], data["batch"], sweep_rows(pkg, spec, model)
     doc = pkg.parse_document(data["document"])
     # the parts a parsed document hands FuzzyModel, so that model_build times
     # the constructor apart from json.loads and the rule loop
     parts = (doc.model.inputs, doc.model.output, list(doc.model.rules), doc.model.grid_points)
-    spec = pkg.figure_preset(9)
     surface = pkg.run_sweep(spec, model)
     presets = [pkg.figure_preset(preset) for preset in range(7, 12)]
     digest_array = np.ndarray.tobytes
