@@ -16,7 +16,6 @@ from fuzzyspectrum import (
 from fuzzyspectrum.serialization import (
     default_document,
     parse_document,
-    save_document,
     serialize_document,
 )
 
@@ -26,7 +25,7 @@ work.mkdir(exist_ok=True)
 # Write the shipped model out and read it back: identical object, identical bytes.
 doc = default_document()
 path = work / "model.json"
-save_document(doc, path)
+path.write_text(serialize_document(doc), encoding="utf-8", newline="\n")
 again = parse_document(path.read_text())
 print("round trip object-equal:", again == doc)
 print("round trip byte-stable: ", serialize_document(again) == serialize_document(doc))

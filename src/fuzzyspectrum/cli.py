@@ -9,22 +9,15 @@ files or model violations, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import sys
+from types import SimpleNamespace
 
 from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, _quoted, _shown_name, clamp_to_universe, infer
 from .model import INPUT_ORDER, Candidate, check_threshold, decision_possibility, validate_model
-from .serialization import (
-    ModelDocument,
-    _csv_text,
-    _rule_line,
-    default_document,
-    format_rules_csv,
-    format_rules_table,
-    load_document,
-    read_candidates_csv,
-)
+from .serialization import ModelDocument, default_document, load_document, read_candidates_csv
 from .sweep import PRESET_STEPS, SweepAxis, SweepSpec, figure_preset, format_surface_csv, run_sweep
 
 TRACE_TOP_RULES = 5
@@ -137,6 +130,43 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _csv_text(header: tuple, rows) -> str:
+    """header and rows as csv records, each ending in a line feed; a field
+    holding a comma, a double quote, a carriage return or a line feed comes
+    out quoted."""
+    # csv.writer quotes a lone carriage return only when the line terminator
+    # holds one, so each record is written ending in "\r\n" and cut to "\n"
+    records = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "\n".join([record[:-2] for record in records]) + "\n"
+
+
+def _rule_line(model: FuzzyModel, r: int) -> str:
+    """The rule at index r as "r + 1. antecedent terms -> consequent term"."""
+    antecedents, consequent, _ = model.rules[r]
+    names = map(_shown_name, model.term_names(antecedents))
+    return f"{r + 1}. {', '.join(names)} -> {_shown_name(model.output.terms[consequent].name)}"
+
+
+def _rules_table(model: FuzzyModel) -> str:
+    """Rules as numbered text lines, 1-based, in rule-base order."""
+    return "\n".join(_rule_line(model, r) for r in range(len(model.rules))) + "\n"
+
+
+def _rules_csv(model: FuzzyModel) -> str:
+    """Rules as CSV with a row column, antecedent/consequent term names,
+    and the weight."""
+    return _csv_text(
+        ("row", *(v.name for v in model.inputs), model.output.name, "weight"),
+        (
+            (r, *model.term_names(antecedents), model.output.terms[consequent].name, f"{weight:.6f}")
+            for r, (antecedents, consequent, weight) in enumerate(model.rules, start=1)
+        ),
+    )
+
+
 def cmd_eval(args) -> int:
     model, threshold = _resolve_candidate_model(args)
     candidate = Candidate("eval", *(getattr(args, name) for name in INPUT_ORDER))
@@ -247,7 +277,7 @@ def cmd_sweep(args) -> int:
 def cmd_validate(args) -> int:
     model = _document(args).model
     report = validate_model(model)
-    if report.ok:
+    if not report.failures:
         _emit(args, f"{len(model.rules)} rules, complete\n")
         return 0
     _emit(args, "\n".join(report.failures) + "\n")
@@ -256,10 +286,7 @@ def cmd_validate(args) -> int:
 
 def cmd_dump_rules(args) -> int:
     model = _document(args).model
-    if args.format == "csv":
-        _emit(args, format_rules_csv(model))
-    else:
-        _emit(args, format_rules_table(model))
+    _emit(args, _rules_csv(model) if args.format == "csv" else _rules_table(model))
     return 0
 
 

@@ -178,9 +178,11 @@ class FuzzyModel:
 
     def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[tuple], grid_points: int = 1001):
         # written by hand so that each field is converted and set once
-        vars(self).update(inputs=tuple(inputs), output=output, grid_points=int(grid_points))
+        vars(self).update(inputs=tuple(inputs), output=output, grid_points=_as_int(grid_points))
         if not self.inputs:
             raise ValueError("model needs at least one input variable")
+        if self.grid_points is None:
+            raise ValueError(f"grid_points must be an integer, got {grid_points}")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
         if self.grid_points > MAX_GRID_POINTS:
@@ -269,9 +271,9 @@ def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
     if _count(antecedents) != str(len(model.inputs)):
         raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {_count(antecedents)}")
     for var, idx in zip(model.inputs, antecedents):
-        if not _in_range(idx, len(var.terms)):
+        if _as_int(idx) not in range(len(var.terms)):
             raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable {_quoted(var.name)}")
-    if not _in_range(consequent, len(model.output.terms)):
+    if _as_int(consequent) not in range(len(model.output.terms)):
         raise ModelIntegrityError(f"{where}: consequent index {consequent} out of range")
     try:
         _rule_weight(weight)
@@ -288,12 +290,13 @@ def _count(x, unit: str = "") -> str:
         return type(x).__name__
 
 
-def _in_range(idx, size: int) -> bool:
-    """Whether idx reads as an int in [0, size) and equals what it reads as."""
+def _as_int(value) -> int | None:
+    """value as int() reads it, or None unless it reads and equals that int."""
     try:
-        return bool(0 <= int(idx) == idx < size)
+        n = int(value)
     except (TypeError, ValueError, OverflowError):
-        return False
+        return None
+    return n if n == value else None
 
 
 @dataclass(frozen=True, eq=False)

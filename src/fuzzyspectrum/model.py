@@ -12,7 +12,6 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -63,7 +62,6 @@ def check_threshold(threshold: float, name: str = "threshold", error=ValueError)
     return t
 
 
-@cache
 def default_model() -> FuzzyModel:
     """The shipped model, read once from data/default_model.json: four
     inputs, decision output, all 81 rules at weight 1."""
@@ -165,10 +163,6 @@ class ModelValidationReport:
     """Outcome of validate_model; empty failures means the model conforms."""
 
     failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def validate_model(model: FuzzyModel) -> ModelValidationReport:

@@ -15,7 +15,6 @@ from array import array
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Collection, Sequence
 
 import numpy as np
@@ -28,7 +27,6 @@ from .engine import (
     ModelIntegrityError,
     _quoted,
     _rule_weight,
-    _shown_name,
 )
 from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row, check_threshold
 
@@ -42,10 +40,7 @@ __all__ = [
     "serialize_document",
     "parse_document",
     "load_document",
-    "save_document",
     "read_candidates_csv",
-    "format_rules_table",
-    "format_rules_csv",
 ]
 
 SCHEMA_VERSION = 1
@@ -89,10 +84,11 @@ def _variable_to_dict(var: FuzzyVariable) -> dict:
     }
 
 
-def document_to_dict(doc: ModelDocument) -> dict:
+def serialize_document(doc: ModelDocument) -> str:
+    """Stable JSON text: fixed key order, two-space indent, trailing newline."""
     model = doc.model
     terms = model.output.terms
-    return {
+    document = {
         "schema_version": SCHEMA_VERSION,
         "variables": {
             "inputs": [_variable_to_dict(v) for v in model.inputs],
@@ -107,11 +103,7 @@ def document_to_dict(doc: ModelDocument) -> dict:
             "admission_threshold": doc.admission_threshold,
         },
     }
-
-
-def serialize_document(doc: ModelDocument) -> str:
-    """Stable JSON text: fixed key order, two-space indent, trailing newline."""
-    return json.dumps(document_to_dict(doc), indent=2) + "\n"
+    return json.dumps(document, indent=2) + "\n"
 
 
 _TERM_KEYS = ("name", "center", "sigma")
@@ -252,11 +244,6 @@ def load_document(path) -> ModelDocument:
     return parse_document(text)
 
 
-def save_document(doc: ModelDocument, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_document(doc))
-
-
 def read_candidates_csv(path) -> CandidateBatch:
     """Load a candidate batch; the header must match CANDIDATE_HEADER exactly.
     The first bad csv record is named by the line it starts on: a wrong
@@ -314,40 +301,3 @@ def read_candidates_csv(path) -> CandidateBatch:
         raise CandidatesCsvError(malformed)
     return batch
 
-
-def _rule_line(model: FuzzyModel, r: int) -> str:
-    """The rule at index r as "r + 1. antecedent terms -> consequent term"."""
-    antecedents, consequent, _ = model.rules[r]
-    names = map(_shown_name, model.term_names(antecedents))
-    return f"{r + 1}. {', '.join(names)} -> {_shown_name(model.output.terms[consequent].name)}"
-
-
-def format_rules_table(model: FuzzyModel) -> str:
-    """Rules as numbered text lines, 1-based, in rule-base order."""
-    return "\n".join(_rule_line(model, r) for r in range(len(model.rules))) + "\n"
-
-
-def _csv_text(header: Sequence, rows) -> str:
-    """header and rows as csv records, each ending in a line feed; a field
-    holding a comma, a double quote, a carriage return or a line feed comes
-    out quoted."""
-    # csv.writer quotes a lone carriage return only when the line terminator
-    # holds one, so each record is written ending in "\r\n" and cut to "\n"
-    records = []
-    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return "\n".join([record[:-2] for record in records]) + "\n"
-
-
-def format_rules_csv(model: FuzzyModel) -> str:
-    """Rules as CSV with a row column, antecedent/consequent term names,
-    and the weight; a name holding a comma, a double quote, a carriage
-    return or a line feed comes out quoted."""
-    return _csv_text(
-        ("row", *(v.name for v in model.inputs), model.output.name, "weight"),
-        (
-            (r, *model.term_names(antecedents), model.output.terms[consequent].name, f"{weight:.6f}")
-            for r, (antecedents, consequent, weight) in enumerate(model.rules, start=1)
-        ),
-    )

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import FuzzyError, FuzzyModel, _infer_rows, _quoted
+from .engine import FuzzyError, FuzzyModel, _as_int, _infer_rows, _quoted
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 from .model import UNIVERSES, default_model
 
@@ -23,7 +23,6 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "PRESET_STEPS",
-    "FIGURE_PRESETS",
     "figure_preset",
     "run_sweep",
     "format_surface_csv",
@@ -40,7 +39,7 @@ PRESET_STEPS = 41
 MAX_STEPS = 1001
 
 # preset id -> (swept variables in model input order, fixed values)
-FIGURE_PRESETS: dict[int, tuple[tuple[str, str], dict[str, float]]] = {
+_PRESETS: dict[int, tuple[tuple[str, str], dict[str, float]]] = {
     7: (("signal_dbm", "distance_m"), {"velocity_kmh": 50.0, "spectrum_ratio": 0.5}),
     8: (("velocity_kmh", "spectrum_ratio"), {"distance_m": 50.0, "signal_dbm": -60.0}),
     9: (("signal_dbm", "spectrum_ratio"), {"distance_m": 50.0, "velocity_kmh": 50.0}),
@@ -61,7 +60,10 @@ class SweepAxis:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        object.__setattr__(self, "steps", int(self.steps))
+        steps = _as_int(self.steps)
+        if steps is None:
+            raise SweepSpecError(f"axis {_quoted(self.name)}: steps must be an integer, got {self.steps}")
+        object.__setattr__(self, "steps", steps)
         if not (2 <= self.steps <= MAX_STEPS):
             raise SweepSpecError(
                 f"axis {_quoted(self.name)}: steps must be in [2, {MAX_STEPS}], got {self.steps}"
@@ -99,9 +101,6 @@ class SweepSpec:
         if overlap:
             raise SweepSpecError(f"variable {_quoted(overlap.pop())} is both swept and fixed")
 
-    def fixed_dict(self) -> dict[str, float]:
-        return dict(self.fixed)
-
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
@@ -116,9 +115,9 @@ class SweepResult:
 
 def figure_preset(fig: int, steps: int = PRESET_STEPS) -> SweepSpec:
     """The sweep specification behind reference surface 7, 8, 9, 10 or 11."""
-    if fig not in FIGURE_PRESETS:
+    if fig not in _PRESETS:
         raise SweepSpecError(f"unknown figure preset {fig}; expected one of 7..11")
-    (name1, name2), fixed = FIGURE_PRESETS[fig]
+    (name1, name2), fixed = _PRESETS[fig]
     lo1, hi1 = UNIVERSES[name1]
     lo2, hi2 = UNIVERSES[name2]
     return SweepSpec(
@@ -139,7 +138,7 @@ def _validate_against_model(spec: SweepSpec, model: FuzzyModel) -> None:
                 f"axis {_quoted(axis.name)} range [{axis.lo}, {axis.hi}] outside "
                 f"universe [{var.lo}, {var.hi}]"
             )
-    fixed = spec.fixed_dict()
+    fixed = dict(spec.fixed)
     expected = set(by_name) - {spec.axis1.name, spec.axis2.name}
     if set(fixed) != expected:
         missing = expected - set(fixed)
@@ -170,7 +169,7 @@ def run_sweep(spec: SweepSpec, model: FuzzyModel | None = None) -> SweepResult:
     _validate_against_model(spec, model)
     axis1_values = spec.axis1.samples()
     axis2_values = spec.axis2.samples()
-    columns = {**spec.fixed_dict(), spec.axis1.name: axis1_values[:, None], spec.axis2.name: axis2_values}
+    columns = {**dict(spec.fixed), spec.axis1.name: axis1_values[:, None], spec.axis2.name: axis2_values}
     # (axis1 samples, axis2 samples, inputs) cells, stacked from broadcast views
     cells = np.stack(np.broadcast_arrays(*(columns[v.name] for v in model.inputs)), axis=-1)
     grid = _infer_rows(model, cells.reshape(-1, len(model.inputs))).reshape(cells.shape[:2])

@@ -180,6 +180,25 @@ def test_src_lines_are_counted_by_file_and_each_changed_file_gets_a_line(tmp_pat
     ]
 
 
+def test_the_surface_is_read_from_the_all_literals_without_importing(tmp_path):
+    bench_pairs = load_bench_pairs()
+    files = {
+        "parent": {"a.py": '__all__ = ["f", "g"]\n', "b.py": '__all__ = ["h"]\n'},
+        "change": {"a.py": '__all__ = ["f"]\n', "b.py": '__all__ = ["k", "h"]\n'},
+    }
+    names = {}
+    for side, modules in files.items():
+        package = tmp_path / side / "src" / "pkg"
+        package.mkdir(parents=True)
+        # importing the package would fail; its __all__ is no literal and adds no name
+        (package / "__init__.py").write_text("import missing\nfrom . import a, b\n__all__ = a.__all__ + b.__all__\n")
+        for name, text in modules.items():
+            (package / name).write_text(text)
+        names[side] = bench_pairs.public_names(tmp_path / side)
+    assert names == {"parent": ["f", "g", "h"], "change": ["f", "h", "k"]}
+    assert bench_pairs.surface_change(names) == {"parent": 3, "change": 3, "removed": ["g"], "added": ["k"]}
+
+
 def load_bench_layers(monkeypatch):
     # bench_layers.py puts tools/ on sys.path to import bench_pairs
     monkeypatch.setattr(sys, "path", list(sys.path))

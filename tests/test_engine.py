@@ -1199,6 +1199,18 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             FuzzyModel(inputs=(x,), output=y, rules=(), grid_points=1)
 
+    @pytest.mark.parametrize("grid_points", [5.0, np.int64(5), 1001.9, "1001", None])
+    def test_grid_points_must_be_an_integer(self, grid_points):
+        # read as int() reads it and equal to that int, as a rule index is
+        x = three_term_variable("x", 0.0, 10.0)
+        y = three_term_variable("y", 0.0, 1.0)
+        if grid_points == 5:
+            assert type(FuzzyModel(inputs=(x,), output=y, rules=(), grid_points=grid_points).grid_points) is int
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                FuzzyModel(inputs=(x,), output=y, rules=(), grid_points=grid_points)
+            assert str(excinfo.value) == f"grid_points must be an integer, got {grid_points}"
+
     @pytest.mark.parametrize("n_terms, grid_points", [(11, 90911), (101, 9902), (1001, 1000)])
     def test_output_terms_times_grid_points_is_capped(self, n_terms, grid_points):
         # validation only: the check runs before the grid and the term curves

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 import os
@@ -28,15 +27,12 @@ from fuzzyspectrum import (
     default_document,
     default_model,
     figure_preset,
-    format_rules_csv,
-    format_rules_table,
     format_surface_csv,
     infer,
     load_document,
     parse_document,
     read_candidates_csv,
     run_sweep,
-    save_document,
     serialize_document,
 )
 from fuzzyspectrum.engine import _MAX_CURVE_POINTS, MAX_GRID_POINTS
@@ -46,7 +42,6 @@ from conftest import (
     UNDECODABLE_JSON,
     candidate_files,
     random_rows,
-    rule_table_rows,
     table1_rules,
     three_term_variable,
     traced_peak,
@@ -68,7 +63,7 @@ class TestModelDocumentRoundTrip:
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "model.json"
         doc = default_document()
-        save_document(doc, path)
+        path.write_text(serialize_document(doc), encoding="utf-8", newline="\n")
         assert load_document(path) == doc
 
     def test_shipped_document_matches_default_model(self):
@@ -645,35 +640,3 @@ class TestSurfaceCsv:
         result = run_sweep(figure_preset(7, steps=201))
         assert traced_peak(lambda: format_surface_csv(result)) < 30 * result.grid.size
 
-
-class TestRuleListings:
-    def test_table_row_46(self):
-        text = format_rules_table(default_model())
-        assert text.splitlines()[45] == "46. Medium, High, Low, Low -> High"
-
-    def test_table_has_81_rows(self):
-        assert len(format_rules_table(default_model()).splitlines()) == 81
-
-    def test_csv_rows_follow_the_rule_table(self):
-        lines = format_rules_csv(default_model()).splitlines()
-        assert len(lines) == 1 + len(rule_table_rows())
-        assert [line.split(",") for line in lines[1:]] == rule_table_rows()
-
-    def test_csv_header_and_weight(self):
-        lines = format_rules_csv(default_model()).splitlines()
-        assert lines[0] == "row,signal_dbm,velocity_kmh,spectrum_ratio,distance_m,decision,weight"
-        assert lines[1] == "1,Low,Low,Low,Low,High,1.000000"
-
-    def test_csv_quotes_names_with_commas_quotes_and_line_breaks(self):
-        low, high = 'Lo,w "x"', "Hi\ngh"
-        model = default_model()
-        signal, output = model.inputs[0], model.output
-        signal = replace(signal, terms=(replace(signal.terms[0], name=low), *signal.terms[1:]))
-        output = replace(output, terms=(*output.terms[:2], replace(output.terms[2], name=high)))
-        model = replace(model, inputs=(signal, *model.inputs[1:]), output=output)
-        records = list(csv.reader(io.StringIO(format_rules_csv(model), newline="")))
-        assert len(records) == 1 + len(rule_table_rows())
-        assert {len(record) for record in records} == {7}
-        want = [[row[0], low if row[1] == "Low" else row[1], *row[2:5], high if row[5] == "High" else row[5], row[6]]
-                for row in rule_table_rows()]
-        assert records[1:] == want

@@ -25,7 +25,7 @@ class TestFigurePresets:
     def test_preset_7(self):
         spec = figure_preset(7)
         assert (spec.axis1.name, spec.axis2.name) == ("signal_dbm", "distance_m")
-        assert spec.fixed_dict() == {"velocity_kmh": 50.0, "spectrum_ratio": 0.5}
+        assert dict(spec.fixed) == {"velocity_kmh": 50.0, "spectrum_ratio": 0.5}
         assert spec.axis1.steps == spec.axis2.steps == 41
         assert (spec.axis1.lo, spec.axis1.hi) == (-100.0, -20.0)
         assert (spec.axis2.lo, spec.axis2.hi) == (0.0, 100.0)
@@ -33,22 +33,22 @@ class TestFigurePresets:
     def test_preset_8(self):
         spec = figure_preset(8)
         assert (spec.axis1.name, spec.axis2.name) == ("velocity_kmh", "spectrum_ratio")
-        assert spec.fixed_dict() == {"distance_m": 50.0, "signal_dbm": -60.0}
+        assert dict(spec.fixed) == {"distance_m": 50.0, "signal_dbm": -60.0}
 
     def test_preset_9(self):
         spec = figure_preset(9)
         assert (spec.axis1.name, spec.axis2.name) == ("signal_dbm", "spectrum_ratio")
-        assert spec.fixed_dict() == {"distance_m": 50.0, "velocity_kmh": 50.0}
+        assert dict(spec.fixed) == {"distance_m": 50.0, "velocity_kmh": 50.0}
 
     def test_preset_10(self):
         spec = figure_preset(10)
         assert (spec.axis1.name, spec.axis2.name) == ("velocity_kmh", "distance_m")
-        assert spec.fixed_dict() == {"spectrum_ratio": 0.5, "signal_dbm": -60.0}
+        assert dict(spec.fixed) == {"spectrum_ratio": 0.5, "signal_dbm": -60.0}
 
     def test_preset_11(self):
         spec = figure_preset(11)
         assert (spec.axis1.name, spec.axis2.name) == ("signal_dbm", "velocity_kmh")
-        assert spec.fixed_dict() == {"distance_m": 50.0, "spectrum_ratio": 0.5}
+        assert dict(spec.fixed) == {"distance_m": 50.0, "spectrum_ratio": 0.5}
 
     def test_unknown_preset(self):
         with pytest.raises(SweepSpecError):
@@ -80,6 +80,16 @@ class TestSpecValidation:
         assert SweepAxis("signal_dbm", -100, -20, MAX_STEPS).steps == MAX_STEPS
         with pytest.raises(SweepSpecError, match="steps"):
             SweepAxis("signal_dbm", -100, -20, MAX_STEPS + 1)
+
+    @pytest.mark.parametrize("steps", [5.0, np.int64(5), 2.9, "5", None])
+    def test_steps_must_be_an_integer(self, steps):
+        # read as int() reads it and equal to that int, as a rule index is
+        if steps == 5:
+            assert type(SweepAxis("signal_dbm", -100, -20, steps).steps) is int
+        else:
+            with pytest.raises(SweepSpecError) as excinfo:
+                SweepAxis("signal_dbm", -100, -20, steps)
+            assert str(excinfo.value) == f"axis 'signal_dbm': steps must be an integer, got {steps}"
 
     @pytest.mark.parametrize("lo, hi", [(math.nan, -20), (-100, math.nan), (-math.inf, -20)])
     def test_non_finite_axis_rejected(self, lo, hi):
@@ -205,7 +215,7 @@ class TestRunSweep:
     def test_cells_match_oracle(self):
         model = default_model()
         result = run_sweep(figure_preset(7, steps=5), model)
-        fixed = result.spec.fixed_dict()
+        fixed = dict(result.spec.fixed)
         for i, s in enumerate(result.axis1_values):
             for j, d in enumerate(result.axis2_values):
                 want = oracle_possibility(
@@ -221,7 +231,7 @@ class TestRunSweep:
         result = run_sweep(figure_preset(fig), model)
         rng = np.random.default_rng(fig)
         cells = rng.integers(0, result.grid.shape, size=(30, 2))
-        point = result.spec.fixed_dict()
+        point = dict(result.spec.fixed)
         rows = []
         for i, j in cells:
             point[result.spec.axis1.name] = result.axis1_values[i]

@@ -12,10 +12,12 @@ workload: the parent first on even pairs, the change first on odd ones.  For
 each workload, the medians of every end-to-end metric, the interquartile
 range of the parent's runs and the pairs the change won are printed, with
 the ``src/`` line count of each commit and one line for each ``src/`` file
-whose count differs.  The report and result lines of every run, tagged with
-its workload, are written to ``BENCH_<change>.json`` with the line counts,
-in total and by file; the ``layers`` figures that ``tools/bench_layers.py``
-wrote to that file are kept.
+whose count differs, and the public surface of each commit, the names the
+``__all__`` lists under ``src/`` hold, with the names added or removed.  The
+report and result lines of every run, tagged with its workload, are written
+to ``BENCH_<change>.json`` with the line counts, in total and by file, and
+the surface; the ``layers`` figures that ``tools/bench_layers.py`` wrote to
+that file are kept.
 
 Two verdicts are printed and stored with the runs.  Each workload's
 ``op_p50_ms`` gain is met only when the change is better in at least nine
@@ -30,6 +32,7 @@ fraction of the parent's median.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import re
 import statistics
@@ -70,6 +73,34 @@ def src_file_deltas(by_file: dict[str, dict[str, int]]) -> list[str]:
         if p != c:
             lines.append(f"  {name}: {p} -> {c} ({c - p:+d})")
     return lines
+
+
+def public_names(tree: Path) -> list[str]:
+    """The names the __all__ literals of the Python files under src/ in tree
+    list, sorted, read with ast and without importing anything; an __all__
+    that is not a literal, such as a package's sum of its modules' lists,
+    adds none."""
+    names = []
+    for path in sorted((tree / "src").rglob("*.py")):
+        for node in ast.parse(path.read_bytes()).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                try:
+                    names += ast.literal_eval(node.value)
+                except ValueError:
+                    pass
+    return sorted(names)
+
+
+def surface_change(names: dict[str, list[str]]) -> dict:
+    """The public name counts of the parent and the change, and the names
+    only the parent has (removed) or only the change has (added)."""
+    parent, change = set(names["parent"]), set(names["change"])
+    return {
+        "parent": len(names["parent"]),
+        "change": len(names["change"]),
+        "removed": sorted(parent - change),
+        "added": sorted(change - parent),
+    }
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> list[dict]:
@@ -177,6 +208,11 @@ def main(argv=None) -> int:
         print(f"src/ lines: parent {counts['parent']}, change {counts['change']} ({counts['change'] - counts['parent']:+d})")
         for line in src_file_deltas(by_file):
             print(line)
+        surface = surface_change({side: public_names(tree) for side, tree in trees.items()})
+        print(f"surface: parent {surface['parent']}, change {surface['change']} ({surface['change'] - surface['parent']:+d})")
+        for sign, key in (("-", "removed"), ("+", "added")):
+            for name in surface[key]:
+                print(f"  {sign} {name}")
         # the workloads take turns within each seed, so drift of the host
         # spreads over all of them
         for pair, seed in enumerate(seeds):
@@ -203,6 +239,7 @@ def main(argv=None) -> int:
         ),
         "src_lines": counts,
         "src_lines_by_file": by_file,
+        "surface": surface,
         "verdicts": verdict,
         "runs": runs,
     }

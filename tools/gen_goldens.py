@@ -30,7 +30,7 @@ GOLDEN_DIR = ROOT / "tests" / "data" / "golden"
 def oracle_surface(spec, model, curves=None):
     axis1 = spec.axis1.samples()
     axis2 = spec.axis2.samples()
-    fixed = spec.fixed_dict()
+    fixed = dict(spec.fixed)
     names = [v.name for v in model.inputs]
     grid = np.empty((spec.axis1.steps, spec.axis2.steps))
     point = dict(fixed)
@@ -59,7 +59,7 @@ def main() -> int:
 
         # dense-oracle spot checks on 25 random cells per figure
         names = [v.name for v in model.inputs]
-        fixed = spec.fixed_dict()
+        fixed = dict(spec.fixed)
         worst = 0.0
         for _ in range(25):
             i = int(dense_rng.integers(0, spec.axis1.steps))
