@@ -641,18 +641,22 @@ class TestPublicSurface:
 
     def test_package_exports_exactly_the_modules_all(self):
         fs = fuzzyspectrum
-        lists = [m.__all__ for m in (fs.engine, fs.model, fs.arbitration, fs.sweep, fs.serialization)]
         exported = {
             name for name, value in vars(fs).items()
             if not name.startswith("_") and not isinstance(value, types.ModuleType)
         }
-        assert exported == set(fs.__all__) == set().union(*lists)
-        # no name is listed by two modules, or twice
-        assert len(fs.__all__) == sum(map(len, lists))
+        assert exported == set(fs.__all__)
         assert sorted(fs.__all__) == self.NAMES
 
 
 class TestPackageAll:
+    def test_is_the_union_of_the_modules_lists(self):
+        fs = fuzzyspectrum
+        lists = [m.__all__ for m in (fs.engine, fs.model, fs.arbitration, fs.sweep, fs.serialization)]
+        assert set(fs.__all__) == set().union(*lists)
+        # no name is listed by two modules, or twice
+        assert len(fs.__all__) == sum(map(len, lists))
+
     def test_star_import_gives_exactly_the_listed_names(self):
         namespace = {}
         exec("from fuzzyspectrum import *", namespace)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from fuzzyspectrum import (
     run_sweep,
     serialize_document,
 )
+from fuzzyspectrum.cli import _rules_csv
 from fuzzyspectrum.engine import _MAX_CURVE_POINTS, MAX_GRID_POINTS
 
 from conftest import (
@@ -42,6 +44,7 @@ from conftest import (
     UNDECODABLE_JSON,
     candidate_files,
     random_rows,
+    rule_table_rows,
     table1_rules,
     three_term_variable,
     traced_peak,
@@ -640,3 +643,20 @@ class TestSurfaceCsv:
         result = run_sweep(figure_preset(7, steps=201))
         assert traced_peak(lambda: format_surface_csv(result)) < 30 * result.grid.size
 
+
+class TestRuleListings:
+    # the rule listing is the CLI's (dump-rules --format csv); its quoting
+    # is the csv module's, as in the surface and candidate files
+    def test_csv_quotes_names_with_commas_quotes_and_line_breaks(self):
+        low, high = 'Lo,w "x"', "Hi\ngh"
+        model = default_model()
+        signal, output = model.inputs[0], model.output
+        signal = replace(signal, terms=(replace(signal.terms[0], name=low), *signal.terms[1:]))
+        output = replace(output, terms=(*output.terms[:2], replace(output.terms[2], name=high)))
+        model = replace(model, inputs=(signal, *model.inputs[1:]), output=output)
+        records = list(csv.reader(io.StringIO(_rules_csv(model), newline="")))
+        assert len(records) == 1 + len(rule_table_rows())
+        assert {len(record) for record in records} == {7}
+        want = [[row[0], low if row[1] == "Low" else row[1], *row[2:5], high if row[5] == "High" else row[5], row[6]]
+                for row in rule_table_rows()]
+        assert records[1:] == want
