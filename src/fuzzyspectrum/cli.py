@@ -123,11 +123,14 @@ def _resolve_candidate_model(args) -> tuple[FuzzyModel, float]:
 
 
 def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except UnicodeEncodeError as exc:  # a name that the output's encoding cannot hold
+        raise CliError(str(exc)) from exc
 
 
 def _csv_text(header: tuple, rows) -> str:
@@ -233,9 +236,10 @@ def _parse_axis(text: str, steps: int) -> SweepAxis:
         raise CliError(f"bad axis {_quoted(text)}; expected NAME:LO:HI", code=2)
     name, lo, hi = parts
     try:
-        return SweepAxis(name=name, lo=float(lo), hi=float(hi), steps=steps)
+        lo, hi = float(lo), float(hi)
     except ValueError as exc:
         raise CliError(f"bad axis {_quoted(text)}: {exc}", code=2) from exc
+    return SweepAxis(name=name, lo=lo, hi=hi, steps=steps)
 
 
 def _parse_fix(items) -> list[tuple[str, float]]:
@@ -297,6 +301,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FuzzyError, ValueError, OSError) as exc:
+    except (FuzzyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

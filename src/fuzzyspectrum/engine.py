@@ -34,16 +34,16 @@ __all__ = [
 ]
 
 
-class FuzzyError(Exception):
-    """Base class for all errors raised by this package."""
+class FuzzyError(ValueError):
+    """Base class for all errors raised by this package: a value it rejects."""
 
 
 class InvalidInputError(FuzzyError):
-    """A crisp input was rejected (non-finite or not a number)."""
+    """A crisp input, candidate field, threshold, firing strength or curve was rejected."""
 
 
 class ModelIntegrityError(FuzzyError):
-    """A rule is malformed or refers to a term or variable that does not exist."""
+    """A term, variable, grid or rule is malformed, or refers to a term or variable that does not exist."""
 
 
 class NoRuleFiredError(FuzzyError):
@@ -97,20 +97,22 @@ class GaussianTerm:
 
     def __init__(self, name: str, center: float, sigma: float):
         # written by hand so that each field is converted and set once
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "center", float(center))
-        object.__setattr__(self, "sigma", float(sigma))
+        try:
+            center, sigma = float(center), float(sigma)
+        except (TypeError, ValueError, OverflowError):  # walked for the value float() rejects
+            center, sigma = (_as_float(x, f"term {_quoted(name)}: {k}", ModelIntegrityError) for k, x in zip(("center", "sigma"), (center, sigma)))
+        vars(self).update(name=name, center=center, sigma=sigma)
         if not self.name:
-            raise ValueError("term name must be non-empty")
+            raise ModelIntegrityError("term name must be non-empty")
         if not math.isfinite(self.center):
-            raise ValueError(f"term {_quoted(self.name)}: center must be finite")
+            raise ModelIntegrityError(f"term {_quoted(self.name)}: center must be finite")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"term {_quoted(self.name)}: sigma must be positive, got {self.sigma}")
+            raise ModelIntegrityError(f"term {_quoted(self.name)}: sigma must be positive, got {self.sigma}")
         # the kernel divides by 2.0 * sigma * sigma, which must neither
         # underflow to 0.0 nor overflow to inf
         spread = 2.0 * self.sigma * self.sigma
         if not (0.0 < spread < math.inf):
-            raise ValueError(
+            raise ModelIntegrityError(
                 f"term {_quoted(self.name)}: sigma {self.sigma} out of range, "
                 f"2*sigma*sigma must be positive and finite, got {spread}"
             )
@@ -131,28 +133,29 @@ class FuzzyVariable:
 
     def __init__(self, name: str, lo: float, hi: float, terms: Sequence[GaussianTerm]):
         # written by hand so that each field is converted and set once
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lo", float(lo))
-        object.__setattr__(self, "hi", float(hi))
-        object.__setattr__(self, "terms", tuple(terms))
+        try:
+            lo, hi = float(lo), float(hi)
+        except (TypeError, ValueError, OverflowError):  # walked for the value float() rejects
+            lo, hi = (_as_float(x, f"variable {_quoted(name)}: {k}", ModelIntegrityError) for k, x in zip(("lo", "hi"), (lo, hi)))
+        vars(self).update(name=name, lo=lo, hi=hi, terms=tuple(terms))
         if not self.name:
-            raise ValueError("variable name must be non-empty")
+            raise ModelIntegrityError("variable name must be non-empty")
         if not (-math.inf < self.lo < self.hi < math.inf):
-            raise ValueError(f"variable {_quoted(self.name)}: need finite lo < hi, got [{self.lo}, {self.hi}]")
+            raise ModelIntegrityError(f"variable {_quoted(self.name)}: need finite lo < hi, got [{self.lo}, {self.hi}]")
         if not self.terms:
-            raise ValueError(f"variable {_quoted(self.name)}: needs at least one term")
+            raise ModelIntegrityError(f"variable {_quoted(self.name)}: needs at least one term")
         object.__setattr__(self, "_term_indices", {t.name: i for i, t in enumerate(self.terms)})
         if len(self._term_indices) != len(self.terms):
-            raise ValueError(f"variable {_quoted(self.name)}: duplicate term names")
+            raise ModelIntegrityError(f"variable {_quoted(self.name)}: duplicate term names")
         for t in self.terms:
             if not (self.lo <= t.center <= self.hi):
-                raise ValueError(
+                raise ModelIntegrityError(
                     f"variable {_quoted(self.name)}: term {_quoted(t.name)} center {t.center} "
                     f"outside universe [{self.lo}, {self.hi}]"
                 )
         centers = [t.center for t in self.terms]
         if any(a >= b for a, b in zip(centers, centers[1:])):
-            raise ValueError(f"variable {_quoted(self.name)}: term centers must be strictly increasing")
+            raise ModelIntegrityError(f"variable {_quoted(self.name)}: term centers must be strictly increasing")
 
     def term_index(self, name: str) -> int:
         if name not in self._term_indices:
@@ -174,22 +177,22 @@ class FuzzyModel:
     inputs: tuple[FuzzyVariable, ...]
     output: FuzzyVariable
     rules: tuple[tuple[tuple[int, ...], int, float], ...]
-    grid_points: int = 1001
+    grid_points: int
 
     def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[tuple], grid_points: int = 1001):
         # written by hand so that each field is converted and set once
         vars(self).update(inputs=tuple(inputs), output=output, grid_points=_as_int(grid_points))
         if not self.inputs:
-            raise ValueError("model needs at least one input variable")
+            raise ModelIntegrityError("model needs at least one input variable")
         if self.grid_points is None:
-            raise ValueError(f"grid_points must be an integer, got {grid_points}")
+            raise ModelIntegrityError(f"grid_points must be an integer, got {grid_points}")
         if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
+            raise ModelIntegrityError(f"grid_points must be >= 2, got {self.grid_points}")
         if self.grid_points > MAX_GRID_POINTS:
-            raise ValueError(f"grid_points must be <= {MAX_GRID_POINTS}, got {self.grid_points}")
+            raise ModelIntegrityError(f"grid_points must be <= {MAX_GRID_POINTS}, got {self.grid_points}")
         names = [v.name for v in self.inputs] + [output.name]
         if len(set(names)) != len(names):
-            raise ValueError("variable names must be unique across the model")
+            raise ModelIntegrityError("variable names must be unique across the model")
         # the admission test: every rule a triple of n_inputs antecedents, a
         # consequent and a weight, every index an integer in range and every
         # weight a number in [0, 1].  The indices are read flat, column by
@@ -216,7 +219,7 @@ class FuzzyModel:
         vars(self)["rules"] = tuple(zip(zip(*columns[:n_in]), columns[n_in], weights.tolist()))
         # checked before the grid and the term curves are allocated
         if len(output.terms) * self.grid_points > _MAX_CURVE_POINTS:
-            raise ValueError(
+            raise ModelIntegrityError(
                 f"output terms x grid_points must be <= {_MAX_CURVE_POINTS}, "
                 f"got {len(output.terms)} x {self.grid_points}"
             )
@@ -228,7 +231,7 @@ class FuzzyModel:
             for t in var.terms:
                 d = max(t.center - var.lo, var.hi - t.center)
                 if not math.isfinite(d * d / (2.0 * t.sigma * t.sigma)):
-                    raise ValueError(
+                    raise ModelIntegrityError(
                         f"variable {_quoted(var.name)}: term {_quoted(t.name)} exponent overflows at the universe's bounds, "
                         f"d*d / (2*sigma*sigma) must be finite, got d = {d}, sigma = {t.sigma}"
                     )
@@ -239,18 +242,19 @@ class FuzzyModel:
         return [var.terms[idx].name for var, idx in zip(self.inputs, antecedents)]
 
 
-def _check_defuzzifiable(lo: float, hi: float, what: str) -> None:
-    """Raise ValueError unless a centroid over points in [lo, hi] with
+def _check_defuzzifiable(lo: float, hi: float, what: str, error=ModelIntegrityError) -> None:
+    """Raise error unless a centroid over points in [lo, hi] with
     degrees in [0, 1] keeps its sums finite."""
     # the moment sums degree x weight x point, at most (hi - lo) * max(|lo|,
     # |hi|), which must stay finite with room for rounding; the mass and each
     # weight are at most hi - lo
     if not math.isfinite(4.0 * (hi - lo) * max(abs(lo), abs(hi))):
-        raise ValueError(f"{what} [{lo}, {hi}] too wide to defuzzify, (hi - lo) * max(|lo|, |hi|) must be finite")
+        raise error(f"{what} [{lo}, {hi}] too wide to defuzzify, (hi - lo) * max(|lo|, |hi|) must be finite")
 
 
-def _rule_weight(weight) -> float:
-    """weight as a float, or the ValueError naming it unless it is a number in [0, 1]."""
+def _rule_weight(weight, where: str = "") -> float:
+    """weight as a float, or the ModelIntegrityError naming it after where
+    unless it is a number in [0, 1]."""
     try:
         weight = float(weight)
     except (TypeError, ValueError, OverflowError):
@@ -258,7 +262,7 @@ def _rule_weight(weight) -> float:
     else:
         if 0.0 <= weight <= 1.0:
             return weight
-    raise ValueError(f"rule weight must be in [0, 1], got {weight}")
+    raise ModelIntegrityError(f"{where}rule weight must be in [0, 1], got {weight}")
 
 
 def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
@@ -275,10 +279,7 @@ def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
             raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable {_quoted(var.name)}")
     if _as_int(consequent) not in range(len(model.output.terms)):
         raise ModelIntegrityError(f"{where}: consequent index {consequent} out of range")
-    try:
-        _rule_weight(weight)
-    except ValueError as exc:
-        raise ModelIntegrityError(f"{where}: {exc}") from None
+    _rule_weight(weight, f"{where}: ")
 
 
 def _count(x, unit: str = "") -> str:
@@ -315,21 +316,29 @@ class InferenceTrace:
 
 def gaussian_membership(x: float, term: GaussianTerm) -> float:
     """Degree of x in the term: exp(-(x - center)^2 / (2 sigma^2))."""
-    d = float(x) - term.center
+    d = _as_float(x, "x") - term.center
     return math.exp(-(d * d) / (2.0 * term.sigma * term.sigma))
 
 
 def clamp_to_universe(var: FuzzyVariable, x: float) -> float:
     """Clamp x into [var.lo, var.hi]; out-of-range measurements are mapped
     to the nearest modeled value rather than rejected."""
-    return min(max(float(x), var.lo), var.hi)
+    return min(max(_as_float(x, "x"), var.lo), var.hi)
+
+
+def _as_float(x, what: str, error=InvalidInputError) -> float:
+    """x as float() reads it, an int too large for a float as the inf of its
+    sign (as json reads 1e400), or the error naming what if float() rejects x."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be a real number, got {x!r}") from exc
 
 
 def _as_finite_float(x, what: str) -> float:
-    try:
-        xf = float(x)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{what} must be a real number, got {x!r}") from exc
+    xf = _as_float(x, what)
     if not math.isfinite(xf):
         raise InvalidInputError(f"{what} must be finite, got {xf}")
     return xf
@@ -649,7 +658,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
     """Max over rules of each consequent clipped at its firing strength.
 
     Returns an (grid_points, 2) array of (output point, degree) pairs.
-    Raises ValueError on a strength below 0.0 or nan; -0.0 is not below 0.0.
+    Raises InvalidInputError on a strength below 0.0 or nan; -0.0 is not below 0.0.
     """
     c = model._compiled
     strengths = np.asarray(firing_strengths, dtype=float)
@@ -657,7 +666,7 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
     if strengths.shape != (rules,):
         raise ModelIntegrityError(f"expected {rules} firing strengths, got shape {strengths.shape}")
     if not (strengths >= 0.0).all():
-        raise ValueError(f"firing strengths must be >= 0, got {strengths.min()}")
+        raise InvalidInputError(f"firing strengths must be >= 0, got {strengths.min()}")
     return np.column_stack((c.grid, _row_degrees(c, strengths.take(c.order))))
 
 
@@ -670,17 +679,17 @@ def defuzzify_centroid(curve) -> float:
     """
     arr = np.asarray(curve, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
-        raise ValueError("curve must be a non-empty sequence of (point, degree) pairs")
+        raise InvalidInputError("curve must be a non-empty sequence of (point, degree) pairs")
     if not np.isfinite(arr).all():
-        raise ValueError("curve points and degrees must be finite")
+        raise InvalidInputError("curve points and degrees must be finite")
     pts, degrees = arr[:, 0], arr[:, 1]
     # compared, not subtracted: the difference of two finite points can overflow
     if not (pts[1:] > pts[:-1]).all():
-        raise ValueError("curve points must be strictly increasing")
+        raise InvalidInputError("curve points must be strictly increasing")
     outside = degrees[(degrees < 0.0) | (degrees > 1.0)]
     if outside.size:
-        raise ValueError(f"curve degrees must be in [0, 1], got {outside[0]}")
-    _check_defuzzifiable(float(pts[0]), float(pts[-1]), "curve points")
+        raise InvalidInputError(f"curve degrees must be in [0, 1], got {outside[0]}")
+    _check_defuzzifiable(float(pts[0]), float(pts[-1]), "curve points", InvalidInputError)
     return _row_centroid(degrees, pts, _trapezoid_weights(pts))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FuzzyModel, _infer_row, _quoted, _shown_name
+from .engine import FuzzyModel, InvalidInputError, _as_float, _infer_row, _quoted, _shown_name
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 
 __all__ = [
@@ -54,9 +54,9 @@ UNIVERSES = {
 DEFAULT_ADMISSION_THRESHOLD = 0.5
 
 
-def check_threshold(threshold: float, name: str = "threshold", error=ValueError) -> float:
+def check_threshold(threshold: float, name: str = "threshold", error=InvalidInputError) -> float:
     """threshold as a float; raises error(message) naming it unless it lies in [0, 1]."""
-    t = float(threshold)
+    t = _as_float(threshold, name, error)
     if not (0.0 <= t <= 1.0):
         raise error(f"{name} must be in [0, 1], got {threshold}")
     return t
@@ -82,15 +82,18 @@ class Candidate:
 
     def __post_init__(self):
         if not self.id:
-            raise ValueError("candidate id must be non-empty")
-        for field in INPUT_ORDER:
-            value = float(getattr(self, field))
+            raise InvalidInputError("candidate id must be non-empty")
+        try:
+            values = [float(getattr(self, field)) for field in INPUT_ORDER]
+        except (TypeError, ValueError, OverflowError):  # walked for the first field float() rejects
+            values = [_as_float(getattr(self, field), f"candidate {_quoted(self.id)}: {field}") for field in INPUT_ORDER]
+        for field, value in zip(INPUT_ORDER, values):
             object.__setattr__(self, field, value)
             if not math.isfinite(value):
-                raise ValueError(f"candidate {_quoted(self.id)}: {field} must be finite")
+                raise InvalidInputError(f"candidate {_quoted(self.id)}: {field} must be finite")
         for field in _NON_NEGATIVE:
             if getattr(self, field) < 0:
-                raise ValueError(f"candidate {_quoted(self.id)}: {field} must be >= 0")
+                raise InvalidInputError(f"candidate {_quoted(self.id)}: {field} must be >= 0")
 
     def inputs(self) -> tuple[float, float, float, float]:
         """Input vector in model input order."""
@@ -107,12 +110,15 @@ class CandidateBatch(Sequence):
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
-        values = np.array(self.values, dtype=float).reshape(len(self.ids), len(INPUT_ORDER))
+        try:
+            values = np.array(self.values, dtype=float).reshape(len(self.ids), len(INPUT_ORDER))
+        except (TypeError, ValueError):  # numpy's float conversion, or a size other than 4 per id
+            raise InvalidInputError(f"values must hold {len(INPUT_ORDER)} numbers per id, {len(INPUT_ORDER) * len(self.ids)} in all") from None
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         row = _first_invalid_row(self.ids, values)
         if row is not None:
-            self[row]  # the row's Candidate raises its ValueError
+            self[row]  # the row's Candidate raises its InvalidInputError
 
     def __len__(self) -> int:
         return len(self.ids)

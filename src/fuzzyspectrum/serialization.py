@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from array import array
 from dataclasses import dataclass
 from functools import cache
@@ -24,7 +23,9 @@ from .engine import (
     FuzzyModel,
     FuzzyVariable,
     GaussianTerm,
+    InvalidInputError,
     ModelIntegrityError,
+    _as_float,
     _quoted,
     _rule_weight,
 )
@@ -130,10 +131,7 @@ def _number(obj, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelDocumentError(f"field {_quoted(key)} in {where} must be a number")
-    try:
-        return float(value)
-    except OverflowError:  # an int too large for a float, read as json reads 1e400
-        return math.inf if value > 0 else -math.inf
+    return _as_float(value, key, ModelDocumentError)  # an int too large for a float reads as json reads 1e400
 
 
 def _parse_variable(obj, where: str) -> FuzzyVariable:
@@ -219,7 +217,7 @@ def parse_document(text: str) -> ModelDocument:
                 if type(weight) is not float:
                     weight = _number(r, "weight", f"rule {i + 1}")
                 rules.append((antecedents, consequent, _rule_weight(weight)))
-            except (ValueError, ModelIntegrityError) as exc:  # an unknown term name or a weight out of range
+            except ModelIntegrityError as exc:  # an unknown term name or a weight out of range
                 raise ModelDocumentError(f"rule {i + 1}: {exc}") from exc
 
         settings = raw["settings"]
@@ -231,7 +229,7 @@ def parse_document(text: str) -> ModelDocument:
 
         model = FuzzyModel(inputs, output, rules, grid_points)
         return ModelDocument(model=model, admission_threshold=threshold)
-    except (ValueError, ModelIntegrityError) as exc:
+    except ModelIntegrityError as exc:
         raise ModelDocumentError(str(exc)) from exc
 
 
@@ -295,7 +293,7 @@ def read_candidates_csv(path) -> CandidateBatch:
     values = np.frombuffer(values).reshape(len(ids), len(INPUT_ORDER))
     try:
         batch = CandidateBatch(ids, values)
-    except ValueError as exc:
+    except InvalidInputError as exc:
         raise CandidatesCsvError(f"line {starts[_first_invalid_row(tuple(ids), values)]}: {exc}") from exc
     if malformed is not None:
         raise CandidatesCsvError(malformed)

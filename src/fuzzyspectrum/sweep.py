@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import FuzzyError, FuzzyModel, _as_int, _infer_rows, _quoted
+from .engine import FuzzyError, FuzzyModel, _as_float, _as_int, _infer_rows, _quoted
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 from .model import UNIVERSES, default_model
 
@@ -58,8 +58,8 @@ class SweepAxis:
     steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "lo", _as_float(self.lo, f"axis {_quoted(self.name)}: lo", SweepSpecError))
+        object.__setattr__(self, "hi", _as_float(self.hi, f"axis {_quoted(self.name)}: hi", SweepSpecError))
         steps = _as_int(self.steps)
         if steps is None:
             raise SweepSpecError(f"axis {_quoted(self.name)}: steps must be an integer, got {self.steps}")
@@ -87,7 +87,7 @@ class SweepSpec:
 
     def __post_init__(self):
         items = self.fixed.items() if isinstance(self.fixed, Mapping) else self.fixed
-        fixed = tuple(sorted((str(k), float(v)) for k, v in items))
+        fixed = tuple(sorted((str(k), _as_float(v, f"fixed value for {_quoted(k)}", SweepSpecError)) for k, v in items))
         object.__setattr__(self, "fixed", fixed)
         for name, value in fixed:
             if not math.isfinite(value):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 import fuzzyspectrum
-from fuzzyspectrum import Candidate, FuzzyModel, decision_possibility, default_model
+from fuzzyspectrum import Candidate, FuzzyModel, InvalidInputError, decision_possibility, default_model
 from fuzzyspectrum.cli import build_parser, main
 from fuzzyspectrum.engine import MAX_GRID_POINTS
 from fuzzyspectrum.sweep import MAX_STEPS
@@ -576,6 +576,13 @@ class TestValidate:
                 "d*d / (2*sigma*sigma) must be finite, got d = 0.5, sigma = 1e-160",
                 id="output-sigma-1e-160",
             ),
+            # 40*40 / (2*sigma*sigma) overflows, though 40*40 / (4*sigma*sigma) would not
+            pytest.param(
+                lambda raw: TestValidate._sigma(raw, "input", 1.8e-153),
+                "variable 'signal_dbm': term 'Medium' exponent overflows at the universe's bounds, "
+                "d*d / (2*sigma*sigma) must be finite, got d = 40.0, sigma = 1.8e-153",
+                id="input-sigma-within-twice-the-overflow",
+            ),
             # a 13 KB document that built 100 term curves of 100001 points
             pytest.param(
                 lambda raw: TestValidate._many_output_terms(raw, 100, MAX_GRID_POINTS),
@@ -927,6 +934,35 @@ def random_argv(draw, tmp_path):
         stray = st.one_of(*flags["sweep"], threshold, fmt, st.just(("--trace",)), st.tuples(st.sampled_from(JUNK)))
         pieces.append(draw(stray))
     return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+class TestErrorFamily:
+    """main reports the package's errors, each a FuzzyError, and lets any
+    other error escape with its traceback: a bare ValueError, such as numpy
+    raises for a shape fault, is a defect and not bad data."""
+
+    def test_a_bare_value_error_from_the_kernel_escapes_and_a_package_error_exits_one(self, capsys, monkeypatch):
+        def infer_row(model, row):
+            raise error
+
+        monkeypatch.setattr(fuzzyspectrum.model, "_infer_row", infer_row)
+        error = InvalidInputError("rejected")
+        assert run_cli(capsys, "eval", "-60", "50", "0.5", "50") == (1, "", "error: rejected\n")
+        error = ValueError("boom")
+        with pytest.raises(ValueError, match="^boom$") as excinfo:
+            main(["eval", "-60", "50", "0.5", "50"])
+        assert type(excinfo.value) is ValueError
+
+    @pytest.mark.parametrize("output", [False, True], ids=["stdout", "output-file"])
+    def test_a_name_the_output_cannot_encode_exits_one(self, capsys, tmp_path, output):
+        # a lone surrogate, which JSON can spell, has no UTF-8 encoding
+        argv = ["dump-rules", "--format", "csv", "--model", model_with_term_named(tmp_path, "\ud800")]
+        if output:
+            argv += ["--output", str(tmp_path / "rules.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800' in position ")
+        assert err.endswith(": surrogates not allowed\n")
 
 
 class TestRandomArgv:

@@ -292,6 +292,18 @@ class TestDefuzzifyCentroid:
             defuzzify_centroid(curve)
         assert str(info.value) == message
 
+    def test_points_falling_after_the_second_rejected(self):
+        # every point is compared with its left neighbour, not only with the first
+        with pytest.raises(InvalidInputError) as info:
+            defuzzify_centroid([(0.0, 0.5), (2.0, 0.5), (1.0, 0.5)])
+        assert str(info.value) == "curve points must be strictly increasing"
+
+    @pytest.mark.parametrize("degree", [1.0000000000000002, 1.5, 2.0])
+    def test_degree_just_above_one_rejected(self, degree):
+        with pytest.raises(InvalidInputError) as info:
+            defuzzify_centroid([(0.0, 0.5), (1.0, degree)])
+        assert str(info.value) == f"curve degrees must be in [0, 1], got {degree}"
+
     def test_widest_accepted_span_and_unit_degrees_stay_finite(self):
         # 4 * (hi - lo) * max(|lo|, |hi|) = 8e306 is finite, so this span is
         # accepted; degrees of exactly 0.0, -0.0 and 1.0 are in range

@@ -1,0 +1,194 @@
+"""One error family: every error the package raises for a value it rejects is
+a FuzzyError, and every FuzzyError is a ValueError."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fuzzyspectrum
+from fuzzyspectrum import (
+    Candidate,
+    CandidateBatch,
+    FuzzyError,
+    FuzzyModel,
+    FuzzyVariable,
+    GaussianTerm,
+    ModelDocument,
+    SweepAxis,
+    SweepResult,
+    SweepSpec,
+    aggregate,
+    arbitrate,
+    clamp_to_universe,
+    decision_possibility,
+    default_document,
+    default_model,
+    defuzzify_centroid,
+    figure_preset,
+    format_surface_csv,
+    fuzzify,
+    gaussian_membership,
+    infer,
+    load_document,
+    parse_document,
+    rank_candidates,
+    read_candidates_csv,
+    run_sweep,
+    serialize_document,
+    validate_model,
+)
+
+# values of the right type from hostile ranges, the awkward ones drawn often
+FLOATS = st.one_of(
+    st.sampled_from([
+        math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 0.5, 1.0, 1.5,
+        5e-324, 1e-162, 1e155, -1e155, 1e308, -1e308, 1.7976931348623157e308,
+    ]),
+    st.floats(),
+)
+INTS = st.one_of(st.sampled_from([-(10**400), -1, 0, 1, 2, 3, 10**18, 10**400]), st.integers())
+# any number a float field may be given: an int too large for a float too
+NUMBERS = st.one_of(FLOATS, INTS)
+NAMES = st.sampled_from(["", "a", "signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m", "decision"])
+IDS = st.sampled_from(["", "a", "b", "x\ny"])
+# finite measurements a Candidate accepts, however far outside the universes
+MEASUREMENTS = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    *(st.floats(0.0, allow_infinity=False) for _ in range(3)),
+)
+
+
+def _term(draw, name="t"):
+    return GaussianTerm(name, draw(NUMBERS), draw(NUMBERS))
+
+
+def _variable(draw, name):
+    lo, hi = draw(NUMBERS), draw(NUMBERS)
+    return FuzzyVariable(name, lo, hi, [_term(draw, f"t{k}") for k in range(draw(st.integers(1, 3)))])
+
+
+def _model(draw):
+    """The default model with a hostile output, a hostile rule or a hostile
+    grid; built, it is also scored."""
+    model = default_model()
+    output, rules, grid_points = model.output, list(model.rules), 1001
+    part = draw(st.sampled_from(["output", "rule", "grid"]))
+    if part == "output":
+        output = _variable(draw, "decision")
+        rules = [(antecedents, 0, weight) for antecedents, _, weight in rules]
+    elif part == "rule":
+        antecedents = tuple(draw(st.one_of(INTS, st.integers(0, 2))) for _ in model.inputs)
+        rules[draw(st.integers(0, 80))] = (antecedents, draw(st.one_of(INTS, st.integers(0, 2))), draw(FLOATS))
+    else:
+        grid_points = draw(INTS)
+    built = FuzzyModel(model.inputs, output, rules, grid_points)
+    validate_model(built)
+    return infer(built, [-60.0, 50.0, 0.5, 50.0]), decision_possibility(Candidate("c", -60.0, 50.0, 0.5, 50.0), built)
+
+
+def _document(draw):
+    """parse_document and load_document of the default document with one
+    number replaced by a hostile one."""
+    raw = json.loads(serialize_document(default_document()))
+    variable = draw(st.sampled_from([*raw["variables"]["inputs"], raw["variables"]["output"]]))
+    term = draw(st.sampled_from(variable["terms"]))
+    target, key = draw(st.sampled_from([
+        (variable, "lo"), (variable, "hi"), (term, "center"), (term, "sigma"),
+        (draw(st.sampled_from(raw["rules"])), "weight"),
+        (raw["settings"], "grid_points"), (raw["settings"], "admission_threshold"),
+    ]))
+    target[key] = draw(NUMBERS)
+    text = json.dumps(raw)
+    parse_document(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(text, encoding="utf-8")
+        return load_document(path)
+
+
+def _candidates_file(draw):
+    rows = draw(st.lists(st.tuples(IDS, FLOATS, FLOATS, FLOATS, FLOATS), max_size=4))
+    text = "id,signal_dbm,velocity_kmh,spectrum_ratio,distance_m\n"
+    text += "".join(f"{json.dumps(cid)},{','.join(map(repr, values))}\n" for cid, *values in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.csv"
+        path.write_text(text, encoding="utf-8")
+        return read_candidates_csv(path)
+
+
+def _axis(draw, steps=INTS):
+    return SweepAxis(draw(NAMES), draw(NUMBERS), draw(NUMBERS), draw(steps))
+
+
+def _spec(draw, steps=INTS):
+    fixed = draw(st.dictionaries(NAMES, NUMBERS, max_size=3))
+    return SweepSpec(_axis(draw, steps), _axis(draw, steps), fixed)
+
+
+def _surface(draw):
+    spec = figure_preset(7, 2)
+    values = st.lists(FLOATS, min_size=2, max_size=2).map(np.array)
+    return format_surface_csv(SweepResult(spec, draw(values), draw(values), np.array([draw(values), draw(values)])))
+
+
+# each public constructor and entry point that takes values, called with
+# values of the right type from hostile ranges
+CALLS = {
+    "GaussianTerm": lambda draw: GaussianTerm(draw(NAMES), draw(NUMBERS), draw(NUMBERS)),
+    "FuzzyVariable": lambda draw: _variable(draw, draw(NAMES)),
+    "FuzzyModel": _model,
+    "gaussian_membership": lambda draw: gaussian_membership(draw(NUMBERS), default_model().inputs[0].terms[0]),
+    "clamp_to_universe": lambda draw: clamp_to_universe(default_model().inputs[0], draw(NUMBERS)),
+    "fuzzify": lambda draw: fuzzify(default_model().inputs[0], draw(NUMBERS)),
+    "infer": lambda draw: infer(default_model(), draw(st.lists(NUMBERS, max_size=5))),
+    "aggregate": lambda draw: aggregate(default_model(), draw(st.lists(FLOATS, min_size=80, max_size=82))),
+    "defuzzify_centroid": lambda draw: defuzzify_centroid(draw(st.lists(st.tuples(FLOATS, FLOATS), max_size=4))),
+    "Candidate": lambda draw: Candidate(draw(IDS), *(draw(NUMBERS) for _ in range(4))),
+    "CandidateBatch": lambda draw: CandidateBatch(
+        draw(st.lists(IDS, max_size=3)), draw(st.lists(st.lists(FLOATS, min_size=3, max_size=5), max_size=3))
+    ),
+    "decision_possibility": lambda draw: decision_possibility(
+        Candidate("c", *draw(MEASUREMENTS)), default_model(), draw(NUMBERS)
+    ),
+    "rank_candidates": lambda draw: rank_candidates(
+        (Candidate(cid, *draw(MEASUREMENTS)), draw(FLOATS)) for cid in draw(st.lists(IDS.filter(bool), max_size=3))
+    ),
+    "arbitrate": lambda draw: arbitrate(
+        [Candidate(cid, *draw(MEASUREMENTS)) for cid in draw(st.lists(IDS.filter(bool), max_size=3))],
+        default_model(),
+        draw(NUMBERS),
+    ),
+    "SweepAxis": _axis,
+    "SweepSpec": _spec,
+    "figure_preset": lambda draw: figure_preset(draw(INTS), draw(INTS)),
+    # at most 4 x 4 cells, so that an accepted sweep stays quick
+    "run_sweep": lambda draw: run_sweep(_spec(draw, st.integers(2, 4)), default_model()),
+    "format_surface_csv": _surface,
+    "ModelDocument": lambda draw: serialize_document(ModelDocument(default_model(), draw(NUMBERS))),
+    "parse_document": _document,
+    "read_candidates_csv": _candidates_file,
+}
+
+
+class TestErrorFamily:
+    def test_every_package_error_is_a_fuzzy_error_and_a_value_error(self):
+        errors = [value for value in vars(fuzzyspectrum).values() if isinstance(value, type) and issubclass(value, Exception)]
+        assert len(errors) == 9
+        assert all(issubclass(error, FuzzyError) for error in errors)
+        assert issubclass(FuzzyError, ValueError)
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_hostile_values_raise_nothing_but_fuzzy_error(self, call, data):
+        # the call returns or raises a FuzzyError; anything else fails the test
+        try:
+            call(data.draw)
+        except FuzzyError:
+            pass

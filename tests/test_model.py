@@ -568,6 +568,23 @@ class TestCandidateValidation:
         with pytest.raises(ValueError):
             Candidate("c", **fields)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("x", 50, 0.5, 50), "candidate 'c': signal_dbm must be a real number, got 'x'"),
+            ((-60, 50, None, 50), "candidate 'c': spectrum_ratio must be a real number, got None"),
+            # an int too large for a float reads as the inf of its sign
+            ((-60, 10**400, 0.5, 50), "candidate 'c': velocity_kmh must be finite"),
+            # a value float() rejects is named before a value that is not finite
+            ((math.nan, 50, 0.5, "far"), "candidate 'c': distance_m must be a real number, got 'far'"),
+        ],
+        ids=["signal-not-a-number", "ratio-none", "velocity-huge-int", "conversion-before-finiteness"],
+    )
+    def test_a_field_float_rejects_is_named(self, fields, message):
+        with pytest.raises(InvalidInputError) as info:
+            Candidate("c", *fields)
+        assert str(info.value) == message
+
     def test_ratio_above_one_is_legal(self):
         # more spectrum required than available is a measurable situation
         Candidate("c", -60.0, 50.0, 3.0, 50.0)
@@ -592,6 +609,22 @@ class TestCandidateBatch:
         assert math.copysign(1.0, batch[1].velocity_kmh) == -1.0
         with pytest.raises(ValueError):
             batch.values[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "ids, values",
+        [
+            (["a"], [[1, 2, 3]]),
+            (["a", "b"], [[-60, 50, 0.5, 50]]),
+            (["a"], [[-60, 50, 0.5, 50, 1]]),
+            (["a", "b"], [[-60, 50, 0.5, 50], [-60, 50]]),
+            (["a"], [["x", 50, 0.5, 50]]),
+        ],
+        ids=["short-row", "missing-row", "long-row", "ragged-rows", "not-a-number"],
+    )
+    def test_values_that_are_not_four_numbers_per_id_are_named(self, ids, values):
+        with pytest.raises(InvalidInputError) as info:
+            CandidateBatch(ids, values)
+        assert str(info.value) == f"values must hold 4 numbers per id, {4 * len(ids)} in all"
 
     def test_empty_batch(self):
         batch = CandidateBatch([], [])

@@ -97,10 +97,18 @@ def _quoted(name):
     return f"'{name}'" if name.isprintable() else repr(name)
 
 
+FAULT_KINDS = (
+    "bound", "center", "sigma", "weight", "threshold", "grid_high", "grid_low",
+    "grid_type", "weight_type", "unknown_key", "antecedent_name", "consequent_name",
+    "antecedent_count", "huge_int", "schema_version", "tiny_sigma", "huge_sigma",
+    "wide_output", "curve_cap", "term_type",
+)
+
+
 @st.composite
-def broken_documents(draw):
-    """The default document as a dict with one fault, and the exact message
-    parse_document must give for it."""
+def broken_documents(draw, faults=FAULT_KINDS):
+    """The default document as a dict with one fault of a kind in faults, and
+    the exact message parse_document must give for it."""
     raw = json.loads(serialize_document(default_document()))
     inputs, output = raw["variables"]["inputs"], raw["variables"]["output"]
     i = draw(st.integers(0, len(inputs) - 1))
@@ -111,12 +119,7 @@ def broken_documents(draw):
     k = draw(st.integers(0, len(raw["rules"]) - 1))
     rule = raw["rules"][k]
     odd = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
-    fault = draw(st.sampled_from([
-        "bound", "center", "sigma", "weight", "threshold", "grid_high", "grid_low",
-        "grid_type", "weight_type", "unknown_key", "antecedent_name", "consequent_name",
-        "antecedent_count", "huge_int", "schema_version", "tiny_sigma", "huge_sigma",
-        "wide_output", "curve_cap", "term_type",
-    ]))
+    fault = draw(st.sampled_from(faults))
     if fault == "bound":
         side = draw(st.sampled_from(["lo", "hi"]))
         var[side] = odd
@@ -242,6 +245,17 @@ class TestModelDocumentStrictness:
             parse_document(json.dumps(raw))
         assert str(excinfo.value) == message
 
+    # the test above draws its fault kinds at random, so a run may miss one;
+    # this one checks each kind on every run
+    @pytest.mark.parametrize("fault", FAULT_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_every_fault_kind_gives_its_exact_message(self, fault, data):
+        raw, message = data.draw(broken_documents((fault,)))
+        with pytest.raises(ModelDocumentError) as excinfo:
+            parse_document(json.dumps(raw))
+        assert str(excinfo.value) == message
+
     def _dict(self):
         return json.loads(serialize_document(default_document()))
 
@@ -260,10 +274,15 @@ class TestModelDocumentStrictness:
             (("schema_version",), _DELETE, "missing field 'schema_version' in document"),
             (("variables", "inputs"), {"name": "signal_dbm"}, "field 'inputs' in variables must be a non-empty list"),
             (("rules",), {"1": []}, "field 'rules' in document must be a list"),
+            # the term and rule numbers count from 1
+            (("variables", "inputs", 2, "terms", 1, "center"), "0.5", "field 'center' in input variable 3, term 2 must be a number"),
+            (("variables", "output", "terms", 2, "sigma"), None, "field 'sigma' in output variable, term 3 must be a number"),
+            (("rules", 4, "antecedents"), ["Low"], "rule 5: expected 4 antecedent names"),
         ],
         ids=[
             "variable-not-object", "term-not-object", "empty-terms", "terms-not-list",
             "document-not-object", "missing-schema-version", "inputs-not-list", "rules-not-list",
+            "term-2-center-not-a-number", "term-3-sigma-not-a-number", "rule-5-antecedent-count",
         ],
     )
     def test_malformed_structure_gives_its_exact_message(self, path, value, message):
@@ -359,6 +378,11 @@ class TestModelDocumentStrictness:
         raw = self._dict()
         raw["settings"]["admission_threshold"] = 1.5
         self._expect_error(raw, "admission_threshold")
+
+    def test_a_threshold_that_is_not_a_number_is_named(self):
+        with pytest.raises(ModelDocumentError) as excinfo:
+            ModelDocument(default_model(), "x")
+        assert str(excinfo.value) == "admission_threshold must be a real number, got 'x'"
 
 
 def _document_with(**edits):
@@ -568,6 +592,12 @@ class TestCandidatesCsv:
         with pytest.raises(CandidatesCsvError) as info:
             read_candidates_csv(path)
         assert str(info.value) == f"line 4: field larger than field limit ({csv.field_size_limit()})"
+
+    def test_oversized_header_field_is_named_at_line_1(self, tmp_path):
+        path = self._write(tmp_path, f"id,{'a' * 140000}\nu1,-60,50,0.5,50\n")
+        with pytest.raises(CandidatesCsvError) as info:
+            read_candidates_csv(path)
+        assert str(info.value) == f"line 1: field larger than field limit ({csv.field_size_limit()})"
 
     @given(candidate_files())
     @settings(max_examples=400, deadline=None, phases=NO_EXPLAIN_PHASES)

@@ -164,13 +164,34 @@ class TestSpecValidation:
                 ),
                 "unexpected fixed values for ['snr_db']",
             ),
+            # a value float() rejects is named; an int too large for a float
+            # reads as the inf of its sign
+            (lambda: SweepAxis("signal_dbm", "a", -20, 5), "axis 'signal_dbm': lo must be a real number, got 'a'"),
+            (lambda: SweepAxis("signal_dbm", -100, None, 5), "axis 'signal_dbm': hi must be a real number, got None"),
+            (lambda: SweepAxis("signal_dbm", -(10**400), -20, 5), "axis 'signal_dbm': range [-inf, -20.0] must be finite"),
+            (
+                lambda: SweepSpec(
+                    axis1=SweepAxis("signal_dbm", -100, -20, 3),
+                    axis2=SweepAxis("distance_m", 0, 100, 3),
+                    fixed={"velocity_kmh": "x", "spectrum_ratio": 0.5},
+                ),
+                "fixed value for 'velocity_kmh' must be a real number, got 'x'",
+            ),
         ],
-        ids=["axis-lo-above-hi", "fixed-value-named-twice", "unexpected-fixed-value"],
+        ids=[
+            "axis-lo-above-hi", "fixed-value-named-twice", "unexpected-fixed-value",
+            "axis-lo-not-a-number", "axis-hi-none", "axis-lo-huge-int", "fixed-value-not-a-number",
+        ],
     )
     def test_invalid_spec_gives_its_exact_message(self, build, message):
         with pytest.raises(SweepSpecError) as info:
             build()
         assert str(info.value) == message
+
+    def test_fixed_values_that_are_not_pairs_stay_a_type_error(self):
+        # a wrong Python type where a sequence is expected is not a value fault
+        with pytest.raises(TypeError):
+            SweepSpec(SweepAxis("signal_dbm", -100, -20, 3), SweepAxis("distance_m", 0, 100, 3), None)
 
 
 class TestRunSweep:
@@ -202,6 +223,16 @@ class TestRunSweep:
         j = list(result.axis2_values).index(50.0)
         point = decision_possibility(Candidate("c", -60.0, 50.0, 0.5, 50.0), model)
         assert result.grid[i, j] == point.possibility
+
+    def test_fixed_values_at_the_universe_bounds_are_accepted(self):
+        # sweeps stay inside the universes, both bounds included
+        spec = SweepSpec(
+            axis1=SweepAxis("signal_dbm", -100, -20, 2),
+            axis2=SweepAxis("distance_m", 0, 100, 2),
+            fixed={"velocity_kmh": 0.0, "spectrum_ratio": 1.0},
+        )
+        result = run_sweep(spec, default_model())
+        assert result.grid[0, 0] == decision_possibility(Candidate("c", -100.0, 0.0, 1.0, 0.0)).possibility
 
     def test_dead_model_raises_no_rule_fired(self):
         with pytest.raises(NoRuleFiredError):
