@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,6 +80,15 @@ def _quoted(name) -> str:
     # that a line break cannot split the message
     text = str(name)
     return f"'{text}'" if text.isprintable() else repr(text)
+
+
+def _shown_value(value) -> str:
+    # a value as messages show it: as an f-string does, or, for an int with
+    # more digits than str() converts, its size (str() would raise ValueError)
+    try:
+        return f"{value}"
+    except ValueError:
+        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 @dataclass(frozen=True, init=False)
@@ -187,9 +197,9 @@ class FuzzyModel:
         if self.grid_points is None:
             raise ModelIntegrityError(f"grid_points must be an integer, got {grid_points}")
         if self.grid_points < 2:
-            raise ModelIntegrityError(f"grid_points must be >= 2, got {self.grid_points}")
+            raise ModelIntegrityError(f"grid_points must be >= 2, got {_shown_value(self.grid_points)}")
         if self.grid_points > MAX_GRID_POINTS:
-            raise ModelIntegrityError(f"grid_points must be <= {MAX_GRID_POINTS}, got {self.grid_points}")
+            raise ModelIntegrityError(f"grid_points must be <= {MAX_GRID_POINTS}, got {_shown_value(self.grid_points)}")
         names = [v.name for v in self.inputs] + [output.name]
         if len(set(names)) != len(names):
             raise ModelIntegrityError("variable names must be unique across the model")
@@ -262,7 +272,7 @@ def _rule_weight(weight, where: str = "") -> float:
     else:
         if 0.0 <= weight <= 1.0:
             return weight
-    raise ModelIntegrityError(f"{where}rule weight must be in [0, 1], got {weight}")
+    raise ModelIntegrityError(f"{where}rule weight must be in [0, 1], got {_shown_value(weight)}")
 
 
 def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
@@ -276,9 +286,9 @@ def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
         raise ModelIntegrityError(f"{where}: expected {len(model.inputs)} antecedents, got {_count(antecedents)}")
     for var, idx in zip(model.inputs, antecedents):
         if _as_int(idx) not in range(len(var.terms)):
-            raise ModelIntegrityError(f"{where}: antecedent index {idx} out of range for variable {_quoted(var.name)}")
+            raise ModelIntegrityError(f"{where}: antecedent index {_shown_value(idx)} out of range for variable {_quoted(var.name)}")
     if _as_int(consequent) not in range(len(model.output.terms)):
-        raise ModelIntegrityError(f"{where}: consequent index {consequent} out of range")
+        raise ModelIntegrityError(f"{where}: consequent index {_shown_value(consequent)} out of range")
     _rule_weight(weight, f"{where}: ")
 
 
@@ -337,6 +347,17 @@ def _as_float(x, what: str, error=InvalidInputError) -> float:
         raise error(f"{what} must be a real number, got {x!r}") from exc
 
 
+def _as_float_array(values) -> np.ndarray:
+    """values as np.array reads them into a new float array, an int too large
+    for a float as the inf of its sign, as _as_float reads one; TypeError or
+    ValueError if they are not numbers of one shape."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:  # walked element by element
+        as_floats = np.frompyfunc(lambda x: _as_float(x, "value"), 1, 1)
+        return as_floats(np.array(values, dtype=object)).astype(float)
+
+
 def _as_finite_float(x, what: str) -> float:
     xf = _as_float(x, what)
     if not math.isfinite(xf):
@@ -389,16 +410,16 @@ class _Compiled:
         self.starts = np.array([0, *itertools.accumulate(len(run) for run in runs if run)][:-1], np.intp)
         self.grid = np.linspace(output.lo, output.hi, model.grid_points)
         self.w = _trapezoid_weights(self.grid)
-        # (output terms, grid points) in one buffer, bit for bit each term's
-        # np.exp(-((grid - center) ** 2) / (2.0 * sigma * sigma)): squaring
-        # is x * x, and dividing by the negated spread rounds as negating
-        # the quotient does
+        # (output terms, grid points), bit for bit gaussian_membership at
+        # each grid point: squaring is x * x, dividing by the negated spread
+        # rounds as negating the quotient does, and the exp is
+        # _memberships' complex one, the C library's
         curves = np.empty((len(output.terms), model.grid_points))
         for t, curve in zip(output.terms, curves):
             np.subtract(self.grid, t.center, out=curve)
             np.multiply(curve, curve, out=curve)
             np.divide(curve, -2.0 * t.sigma * t.sigma, out=curve)
-        self.term_curves = np.exp(curves, out=curves)
+        self.term_curves = np.exp(curves, dtype=complex).real.copy()
         # rows per chunk of the firing stage: its largest intermediate per row
         # is rules x inputs, inputs x terms or the clip levels
         row_elements = max(self.antecedents.size, n_in * width, len(output.terms))
@@ -661,7 +682,10 @@ def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarra
     Raises InvalidInputError on a strength below 0.0 or nan; -0.0 is not below 0.0.
     """
     c = model._compiled
-    strengths = np.asarray(firing_strengths, dtype=float)
+    try:
+        strengths = _as_float_array(firing_strengths)
+    except (TypeError, ValueError):
+        raise InvalidInputError("firing strengths must be real numbers") from None
     rules = len(model.rules)
     if strengths.shape != (rules,):
         raise ModelIntegrityError(f"expected {rules} firing strengths, got shape {strengths.shape}")
@@ -677,7 +701,10 @@ def defuzzify_centroid(curve) -> float:
     increasing points.  Raises NoRuleFiredError when the total mass
     is below MASS_EPSILON.
     """
-    arr = np.asarray(curve, dtype=float)
+    try:
+        arr = _as_float_array(curve)
+    except (TypeError, ValueError):  # not numbers, or pairs of unequal lengths
+        arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise InvalidInputError("curve must be a non-empty sequence of (point, degree) pairs")
     if not np.isfinite(arr).all():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FuzzyModel, InvalidInputError, _as_float, _infer_row, _quoted, _shown_name
+from .engine import FuzzyModel, InvalidInputError, _as_float, _as_float_array, _infer_row, _quoted, _shown_name, _shown_value
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 
 __all__ = [
@@ -58,7 +58,7 @@ def check_threshold(threshold: float, name: str = "threshold", error=InvalidInpu
     """threshold as a float; raises error(message) naming it unless it lies in [0, 1]."""
     t = _as_float(threshold, name, error)
     if not (0.0 <= t <= 1.0):
-        raise error(f"{name} must be in [0, 1], got {threshold}")
+        raise error(f"{name} must be in [0, 1], got {_shown_value(threshold)}")
     return t
 
 
@@ -111,7 +111,7 @@ class CandidateBatch(Sequence):
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
         try:
-            values = np.array(self.values, dtype=float).reshape(len(self.ids), len(INPUT_ORDER))
+            values = _as_float_array(self.values).reshape(len(self.ids), len(INPUT_ORDER))
         except (TypeError, ValueError):  # numpy's float conversion, or a size other than 4 per id
             raise InvalidInputError(f"values must hold {len(INPUT_ORDER)} numbers per id, {len(INPUT_ORDER) * len(self.ids)} in all") from None
         values.flags.writeable = False

@@ -237,7 +237,7 @@ def load_document(path) -> ModelDocument:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: open()'s for a path holding a NUL, or a UnicodeDecodeError
         raise ModelDocumentError(f"cannot read model document {_quoted(path)}: {exc}") from exc
     return parse_document(text)
 
@@ -251,8 +251,13 @@ def read_candidates_csv(path) -> CandidateBatch:
     # malformed one, numbers in flat arrays; a quoted line break carries a
     # record on to the next line
     ids, values, starts, malformed, start = [], array("d"), array("q"), None, 1
+    cannot_read = f"cannot read candidates CSV {_quoted(path)}"
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
+    except (OSError, ValueError) as exc:  # a ValueError for a path holding a NUL
+        raise CandidatesCsvError(f"{cannot_read}: {exc}") from exc
+    try:
+        with fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             start = reader.line_num + 1
@@ -276,7 +281,7 @@ def read_candidates_csv(path) -> CandidateBatch:
                                     break
                 start = reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
-        raise CandidatesCsvError(f"cannot read candidates CSV {_quoted(path)}: {exc}") from exc
+        raise CandidatesCsvError(f"{cannot_read}: {exc}") from exc
     except csv.Error as exc:  # a field over csv.field_size_limit(), in the record at line start
         raise CandidatesCsvError(f"line {start}: {exc}") from exc
 

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import FuzzyError, FuzzyModel, _as_float, _as_int, _infer_rows, _quoted
+from .engine import FuzzyError, FuzzyModel, _as_float, _as_int, _infer_rows, _quoted, _shown_value
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 from .model import UNIVERSES, default_model
 
@@ -66,7 +66,7 @@ class SweepAxis:
         object.__setattr__(self, "steps", steps)
         if not (2 <= self.steps <= MAX_STEPS):
             raise SweepSpecError(
-                f"axis {_quoted(self.name)}: steps must be in [2, {MAX_STEPS}], got {self.steps}"
+                f"axis {_quoted(self.name)}: steps must be in [2, {MAX_STEPS}], got {_shown_value(self.steps)}"
             )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise SweepSpecError(f"axis {_quoted(self.name)}: range [{self.lo}, {self.hi}] must be finite")
@@ -116,7 +116,7 @@ class SweepResult:
 def figure_preset(fig: int, steps: int = PRESET_STEPS) -> SweepSpec:
     """The sweep specification behind reference surface 7, 8, 9, 10 or 11."""
     if fig not in _PRESETS:
-        raise SweepSpecError(f"unknown figure preset {fig}; expected one of 7..11")
+        raise SweepSpecError(f"unknown figure preset {_shown_value(fig)}; expected one of 7..11")
     (name1, name2), fixed = _PRESETS[fig]
     lo1, hi1 = UNIVERSES[name1]
     lo2, hi2 = UNIVERSES[name2]

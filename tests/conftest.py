@@ -183,10 +183,9 @@ def random_inputs(rng: np.random.Generator, model: FuzzyModel) -> list[float]:
 
 def exact_outputs(model: FuzzyModel, rows) -> list[float]:
     """The reference's crisp output of each row (tests/oracle.py), at the
-    model's own grid and given its own output term curves: what both
-    kernels must equal."""
-    params, curves = model_params(model), model._compiled.term_curves.tolist()
-    return [reference_infer(row, *params, model.grid_points, curves) for row in rows]
+    model's own grid: what both kernels must equal."""
+    params = model_params(model)
+    return [reference_infer(row, *params, model.grid_points) for row in rows]
 
 
 def random_rows(n: int) -> np.ndarray:

@@ -18,7 +18,7 @@ def gauss(x, center, sigma):
     return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
-def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POINTS, curves=None):
+def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POINTS):
     """Straight-line Mamdani inference: clamp, fuzzify, weight * min firing,
     min-implication / max-aggregation on an inclusive grid, trapezoid
     centroid accumulated left to right.
@@ -26,21 +26,26 @@ def reference_infer(inputs, input_vars, output_var, rules, n_grid=DENSE_GRID_POI
     input_vars: sequence of (lo, hi, ((center, sigma), ...))
     output_var: (lo, hi, ((center, sigma), ...))
     rules: sequence of (antecedent_indices, consequent_index, weight)
-    curves: each output term's values on the n_grid points, as lists, in
-    place of gauss; given the package's own, the result is its crisp
-    output bit for bit.  Python's max and min keep the first of two equal
-    values, numpy the second, and the clip levels and degrees here start
-    from 0.0: where the package keeps a -0.0 (a run of -0.0 weights) they
-    read 0.0, so compare degree bytes only where no degree is zero.
+
+    At the model's own grid the result is the package's crisp output bit
+    for bit.  Python's max and min keep the first of two equal values,
+    numpy the second, and the clip levels and degrees here start from 0.0:
+    where the package keeps a -0.0 (a run of -0.0 weights) they read 0.0,
+    so compare degree bytes only where no degree is zero.
     """
+    points, curves = reference_curves(output_var, n_grid)
+    clip = reference_clip_levels(inputs, input_vars, output_var, rules)
+    return trapezoid_centroid(points, reference_degrees(clip, curves))
+
+
+def reference_curves(output_var, n_grid):
+    """The n_grid points of the output universe, both ends included, and
+    each output term's degree at every point, as lists."""
     out_lo, out_hi, out_terms = output_var
     step = (out_hi - out_lo) / (n_grid - 1)
     points = [out_lo + i * step for i in range(n_grid)]
     points[-1] = out_hi
-    if curves is None:
-        curves = ([gauss(x, c, s) for x in points] for c, s in out_terms)
-    clip = reference_clip_levels(inputs, input_vars, output_var, rules)
-    return trapezoid_centroid(points, reference_degrees(clip, curves))
+    return points, [[gauss(x, c, s) for x in points] for c, s in out_terms]
 
 
 def reference_clip_levels(inputs, input_vars, output_var, rules):
@@ -129,9 +134,9 @@ def model_params(model):
     return input_vars, output_var, model.rules
 
 
-def oracle_possibility(model, inputs, n_grid=DENSE_GRID_POINTS, curves=None):
+def oracle_possibility(model, inputs, n_grid=DENSE_GRID_POINTS):
     input_vars, output_var, rules = model_params(model)
-    return reference_infer(inputs, input_vars, output_var, rules, n_grid=n_grid, curves=curves)
+    return reference_infer(inputs, input_vars, output_var, rules, n_grid=n_grid)
 
 
 def reference_validate_model(input_terms, rules):

@@ -62,7 +62,7 @@ class TestEval:
         assert out.splitlines()[1] in ("admitted: yes", "admitted: no")
 
     def test_operating_point_is_not_admitted(self, capsys):
-        # 0.4999999999999993 prints as 0.500000 but stays below the default
+        # 0.4999999999999994 prints as 0.500000 but stays below the default
         # threshold of 0.5; a pairwise centroid sum gives exactly 0.5
         code, out, _ = run_cli(capsys, "eval", "-60", "50", "0.5", "50")
         assert code == 0
@@ -889,9 +889,12 @@ STEPS = ["-1", "0", "1", "2", "3", "5", str(MAX_STEPS + 1), "10000000000", "x"]
 JUNK = ["", "-", "--", "x", "-h", "--bogus", "eval", "7", "\u00fc", "a:b:c", "="]
 
 
+COMMANDS = ("arbitrate", "dump-rules", "eval", "evaluate", "sweep", "validate")
+
+
 @st.composite
-def random_argv(draw, tmp_path):
-    """A command line from the subcommand names, their flags and small
+def random_argv(draw, tmp_path, command):
+    """A command line of command, one of COMMANDS: its flags and small
     numeric or junk values, now and then with a flag or token that does not
     belong; --output only ever names a path under tmp_path."""
     names = ["signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m", "speed", ""]
@@ -926,7 +929,7 @@ def random_argv(draw, tmp_path):
         "evaluate": [*files, threshold, grid_points],
     }
     positionals = {"eval": st.lists(number, min_size=4, max_size=4), "arbitrate": st.lists(path, min_size=1, max_size=1)}
-    command = draw(st.sampled_from(sorted(flags)))
+    assert sorted(flags) == list(COMMANDS)
     pieces = [(token,) for token in draw(positionals.get(command, st.just([])))]
     pieces += draw(st.lists(st.one_of(flags[command]), max_size=6))
     if draw(st.integers(0, 3)) == 0:
@@ -966,14 +969,15 @@ class TestErrorFamily:
 
 
 class TestRandomArgv:
+    @pytest.mark.parametrize("command", COMMANDS)
     @given(data=st.data())
-    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_exits_with_a_documented_code(self, tmp_path, data):
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exits_with_a_documented_code(self, tmp_path, command, data):
         (tmp_path / "good.csv").write_text(HEADER + "\na,-90,10,0.2,20\nb,-60,50,0.5,50\n")
         (tmp_path / "bad.csv").write_text(HEADER + "\na,-90,-10,0.2,20\n")
         (tmp_path / "model.json").write_text(serialize_document(ModelDocument(default_model())))
         (tmp_path / "bad.json").write_text("{")
-        argv = data.draw(random_argv(tmp_path), label="argv")
+        argv = data.draw(random_argv(tmp_path, command), label="argv")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:

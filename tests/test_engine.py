@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +57,7 @@ from conftest import (
 from oracle import (
     model_params,
     reference_clip_levels,
+    reference_curves,
     reference_degrees,
     reference_infer,
     reference_strengths,
@@ -175,12 +180,8 @@ class TestAggregate:
         model = unit_output_model
         curve = aggregate(model, [1.0])
         term = model.output.terms[1]
-        grid = curve[:, 0]
-        expected = np.exp(-((grid - term.center) ** 2) / (2.0 * term.sigma * term.sigma))
-        assert np.array_equal(curve[:, 1], expected)
-        # spot values against the scalar form
-        for i in (0, 250, 500, 750, 1000):
-            assert abs(curve[i, 1] - gaussian_membership(curve[i, 0], term)) < 1e-15
+        expected = [gaussian_membership(g, term) for g in curve[:, 0].tolist()]
+        assert curve[:, 1].tolist() == expected
 
     def test_two_rules_pointwise_max_of_clipped(self):
         model = self._model()
@@ -545,8 +546,8 @@ class TestCurveStage:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_term_curves_equal_the_per_term_expression(self, data):
-        # term_curves is one (terms, grid points) expression; each row must
-        # be bit for bit the one-term expression
+        # term_curves is one (terms, grid points) expression; each value must
+        # be bit for bit gaussian_membership at its grid point
         lo = data.draw(st.floats(-1e6, 1e6), label="lo")
         hi = lo + data.draw(st.floats(1e-3, 1e6), label="span")
         centers = sorted(set(data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=12), label="centers")))
@@ -554,7 +555,7 @@ class TestCurveStage:
         output = FuzzyVariable("y", lo, hi, tuple(GaussianTerm(f"t{k}", c, s) for k, (c, s) in enumerate(zip(centers, sigmas))))
         grid_points = data.draw(st.integers(2, 5001), label="grid_points")
         c = FuzzyModel((three_term_variable("x", 0.0, 1.0),), output, (((0,), 0, 1.0),), grid_points)._compiled
-        want = np.stack([np.exp(-((c.grid - t.center) ** 2) / (2.0 * t.sigma * t.sigma)) for t in output.terms])
+        want = np.array([[gaussian_membership(g, t) for g in c.grid.tolist()] for t in output.terms])
         assert c.term_curves.shape == want.shape
         assert c.term_curves.tobytes() == want.tobytes()
 
@@ -605,6 +606,50 @@ class TestCurveStage:
         n = data.draw(st.integers(1, 60), label="rows")
         rows = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(n, lo.size))
         assert _infer_rows(model, rows).tolist() == exact_outputs(model, rows)
+
+
+def host_outputs() -> np.ndarray:
+    """The default model's crisp outputs of the canary row and 3000
+    random_rows, by _infer_rows, _infer_row and infer, and the canary's
+    aggregated degrees."""
+    model = default_model()
+    rows = np.vstack([[-60.0, 50.0, 0.5, 50.0], random_rows(3000)])
+    traces = [infer(model, row) for row in rows.tolist()]
+    return np.concatenate([
+        _infer_rows(model, rows),
+        [_infer_row(model, row) for row in rows.tolist()],
+        [trace.crisp_output for trace in traces],
+        traces[0].aggregated_curve[:, 1],
+    ])
+
+
+class TestHostIndependence:
+    def test_bits_do_not_depend_on_numpy_cpu_dispatch(self):
+        # every Gaussian takes the C library's exp, so a child process with
+        # each CPU feature numpy dispatches to on this host disabled gives
+        # the same bits (numpy's own exp differs in the last bit with AVX-512)
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        features = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+        if not features:
+            pytest.skip("numpy dispatches to no CPU feature on this host")
+        package_root = str(Path(engine.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, str(Path(__file__).parent), os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, test_engine\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            f"assert not any(__cpu_features__[name] for name in {features!r}), 'dispatch still on'\n"
+            "sys.stdout.write(test_engine.host_outputs().tobytes().hex())\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(features)},
+        )
+        assert child.returncode == 0, child.stderr
+        want = host_outputs()
+        got = np.frombuffer(bytes.fromhex(child.stdout))
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert not differ.size, f"{differ.size} of {want.size} values differ, first at {differ[:5].tolist()}"
 
 
 def scored_chunks(call):
@@ -881,11 +926,11 @@ class TestClipStage:
         )
         model = replace(base, rules=rules, grid_points=data.draw(st.integers(2, 201), label="grid_points"))
         params = model_params(model)
-        curves = model._compiled.term_curves.tolist()
+        curves = reference_curves(params[1], model.grid_points)[1]
         live = []
         for row in out_of_range_rows(rng, model, 6):
             try:
-                want = reference_infer(row, *params, model.grid_points, curves)
+                want = reference_infer(row, *params, model.grid_points)
             except ZeroDivisionError:  # a mass below MASS_EPSILON
                 with pytest.raises(NoRuleFiredError):
                     infer(model, row)

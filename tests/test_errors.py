@@ -4,6 +4,7 @@ a FuzzyError, and every FuzzyError is a ValueError."""
 import json
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +53,17 @@ FLOATS = st.one_of(
     ]),
     st.floats(),
 )
-INTS = st.one_of(st.sampled_from([-(10**400), -1, 0, 1, 2, 3, 10**18, 10**400]), st.integers())
+DECIMAL_INTS = [-(10**400), -1, 0, 1, 2, 3, 10**18, 10**400]
+# with two ints of more digits than str() converts, so that a message cannot embed them
+INTS = st.one_of(st.sampled_from([-(10**5000), 10**5000]), st.sampled_from(DECIMAL_INTS), st.integers())
 # any number a float field may be given: an int too large for a float too
 NUMBERS = st.one_of(FLOATS, INTS)
+# any number a model document can hold: json.dumps cannot write those two ints
+DOCUMENT_NUMBERS = st.one_of(FLOATS, st.one_of(st.sampled_from(DECIMAL_INTS), st.integers()))
 NAMES = st.sampled_from(["", "a", "signal_dbm", "velocity_kmh", "spectrum_ratio", "distance_m", "decision"])
 IDS = st.sampled_from(["", "a", "b", "x\ny"])
+# paths open() rejects: a NUL, a lone surrogate, none, a directory, a missing file
+PATHS = st.sampled_from(["a\0b", b"a\0b", "\ud800", "", ".", "no/such/file"])
 # finite measurements a Candidate accepts, however far outside the universes
 MEASUREMENTS = st.tuples(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -73,18 +80,17 @@ def _variable(draw, name):
     return FuzzyVariable(name, lo, hi, [_term(draw, f"t{k}") for k in range(draw(st.integers(1, 3)))])
 
 
-def _model(draw):
-    """The default model with a hostile output, a hostile rule or a hostile
+def _model(draw, part):
+    """The default model with a hostile part: its output, a rule or its
     grid; built, it is also scored."""
     model = default_model()
     output, rules, grid_points = model.output, list(model.rules), 1001
-    part = draw(st.sampled_from(["output", "rule", "grid"]))
     if part == "output":
         output = _variable(draw, "decision")
         rules = [(antecedents, 0, weight) for antecedents, _, weight in rules]
     elif part == "rule":
         antecedents = tuple(draw(st.one_of(INTS, st.integers(0, 2))) for _ in model.inputs)
-        rules[draw(st.integers(0, 80))] = (antecedents, draw(st.one_of(INTS, st.integers(0, 2))), draw(FLOATS))
+        rules[draw(st.integers(0, 80))] = (antecedents, draw(st.one_of(INTS, st.integers(0, 2))), draw(NUMBERS))
     else:
         grid_points = draw(INTS)
     built = FuzzyModel(model.inputs, output, rules, grid_points)
@@ -92,18 +98,22 @@ def _model(draw):
     return infer(built, [-60.0, 50.0, 0.5, 50.0]), decision_possibility(Candidate("c", -60.0, 50.0, 0.5, 50.0), built)
 
 
-def _document(draw):
-    """parse_document and load_document of the default document with one
-    number replaced by a hostile one."""
+# the numbers of a model document: a variable's, a term's, a rule's and the settings'
+DOCUMENT_KEYS = ("lo", "hi", "center", "sigma", "weight", "grid_points", "admission_threshold")
+
+
+def _document(draw, key):
+    """parse_document and load_document of the default document with its
+    number key, of a drawn variable, term or rule or of its settings,
+    replaced by a hostile one."""
     raw = json.loads(serialize_document(default_document()))
-    variable = draw(st.sampled_from([*raw["variables"]["inputs"], raw["variables"]["output"]]))
-    term = draw(st.sampled_from(variable["terms"]))
-    target, key = draw(st.sampled_from([
-        (variable, "lo"), (variable, "hi"), (term, "center"), (term, "sigma"),
-        (draw(st.sampled_from(raw["rules"])), "weight"),
-        (raw["settings"], "grid_points"), (raw["settings"], "admission_threshold"),
-    ]))
-    target[key] = draw(NUMBERS)
+    if key in ("lo", "hi", "center", "sigma"):
+        target = draw(st.sampled_from([*raw["variables"]["inputs"], raw["variables"]["output"]]))
+        if key in ("center", "sigma"):
+            target = draw(st.sampled_from(target["terms"]))
+    else:
+        target = draw(st.sampled_from(raw["rules"])) if key == "weight" else raw["settings"]
+    target[key] = draw(DOCUMENT_NUMBERS)
     text = json.dumps(raw)
     parse_document(text)
     with tempfile.TemporaryDirectory() as tmp:
@@ -142,16 +152,16 @@ def _surface(draw):
 CALLS = {
     "GaussianTerm": lambda draw: GaussianTerm(draw(NAMES), draw(NUMBERS), draw(NUMBERS)),
     "FuzzyVariable": lambda draw: _variable(draw, draw(NAMES)),
-    "FuzzyModel": _model,
+    **{f"FuzzyModel-{part}": partial(_model, part=part) for part in ("output", "rule", "grid")},
     "gaussian_membership": lambda draw: gaussian_membership(draw(NUMBERS), default_model().inputs[0].terms[0]),
     "clamp_to_universe": lambda draw: clamp_to_universe(default_model().inputs[0], draw(NUMBERS)),
     "fuzzify": lambda draw: fuzzify(default_model().inputs[0], draw(NUMBERS)),
     "infer": lambda draw: infer(default_model(), draw(st.lists(NUMBERS, max_size=5))),
-    "aggregate": lambda draw: aggregate(default_model(), draw(st.lists(FLOATS, min_size=80, max_size=82))),
-    "defuzzify_centroid": lambda draw: defuzzify_centroid(draw(st.lists(st.tuples(FLOATS, FLOATS), max_size=4))),
+    "aggregate": lambda draw: aggregate(default_model(), draw(st.lists(NUMBERS, min_size=80, max_size=82))),
+    "defuzzify_centroid": lambda draw: defuzzify_centroid(draw(st.lists(st.tuples(NUMBERS, NUMBERS), max_size=4))),
     "Candidate": lambda draw: Candidate(draw(IDS), *(draw(NUMBERS) for _ in range(4))),
     "CandidateBatch": lambda draw: CandidateBatch(
-        draw(st.lists(IDS, max_size=3)), draw(st.lists(st.lists(FLOATS, min_size=3, max_size=5), max_size=3))
+        draw(st.lists(IDS, max_size=3)), draw(st.lists(st.lists(NUMBERS, min_size=3, max_size=5), max_size=3))
     ),
     "decision_possibility": lambda draw: decision_possibility(
         Candidate("c", *draw(MEASUREMENTS)), default_model(), draw(NUMBERS)
@@ -171,8 +181,10 @@ CALLS = {
     "run_sweep": lambda draw: run_sweep(_spec(draw, st.integers(2, 4)), default_model()),
     "format_surface_csv": _surface,
     "ModelDocument": lambda draw: serialize_document(ModelDocument(default_model(), draw(NUMBERS))),
-    "parse_document": _document,
+    **{f"parse_document-{key}": partial(_document, key=key) for key in DOCUMENT_KEYS},
+    "load_document-path": lambda draw: load_document(draw(PATHS)),
     "read_candidates_csv": _candidates_file,
+    "read_candidates_csv-path": lambda draw: read_candidates_csv(draw(PATHS)),
 }
 
 

@@ -279,10 +279,10 @@ class TestDecisionPossibility:
         # the centroid adds the grid one point at a time; a pairwise sum
         # gives exactly 0.5 here, which the default threshold would admit
         result = decision_possibility(Candidate("op", -60.0, 50.0, 0.5, 50.0))
-        assert result.possibility == 0.4999999999999993
+        assert result.possibility == 0.4999999999999994
         assert not result.admitted
-        # the reference, given the model's own output curves, as well
-        assert exact_outputs(default_model(), [[-60.0, 50.0, 0.5, 50.0]]) == [0.4999999999999993]
+        # the reference, plain Python from grid to centroid, as well
+        assert exact_outputs(default_model(), [[-60.0, 50.0, 0.5, 50.0]]) == [0.4999999999999994]
 
     def test_identical_candidates_identical_possibility(self):
         a = decision_possibility(Candidate("a", -72.5, 31.0, 0.62, 18.0))
@@ -306,7 +306,7 @@ class TestDecisionPossibility:
     def test_result_holds_the_decision_only(self):
         result = decision_possibility(Candidate("c", -60.0, 50.0, 0.5, 50.0))
         assert [f.name for f in fields(result)] == ["candidate_id", "possibility", "admitted"]
-        assert result == DecisionResult("c", 0.4999999999999993, False)
+        assert result == DecisionResult("c", 0.4999999999999994, False)
 
     def test_model_of_other_arity_rejected_like_arbitrate(self, unit_output_model):
         candidate = Candidate("a", -60.0, 50.0, 0.5, 50.0)
