@@ -82,13 +82,15 @@ def _quoted(name) -> str:
     return f"'{text}'" if text.isprintable() else repr(text)
 
 
-def _shown_value(value) -> str:
-    # a value as messages show it: as an f-string does, or, for an int with
-    # more digits than str() converts, its size (str() would raise ValueError)
+def _shown_value(value, show=format) -> str:
+    # a value as messages show it, by show (format, as an f-string does, or
+    # repr), or by the size of an int with more digits than str() converts,
+    # for which show raises ValueError, in the value or held by it
     try:
-        return f"{value}"
+        return show(value)
     except ValueError:
-        return f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        held = "an" if isinstance(value, int) else f"a {type(value).__name__} holding an"
+        return f"{held} integer of more than {sys.get_int_max_str_digits()} digits"
 
 
 @dataclass(frozen=True, init=False)
@@ -344,7 +346,7 @@ def _as_float(x, what: str, error=InvalidInputError) -> float:
     except OverflowError:
         return math.inf if x > 0 else -math.inf
     except (TypeError, ValueError) as exc:
-        raise error(f"{what} must be a real number, got {x!r}") from exc
+        raise error(f"{what} must be a real number, got {_shown_value(x, repr)}") from exc
 
 
 def _as_float_array(values) -> np.ndarray:

@@ -195,6 +195,14 @@ class TestErrorFamily:
         assert all(issubclass(error, FuzzyError) for error in errors)
         assert issubclass(FuzzyError, ValueError)
 
+    def test_an_int_too_long_for_str_is_named_by_its_size(self):
+        # in a message, such an int, or a value holding one, would raise ValueError
+        model = default_model()
+        with pytest.raises(FuzzyError, match=r"^grid_points must be >= 2, got an integer of more than \d+ digits$"):
+            FuzzyModel(model.inputs, model.output, model.rules, -(10**5000))
+        with pytest.raises(FuzzyError, match=r"^candidate 'c': signal_dbm must be a real number, got a list holding an integer of more than \d+ digits$"):
+            Candidate("c", [10**5000], 0.0, 0.0, 0.0)
+
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
