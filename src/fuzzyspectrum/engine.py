@@ -64,6 +64,8 @@ _MAX_CURVE_POINTS = 10 * MAX_GRID_POINTS
 # Cap on the elements of the largest intermediate of one chunk of the kernel:
 # rows x rules x inputs (or another per-row rule-base array) in the firing
 # stage, (output terms + 1) x grid rows x clip vectors in the curve stage.
+# A batch is scored in blocks of CHUNK_ELEMENTS // 16 rows, the most clip
+# vectors of one curve chunk.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -415,13 +417,17 @@ class _Compiled:
         # (output terms, grid points), bit for bit gaussian_membership at
         # each grid point: squaring is x * x, dividing by the negated spread
         # rounds as negating the quotient does, and the exp is
-        # _memberships' complex one, the C library's
-        curves = np.empty((len(output.terms), model.grid_points))
-        for t, curve in zip(output.terms, curves):
+        # _memberships' complex one, the C library's, taken in place over
+        # one reused complex row whose imaginary part stays 0.0, so that no
+        # temporary spans all the terms
+        self.term_curves = np.empty((len(output.terms), model.grid_points))
+        row = np.zeros(model.grid_points, complex)
+        for t, curve in zip(output.terms, self.term_curves):
             np.subtract(self.grid, t.center, out=curve)
             np.multiply(curve, curve, out=curve)
-            np.divide(curve, -2.0 * t.sigma * t.sigma, out=curve)
-        self.term_curves = np.exp(curves, dtype=complex).real.copy()
+            np.divide(curve, -2.0 * t.sigma * t.sigma, out=row.real)
+            np.exp(row, out=row)
+            np.copyto(curve, row.real)
         # rows per chunk of the firing stage: its largest intermediate per row
         # is rules x inputs, inputs x terms or the clip levels
         row_elements = max(self.antecedents.size, n_in * width, len(output.terms))
@@ -458,7 +464,7 @@ def _row_centroid(mass: np.ndarray, points: np.ndarray, w: np.ndarray) -> float:
     sums = np.empty(len(mass), complex)
     np.multiply(mass, w, out=sums.real)
     np.multiply(sums.real, points, out=sums.imag)
-    total = complex(np.add.accumulate(sums)[-1])
+    total = complex(np.add.accumulate(sums, out=sums)[-1])
     if total.real < MASS_EPSILON:
         raise NoRuleFiredError(f"total output mass {total.real} below {MASS_EPSILON}; no rule fired")
     return total.imag / total.real
@@ -636,17 +642,29 @@ def _clip_key(clip: np.ndarray) -> np.ndarray:
 def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
     for any other row length).  Each is bit-identical to infer on the same
-    row.  Chunking bounds only the firing and curve stages' intermediates;
-    the membership table and index (until the clip levels are filled) and
-    the clip levels and their dedupe span the batch, about 260 bytes a row.
-
-    The firing stage takes the rows in chunks of fire_rows, the curve stage
-    the distinct clip vectors in column chunks, each over the grid in blocks
-    (_curve_chunks), and every ufunc in a chunk runs on same-shape arrays."""
+    row.  The rows are scored in blocks of CHUNK_ELEMENTS // 16 (4096), so
+    that beside the rows and their outputs no intermediate spans more than
+    one block (_infer_block)."""
     c = model._compiled
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(c.fuzzifiers):
         raise InvalidInputError(f"expected {len(c.fuzzifiers)} inputs, got {x.shape[-1]}")
+    # an empty batch is one empty block
+    block = CHUNK_ELEMENTS // 16
+    return np.concatenate([_infer_block(c, x[i:i + block]) for i in range(0, max(len(x), 1), block)])
+
+
+def _infer_block(c: _Compiled, x: np.ndarray) -> np.ndarray:
+    """Crisp outputs of one block of (rows, n_inputs) float rows.  Chunking
+    bounds the firing and curve stages' intermediates; the membership table
+    and index (until the clip levels are filled) and the clip levels and
+    their dedupe span the block, about 250 bytes a row.
+
+    The firing stage takes the rows in chunks of fire_rows, the curve stage
+    the distinct clip vectors in column chunks, each over the grid in blocks
+    (_curve_chunks), and every ufunc in a chunk runs on same-shape arrays.
+    The clip levels, then the weights tile, are allocated and freed in this
+    order: a weights tile kept through the curve stage slowed it by ~14%."""
     table, index = _membership_table(c, x)
     # a term that no rule concludes reads 0.0
     clip = np.zeros((len(x), len(c.term_curves)))

@@ -112,6 +112,26 @@ class SweepResult:
     axis2_values: np.ndarray
     grid: np.ndarray
 
+    def __post_init__(self):
+        axis1 = _float_array(self.axis1_values, "axis1_values", 1)
+        axis2 = _float_array(self.axis2_values, "axis2_values", 1)
+        grid = _float_array(self.grid, "grid", 2)
+        if grid.shape != (len(axis1), len(axis2)):
+            raise SweepSpecError(f"grid must have shape ({len(axis1)}, {len(axis2)}), got {grid.shape}")
+        vars(self).update(axis1_values=axis1, axis2_values=axis2, grid=grid)
+
+
+def _float_array(values, what: str, ndim: int) -> np.ndarray:
+    """values, ints or floats in ndim dimensions, as a float array (a float64
+    array as it is, not copied), or the SweepSpecError naming what."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged list
+        array = None
+    if array is None or array.dtype.kind not in "iuf" or array.ndim != ndim:
+        raise SweepSpecError(f"{what} must be a {ndim}-D array of real numbers")
+    return array.astype(float, copy=False)
+
 
 def figure_preset(fig: int, steps: int = PRESET_STEPS) -> SweepSpec:
     """The sweep specification behind reference surface 7, 8, 9, 10 or 11."""

@@ -480,6 +480,29 @@ class TestInfer:
         picks = np.union1d(np.concatenate(last), np.arange(0, len(rows), 50))
         assert want[picks].tolist() == exact_outputs(model, rows[picks])
 
+    def test_rows_across_block_boundaries_bit_identical_to_one_row(self, monkeypatch):
+        # a batch is scored in blocks of CHUNK_ELEMENTS // 16 rows, each with
+        # its own membership table and clip dedupe: rows repeated on both
+        # sides of each boundary are scored once in each block they fall in
+        model, block = default_model(), CHUNK_ELEMENTS // 16
+        rows = random_rows(2 * block + 3)
+        for edge in (block, 2 * block):
+            rows[edge:edge + 2] = rows[edge - 2:edge]
+            rows[edge - 3] = rows[edge + 2]
+        sizes = []
+        score_block = engine._infer_block
+        monkeypatch.setattr(engine, "_infer_block", lambda c, x: sizes.append(len(x)) or score_block(c, x))
+        batch = _infer_rows(model, rows)
+        assert sizes == [block, block, 3]
+        want = np.array([_infer_row(model, row) for row in rows.tolist()])
+        assert batch.tobytes() == want.tobytes()
+        edges = np.concatenate([np.arange(edge - 3, edge + 3) for edge in (block, 2 * block)])
+        assert want[edges].tolist() == exact_outputs(model, rows[edges])
+        # an empty batch is one empty block
+        sizes.clear()
+        empty = _infer_rows(model, np.empty((0, 4)))
+        assert sizes == [0] and empty.shape == (0,) and empty.dtype == float
+
     @settings(max_examples=25, deadline=None, phases=NO_EXPLAIN_PHASES)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_batch_invariant_under_permutation_prefix_and_duplication(self, seed, data):
@@ -565,6 +588,15 @@ class TestCurveStage:
         assert one.tolist() == [[0.3, 0.7]]
         points, degrees = [0.1, 0.9], [0.2, 0.6]
         assert defuzzify_centroid(list(zip(points, degrees))) == trapezoid_centroid(points, degrees)
+
+    def test_model_build_peak_memory_per_term_point_is_bounded(self):
+        # the curves are built one term at a time through one reused complex
+        # row: about 19 bytes a term-point at the largest grid, against
+        # about 37 when one complex exp ran over all the terms at once
+        model = default_model()
+        terms = len(model.output.terms)
+        peak = traced_peak(lambda: FuzzyModel(model.inputs, model.output, model.rules, MAX_GRID_POINTS))
+        assert peak < 24 * terms * MAX_GRID_POINTS
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -826,6 +858,13 @@ class TestOneRow:
             want = [_infer_row(model, row) for row in rows.tolist()]
             assert _infer_rows(model, rows).tolist() == want == exact_outputs(model, rows)
 
+    def test_peak_memory_per_grid_point_is_bounded(self):
+        # the (terms, grid points) clipped curves and their max are the
+        # largest arrays; the running sum is taken in place: about 32 bytes
+        # a grid point, against 40 when it allocated its own result
+        model = replace(default_model(), grid_points=MAX_GRID_POINTS)
+        assert traced_peak(lambda: _infer_row(model, [-60.0, 50.0, 0.5, 50.0])) < 36 * MAX_GRID_POINTS
+
     @pytest.mark.parametrize("width", [0, 3, 5])
     def test_wrong_arity_raises_the_batch_message(self, width):
         model = default_model()
@@ -880,13 +919,14 @@ class TestFiringStage:
             assert fire_rows * largest <= CHUNK_ELEMENTS
 
     def test_peak_memory_per_row_is_bounded(self):
-        # distinct random rows, so that each input's table is as long as the
-        # batch: about 260 bytes a row above the rows themselves (280 when
-        # each input's exp went through a list of Python floats), against
-        # about 640 when one exp ran over all inputs at once and the table
-        # was kept through the clip dedupe
+        # distinct random rows over five blocks, so that each input's table
+        # is as long as a block: about 77 bytes a row above the rows
+        # themselves, against about 256 when the table, the clip levels and
+        # their dedupe spanned the whole batch (280 when each input's exp
+        # went through a list of Python floats, about 640 when one exp ran
+        # over all inputs at once and the table was kept through the dedupe)
         rows, model = random_rows(20_000), default_model()
-        assert traced_peak(lambda: _infer_rows(model, rows)) < 450 * len(rows)
+        assert traced_peak(lambda: _infer_rows(model, rows)) < 120 * len(rows)
 
     def test_signed_zeros_and_clamped_values_bit_identical_to_infer(self):
         # each input has a term centred at 0: inside, at lo and at hi

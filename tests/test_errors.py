@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fuzzyspectrum
 from fuzzyspectrum import (
@@ -144,7 +145,16 @@ def _spec(draw, steps=INTS):
 def _surface(draw):
     spec = figure_preset(7, 2)
     values = st.lists(FLOATS, min_size=2, max_size=2).map(np.array)
-    return format_surface_csv(SweepResult(spec, draw(values), draw(values), np.array([draw(values), draw(values)])))
+    if draw(st.booleans()):
+        return format_surface_csv(SweepResult(spec, draw(values), draw(values), np.array([draw(values), draw(values)])))
+    # lists, ragged ones included, and arrays of any shape up to 3-D
+    lists = st.lists(FLOATS, max_size=3)
+    shaped = st.one_of(
+        lists,
+        st.lists(lists, max_size=3),
+        hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3), elements=FLOATS),
+    )
+    return format_surface_csv(SweepResult(spec, draw(shaped), draw(shaped), draw(shaped)))
 
 
 # each public constructor and entry point that takes values, called with

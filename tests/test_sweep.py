@@ -7,11 +7,13 @@ from fuzzyspectrum import (
     Candidate,
     NoRuleFiredError,
     SweepAxis,
+    SweepResult,
     SweepSpec,
     SweepSpecError,
     decision_possibility,
     default_model,
     figure_preset,
+    format_surface_csv,
     run_sweep,
 )
 
@@ -194,13 +196,44 @@ class TestSpecValidation:
             SweepSpec(SweepAxis("signal_dbm", -100, -20, 3), SweepAxis("distance_m", 0, 100, 3), None)
 
 
+class TestSweepResult:
+    def test_float_arrays_are_taken_without_a_copy(self):
+        axis1, axis2, grid = np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0]), np.zeros((2, 3))
+        result = SweepResult(figure_preset(7, 2), axis1, axis2, grid)
+        assert result.axis1_values is axis1 and result.axis2_values is axis2 and result.grid is grid
+
+    def test_lists_are_read_as_float_arrays(self):
+        result = SweepResult(figure_preset(7, 2), [1, 2.0], [3.0], [[0.5], [1]])
+        assert result.grid.dtype == result.axis1_values.dtype == result.axis2_values.dtype == float
+        assert format_surface_csv(result) == ",3.000000\n1.000000,0.500000\n2.000000,1.000000\n"
+
+    @pytest.mark.parametrize(
+        "axis1, axis2, grid, message",
+        [
+            ([1.0, 2.0], [3.0], [[1.0, 2.0]], "grid must have shape (2, 1), got (1, 2)"),
+            ([1.0, 2.0], [3.0], [1.0, 2.0], "grid must be a 2-D array of real numbers"),
+            ([1.0, 2.0], [3.0], [[1.0], [2.0, 3.0]], "grid must be a 2-D array of real numbers"),
+            ([[1.0, 2.0]], [3.0], [[1.0]], "axis1_values must be a 1-D array of real numbers"),
+            ([1.0], 3.0, [[1.0]], "axis2_values must be a 1-D array of real numbers"),
+            ([1.0], ["a"], [[1.0]], "axis2_values must be a 1-D array of real numbers"),
+            ([1.0], [None], [[1.0]], "axis2_values must be a 1-D array of real numbers"),
+        ],
+        ids=["grid-transposed", "grid-1d", "grid-ragged", "axis1-2d", "axis2-scalar", "axis2-text", "axis2-none"],
+    )
+    def test_values_of_another_shape_or_type_rejected(self, axis1, axis2, grid, message):
+        with pytest.raises(SweepSpecError) as info:
+            SweepResult(figure_preset(7, 2), axis1, axis2, grid)
+        assert str(info.value) == message
+
+
 class TestRunSweep:
     def test_peak_memory_per_cell_is_bounded(self):
-        # the cells are stacked once from broadcast views: about 135 bytes a
-        # cell of a 201-step sweep, against about 183 through a meshgrid
-        # and a copy of each column
+        # the cells are stacked once from broadcast views and scored in ten
+        # blocks of rows: about 65 bytes a cell of a 201-step sweep, against
+        # about 108 when the kernel's intermediates spanned the whole batch
+        # and about 183 through a meshgrid and a copy of each column
         spec = figure_preset(7, steps=201)
-        assert traced_peak(lambda: run_sweep(spec)) < 160 * 201 * 201
+        assert traced_peak(lambda: run_sweep(spec)) < 100 * 201 * 201
 
     def test_two_by_two_corners_match_single_evaluations(self):
         model = default_model()

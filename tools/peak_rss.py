@@ -1,21 +1,31 @@
 #!/usr/bin/env python3
-"""Peak resident memory of the two largest accepted CLI runs.
+"""Peak resident memory of the largest accepted CLI runs.
 
 Run from anywhere; it takes no options:
 
     python3 tools/peak_rss.py
 
-It writes a seeded file of 200,000 random candidates (one id and four
-measurements drawn uniformly from the model's universes per row), then
-runs ``fuzzyspectrum arbitrate FILE --format csv --output /dev/null`` and
-``fuzzyspectrum sweep --preset 7 --steps 1001 --output /dev/null`` as child
-processes of the package under ``src/`` of the tree this file sits in, and
-prints each child's ``ru_maxrss`` in MB with its wall time.
+It runs ``fuzzyspectrum eval -60 50 0.5 50 --grid-points 100001 --output
+/dev/null`` (one model build and one decision at the largest grid) and
+``fuzzyspectrum sweep --preset 7 --steps 1001 --output /dev/null``, then
+writes a seeded file of 200,000 random candidates (one id and four
+measurements drawn uniformly from the model's universes per row) and runs
+``fuzzyspectrum arbitrate FILE --format csv --output /dev/null``, each as a
+child process of the package under ``src/`` of the tree this file sits in,
+and prints each child's ``ru_maxrss`` in MB with its wall time.
+
+On Linux a spawned child's ``ru_maxrss`` is at least the peak RSS of the
+process that spawned it (``posix_spawn`` shares the spawner's memory until
+the child's exec, which keeps its high-water mark). So the runs that need
+no file come first, while this process is at its import floor, the file is
+written a block of rows at a time, and a reading that this process's own
+peak could have set is marked as such.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -26,17 +36,26 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROWS = 200_000
 SEED = 22
+# rows drawn and written at a time
+BLOCK = 2_000
 
 sys.path.insert(0, str(SRC))
 from fuzzyspectrum.model import INPUT_ORDER, UNIVERSES  # noqa: E402
 
 
 def write_candidates(path: Path) -> None:
-    rng = np.random.default_rng(SEED)
-    rows = np.column_stack([rng.uniform(*UNIVERSES[name], ROWS) for name in INPUT_ORDER]).tolist()
+    """The rows of np.random.default_rng(SEED) drawing each input's column
+    of ROWS values in turn, written BLOCK rows at a time: each column has its
+    own generator, advanced to where the column starts in that stream."""
+    columns = [
+        (np.random.Generator(np.random.PCG64(SEED).advance(k * ROWS)), *UNIVERSES[name])
+        for k, name in enumerate(INPUT_ORDER)
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(("id", *INPUT_ORDER)) + "\n")
-        fh.writelines(f"u{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows))
+        for start in range(0, ROWS, BLOCK):
+            rows = np.column_stack([rng.uniform(lo, hi, min(BLOCK, ROWS - start)) for rng, lo, hi in columns]).tolist()
+            fh.writelines(f"u{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows, start))
 
 
 def peak_rss(args: list[str]) -> tuple[float, float]:
@@ -53,18 +72,21 @@ def peak_rss(args: list[str]) -> tuple[float, float]:
     return usage.ru_maxrss / 1024, wall  # ru_maxrss is in KiB on Linux
 
 
+def report(name: str, args: list[str]) -> None:
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    rss, wall = peak_rss(args)
+    masked = f" (at most this process's own peak, {own:.1f})" if rss <= own else ""
+    print(f"{name}: peak_rss_mb {rss:.1f} wall_s {wall:.2f}{masked}")
+
+
 def main() -> int:
+    report("eval", ["eval", "-60", "50", "0.5", "50", "--grid-points", "100001", "--output", os.devnull])
+    report("sweep", ["sweep", "--preset", "7", "--steps", "1001", "--output", os.devnull])
     with tempfile.TemporaryDirectory(prefix="peak-rss-") as tmp:
         path = Path(tmp, "candidates.csv")
         write_candidates(path)
         print(f"candidates file: {ROWS} rows, {path.stat().st_size / 1e6:.1f} MB, seed {SEED}")
-        runs = {
-            "arbitrate": ["arbitrate", str(path), "--format", "csv", "--output", os.devnull],
-            "sweep": ["sweep", "--preset", "7", "--steps", "1001", "--output", os.devnull],
-        }
-        for name, args in runs.items():
-            rss, wall = peak_rss(args)
-            print(f"{name}: peak_rss_mb {rss:.1f} wall_s {wall:.2f}")
+        report("arbitrate", ["arbitrate", str(path), "--format", "csv", "--output", os.devnull])
     return 0
 
 
