@@ -663,8 +663,8 @@ def _infer_block(c: _Compiled, x: np.ndarray) -> np.ndarray:
     The firing stage takes the rows in chunks of fire_rows, the curve stage
     the distinct clip vectors in column chunks, each over the grid in blocks
     (_curve_chunks), and every ufunc in a chunk runs on same-shape arrays.
-    The clip levels, then the weights tile, are allocated and freed in this
-    order: a weights tile kept through the curve stage slowed it by ~14%."""
+    The table, the index and the weights tile are freed before the dedupe,
+    so that none of them lives through the curve stage."""
     table, index = _membership_table(c, x)
     # a term that no rule concludes reads 0.0
     clip = np.zeros((len(x), len(c.term_curves)))

@@ -17,9 +17,8 @@ and prints each child's ``ru_maxrss`` in MB with its wall time.
 On Linux a spawned child's ``ru_maxrss`` is at least the peak RSS of the
 process that spawned it (``posix_spawn`` shares the spawner's memory until
 the child's exec, which keeps its high-water mark). So the runs that need
-no file come first, while this process is at its import floor, the file is
-written a block of rows at a time, and a reading that this process's own
-peak could have set is marked as such.
+no file come first, while this process is at its import floor, and a
+reading that this process's own peak could have set is marked as such.
 """
 
 from __future__ import annotations
@@ -36,31 +35,23 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 ROWS = 200_000
 SEED = 22
-# rows drawn and written at a time
-BLOCK = 2_000
 
 sys.path.insert(0, str(SRC))
 from fuzzyspectrum.model import INPUT_ORDER, UNIVERSES  # noqa: E402
 
 
 def write_candidates(path: Path) -> None:
-    """The rows of np.random.default_rng(SEED) drawing each input's column
-    of ROWS values in turn, written BLOCK rows at a time: each column has its
-    own generator, advanced to where the column starts in that stream."""
-    columns = [
-        (np.random.Generator(np.random.PCG64(SEED).advance(k * ROWS)), *UNIVERSES[name])
-        for k, name in enumerate(INPUT_ORDER)
-    ]
+    rng = np.random.default_rng(SEED)
+    rows = np.column_stack([rng.uniform(*UNIVERSES[name], ROWS) for name in INPUT_ORDER]).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(("id", *INPUT_ORDER)) + "\n")
-        for start in range(0, ROWS, BLOCK):
-            rows = np.column_stack([rng.uniform(lo, hi, min(BLOCK, ROWS - start)) for rng, lo, hi in columns]).tolist()
-            fh.writelines(f"u{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows, start))
+        fh.writelines(f"u{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows))
 
 
-def peak_rss(args: list[str]) -> tuple[float, float]:
-    """The peak RSS in MB and the wall time in seconds of one fuzzyspectrum
-    child process, which must exit 0."""
+def peak_rss(name: str, args: list[str]) -> None:
+    """Print the peak RSS in MB and the wall time in seconds of one
+    fuzzyspectrum child process, which must exit 0."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     argv = [sys.executable, "-m", "fuzzyspectrum", *args]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     start = time.perf_counter()
@@ -69,24 +60,19 @@ def peak_rss(args: list[str]) -> tuple[float, float]:
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
         raise SystemExit(f"{' '.join(argv[2:])} exited {os.waitstatus_to_exitcode(status)}")
-    return usage.ru_maxrss / 1024, wall  # ru_maxrss is in KiB on Linux
-
-
-def report(name: str, args: list[str]) -> None:
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    rss, wall = peak_rss(args)
+    rss = usage.ru_maxrss / 1024
     masked = f" (at most this process's own peak, {own:.1f})" if rss <= own else ""
     print(f"{name}: peak_rss_mb {rss:.1f} wall_s {wall:.2f}{masked}")
 
 
 def main() -> int:
-    report("eval", ["eval", "-60", "50", "0.5", "50", "--grid-points", "100001", "--output", os.devnull])
-    report("sweep", ["sweep", "--preset", "7", "--steps", "1001", "--output", os.devnull])
+    peak_rss("eval", ["eval", "-60", "50", "0.5", "50", "--grid-points", "100001", "--output", os.devnull])
+    peak_rss("sweep", ["sweep", "--preset", "7", "--steps", "1001", "--output", os.devnull])
     with tempfile.TemporaryDirectory(prefix="peak-rss-") as tmp:
         path = Path(tmp, "candidates.csv")
         write_candidates(path)
         print(f"candidates file: {ROWS} rows, {path.stat().st_size / 1e6:.1f} MB, seed {SEED}")
-        report("arbitrate", ["arbitrate", str(path), "--format", "csv", "--output", os.devnull])
+        peak_rss("arbitrate", ["arbitrate", str(path), "--format", "csv", "--output", os.devnull])
     return 0
 
 
