@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import FuzzyError, FuzzyModel, _infer_rows, _quoted
+from .engine import FuzzyError, FuzzyModel, _infer_rows, _quoted, check_threshold
 from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
     INPUT_ORDER,
     Candidate,
     CandidateBatch,
-    check_threshold,
     decision_possibility,  # noqa: F401  (unused; kept for perfbench/tracing.py)
     default_model,
 )
@@ -83,11 +82,12 @@ def arbitrate(
         candidates = CandidateBatch([c.id for c in candidates], [c.inputs() for c in candidates])
     if not candidates.ids:
         raise EmptyBatchError("no candidates to arbitrate")
-    seen: set[str] = set()
-    for cid in candidates.ids:
-        if cid in seen:
-            raise DuplicateCandidateError(f"duplicate candidate id {_quoted(cid)}")
-        seen.add(cid)
+    if len(set(candidates.ids)) < len(candidates.ids):  # walked for the first duplicate
+        seen: set[str] = set()
+        for cid in candidates.ids:
+            if cid in seen:
+                raise DuplicateCandidateError(f"duplicate candidate id {_quoted(cid)}")
+            seen.add(cid)
 
     possibilities = _infer_rows(model or default_model(), candidates.values).tolist()
     distances = candidates.values[:, INPUT_ORDER.index("distance_m")].tolist()

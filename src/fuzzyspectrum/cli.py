@@ -15,8 +15,8 @@ import sys
 from types import SimpleNamespace
 
 from .arbitration import arbitrate
-from .engine import FuzzyError, FuzzyModel, _quoted, _shown_name, clamp_to_universe, infer
-from .model import INPUT_ORDER, Candidate, check_threshold, decision_possibility, validate_model
+from .engine import FuzzyError, FuzzyModel, _quoted, _shown_name, check_threshold, clamp_to_universe, infer
+from .model import INPUT_ORDER, Candidate, decision_possibility, validate_model
 from .serialization import ModelDocument, default_document, load_document, read_candidates_csv
 from .sweep import PRESET_STEPS, SweepAxis, SweepSpec, figure_preset, format_surface_csv, run_sweep
 

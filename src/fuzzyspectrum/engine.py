@@ -195,11 +195,10 @@ class FuzzyModel:
 
     def __init__(self, inputs: Sequence[FuzzyVariable], output: FuzzyVariable, rules: Sequence[tuple], grid_points: int = 1001):
         # written by hand so that each field is converted and set once
-        vars(self).update(inputs=tuple(inputs), output=output, grid_points=_as_int(grid_points))
-        if not self.inputs:
+        inputs = tuple(inputs)
+        if not inputs:
             raise ModelIntegrityError("model needs at least one input variable")
-        if self.grid_points is None:
-            raise ModelIntegrityError(f"grid_points must be an integer, got {grid_points}")
+        vars(self).update(inputs=inputs, output=output, grid_points=_as_count(grid_points, "grid_points", ModelIntegrityError))
         if self.grid_points < 2:
             raise ModelIntegrityError(f"grid_points must be >= 2, got {_shown_value(self.grid_points)}")
         if self.grid_points > MAX_GRID_POINTS:
@@ -266,19 +265,6 @@ def _check_defuzzifiable(lo: float, hi: float, what: str, error=ModelIntegrityEr
         raise error(f"{what} [{lo}, {hi}] too wide to defuzzify, (hi - lo) * max(|lo|, |hi|) must be finite")
 
 
-def _rule_weight(weight, where: str = "") -> float:
-    """weight as a float, or the ModelIntegrityError naming it after where
-    unless it is a number in [0, 1]."""
-    try:
-        weight = float(weight)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    else:
-        if 0.0 <= weight <= 1.0:
-            return weight
-    raise ModelIntegrityError(f"{where}rule weight must be in [0, 1], got {_shown_value(weight)}")
-
-
 def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
     """Raise the error naming the first fault of rule r + 1, if it has one; an
     index is read as int() reads it, and out of range unless equal to it."""
@@ -293,7 +279,7 @@ def _check_rule(model: FuzzyModel, r: int, rule: Sequence) -> None:
             raise ModelIntegrityError(f"{where}: antecedent index {_shown_value(idx)} out of range for variable {_quoted(var.name)}")
     if _as_int(consequent) not in range(len(model.output.terms)):
         raise ModelIntegrityError(f"{where}: consequent index {_shown_value(consequent)} out of range")
-    _rule_weight(weight, f"{where}: ")
+    check_threshold(weight, f"{where}: rule weight", ModelIntegrityError)
 
 
 def _count(x, unit: str = "") -> str:
@@ -312,6 +298,14 @@ def _as_int(value) -> int | None:
     except (TypeError, ValueError, OverflowError):
         return None
     return n if n == value else None
+
+
+def _as_count(value, what: str, error) -> int:
+    """value as an int, read by _as_int, or error(message) naming what if _as_int rejects it."""
+    n = _as_int(value)
+    if n is None:
+        raise error(f"{what} must be an integer, got {_shown_value(value)}")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +343,14 @@ def _as_float(x, what: str, error=InvalidInputError) -> float:
         return math.inf if x > 0 else -math.inf
     except (TypeError, ValueError) as exc:
         raise error(f"{what} must be a real number, got {_shown_value(x, repr)}") from exc
+
+
+def check_threshold(threshold: float, name: str = "threshold", error=InvalidInputError) -> float:
+    """threshold as a float; raises error(message) naming it unless it lies in [0, 1]."""
+    t = _as_float(threshold, name, error)
+    if not (0.0 <= t <= 1.0):
+        raise error(f"{name} must be in [0, 1], got {_shown_value(threshold)}")
+    return t
 
 
 def _as_float_array(values) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FuzzyModel, InvalidInputError, _as_float, _as_float_array, _infer_row, _quoted, _shown_name, _shown_value
+from .engine import FuzzyModel, InvalidInputError, _as_float, _as_float_array, _infer_row, _quoted, _shown_name, check_threshold
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 
 __all__ = [
@@ -52,14 +52,6 @@ UNIVERSES = {
 }
 
 DEFAULT_ADMISSION_THRESHOLD = 0.5
-
-
-def check_threshold(threshold: float, name: str = "threshold", error=InvalidInputError) -> float:
-    """threshold as a float; raises error(message) naming it unless it lies in [0, 1]."""
-    t = _as_float(threshold, name, error)
-    if not (0.0 <= t <= 1.0):
-        raise error(f"{name} must be in [0, 1], got {_shown_value(threshold)}")
-    return t
 
 
 def default_model() -> FuzzyModel:

@@ -27,9 +27,9 @@ from .engine import (
     ModelIntegrityError,
     _as_float,
     _quoted,
-    _rule_weight,
+    check_threshold,
 )
-from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row, check_threshold
+from .model import DEFAULT_ADMISSION_THRESHOLD, INPUT_ORDER, CandidateBatch, _first_invalid_row
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -216,7 +216,7 @@ def parse_document(text: str) -> ModelDocument:
                 weight = r.get("weight", 1.0)
                 if type(weight) is not float:
                     weight = _number(r, "weight", f"rule {i + 1}")
-                rules.append((antecedents, consequent, _rule_weight(weight)))
+                rules.append((antecedents, consequent, check_threshold(weight, "rule weight", ModelIntegrityError)))
             except ModelIntegrityError as exc:  # an unknown term name or a weight out of range
                 raise ModelDocumentError(f"rule {i + 1}: {exc}") from exc
 

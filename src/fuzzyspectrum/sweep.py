@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import FuzzyError, FuzzyModel, _as_float, _as_int, _infer_rows, _quoted, _shown_value
+from .engine import FuzzyError, FuzzyModel, _as_count, _as_float, _as_int, _infer_rows, _quoted, _shown_value
 from .engine import infer  # noqa: F401  (unused; kept for perfbench/tracing.py)
 from .model import UNIVERSES, default_model
 
@@ -60,10 +60,7 @@ class SweepAxis:
     def __post_init__(self):
         object.__setattr__(self, "lo", _as_float(self.lo, f"axis {_quoted(self.name)}: lo", SweepSpecError))
         object.__setattr__(self, "hi", _as_float(self.hi, f"axis {_quoted(self.name)}: hi", SweepSpecError))
-        steps = _as_int(self.steps)
-        if steps is None:
-            raise SweepSpecError(f"axis {_quoted(self.name)}: steps must be an integer, got {self.steps}")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", _as_count(self.steps, f"axis {_quoted(self.name)}: steps", SweepSpecError))
         if not (2 <= self.steps <= MAX_STEPS):
             raise SweepSpecError(
                 f"axis {_quoted(self.name)}: steps must be in [2, {MAX_STEPS}], got {_shown_value(self.steps)}"
@@ -135,9 +132,9 @@ def _float_array(values, what: str, ndim: int) -> np.ndarray:
 
 def figure_preset(fig: int, steps: int = PRESET_STEPS) -> SweepSpec:
     """The sweep specification behind reference surface 7, 8, 9, 10 or 11."""
-    if fig not in _PRESETS:
+    if _as_int(fig) not in _PRESETS:
         raise SweepSpecError(f"unknown figure preset {_shown_value(fig)}; expected one of 7..11")
-    (name1, name2), fixed = _PRESETS[fig]
+    (name1, name2), fixed = _PRESETS[_as_int(fig)]
     lo1, hi1 = UNIVERSES[name1]
     lo2, hi2 = UNIVERSES[name2]
     return SweepSpec(

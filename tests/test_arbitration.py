@@ -18,7 +18,7 @@ from fuzzyspectrum import (
     rank_candidates,
 )
 
-from conftest import dead_model, random_model
+from conftest import dead_model, random_model, random_rows, traced_peak
 
 ALL_LOW = (-100.0, 0.0, 0.0, 0.0)
 ALL_MEDIUM = (-60.0, 50.0, 0.5, 50.0)
@@ -76,6 +76,15 @@ class TestArbitrate:
         batch = [Candidate("x", *ALL_LOW), Candidate("x", *ALL_MEDIUM)]
         with pytest.raises(DuplicateCandidateError, match="'x'"):
             arbitrate(batch)
+
+    def test_peak_memory_per_row_is_bounded(self):
+        # distinct random rows over five blocks of the kernel: about 201
+        # bytes a row, the possibilities, the distances and the ranking,
+        # against about 306 when the set of ids that finds a duplicate was
+        # kept through the scoring and the ranking
+        rows = random_rows(20_000)
+        batch, model = CandidateBatch([f"c{i}" for i in range(len(rows))], rows), default_model()
+        assert traced_peak(lambda: arbitrate(batch, model)) < 250 * len(rows)
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):

@@ -207,11 +207,17 @@ class TestErrorFamily:
 
     def test_an_int_too_long_for_str_is_named_by_its_size(self):
         # in a message, such an int, or a value holding one, would raise ValueError
-        model = default_model()
-        with pytest.raises(FuzzyError, match=r"^grid_points must be >= 2, got an integer of more than \d+ digits$"):
-            FuzzyModel(model.inputs, model.output, model.rules, -(10**5000))
-        with pytest.raises(FuzzyError, match=r"^candidate 'c': signal_dbm must be a real number, got a list holding an integer of more than \d+ digits$"):
-            Candidate("c", [10**5000], 0.0, 0.0, 0.0)
+        model, held = default_model(), r"a list holding an integer of more than \d+ digits"
+        cases = [
+            (lambda: FuzzyModel(model.inputs, model.output, model.rules, -(10**5000)), r"grid_points must be >= 2, got an integer of more than \d+ digits"),
+            (lambda: Candidate("c", [10**5000], 0.0, 0.0, 0.0), f"candidate 'c': signal_dbm must be a real number, got {held}"),
+            (lambda: FuzzyModel(model.inputs, model.output, model.rules, [10**5000]), f"grid_points must be an integer, got {held}"),
+            (lambda: SweepAxis("signal_dbm", -100, -20, [10**5000]), f"axis 'signal_dbm': steps must be an integer, got {held}"),
+            (lambda: figure_preset(7, [10**5000]), f"axis 'signal_dbm': steps must be an integer, got {held}"),
+        ]
+        for call, message in cases:
+            with pytest.raises(FuzzyError, match=f"^{message}$"):
+                call()
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
     @given(data=st.data())

@@ -463,7 +463,7 @@ class TestRuleTable:
             (lambda a, c, w: (a, c, w, 1.0), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 4 fields")),
             (lambda a, c, w: (a, c), (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got 2 fields")),
             (lambda a, c, w: ((a[0], 1.5, *a[2:]), c, w), (ModelIntegrityError, "rule 7: antecedent index 1.5 out of range for variable 'velocity_kmh'")),
-            (lambda a, c, w: (a, c, None), (ModelIntegrityError, "rule 7: rule weight must be in [0, 1], got None")),
+            (lambda a, c, w: (a, c, None), (ModelIntegrityError, "rule 7: rule weight must be a real number, got None")),
             (lambda a, c, w: 5, (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got int")),
             (lambda a, c, w: None, (ModelIntegrityError, "rule 7: expected (antecedents, consequent, weight), got NoneType")),
             (lambda a, c, w: (5, c, w), (ModelIntegrityError, "rule 7: expected 4 antecedents, got int")),

@@ -57,6 +57,8 @@ class TestFigurePresets:
             figure_preset(6)
         with pytest.raises(SweepSpecError):
             figure_preset(12)
+        with pytest.raises(SweepSpecError, match=r"^unknown figure preset \[7\]; expected one of 7\.\.11$"):
+            figure_preset([7])
 
 
 class TestSpecValidation:

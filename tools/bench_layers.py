@@ -113,6 +113,12 @@ def layers(pkg, data: dict) -> dict:
 
     return {
         "_infer_row": (lambda: [engine._infer_row(model, row) for row in decisions], floats),
+        # perfbench's decide ops without the oracle: a fresh Candidate each,
+        # decided at the default threshold
+        "decision_possibility": (
+            lambda: [pkg.decision_possibility(pkg.Candidate(f"su{i}", *row), model, 0.5) for i, row in enumerate(decisions)],
+            lambda out: [(r.possibility.hex(), r.admitted) for r in out],
+        ),
         "_infer_rows": (lambda: engine._infer_rows(model, batch), digest_array),
         "_infer_rows_preset_9": (lambda: engine._infer_rows(model, cells), digest_array),
         "_membership_table": (
@@ -141,7 +147,7 @@ def layers(pkg, data: dict) -> dict:
 
 
 LAYERS = (
-    "_infer_row", "_infer_rows", "_infer_rows_preset_9", "_membership_table", "parse_document",
+    "_infer_row", "decision_possibility", "_infer_rows", "_infer_rows_preset_9", "_membership_table", "parse_document",
     "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "surface", "validate_model",
 )
 
