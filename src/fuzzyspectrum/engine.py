@@ -64,8 +64,7 @@ _MAX_CURVE_POINTS = 10 * MAX_GRID_POINTS
 # Cap on the elements of the largest intermediate of one chunk of the kernel:
 # rows x rules x inputs (or another per-row rule-base array) in the firing
 # stage, (output terms + 1) x grid rows x clip vectors in the curve stage.
-# A batch is scored in blocks of CHUNK_ELEMENTS // 16 rows, the most clip
-# vectors of one curve chunk.
+# A batch is scored in blocks of _Compiled.block_rows rows.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -172,9 +171,10 @@ class FuzzyVariable:
             raise ModelIntegrityError(f"variable {_quoted(self.name)}: term centers must be strictly increasing")
 
     def term_index(self, name: str) -> int:
-        if name not in self._term_indices:
-            raise ModelIntegrityError(f"variable {_quoted(self.name)} has no term named {_quoted(name)}")
-        return self._term_indices[name]
+        try:
+            return self._term_indices[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ModelIntegrityError(f"variable {_quoted(self.name)} has no term named {_quoted(name)}") from None
 
 
 @dataclass(frozen=True, init=False)
@@ -434,6 +434,10 @@ class _Compiled:
         # is rules x inputs, inputs x terms or the clip levels
         row_elements = max(self.antecedents.size, n_in * width, len(output.terms))
         self.fire_rows = max(1, CHUNK_ELEMENTS // row_elements)
+        # rows per block of a batch: its distinct clip vectors and one grid
+        # row of their curves, (output terms + 1) x rows, fit in
+        # CHUNK_ELEMENTS; the 16 keeps 4096 rows for up to 15 output terms
+        self.block_rows = max(1, CHUNK_ELEMENTS // max(16, len(output.terms) + 1))
 
 
 def _trapezoid_weights(points: np.ndarray) -> np.ndarray:
@@ -515,16 +519,6 @@ def _fire(c: _Compiled, memberships: np.ndarray, weights: np.ndarray, runs: list
         np.maximum.reduce(strengths[first:end], axis=0, out=clip[:, term])
 
 
-def _curve_chunks(terms: int, distinct: int, grid_points: int) -> tuple[int, int]:
-    """Clip vectors per column chunk and grid rows per block of the curve
-    stage, for distinct clip vectors of terms levels each: the (terms, rows,
-    columns) tile of clip levels and a (rows, columns) scratch array hold
-    (terms + 1) x rows x columns <= CHUNK_ELEMENTS elements, unless a chunk
-    is a lone column."""
-    columns = max(1, min(distinct, CHUNK_ELEMENTS // max(16, terms + 1)))
-    return columns, min(grid_points, max(1, CHUNK_ELEMENTS // ((terms + 1) * columns)))
-
-
 def _kept_terms(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
     """(output terms, grid blocks) flags of the terms that can raise a degree
     of a chunk's (columns, output terms) clip vectors in each block of rows
@@ -546,12 +540,13 @@ def _kept_terms(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
 
 def _centroids(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
     """Centroids of a chunk's (columns, output terms) clip vectors, walking
-    the grid in blocks of rows grid points over the terms _kept_terms keeps."""
+    the grid in blocks of rows grid points over the terms _kept_terms keeps;
+    a lone column ignores rows."""
     terms = len(c.term_curves)
     if len(clip) == 1:
         # numpy would reduce a lone contiguous column pairwise, so it takes
         # _row_degrees' curve and the running sum of _row_centroid
-        return _row_centroid(np.maximum.reduce(np.minimum(clip.T, c.term_curves), axis=0), c.grid, c.w)
+        return np.array([_row_centroid(np.maximum.reduce(np.minimum(clip.T, c.term_curves), axis=0), c.grid, c.w)])
     # a ufunc with a broadcast operand shorter than numpy's 8192-element
     # buffer takes the buffered iterator, ~3x slower per element than
     # same-shape contiguous operands, so every broadcast is one copyto into
@@ -644,27 +639,27 @@ def _clip_key(clip: np.ndarray) -> np.ndarray:
 def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
     for any other row length).  Each is bit-identical to infer on the same
-    row.  The rows are scored in blocks of CHUNK_ELEMENTS // 16 (4096), so
-    that beside the rows and their outputs no intermediate spans more than
-    one block (_infer_block)."""
+    row.  The rows are scored in blocks of the model's block_rows (4096 for
+    up to 15 output terms), so that beside the rows and their outputs no
+    intermediate spans more than one block (_infer_block)."""
     c = model._compiled
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != len(c.fuzzifiers):
         raise InvalidInputError(f"expected {len(c.fuzzifiers)} inputs, got {x.shape[-1]}")
-    # an empty batch is one empty block
-    block = CHUNK_ELEMENTS // 16
-    return np.concatenate([_infer_block(c, x[i:i + block]) for i in range(0, max(len(x), 1), block)])
+    blocks = (_infer_block(c, x[i:i + c.block_rows]) for i in range(0, len(x), c.block_rows))
+    return np.concatenate([np.empty(0), *blocks])
 
 
 def _infer_block(c: _Compiled, x: np.ndarray) -> np.ndarray:
-    """Crisp outputs of one block of (rows, n_inputs) float rows.  Chunking
-    bounds the firing and curve stages' intermediates; the membership table
-    and index (until the clip levels are filled) and the clip levels and
-    their dedupe span the block, about 250 bytes a row.
+    """Crisp outputs of one block of (rows, n_inputs) float rows, at least
+    one.  Chunking bounds the firing and curve stages' intermediates; the
+    membership table and index (until the clip levels are filled) and the
+    clip levels and their dedupe span the block, about 250 bytes a row.
 
     The firing stage takes the rows in chunks of fire_rows, the curve stage
-    the distinct clip vectors in column chunks, each over the grid in blocks
-    (_curve_chunks), and every ufunc in a chunk runs on same-shape arrays.
+    the block's distinct clip vectors in one chunk over the grid in blocks
+    of rows that keep (output terms + 1) x rows x distinct vectors under
+    CHUNK_ELEMENTS, and every ufunc in a chunk runs on same-shape arrays.
     The table, the index and the weights tile are freed before the dedupe,
     so that none of them lives through the curve stage."""
     table, index = _membership_table(c, x)
@@ -690,11 +685,8 @@ def _infer_block(c: _Compiled, x: np.ndarray) -> np.ndarray:
     distinct = clip[fresh]
     inverse = np.empty(len(clip), np.intp)
     inverse[order] = np.cumsum(fresh) - 1
-    crisp = np.empty(len(distinct))
-    columns, rows = _curve_chunks(distinct.shape[1], len(distinct), len(c.grid))
-    for i in range(0, len(distinct), columns):
-        crisp[i:i + columns] = _centroids(c, distinct[i:i + columns], rows)
-    return crisp[inverse]
+    rows = min(len(c.grid), CHUNK_ELEMENTS // ((distinct.shape[1] + 1) * len(distinct)))
+    return _centroids(c, distinct, rows)[inverse]
 
 
 def aggregate(model: FuzzyModel, firing_strengths: Sequence[float]) -> np.ndarray:

@@ -37,7 +37,6 @@ from fuzzyspectrum.engine import (
     CHUNK_ELEMENTS,
     MASS_EPSILON,
     MAX_GRID_POINTS,
-    _curve_chunks,
     _infer_row,
     _infer_rows,
     _membership_table,
@@ -138,6 +137,16 @@ class TestFuzzify:
         var = three_term_variable("x", 0.0, 10.0)
         with pytest.raises(InvalidInputError):
             fuzzify(var, bad)
+
+
+def output_terms_model(n_out, inputs=(three_term_variable("x", 0.0, 1.0),), grid_points=1001):
+    """A model of n_out output terms over [0, 1] on inputs, with one rule per
+    combination of input terms or per output term, whichever are more, so
+    that every output term is concluded."""
+    output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n_out, 0.2) for k in range(n_out)))
+    combinations = list(itertools.product(*(range(len(v.terms)) for v in inputs)))
+    rules = tuple((combinations[r % len(combinations)], r % n_out, 1.0) for r in range(max(n_out, len(combinations))))
+    return FuzzyModel(inputs, output, rules, grid_points)
 
 
 def out_of_range_rows(rng, model, n):
@@ -259,9 +268,13 @@ class TestDefuzzifyCentroid:
         with pytest.raises(ValueError):
             defuzzify_centroid([(0.0, 1.0), (0.0, 1.0), (1.0, 1.0)])
 
-    def test_empty_curve_rejected(self):
-        with pytest.raises(ValueError):
-            defuzzify_centroid(np.empty((0, 2)))
+    @pytest.mark.parametrize(
+        "curve", [np.empty((0, 2)), [(0.0, "a")], [(0.0, 1.0), (1.0,)]], ids=["empty", "not-numbers", "ragged"]
+    )
+    def test_empty_curve_rejected(self, curve):
+        with pytest.raises(InvalidInputError) as info:
+            defuzzify_centroid(curve)
+        assert str(info.value) == "curve must be a non-empty sequence of (point, degree) pairs"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_degree_or_point_rejected(self, bad):
@@ -417,8 +430,9 @@ class TestInfer:
         hi = np.array([v.hi for v in model.inputs])
         span = hi - lo
         rows = rng.uniform(lo - 0.2 * span, hi + 0.2 * span, size=(2 * c.fire_rows + 5, lo.size))
-        columns, block = _curve_chunks(len(c.term_curves), len(rows), model.grid_points)
-        assert columns == len(rows) and block < model.grid_points and model.grid_points % block
+        _, chunks = scored_chunks(lambda: _infer_rows(model, rows))
+        ((_, block),) = chunks
+        assert block < model.grid_points and model.grid_points % block
         single = [infer(model, row).crisp_output for row in rows]
         assert single == exact_outputs(model, rows)
         # rolling the batch moves every row through every position, across
@@ -450,41 +464,47 @@ class TestInfer:
         # more rows than a firing chunk, and more distinct clip vectors than
         # one grid block holds
         assert c.fire_rows < len(distinct) < len(rows)
-        assert _curve_chunks(len(c.term_curves), len(distinct), model.grid_points)[1] < model.grid_points
+        crisp, chunks = scored_chunks(lambda: _infer_rows(model, rows))
+        ((clip, block),) = chunks
+        assert len(clip) == len(distinct) and block < model.grid_points
         want = exact_outputs(model, rows)
-        assert _infer_rows(model, rows).tolist() == want
+        assert crisp.tolist() == want
         assert [infer(model, row).crisp_output for row in rows] == want
 
     def test_two_column_chunks_bit_identical_to_infer(self):
-        # more distinct clip vectors than one column chunk holds: the second
-        # chunk narrower than the first, or a lone column
+        # distinct rows one block and 104 rows long, whose last block is a
+        # chunk of 104 columns, and one block and one row long, whose last
+        # block is one row, a lone column
         model = default_model()
         rows = random_rows(4200)
-        c = model._compiled
-        columns, _ = _curve_chunks(len(c.term_curves), len(rows), model.grid_points)
-        assert columns + 1 < len(rows) <= 2 * columns
+        block = model._compiled.block_rows
+        assert block + 1 < len(rows) <= 2 * block
         assert len(np.unique(rows, axis=0)) == len(rows)
         want = np.array([_infer_row(model, row) for row in rows.tolist()])
         assert _infer_rows(model, rows).tobytes() == want.tobytes()
-        assert _infer_rows(model, rows[: columns + 1]).tobytes() == want[: columns + 1].tobytes()
-        # the reference on every 50th row and on each row that either batch
-        # scores in its last column chunk; the batch sorts its clip vectors
-        # by engine._clip_key of their bytes, which the reference's share
-        # here, as none is zero, and no two keys are equal, so the order is
-        # the argsort's whatever its kind
+        assert _infer_rows(model, rows[: block + 1]).tobytes() == want[: block + 1].tobytes()
+        # the reference on every 50th row and on each row of the last
+        # blocks; the reference's clip vectors share the batch's
+        # engine._clip_key, as none is zero, and no two keys are equal, so
+        # no block merges two rows into one column
         params = model_params(model)
         clips = np.array([reference_clip_levels(row, *params) for row in rows])
         keys = engine._clip_key(clips)
         assert len(np.unique(keys)) == len(rows)
-        last = [np.argsort(keys[:n])[columns:] for n in (len(rows), columns + 1)]
-        picks = np.union1d(np.concatenate(last), np.arange(0, len(rows), 50))
+        picks = np.union1d(np.arange(block, len(rows)), np.arange(0, len(rows), 50))
         assert want[picks].tolist() == exact_outputs(model, rows[picks])
 
-    def test_rows_across_block_boundaries_bit_identical_to_one_row(self, monkeypatch):
-        # a batch is scored in blocks of CHUNK_ELEMENTS // 16 rows, each with
-        # its own membership table and clip dedupe: rows repeated on both
-        # sides of each boundary are scored once in each block they fall in
-        model, block = default_model(), CHUNK_ELEMENTS // 16
+    @pytest.mark.parametrize(
+        "model",
+        [default_model(), output_terms_model(17, default_model().inputs)],
+        ids=["default", "17-output-terms"],
+    )
+    def test_rows_across_block_boundaries_bit_identical_to_one_row(self, monkeypatch, model):
+        # a batch is scored in blocks of block_rows rows (4096 for the
+        # default model, 3640 for 17 output terms), each with its own
+        # membership table and clip dedupe: rows repeated on both sides of
+        # each boundary are scored once in each block they fall in
+        block = model._compiled.block_rows
         rows = random_rows(2 * block + 3)
         for edge in (block, 2 * block):
             rows[edge:edge + 2] = rows[edge - 2:edge]
@@ -498,10 +518,10 @@ class TestInfer:
         assert batch.tobytes() == want.tobytes()
         edges = np.concatenate([np.arange(edge - 3, edge + 3) for edge in (block, 2 * block)])
         assert want[edges].tolist() == exact_outputs(model, rows[edges])
-        # an empty batch is one empty block
+        # an empty batch has no block
         sizes.clear()
         empty = _infer_rows(model, np.empty((0, 4)))
-        assert sizes == [0] and empty.shape == (0,) and empty.dtype == float
+        assert sizes == [] and empty.shape == (0,) and empty.dtype == float
 
     @settings(max_examples=25, deadline=None, phases=NO_EXPLAIN_PHASES)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -549,14 +569,18 @@ class TestCurveStage:
         # grid walk carries the sums across a block boundary into a partial
         # last block
         model = replace(default_model(), grid_points=grid_points)
-        c = model._compiled
-        terms = len(c.term_curves)
-        carry = next(n for n in itertools.count(3) if grid_points % _curve_chunks(terms, n, grid_points)[1])
-        assert _curve_chunks(terms, 2, grid_points)[1] == grid_points
         rng = np.random.default_rng(grid_points)
         lo = np.array([v.lo for v in model.inputs])
         hi = np.array([v.hi for v in model.inputs])
-        distinct = rng.uniform(lo, hi, size=(carry, lo.size))
+        pool = rng.uniform(lo, hi, size=(200, lo.size))
+
+        def grid_rows(n):
+            ((_, rows),) = scored_chunks(lambda: _infer_rows(model, pool[:n]))[1]
+            return rows
+
+        carry = next(n for n in itertools.count(3) if grid_points % grid_rows(n))
+        assert grid_rows(2) == grid_points
+        distinct = pool[:carry]
         params = model_params(model)
         assert len({tuple(reference_clip_levels(row, *params)) for row in distinct}) == len(distinct)
         want = exact_outputs(model, distinct)
@@ -616,15 +640,26 @@ class TestCurveStage:
         "grid_points", [2, 101, 1001, 5001, CHUNK_ELEMENTS, CHUNK_ELEMENTS + 1, MAX_GRID_POINTS]
     )
     def test_chunk_stays_under_the_element_cap(self, grid_points):
-        # the (terms, rows, columns) tile of clip levels and each (rows,
-        # columns) scratch array, for 1 to 10 output terms; a lone column
-        # (one distinct vector, or a last chunk of one) takes the row path's
-        # arrays
-        for terms, distinct in itertools.product(range(1, 11), (1, 2, 3, 100, 4096, 4097, 10_000, 1_000_000)):
-            columns, rows = _curve_chunks(terms, distinct, grid_points)
-            assert columns == min(distinct, CHUNK_ELEMENTS // 16) and 1 <= rows <= grid_points
-            if columns > 1:
-                assert (terms + 1) * rows * columns <= CHUNK_ELEMENTS
+        # every chunk a batch hands _centroids has at most block_rows
+        # columns, and its (terms, rows, columns) tile of clip levels and
+        # each (rows, columns) scratch array hold (terms + 1) x rows x columns
+        # <= CHUNK_ELEMENTS elements, for 1 to 10, 17 and 64 output terms; a
+        # lone column takes the row path's arrays.  Batches longer than a
+        # block only where the grid is short enough to score them quickly
+        rng = np.random.default_rng(grid_points)
+        for terms in [*range(1, 11), 17, 64]:
+            if terms * grid_points > engine._MAX_CURVE_POINTS:
+                continue
+            model = output_terms_model(terms, grid_points=grid_points)
+            block = model._compiled.block_rows
+            for n in (1, 2, 3, 100, block, block + 1) if grid_points <= 101 else (1, 2, 3, 100):
+                # distinct rows inside the universe: no two share a clip vector
+                _, chunks = scored_chunks(lambda: _infer_rows(model, rng.uniform(0.0, 1.0, (n, 1))))
+                assert sum(len(clip) for clip, _ in chunks) == n
+                for clip, rows in chunks:
+                    assert clip.shape[1] == terms and len(clip) <= block
+                    if len(clip) > 1:
+                        assert 1 <= rows <= grid_points and (terms + 1) * rows * len(clip) <= CHUNK_ELEMENTS
 
     @settings(max_examples=20, deadline=None, phases=NO_EXPLAIN_PHASES)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -928,6 +963,14 @@ class TestFiringStage:
         rows, model = random_rows(20_000), default_model()
         assert traced_peak(lambda: _infer_rows(model, rows)) < 120 * len(rows)
 
+    def test_peak_memory_per_row_is_bounded_at_64_output_terms(self):
+        # a block's distinct clip vectors are one curve chunk of at most
+        # CHUNK_ELEMENTS // 65 columns: about 169 bytes a row, against about
+        # 329 when 4096-row blocks were scored in column chunks
+        model = output_terms_model(64)
+        rows = np.random.default_rng(64).uniform(0.0, 1.0, (20_000, 1))
+        assert traced_peak(lambda: _infer_rows(model, rows)) < 250 * len(rows)
+
     def test_signed_zeros_and_clamped_values_bit_identical_to_infer(self):
         # each input has a term centred at 0: inside, at lo and at hi
         inputs = tuple(three_term_variable(n, lo, hi) for n, lo, hi in [("a", -1, 1), ("b", 0, 10), ("c", -4, 0)])
@@ -1041,6 +1084,11 @@ class TestClipStage:
         for strengths in ([math.nan] + [0.5] * (n - 1), [0.5] * (n - 1) + [math.nan], [-1.0, math.nan] + [0.5] * (n - 2)):
             with pytest.raises(ValueError, match="firing strengths must be >= 0, got nan"):
                 aggregate(default_model(), strengths)
+        # strengths that are not numbers, or not one number per rule
+        for strengths in (["a"] * n, [[0.1, 0.2]] + [0.1] * (n - 1)):
+            with pytest.raises(InvalidInputError) as info:
+                aggregate(default_model(), strengths)
+            assert str(info.value) == "firing strengths must be real numbers"
 
     def test_model_memory_grows_linearly_with_its_rules(self):
         # n output terms and 10n rules that all conclude the first: arrays
@@ -1194,8 +1242,13 @@ class TestTypeValidation:
                 lambda: FuzzyModel((three_term_variable("x", 0.0, 1.0),), three_term_variable("x", 0.0, 1.0), (((0,), 0, 1.0),)),
                 "variable names must be unique across the model",
             ),
+            # an unhashable name raised a bare TypeError from the dict lookup
+            (lambda: three_term_variable("x", 0.0, 1.0).term_index(["Low"]), "variable 'x' has no term named '['Low']'"),
         ],
-        ids=["empty-term-name", "empty-variable-name", "variable-without-terms", "model-without-inputs", "duplicate-variable-names"],
+        ids=[
+            "empty-term-name", "empty-variable-name", "variable-without-terms", "model-without-inputs",
+            "duplicate-variable-names", "unhashable-term-name",
+        ],
     )
     def test_invalid_definition_gives_its_exact_message(self, build, message):
         with pytest.raises(ValueError) as info:

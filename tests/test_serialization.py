@@ -4,7 +4,6 @@ import json
 import math
 import os
 import tempfile
-import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -528,18 +527,12 @@ class TestModelDocumentMemory:
             rules = tuple(((k % 3,), k, 1.0) for k in range(n))
             model = FuzzyModel((three_term_variable("x", 0.0, 1.0),), output, rules, grid_points=11)
             text = serialize_document(ModelDocument(model))
-            tracemalloc.start()
-            try:
-                doc = parse_document(text)
-                infer(doc.model, [0.3])
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: infer(parse_document(text).model, [0.3]))
 
-        peak(256)  # numpy allocates for some calls only the first time
         # four times the document: at most four times the peak, with slack
         # for allocator steps
-        assert peak(256) <= 5 * peak(64)
+        small, large = peak(64), peak(256)
+        assert large <= 5 * small, f"peak {large} B at 256 output terms, {small} B at 64"
 
 
 class TestCandidatesCsv:
