@@ -803,10 +803,7 @@ class TestClipDedupe:
 
     @pytest.mark.parametrize("n_out", [1, 2, 11, 17])
     def test_any_number_of_output_terms_scores_each_vector_once(self, n_out):
-        output = FuzzyVariable("y", 0.0, 1.0, tuple(GaussianTerm(f"t{k}", k / n_out, 0.2) for k in range(n_out)))
-        inputs = tuple(three_term_variable(name, 0.0, 1.0) for name in "abc")
-        combinations = itertools.product(range(3), repeat=3)
-        model = FuzzyModel(inputs, output, tuple((a, r % n_out, 1.0) for r, a in enumerate(combinations)))
+        model = output_terms_model(n_out, tuple(three_term_variable(name, 0.0, 1.0) for name in "abc"))
         rng = np.random.default_rng(n_out)
         pool = rng.uniform(-0.2, 1.2, (15, 3))
         # a signed zero beside 0.0: both clamp and fuzzify alike
