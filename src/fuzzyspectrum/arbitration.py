@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .engine import FuzzyError, FuzzyModel, _infer_rows, _quoted, check_threshold
+import numpy as np
+
+from .engine import FuzzyError, FuzzyModel, InvalidInputError, _as_float, _infer_rows, _quoted, check_threshold
 from .model import (
     DEFAULT_ADMISSION_THRESHOLD,
     INPUT_ORDER,
@@ -58,16 +60,34 @@ def rank_candidates(
     """Order (candidate, possibility) pairs by descending possibility.
 
     Ties break on smaller distance_m, then lexicographic id, giving a total
-    order that does not depend on the input sequence.
+    order that does not depend on the input sequence.  Each possibility is
+    read as a float; a NaN one is an InvalidInputError naming its candidate.
     """
     scored = list(scored)
-    return _ranking([c.id for c, _ in scored], [p for _, p in scored], [c.distance_m for c, _ in scored])
+    possibilities = np.array([_as_float(p, "possibility") for _, p in scored])
+    nan = np.isnan(possibilities)
+    if nan.any():
+        cid = scored[int(nan.argmax())][0].id
+        raise InvalidInputError(f"candidate {_quoted(cid)}: possibility must not be NaN")
+    return _ranking([c.id for c, _ in scored], possibilities, np.array([c.distance_m for c, _ in scored]))
 
 
-def _ranking(ids, possibilities: list[float], distances: list[float]) -> tuple[tuple[str, float], ...]:
-    """rank_candidates on columns: (id, possibility) pairs in ranking order."""
-    order = sorted(range(len(ids)), key=lambda i: (-possibilities[i], distances[i], ids[i]))
-    return tuple((ids[i], possibilities[i]) for i in order)
+def _ranking(ids, possibilities: np.ndarray, distances: np.ndarray) -> tuple[tuple[str, float], ...]:
+    """rank_candidates on columns: (id, possibility) pairs in ranking order,
+    for float arrays of possibilities (none NaN) and distances.  One argsort
+    orders the possibilities; the rows in runs of equal possibility (-0.0
+    beside 0.0 too) are then sorted in Python by the documented key."""
+    order = np.argsort(-possibilities)
+    ranked = possibilities[order]
+    tied = ranked[1:] == ranked[:-1]
+    in_run = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
+    if len(in_run):
+        rows = order[in_run].tolist()
+        # each run's possibility keeps it among the runs, and the row, last,
+        # keeps rows of one key in their given order, as a stable sort does
+        keys = zip((-ranked[in_run]).tolist(), distances[rows].tolist(), map(ids.__getitem__, rows), rows)
+        order[in_run] = [key[3] for key in sorted(keys)]
+    return tuple(zip(map(ids.__getitem__, order.tolist()), possibilities[order].tolist()))
 
 
 def arbitrate(
@@ -89,9 +109,8 @@ def arbitrate(
                 raise DuplicateCandidateError(f"duplicate candidate id {_quoted(cid)}")
             seen.add(cid)
 
-    possibilities = _infer_rows(model or default_model(), candidates.values).tolist()
-    distances = candidates.values[:, INPUT_ORDER.index("distance_m")].tolist()
-    ranking = _ranking(candidates.ids, possibilities, distances)
+    possibilities = _infer_rows(model or default_model(), candidates.values)
+    ranking = _ranking(candidates.ids, possibilities, candidates.values[:, INPUT_ORDER.index("distance_m")])
     top_id, top_possibility = ranking[0]
     winner = top_id if top_possibility >= t else None
     return ArbitrationOutcome(winner_id=winner, ranking=ranking, threshold=t)

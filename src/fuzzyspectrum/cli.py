@@ -9,10 +9,9 @@ files or model violations, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import re
 import sys
-from types import SimpleNamespace
 
 from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, _quoted, _shown_name, check_threshold, clamp_to_universe, infer
@@ -133,17 +132,17 @@ def _emit(args, text: str) -> None:
         raise CliError(str(exc)) from exc
 
 
-def _csv_text(header: tuple, rows) -> str:
-    """header and rows as csv records, each ending in a line feed; a field
-    holding a comma, a double quote, a carriage return or a line feed comes
-    out quoted."""
-    # csv.writer quotes a lone carriage return only when the line terminator
-    # holds one, so each record is written ending in "\r\n" and cut to "\n"
-    records = []
-    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return "\n".join([record[:-2] for record in records]) + "\n"
+# finds a character that makes a csv field quoted
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_fields(fields: list[str]) -> list[str]:
+    """fields as csv.writer writes them in a record ending in "\r\n": a field
+    holding a comma, a double quote, a carriage return or a line feed is
+    wrapped in double quotes, with each double quote doubled."""
+    if not _NEEDS_QUOTES("".join(fields)):
+        return fields
+    return ['"' + field.replace('"', '""') + '"' if _NEEDS_QUOTES(field) else field for field in fields]
 
 
 def _rule_line(model: FuzzyModel, r: int) -> str:
@@ -161,13 +160,12 @@ def _rules_table(model: FuzzyModel) -> str:
 def _rules_csv(model: FuzzyModel) -> str:
     """Rules as CSV with a row column, antecedent/consequent term names,
     and the weight."""
-    return _csv_text(
-        ("row", *(v.name for v in model.inputs), model.output.name, "weight"),
-        (
-            (r, *model.term_names(antecedents), model.output.terms[consequent].name, f"{weight:.6f}")
-            for r, (antecedents, consequent, weight) in enumerate(model.rules, start=1)
-        ),
-    )
+    records = [("row", *(v.name for v in model.inputs), model.output.name, "weight")]
+    records += [
+        (r, *model.term_names(antecedents), model.output.terms[consequent].name, f"{weight:.6f}")
+        for r, (antecedents, consequent, weight) in enumerate(model.rules, start=1)
+    ]
+    return "".join([",".join(_csv_fields(list(map(str, record)))) + "\n" for record in records])
 
 
 def cmd_eval(args) -> int:
@@ -211,10 +209,10 @@ def cmd_arbitrate(args) -> int:
     outcome = arbitrate(candidates, model, threshold)
 
     if args.format == "csv":
-        # an id holding a comma, a quote, a carriage return or a line feed comes out quoted
-        rows = ((rank, cid, f"{p:.6f}", "true" if p >= outcome.threshold else "false")
-                for rank, (cid, p) in enumerate(outcome.ranking, start=1))
-        _emit(args, _csv_text(("rank", "id", "possibility", "admitted"), rows))
+        t, ids = outcome.threshold, _csv_fields([cid for cid, _ in outcome.ranking])
+        rows = [f"{rank},{cid},{p:.6f},{'true' if p >= t else 'false'}\n"
+                for rank, (cid, (_, p)) in enumerate(zip(ids, outcome.ranking), start=1)]
+        _emit(args, "".join(["rank,id,possibility,admitted\n", *rows]))
         return 0
 
     shown = [_shown_name(cid) for cid, _ in outcome.ranking]

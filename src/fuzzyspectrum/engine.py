@@ -637,15 +637,17 @@ def _clip_key(clip: np.ndarray) -> np.ndarray:
 
 
 def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
-    """Crisp outputs for N rows of n_inputs finite inputs (InvalidInputError
-    for any other row length).  Each is bit-identical to infer on the same
+    """Crisp outputs for an (N, n_inputs) array of finite inputs
+    (InvalidInputError for any other shape).  Each is bit-identical to infer on the same
     row.  The rows are scored in blocks of the model's block_rows (4096 for
     up to 15 output terms), so that beside the rows and their outputs no
     intermediate spans more than one block (_infer_block)."""
     c = model._compiled
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != len(c.fuzzifiers):
-        raise InvalidInputError(f"expected {len(c.fuzzifiers)} inputs, got {x.shape[-1]}")
+    if x.ndim != 2:
+        raise InvalidInputError(f"expected a (rows, {len(c.fuzzifiers)}) array of inputs, got shape {x.shape}")
+    if x.shape[1] != len(c.fuzzifiers):
+        raise InvalidInputError(f"expected {len(c.fuzzifiers)} inputs, got {x.shape[1]}")
     blocks = (_infer_block(c, x[i:i + c.block_rows]) for i in range(0, len(x), c.block_rows))
     return np.concatenate([np.empty(0), *blocks])
 

@@ -9,6 +9,7 @@ reproduces the original bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from array import array
 from dataclasses import dataclass
@@ -242,15 +243,59 @@ def load_document(path) -> ModelDocument:
     return parse_document(text)
 
 
+# the header line that a block read admits; any other first line is read by
+# the walk, which names the fault
+_HEADER_LINES = (",".join(CANDIDATE_HEADER) + "\n", ",".join(CANDIDATE_HEADER))
+# characters of text that read_candidates_csv takes a block of whole lines at
+_BLOCK_CHARS = 1 << 16
+
+
+def _admit_block(lines: list[str], ids: list, values: array) -> bool:
+    """Append the records of lines, whole lines of a candidates CSV after its
+    header, to ids and values and return True, when csv.reader would yield
+    each line's line.split(",") and that is an id and four numbers that
+    float() reads; else return False and append nothing.  A text without a
+    double quote, a carriage return or a NUL, and without a line longer than
+    csv.field_size_limit(), is read by csv.reader as split lines."""
+    text = "".join(lines)
+    limit = csv.field_size_limit()
+    if '"' in text or "\r" in text or "\0" in text or (len(text) > limit and max(map(len, lines)) > limit):
+        return False
+    # each line feed becomes "\n,", so that a line's last cell keeps its line
+    # feed and the text ends in one empty cell; every line holds four commas
+    # (a blank line none) exactly when that makes 5 cells a line plus the
+    # empty one, with the line feeds all in every fifth cell
+    cells = (text if text.endswith("\n") else text + "\n").replace("\n", "\n,").split(",")
+    rows = len(lines)
+    if len(cells) != 5 * rows + 1 or "".join(cells[4::5]).count("\n") != rows:
+        return False
+    block_ids = cells[:-1:5]
+    del cells[::5]
+    try:
+        numbers = list(map(float, cells))  # a last cell's line feed is whitespace to float()
+    except ValueError:
+        return False
+    ids += block_ids
+    values.fromlist(numbers)
+    return True
+
+
 def read_candidates_csv(path) -> CandidateBatch:
     """Load a candidate batch; the header must match CANDIDATE_HEADER exactly.
     The first bad csv record is named by the line it starts on: a wrong
     field count, a cell float() rejects (first column first), then what
-    Candidate rejects."""
+    Candidate rejects.
+
+    The file is read once, in blocks of whole lines of about _BLOCK_CHARS
+    characters.  After a header line that is exactly CANDIDATE_HEADER's,
+    each block that _admit_block admits is taken whole; the first block
+    that it does not admit and the rest of the file go through csv.reader
+    record by record (the walk), which names every fault."""
     # each record's id, floats and the line it starts on, up to the first
     # malformed one, numbers in flat arrays; a quoted line break carries a
     # record on to the next line
-    ids, values, starts, malformed, start = [], array("d"), array("q"), None, 1
+    # line counts the lines before the block in hand
+    ids, values, starts, malformed, header, line, start = [], array("d"), array("q"), None, None, 0, 1
     cannot_read = f"cannot read candidates CSV {_quoted(path)}"
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
@@ -258,9 +303,18 @@ def read_candidates_csv(path) -> CandidateBatch:
         raise CandidatesCsvError(f"{cannot_read}: {exc}") from exc
     try:
         with fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            start = reader.line_num + 1
+            block = fh.readlines(_BLOCK_CHARS)
+            if block[:1] and block[0] in _HEADER_LINES:
+                header, line = CANDIDATE_HEADER, 1
+                block = block[1:] or fh.readlines(_BLOCK_CHARS)
+                while block and _admit_block(block, ids, values):
+                    starts.extend(range(line + 1, line + 1 + len(block)))
+                    line += len(block)
+                    block = fh.readlines(_BLOCK_CHARS)
+            reader = csv.reader(itertools.chain(block, fh))
+            if header is None:
+                header = next(reader, None)
+            start = line + reader.line_num + 1
             for row in reader:
                 # past a malformed record the file is only read on, so that
                 # a later read or csv error is still the one reported
@@ -279,7 +333,7 @@ def read_candidates_csv(path) -> CandidateBatch:
                                 except ValueError:
                                     malformed = f"line {start}: bad {column} value {cell!r}"
                                     break
-                start = reader.line_num + 1
+                start = line + reader.line_num + 1
     except (OSError, UnicodeDecodeError) as exc:
         raise CandidatesCsvError(f"{cannot_read}: {exc}") from exc
     except csv.Error as exc:  # a field over csv.field_size_limit(), in the record at line start

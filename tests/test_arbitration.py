@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from fuzzyspectrum import (
     default_model,
     rank_candidates,
 )
+from fuzzyspectrum.arbitration import _ranking
 
 from conftest import dead_model, random_model, random_rows, traced_peak
 
@@ -78,13 +80,14 @@ class TestArbitrate:
             arbitrate(batch)
 
     def test_peak_memory_per_row_is_bounded(self):
-        # distinct random rows over five blocks of the kernel: about 201
-        # bytes a row, the possibilities, the distances and the ranking,
-        # against about 306 when the set of ids that finds a duplicate was
-        # kept through the scoring and the ranking
+        # distinct random rows over five blocks of the kernel: about 160
+        # bytes a row, most of it the ranking, against about 201 when the
+        # possibilities and distances were lists of Python floats sorted
+        # with a tuple key, and about 306 when the set of ids that finds a
+        # duplicate was kept through the scoring and the ranking
         rows = random_rows(20_000)
         batch, model = CandidateBatch([f"c{i}" for i in range(len(rows))], rows), default_model()
-        assert traced_peak(lambda: arbitrate(batch, model)) < 250 * len(rows)
+        assert traced_peak(lambda: arbitrate(batch, model)) < 190 * len(rows)
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
@@ -214,6 +217,35 @@ class TestRankCandidates:
         strong = Candidate("strong", -60.0, 50.0, 0.5, 99.0)
         ranking = rank_candidates([(close, 0.4), (strong, 0.9)])
         assert [cid for cid, _ in ranking] == ["strong", "close"]
+
+    def test_a_nan_possibility_is_named_in_every_order(self):
+        # NaN compares false with every possibility, so no order would be total
+        a, b, c = (Candidate(cid, -60.0, 50.0, 0.5, 50.0) for cid in "abc")
+        for scored in itertools.permutations([(a, math.nan), (b, 0.5), (c, 0.7)]):
+            with pytest.raises(InvalidInputError) as info:
+                rank_candidates(scored)
+            assert str(info.value) == "candidate 'a': possibility must not be NaN"
+
+    def test_a_possibility_that_is_no_number_is_named(self):
+        with pytest.raises(InvalidInputError) as info:
+            rank_candidates([(Candidate("a", *ALL_LOW), "high")])
+        assert str(info.value) == "possibility must be a real number, got 'high'"
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ranking_equals_the_documented_sort(self, data):
+        # few values, so that equal possibilities, equal distances and both
+        # are common; -0.0 beside 0.0, and ids that differ by a trailing NUL
+        # or by a character outside the BMP, repeated ids too
+        n = data.draw(st.integers(0, 30))
+        possibilities = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0, 1)), min_size=n, max_size=n))
+        distances = data.draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 50.0]), st.floats(0, 150)), min_size=n, max_size=n))
+        ids = data.draw(st.lists(st.text(st.sampled_from(["a", "\0", "\U0001F600", "\uffff"]), max_size=3),
+                                 min_size=n, max_size=n, unique=data.draw(st.booleans())))
+        want = [(ids[i], possibilities[i].hex())
+                for i in sorted(range(n), key=lambda i: (-possibilities[i], distances[i], ids[i]))]
+        got = _ranking(ids, np.array(possibilities, dtype=float), np.array(distances, dtype=float))
+        assert [(cid, p.hex()) for cid, p in got] == want
 
 
 class TestAdmit:

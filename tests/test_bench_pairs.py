@@ -7,7 +7,9 @@ import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -282,6 +284,12 @@ def test_every_layer_has_a_call_and_model_build_rebuilds_the_parsed_model(monkey
         model = pkg.default_model()
         want = [pkg.format_surface_csv(pkg.run_sweep(pkg.figure_preset(preset), model)) for preset in range(7, 12)]
         assert digest(call()) == want
+        # the arbitrate layer is perfbench's op, and the _ranking layer ranks
+        # the batch as arbitrate does
+        code, out, err = table["arbitrate"][0]()
+        assert (code, err) == (0, "") and out.startswith("rank,id,possibility,admitted\n") and out.count("\n") == 251
+        ranking = pkg.arbitrate(pkg.read_candidates_csv(data["csv_path"]), model).ranking
+        assert table["_ranking"][0]() == ranking
     finally:
         for key in [key for key in sys.modules if key.split(".")[0] == "tree_layers"]:
             del sys.modules[key]
@@ -301,3 +309,19 @@ def test_the_preset_9_layer_scores_the_rows_run_sweep_builds(monkeypatch):
     finally:
         for key in [key for key in sys.modules if key.split(".")[0] == "tree_sweep_rows"]:
             del sys.modules[key]
+
+
+def test_the_ranking_layer_builds_lists_for_a_ranking_that_takes_them(monkeypatch):
+    # up to 457d145, _ranking took the possibilities and distances as lists
+    bench_layers = load_bench_layers(monkeypatch)
+
+    def _ranking(ids, possibilities: "list[float]", distances: "list[float]"):
+        return ids, possibilities, distances
+
+    def _array_ranking(ids, possibilities: "np.ndarray", distances: "np.ndarray"):
+        return ids, possibilities, distances
+
+    columns = (["a", "b"], np.array([0.5, 0.25]), np.array([1.0, 2.0]))
+    old, new = (SimpleNamespace(arbitration=SimpleNamespace(_ranking=f)) for f in (_ranking, _array_ranking))
+    assert bench_layers.ranking_call(old, *columns)() == (["a", "b"], [0.5, 0.25], [1.0, 2.0])
+    assert all(got is given for got, given in zip(bench_layers.ranking_call(new, *columns)(), columns))

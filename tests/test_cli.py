@@ -9,6 +9,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import fuzzyspectrum
 from fuzzyspectrum import Candidate, FuzzyModel, InvalidInputError, decision_possibility, default_model
-from fuzzyspectrum.cli import build_parser, main
+from fuzzyspectrum.cli import _csv_fields, build_parser, main
 from fuzzyspectrum.engine import MAX_GRID_POINTS
 from fuzzyspectrum.sweep import MAX_STEPS
 from fuzzyspectrum.serialization import (
@@ -26,7 +27,7 @@ from fuzzyspectrum.serialization import (
     serialize_document,
 )
 
-from conftest import NO_EXPLAIN_PHASES, UNDECODABLE_JSON, candidate_files, dead_model, rule_table_rows
+from conftest import NO_EXPLAIN_PHASES, ODD_IDS, UNDECODABLE_JSON, candidate_files, dead_model, rule_table_rows
 from oracle import reference_read_candidates
 
 HEADER = "id,signal_dbm,velocity_kmh,spectrum_ratio,distance_m"
@@ -268,6 +269,15 @@ class TestArbitrate:
         assert len(records) == 1 + len(ids)
         assert {len(record) for record in records} == {4}
         assert sorted(record[1] for record in records[1:]) == sorted(ids)
+
+    # at least two fields: csv.writer writes a record of one empty field as
+    # "", and every listing here has four fields or more
+    @given(st.lists(st.one_of(st.text(), st.sampled_from(ODD_IDS)), min_size=2, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_csv_fields_are_quoted_as_csv_writer_quotes_them(self, fields):
+        records = []
+        csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerow(fields)
+        assert ",".join(_csv_fields(fields)) == records[0][:-2]
 
     def test_human_format_escapes_unprintable_ids(self, capsys, tmp_path):
         path = tmp_path / "batch.csv"

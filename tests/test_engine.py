@@ -905,6 +905,12 @@ class TestOneRow:
                 _infer_rows(model, rows)
             assert str(info.value) == f"expected 4 inputs, got {width}"
 
+    @pytest.mark.parametrize("rows", [[0.5] * 4, np.full((1, 1, 4), 0.5), np.full((2, 3, 4), 0.5)], ids=["1-d", "1x1x4", "2x3x4"])
+    def test_an_array_of_other_than_two_dimensions_is_named_by_its_shape(self, rows):
+        with pytest.raises(InvalidInputError) as info:
+            _infer_rows(default_model(), rows)
+        assert str(info.value) == f"expected a (rows, 4) array of inputs, got shape {np.shape(rows)}"
+
 
 class TestFiringStage:
     def test_exp_runs_once_per_distinct_value_of_each_input(self, monkeypatch):

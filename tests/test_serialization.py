@@ -6,6 +6,7 @@ import os
 import tempfile
 from dataclasses import replace
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from fuzzyspectrum import (
     run_sweep,
     serialize_document,
 )
+from fuzzyspectrum import serialization
 from fuzzyspectrum.cli import _rules_csv
 from fuzzyspectrum.engine import _MAX_CURVE_POINTS, MAX_GRID_POINTS
 
@@ -592,23 +594,81 @@ class TestCandidatesCsv:
             read_candidates_csv(path)
         assert str(info.value) == f"line 1: field larger than field limit ({csv.field_size_limit()})"
 
-    @given(candidate_files())
-    @settings(max_examples=400, deadline=None, phases=NO_EXPLAIN_PHASES)
-    def test_matches_the_line_by_line_reader(self, data):
+    @staticmethod
+    def _both_readers(path):
+        """What reference_read_candidates and read_candidates_csv make of
+        path: the records' ids and float bits, or the error's type and
+        message."""
+        results = []
+        for read in (lambda: reference_read_candidates(path, error=CandidatesCsvError),
+                     lambda: [(c.id, *c.inputs()) for c in read_candidates_csv(path)]):
+            try:
+                results.append(("ok", [(cid, *(v.hex() for v in values)) for cid, *values in read()]))
+            except (CandidatesCsvError, ValueError) as exc:
+                results.append((type(exc), str(exc)))
+        return results
+
+    def _file_agrees(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "batch.csv")
             with open(path, "wb") as fh:
                 fh.write(data)
-            try:
-                want = ("ok", [(cid, *(v.hex() for v in values)) for cid, *values in
-                               reference_read_candidates(path, error=CandidatesCsvError)])
-            except (CandidatesCsvError, ValueError) as exc:
-                want = (type(exc), str(exc))
-            try:
-                got = ("ok", [(c.id, *(v.hex() for v in c.inputs())) for c in read_candidates_csv(path)])
-            except (CandidatesCsvError, ValueError) as exc:
-                got = (type(exc), str(exc))
+            want, got = self._both_readers(path)
         assert got == want
+
+    @given(candidate_files())
+    @settings(max_examples=400, deadline=None, phases=NO_EXPLAIN_PHASES)
+    def test_matches_the_line_by_line_reader(self, data):
+        self._file_agrees(data)
+
+    # blocks of a line or two, so that a block ends inside the drawn files,
+    # which are far shorter than one 64 KiB block
+    @given(candidate_files())
+    @settings(max_examples=200, deadline=None, phases=NO_EXPLAIN_PHASES)
+    def test_matches_the_line_by_line_reader_in_blocks_of_a_few_dozen_characters(self, data):
+        with mock.patch.object(serialization, "_BLOCK_CHARS", 40):
+            self._file_agrees(data)
+
+    # lines that only the walk reads, each past the first 64 KiB block of
+    # plain rows and followed by more of them
+    LATE_LINES = {
+        "quoted-line-break": ['"q\nr",-60,50,0.5,50'],
+        "crlf": ["c1,-60,50,0.5,50\r"],
+        "blank": [""],
+        "bad-cell": ["b1,-60,fast,0.5,50"],
+        "negative": ["n1,-60,-5,0.5,50"],
+        # four and six fields, ten in all, each a number but the first
+        "field-counts-that-add-up": ["s1,-60,50,0.5", "50,-60,50,0.5,50,7"],
+        "all-bad-cell-first": ['"q\nr",-60,50,0.5,50', "c1,-60,50,0.5,50\r", "", "b1,-60,fast,0.5,50", "n1,-60,-5,0.5,50"],
+        "all-negative-first": ['"q\nr",-60,50,0.5,50', "c1,-60,50,0.5,50\r", "", "n1,-60,-5,0.5,50", "b1,-60,fast,0.5,50"],
+    }
+
+    @pytest.mark.parametrize("late", LATE_LINES.values(), ids=LATE_LINES.keys())
+    def test_lines_past_the_first_block_match_the_line_by_line_reader(self, tmp_path, late):
+        plain = "".join(f"p{i},-60.5,{i % 100}.25,0.5,{i % 70}.0\n" for i in range(3000))
+        assert len(plain) > 1 << 16
+        after = "".join(f"a{i},-70,10,0.25,{i}\n" for i in range(100))
+        path = self._write(tmp_path, f"{self.HEADER}\n{plain}" + "".join(line + "\n" for line in late) + after)
+        want, got = self._both_readers(path)
+        assert got == want
+        assert got[0] != "ok" or len(got[1]) == 3100 + sum(line.startswith(("c1", '"q')) for line in late)
+
+    @pytest.mark.parametrize("late", [[], ["b1,-60,fast,0.5,50"]], ids=["admitted", "walked"])
+    def test_the_file_is_opened_once(self, tmp_path, monkeypatch, late):
+        plain = "".join(f"p{i},-60.5,50.25,0.5,{i % 70}.0\n" for i in range(3000))
+        path = self._write(tmp_path, f"{self.HEADER}\n{plain}" + "".join(line + "\n" for line in late) + plain.replace("p", "z"))
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(serialization, "open", counting_open, raising=False)
+        try:
+            read_candidates_csv(path)
+        except CandidatesCsvError:
+            pass
+        assert opened == [path]
 
     def test_peak_memory_per_row_is_bounded(self, tmp_path):
         # each record is held once, as its id, its floats in a flat array and

@@ -27,7 +27,9 @@ file, such as the runs of ``tools/bench_pairs.py``, is kept.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import statistics
 import sys
@@ -71,6 +73,7 @@ def inputs(seed: int, tree: Path, workdir: Path) -> dict:
     rows, _ = arbitrate.make_input(0)
     return {
         "decisions": [decide.make_input(i).inputs() for i in range(DECISION_ROWS)],
+        "ids": [row[0] for row in rows],
         "batch": np.array([row[1:] for row in rows]),
         "csv_path": arbitrate.path,
         "document": model_swap.make_input(0)[0],
@@ -95,10 +98,31 @@ def sweep_rows(pkg, spec, model) -> np.ndarray:
     return rows
 
 
+def cli_output(cli, argv: list[str]) -> tuple[int, str, str]:
+    """cli.main(argv) in process, as perfbench runs it: its exit code,
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def ranking_call(pkg, ids, possibilities: np.ndarray, distances: np.ndarray):
+    """A call of pkg's arbitration._ranking as its arbitrate makes it, from
+    the kernel's possibilities and the batch's distances as float arrays:
+    up to 457d145 _ranking took lists of Python floats, and arbitrate built
+    them, so for such a tree the call builds them too."""
+    ranking = pkg.arbitration._ranking
+    if "list" in str(ranking.__annotations__["possibilities"]):
+        return lambda: ranking(ids, possibilities.tolist(), distances.tolist())
+    return lambda: ranking(ids, possibilities, distances)
+
+
 def layers(pkg, data: dict) -> dict:
     """Each layer's call on pkg's objects, and a digest of its result that
     two packages can compare bit for bit."""
     engine, model, spec = pkg.engine, pkg.default_model(), pkg.figure_preset(9)
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
     decisions, batch, cells = data["decisions"], data["batch"], sweep_rows(pkg, spec, model)
     doc = pkg.parse_document(data["document"])
     # the parts a parsed document hands FuzzyModel, so that model_build times
@@ -107,6 +131,8 @@ def layers(pkg, data: dict) -> dict:
     surface = pkg.run_sweep(spec, model)
     presets = [pkg.figure_preset(preset) for preset in range(7, 12)]
     digest_array = np.ndarray.tobytes
+    possibilities = engine._infer_rows(model, batch)
+    distances = batch[:, list(pkg.INPUT_ORDER).index("distance_m")]
 
     def floats(values):
         return [float(x).hex() for x in values]
@@ -143,12 +169,20 @@ def layers(pkg, data: dict) -> dict:
         # swept and formatted (run_sweep above times preset 9 alone)
         "surface": (lambda: [pkg.format_surface_csv(pkg.run_sweep(p, model)) for p in presets], list),
         "validate_model": (lambda: pkg.validate_model(doc.model), lambda out: out.failures),
+        # perfbench's arbitrate op: the CLI in process, from the batch's CSV
+        # file to the ranking's
+        "arbitrate": (lambda: cli_output(cli, ["arbitrate", data["csv_path"], "--format", "csv"]), tuple),
+        "_ranking": (
+            ranking_call(pkg, data["ids"], possibilities, distances),
+            lambda out: [(cid, float(p).hex()) for cid, p in out],
+        ),
     }
 
 
 LAYERS = (
     "_infer_row", "decision_possibility", "_infer_rows", "_infer_rows_preset_9", "_membership_table", "parse_document",
     "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "surface", "validate_model",
+    "arbitrate", "_ranking",
 )
 
 
