@@ -638,10 +638,10 @@ def _clip_key(clip: np.ndarray) -> np.ndarray:
 
 def _infer_rows(model: FuzzyModel, x) -> np.ndarray:
     """Crisp outputs for an (N, n_inputs) array of finite inputs
-    (InvalidInputError for any other shape).  Each is bit-identical to infer on the same
-    row.  The rows are scored in blocks of the model's block_rows (4096 for
-    up to 15 output terms), so that beside the rows and their outputs no
-    intermediate spans more than one block (_infer_block)."""
+    (InvalidInputError for any other shape).  Each is bit-identical to infer
+    on the same row.  The rows are scored in blocks of the model's block_rows
+    (4096 for up to 15 output terms), so that beside the rows and their
+    outputs no intermediate spans more than one block (_infer_block)."""
     c = model._compiled
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:

@@ -653,6 +653,15 @@ class TestCandidatesCsv:
         assert got == want
         assert got[0] != "ok" or len(got[1]) == 3100 + sum(line.startswith(("c1", '"q')) for line in late)
 
+    def test_an_undecodable_byte_past_the_first_block_gives_the_reference_message(self, tmp_path):
+        # the decode error comes from a block read, not from the walk; its
+        # position counts from the start of the chunk that the file object decodes
+        plain = "".join(f"p{i},-60.5,{i % 100}.25,0.5,{i % 70}.0\n" for i in range(5000)).encode()
+        path = tmp_path / "batch.csv"
+        path.write_bytes(f"{self.HEADER}\n".encode() + plain[:100000] + b"\xff" + plain[100000:])
+        want, got = self._both_readers(path)
+        assert got == want and "can't decode byte 0xff" in got[1]
+
     @pytest.mark.parametrize("late", [[], ["b1,-60,fast,0.5,50"]], ids=["admitted", "walked"])
     def test_the_file_is_opened_once(self, tmp_path, monkeypatch, late):
         plain = "".join(f"p{i},-60.5,50.25,0.5,{i % 70}.0\n" for i in range(3000))
