@@ -81,12 +81,11 @@ def _ranking(ids, possibilities: np.ndarray, distances: np.ndarray) -> tuple[tup
     ranked = possibilities[order]
     tied = ranked[1:] == ranked[:-1]
     in_run = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
-    if len(in_run):
-        rows = order[in_run].tolist()
-        # each run's possibility keeps it among the runs, and the row, last,
-        # keeps rows of one key in their given order, as a stable sort does
-        keys = zip((-ranked[in_run]).tolist(), distances[rows].tolist(), map(ids.__getitem__, rows), rows)
-        order[in_run] = [key[3] for key in sorted(keys)]
+    rows = order[in_run].tolist()
+    # each run's possibility keeps it among the runs, and the row, last,
+    # keeps rows of one key in their given order, as a stable sort does
+    keys = zip((-ranked[in_run]).tolist(), distances[rows].tolist(), map(ids.__getitem__, rows), rows)
+    order[in_run] = [key[3] for key in sorted(keys)]
     return tuple(zip(map(ids.__getitem__, order.tolist()), possibilities[order].tolist()))
 
 
@@ -95,7 +94,8 @@ def arbitrate(
     model: FuzzyModel | None = None,
     threshold: float = DEFAULT_ADMISSION_THRESHOLD,
 ) -> ArbitrationOutcome:
-    """Score every candidate, as one CandidateBatch, and grant the single vacant-spectrum slot."""
+    """Score every candidate, as one CandidateBatch, and grant the single vacant-spectrum slot.
+    A candidate's fields feed the model's inputs by position, as in decision_possibility."""
     t = check_threshold(threshold)
     if not isinstance(candidates, CandidateBatch):
         candidates = list(candidates)

@@ -148,6 +148,9 @@ def decision_possibility(
     The explanation of the same decision, an InferenceTrace whose
     crisp_output is this possibility bit for bit, is infer(model,
     candidate.inputs()).
+    The candidate's fields feed the model's inputs by position, in
+    INPUT_ORDER, whatever the inputs are named: the CLI rejects a model whose
+    inputs differ, the library does not.
     """
     if model is None:
         model = default_model()

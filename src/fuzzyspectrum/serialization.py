@@ -245,7 +245,7 @@ def load_document(path) -> ModelDocument:
 
 # the header line that a block read admits; any other first line is read by
 # the walk, which names the fault
-_HEADER_LINES = (",".join(CANDIDATE_HEADER) + "\n", ",".join(CANDIDATE_HEADER))
+_HEADER_LINE = ",".join(CANDIDATE_HEADER) + "\n"
 # characters of text that read_candidates_csv takes a block of whole lines at
 _BLOCK_CHARS = 1 << 16
 
@@ -304,9 +304,8 @@ def read_candidates_csv(path) -> CandidateBatch:
     try:
         with fh:
             block = fh.readlines(_BLOCK_CHARS)
-            if block[:1] and block[0] in _HEADER_LINES:
-                header, line = CANDIDATE_HEADER, 1
-                block = block[1:] or fh.readlines(_BLOCK_CHARS)
+            if block[:1] == [_HEADER_LINE]:
+                header, line, block = CANDIDATE_HEADER, 1, block[1:]
                 while block and _admit_block(block, ids, values):
                     starts.extend(range(line + 1, line + 1 + len(block)))
                     line += len(block)

@@ -7,9 +7,7 @@ import json
 import re
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -309,19 +307,3 @@ def test_the_preset_9_layer_scores_the_rows_run_sweep_builds(monkeypatch):
     finally:
         for key in [key for key in sys.modules if key.split(".")[0] == "tree_sweep_rows"]:
             del sys.modules[key]
-
-
-def test_the_ranking_layer_builds_lists_for_a_ranking_that_takes_them(monkeypatch):
-    # up to 457d145, _ranking took the possibilities and distances as lists
-    bench_layers = load_bench_layers(monkeypatch)
-
-    def _ranking(ids, possibilities: "list[float]", distances: "list[float]"):
-        return ids, possibilities, distances
-
-    def _array_ranking(ids, possibilities: "np.ndarray", distances: "np.ndarray"):
-        return ids, possibilities, distances
-
-    columns = (["a", "b"], np.array([0.5, 0.25]), np.array([1.0, 2.0]))
-    old, new = (SimpleNamespace(arbitration=SimpleNamespace(_ranking=f)) for f in (_ranking, _array_ranking))
-    assert bench_layers.ranking_call(old, *columns)() == (["a", "b"], [0.5, 0.25], [1.0, 2.0])
-    assert all(got is given for got, given in zip(bench_layers.ranking_call(new, *columns)(), columns))

@@ -165,9 +165,11 @@ class TestArbitrate:
         assert code == 0
         assert out.splitlines()[-1] == "winner: solo"
 
-    def test_header_only_is_an_error(self, capsys, tmp_path):
-        path = self._write(tmp_path, [])
-        code, _, err = run_cli(capsys, "arbitrate", path)
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["line-feed", "no-line-feed"])
+    def test_header_only_is_an_error(self, capsys, tmp_path, end):
+        path = tmp_path / "batch.csv"
+        path.write_text(HEADER + end, encoding="utf-8")
+        code, _, err = run_cli(capsys, "arbitrate", str(path))
         assert code == 1
         assert "no candidates" in err
 

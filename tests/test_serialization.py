@@ -622,12 +622,27 @@ class TestCandidatesCsv:
         self._file_agrees(data)
 
     # blocks of a line or two, so that a block ends inside the drawn files,
-    # which are far shorter than one 64 KiB block
+    # which are far shorter than one 64 KiB block; 53 is the header line's
+    # length, the least at which the first block holds a record as well
     @given(candidate_files())
     @settings(max_examples=200, deadline=None, phases=NO_EXPLAIN_PHASES)
     def test_matches_the_line_by_line_reader_in_blocks_of_a_few_dozen_characters(self, data):
-        with mock.patch.object(serialization, "_BLOCK_CHARS", 40):
+        with mock.patch.object(serialization, "_BLOCK_CHARS", 53):
             self._file_agrees(data)
+
+    def test_blocks_of_a_few_dozen_characters_are_admitted(self, tmp_path):
+        path = self._write(tmp_path, f"{self.HEADER}\n" + "".join(f"p{i},-60.5,{i}.25,0.5,{i}.0\n" for i in range(20)))
+        admitted, admit = [], serialization._admit_block
+
+        def spy(lines, ids, values):
+            admitted.append(admit(lines, ids, values))
+            return admitted[-1]
+
+        assert len(serialization._HEADER_LINE) == 53
+        with mock.patch.object(serialization, "_BLOCK_CHARS", 53), mock.patch.object(serialization, "_admit_block", spy):
+            want, got = self._both_readers(path)
+        assert got == want and len(got[1]) == 20
+        assert admitted.count(True) >= 2
 
     # lines that only the walk reads, each past the first 64 KiB block of
     # plain rows and followed by more of them
@@ -696,8 +711,10 @@ class TestCandidatesCsv:
             read_candidates_csv(path)
         assert str(excinfo.value).startswith(f"cannot read candidates CSV '{path}': 'utf-8' codec can't decode byte 0xff")
 
-    def test_header_only_gives_empty_batch(self, tmp_path):
-        path = self._write(tmp_path, f"{self.HEADER}\n")
+    # without its line feed the header is read by the walk, to the same batch
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["line-feed", "no-line-feed"])
+    def test_header_only_gives_empty_batch(self, tmp_path, end):
+        path = self._write(tmp_path, self.HEADER + end)
         assert len(read_candidates_csv(path)) == 0
 
 

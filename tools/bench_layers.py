@@ -13,7 +13,10 @@ drawn with seed SEED by the workload classes of the parent's
 ``perfbench/workloads.py``: the inputs of DECISION_ROWS ``decide`` ops, the
 rows and the CSV file of one ``arbitrate`` op, and the document of one
 ``model_swap`` op.  Before a layer is timed, both sides' results are compared
-bit for bit; a layer whose results differ is reported and not timed.
+bit for bit; a layer whose results differ is reported and not timed.  The
+layers call private functions as the change's tree defines them:
+``_ranking`` gets the possibilities and distances as float arrays, as it has
+since 32d7c3f, so neither commit may be older than that.
 
 The timing runs in SPELLS alternating spells, the parent first on even
 spells.  A spell calls the layer a fixed number of times, sized on the parent
@@ -107,17 +110,6 @@ def cli_output(cli, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def ranking_call(pkg, ids, possibilities: np.ndarray, distances: np.ndarray):
-    """A call of pkg's arbitration._ranking as its arbitrate makes it, from
-    the kernel's possibilities and the batch's distances as float arrays:
-    up to 457d145 _ranking took lists of Python floats, and arbitrate built
-    them, so for such a tree the call builds them too."""
-    ranking = pkg.arbitration._ranking
-    if "list" in str(ranking.__annotations__["possibilities"]):
-        return lambda: ranking(ids, possibilities.tolist(), distances.tolist())
-    return lambda: ranking(ids, possibilities, distances)
-
-
 def layers(pkg, data: dict) -> dict:
     """Each layer's call on pkg's objects, and a digest of its result that
     two packages can compare bit for bit."""
@@ -173,7 +165,7 @@ def layers(pkg, data: dict) -> dict:
         # file to the ranking's
         "arbitrate": (lambda: cli_output(cli, ["arbitrate", data["csv_path"], "--format", "csv"]), tuple),
         "_ranking": (
-            ranking_call(pkg, data["ids"], possibilities, distances),
+            lambda: pkg.arbitration._ranking(data["ids"], possibilities, distances),
             lambda out: [(cid, float(p).hex()) for cid, p in out],
         ),
     }
