@@ -94,8 +94,7 @@ def arbitrate(
     model: FuzzyModel | None = None,
     threshold: float = DEFAULT_ADMISSION_THRESHOLD,
 ) -> ArbitrationOutcome:
-    """Score every candidate, as one CandidateBatch, and grant the single vacant-spectrum slot.
-    A candidate's fields feed the model's inputs by position, as in decision_possibility."""
+    """Score every candidate as one CandidateBatch, fields by position as in decision_possibility, and grant the single vacant-spectrum slot."""
     t = check_threshold(threshold)
     if not isinstance(candidates, CandidateBatch):
         candidates = list(candidates)

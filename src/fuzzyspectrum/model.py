@@ -141,16 +141,13 @@ def decision_possibility(
     model: FuzzyModel | None = None,
     threshold: float = DEFAULT_ADMISSION_THRESHOLD,
 ) -> DecisionResult:
-    """Evaluate one candidate through the model.
-
-    Deterministic: identical candidate fields and model give bit-identical
-    results.  Inputs outside a variable's universe are clamped to its bounds.
-    The explanation of the same decision, an InferenceTrace whose
-    crisp_output is this possibility bit for bit, is infer(model,
-    candidate.inputs()).
-    The candidate's fields feed the model's inputs by position, in
-    INPUT_ORDER, whatever the inputs are named: the CLI rejects a model whose
-    inputs differ, the library does not.
+    """Evaluate one candidate through the model, its fields feeding the
+    model's inputs by position, in INPUT_ORDER, whatever the inputs are named
+    (the CLI rejects a model whose inputs differ; the library does not).
+    Identical fields and model give bit-identical results; inputs outside a
+    variable's universe are clamped to its bounds.  The same decision's
+    InferenceTrace, whose crisp_output is this possibility bit for bit, is
+    infer(model, candidate.inputs()).
     """
     if model is None:
         model = default_model()
