@@ -263,7 +263,9 @@ def test_inputs_are_what_the_perfbench_workloads_draw(monkeypatch, tmp_path):
     assert data["batch"].shape == (250, 4) and len(set(map(tuple, data["batch"].tolist()))) == 225
     assert data["csv_path"] == str(tmp_path / "batch.csv")
     assert (tmp_path / "batch.csv").read_text() == (again / "batch.csv").read_text()
-    assert data["document"] == workloads.ModelSwap(bench_layers.SEED, again, {}).make_input(0)[0]
+    document, candidates = workloads.ModelSwap(bench_layers.SEED, again, {}).make_input(0)
+    assert data["document"] == document
+    assert data["swap_candidates"] == [(c.id, c.inputs()) for c in candidates] and len(candidates) == 4
 
 
 def test_every_layer_has_a_call_and_model_build_rebuilds_the_parsed_model(monkeypatch, tmp_path):
@@ -288,6 +290,16 @@ def test_every_layer_has_a_call_and_model_build_rebuilds_the_parsed_model(monkey
         assert (code, err) == (0, "") and out.startswith("rank,id,possibility,admitted\n") and out.count("\n") == 251
         ranking = pkg.arbitrate(pkg.read_candidates_csv(data["csv_path"]), model).ranking
         assert table["_ranking"][0]() == ranking
+        # the infer layer traces each decision row, and the model_swap layer
+        # decides the document's four candidates on the model it parses
+        traces = table["infer"][0]()
+        assert [t.crisp_output for t in traces] == [pkg.engine._infer_row(model, row) for row in data["decisions"]]
+        doc, report, results = table["model_swap"][0]()
+        assert doc == pkg.parse_document(data["document"]) and report.failures == ()
+        assert results == [
+            pkg.decision_possibility(pkg.Candidate(cid, *row), doc.model, doc.admission_threshold)
+            for cid, row in data["swap_candidates"]
+        ]
     finally:
         for key in [key for key in sys.modules if key.split(".")[0] == "tree_layers"]:
             del sys.modules[key]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzyspectrum import (
@@ -18,6 +18,7 @@ from fuzzyspectrum import (
     FuzzyVariable,
     GaussianTerm,
     InvalidInputError,
+    ModelDocument,
     ModelIntegrityError,
     NoRuleFiredError,
     aggregate,
@@ -30,9 +31,11 @@ from fuzzyspectrum import (
     gaussian_membership,
     infer,
     run_sweep,
+    serialize_document,
 )
 
 from fuzzyspectrum import engine
+from fuzzyspectrum.cli import main
 from fuzzyspectrum.engine import (
     CHUNK_ELEMENTS,
     MASS_EPSILON,
@@ -623,18 +626,37 @@ class TestCurveStage:
         assert peak < 24 * terms * MAX_GRID_POINTS
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_lone_column_sums_left_to_right(self, data):
+    @given(curve=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1.0)), min_size=1, max_size=400, unique_by=lambda p: p[0]))
+    # a moment that cancels exactly is +0.0, and a lone -0.0 point's is -0.0,
+    # as in a running sum from the first term
+    @example(curve=[(-1.0, 0.5), (0.0, 0.0), (1.0, 0.5)])
+    @example(curve=[(-0.0, 0.5)])
+    def test_lone_column_sums_left_to_right(self, curve):
         # one column is summed as a running sum, so mass and moment must
         # equal adding the points one at a time, negative points included
-        points = sorted(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=400, unique=True)))
-        degrees = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(points), max_size=len(points)))
+        points, degrees = map(list, zip(*sorted(curve)))
         num, den = trapezoid_sums(points, degrees)
         if den < MASS_EPSILON:
             with pytest.raises(NoRuleFiredError):
                 defuzzify_centroid(list(zip(points, degrees)))
         else:
             assert defuzzify_centroid(list(zip(points, degrees))).hex() == (num / den).hex()
+
+    def test_a_moment_that_cancels_exactly_is_positive_zero_on_both_paths(self, capsys, tmp_path):
+        # mirrored Low and High terms clipped at one level on the grid
+        # [-1, 0, 1]: each moment is -t + 0.0 + t, which a running sum from
+        # the first term makes +0.0; == cannot tell it from -0.0, hex can
+        inputs = default_model().inputs
+        model = FuzzyModel(inputs, three_term_variable("y", -1.0, 1.0), (((0, 0, 0, 0), 0, 1.0), ((0, 0, 0, 0), 2, 1.0)), 3)
+        rows = np.array([[-100.0, 0.0, 0.0, 0.0], [-90.0, 10.0, 0.1, 10.0], [-80.0, 20.0, 0.2, 20.0]])
+        got, chunks = scored_chunks(lambda: _infer_rows(model, rows))
+        assert [len(clip) for clip, _ in chunks] == [3]
+        assert got.tobytes() == np.array([_infer_row(model, row) for row in rows.tolist()]).tobytes()
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in exact_outputs(model, rows)] == ["0x0.0p+0"] * 3
+        path = tmp_path / "mirrored.json"
+        path.write_text(serialize_document(ModelDocument(model)), encoding="utf-8")
+        assert main(["eval", *map(str, rows[1]), "--model", str(path), "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "possibility,admitted\n0.000000,false\n"
 
     @pytest.mark.parametrize(
         "grid_points", [2, 101, 1001, 5001, CHUNK_ELEMENTS, CHUNK_ELEMENTS + 1, MAX_GRID_POINTS]

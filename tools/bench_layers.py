@@ -11,8 +11,8 @@ exports them, and each export's package is imported under its own name
 module.  Every layer of the table below gets the same inputs on both sides,
 drawn with seed SEED by the workload classes of the parent's
 ``perfbench/workloads.py``: the inputs of DECISION_ROWS ``decide`` ops, the
-rows and the CSV file of one ``arbitrate`` op, and the document of one
-``model_swap`` op.  Before a layer is timed, both sides' results are compared
+rows and the CSV file of one ``arbitrate`` op, and the document and the
+candidates of one ``model_swap`` op.  Before a layer is timed, both sides' results are compared
 bit for bit; a layer whose results differ is reported and not timed.  The
 layers call private functions as the change's tree defines them:
 ``_ranking`` gets the possibilities and distances as float arrays, as it has
@@ -74,12 +74,14 @@ def inputs(seed: int, tree: Path, workdir: Path) -> dict:
     spec.loader.exec_module(workloads)
     decide, arbitrate, model_swap = (workloads.WORKLOADS[name](seed, workdir, {}) for name in ("decide", "arbitrate", "model_swap"))
     rows, _ = arbitrate.make_input(0)
+    document, candidates = model_swap.make_input(0)
     return {
         "decisions": [decide.make_input(i).inputs() for i in range(DECISION_ROWS)],
         "ids": [row[0] for row in rows],
         "batch": np.array([row[1:] for row in rows]),
         "csv_path": arbitrate.path,
-        "document": model_swap.make_input(0)[0],
+        "document": document,
+        "swap_candidates": [(c.id, c.inputs()) for c in candidates],
     }
 
 
@@ -125,6 +127,12 @@ def layers(pkg, data: dict) -> dict:
     digest_array = np.ndarray.tobytes
     possibilities = engine._infer_rows(model, batch)
     distances = batch[:, list(pkg.INPUT_ORDER).index("distance_m")]
+    swap_candidates = [pkg.Candidate(cid, *row) for cid, row in data["swap_candidates"]]
+
+    def model_swap():
+        doc = pkg.parse_document(data["document"])
+        report = pkg.validate_model(doc.model)
+        return doc, report, [pkg.decision_possibility(c, doc.model, doc.admission_threshold) for c in swap_candidates]
 
     def floats(values):
         return [float(x).hex() for x in values]
@@ -136,6 +144,11 @@ def layers(pkg, data: dict) -> dict:
         "decision_possibility": (
             lambda: [pkg.decision_possibility(pkg.Candidate(f"su{i}", *row), model, 0.5) for i, row in enumerate(decisions)],
             lambda out: [(r.possibility.hex(), r.admitted) for r in out],
+        ),
+        # the trace path: memberships, strengths and the curve of each decision
+        "infer": (
+            lambda: [engine.infer(model, row) for row in decisions],
+            lambda out: [(t.crisp_output.hex(), digest_array(t.aggregated_curve)) for t in out],
         ),
         "_infer_rows": (lambda: engine._infer_rows(model, batch), digest_array),
         "_infer_rows_preset_9": (lambda: engine._infer_rows(model, cells), digest_array),
@@ -168,13 +181,19 @@ def layers(pkg, data: dict) -> dict:
             lambda: pkg.arbitration._ranking(data["ids"], possibilities, distances),
             lambda out: [(cid, float(p).hex()) for cid, p in out],
         ),
+        # perfbench's model_swap op: a new document parsed, compiled and
+        # validated, and its four candidates decided on it
+        "model_swap": (
+            model_swap,
+            lambda out: (pkg.serialize_document(out[0]), out[1].failures, [r.possibility.hex() for r in out[2]]),
+        ),
     }
 
 
 LAYERS = (
-    "_infer_row", "decision_possibility", "_infer_rows", "_infer_rows_preset_9", "_membership_table", "parse_document",
-    "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "surface", "validate_model",
-    "arbitrate", "_ranking",
+    "_infer_row", "decision_possibility", "infer", "_infer_rows", "_infer_rows_preset_9", "_membership_table",
+    "parse_document", "model_build", "read_candidates_csv", "run_sweep", "format_surface_csv", "surface",
+    "validate_model", "arbitrate", "_ranking", "model_swap",
 )
 
 
