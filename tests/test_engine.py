@@ -626,7 +626,9 @@ class TestCurveStage:
         assert peak < 24 * terms * MAX_GRID_POINTS
 
     @settings(max_examples=300, deadline=None)
-    @given(curve=st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1.0)), min_size=1, max_size=400, unique_by=lambda p: p[0]))
+    @given(curve=st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1.0)), min_size=1, max_size=400, unique_by=lambda p: p[0]
+    ))
     # a moment that cancels exactly is +0.0, and a lone -0.0 point's is -0.0,
     # as in a running sum from the first term
     @example(curve=[(-1.0, 0.5), (0.0, 0.0), (1.0, 0.5)])
@@ -646,8 +648,8 @@ class TestCurveStage:
         # mirrored Low and High terms clipped at one level on the grid
         # [-1, 0, 1]: each moment is -t + 0.0 + t, which a running sum from
         # the first term makes +0.0; == cannot tell it from -0.0, hex can
-        inputs = default_model().inputs
-        model = FuzzyModel(inputs, three_term_variable("y", -1.0, 1.0), (((0, 0, 0, 0), 0, 1.0), ((0, 0, 0, 0), 2, 1.0)), 3)
+        rules = (((0, 0, 0, 0), 0, 1.0), ((0, 0, 0, 0), 2, 1.0))
+        model = FuzzyModel(default_model().inputs, three_term_variable("y", -1.0, 1.0), rules, 3)
         rows = np.array([[-100.0, 0.0, 0.0, 0.0], [-90.0, 10.0, 0.1, 10.0], [-80.0, 20.0, 0.2, 20.0]])
         got, chunks = scored_chunks(lambda: _infer_rows(model, rows))
         assert [len(clip) for clip, _ in chunks] == [3]
@@ -914,8 +916,8 @@ class TestOneRow:
 
     def test_peak_memory_per_grid_point_is_bounded(self):
         # the (terms, grid points) clipped curves and their max are the
-        # largest arrays; the running sum is taken in place: about 32 bytes
-        # a grid point, against 40 when it allocated its own result
+        # largest arrays, about 32 bytes a grid point; the centroid holds the
+        # curve and one array of weighted terms, 16
         model = replace(default_model(), grid_points=MAX_GRID_POINTS)
         assert traced_peak(lambda: _infer_row(model, [-60.0, 50.0, 0.5, 50.0])) < 36 * MAX_GRID_POINTS
 

@@ -12,11 +12,11 @@ module.  Every layer of the table below gets the same inputs on both sides,
 drawn with seed SEED by the workload classes of the parent's
 ``perfbench/workloads.py``: the inputs of DECISION_ROWS ``decide`` ops, the
 rows and the CSV file of one ``arbitrate`` op, and the document and the
-candidates of one ``model_swap`` op.  Before a layer is timed, both sides' results are compared
-bit for bit; a layer whose results differ is reported and not timed.  The
-layers call private functions as the change's tree defines them:
-``_ranking`` gets the possibilities and distances as float arrays, as it has
-since 32d7c3f, so neither commit may be older than that.
+candidates of one ``model_swap`` op.  Before a layer is timed, both sides'
+results are compared bit for bit; a layer whose results differ is reported
+and not timed.  The layers call private functions as the change's tree
+defines them: ``_ranking`` gets the possibilities and distances as float
+arrays, as it has since 32d7c3f, so neither commit may be older than that.
 
 The timing runs in SPELLS alternating spells, the parent first on even
 spells.  A spell calls the layer a fixed number of times, sized on the parent
