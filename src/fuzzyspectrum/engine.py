@@ -543,13 +543,8 @@ def _kept_terms(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
 
 def _centroids(c: _Compiled, clip: np.ndarray, rows: int) -> np.ndarray:
     """Centroids of a chunk's (columns, output terms) clip vectors, walking
-    the grid in blocks of rows grid points over the terms _kept_terms keeps;
-    a lone column ignores rows."""
+    the grid in blocks of rows grid points over the terms _kept_terms keeps."""
     terms = len(c.term_curves)
-    if len(clip) == 1:
-        # the block walk gives a lone column the same bits, ~20% slower at
-        # 1001 points, so it takes _row_degrees' curve and _row_centroid
-        return np.array([_row_centroid(np.maximum.reduce(np.minimum(clip.T, c.term_curves), axis=0), c.grid, c.w)])
     # a ufunc with a broadcast operand shorter than numpy's 8192-element
     # buffer takes the buffered iterator, ~3x slower per element than
     # same-shape contiguous operands, so every broadcast is one copyto into

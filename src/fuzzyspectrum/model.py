@@ -73,6 +73,8 @@ class Candidate:
     distance_m: float
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InvalidInputError(f"candidate id must be a string, got {type(self.id).__name__}")
         if not self.id:
             raise InvalidInputError("candidate id must be non-empty")
         try:
@@ -123,7 +125,7 @@ def _first_invalid_row(ids: tuple[str, ...], values: np.ndarray) -> int | None:
     """Index of the first row a Candidate would reject, if any."""
     non_negative = values[:, [INPUT_ORDER.index(field) for field in _NON_NEGATIVE]]
     bad = ~np.isfinite(values).all(axis=1) | (non_negative < 0.0).any(axis=1)
-    bad[[i for i, cid in enumerate(ids) if not cid]] = True
+    bad[[i for i, cid in enumerate(ids) if not isinstance(cid, str) or not cid]] = True
     return int(bad.argmax()) if bad.any() else None
 
 

@@ -262,15 +262,16 @@ def _admit_block(lines: list[str], ids: list, values: array) -> bool:
     if '"' in text or "\r" in text or "\0" in text or (len(text) > limit and max(map(len, lines)) > limit):
         return False
     # each line feed becomes "\n,", so that a line's last cell keeps its line
-    # feed and the text ends in one empty cell; every line holds four commas
-    # (a blank line none) exactly when that makes 5 cells a line plus the
-    # empty one, with the line feeds all in every fifth cell
+    # feed and the text ends in one empty cell; every line holds fields - 1
+    # commas (a blank line none) exactly when that makes fields cells a line
+    # plus the empty one, with the line feeds all in each line's last cell
+    fields = len(CANDIDATE_HEADER)
     cells = (text if text.endswith("\n") else text + "\n").replace("\n", "\n,").split(",")
     rows = len(lines)
-    if len(cells) != 5 * rows + 1 or "".join(cells[4::5]).count("\n") != rows:
+    if len(cells) != fields * rows + 1 or "".join(cells[fields - 1::fields]).count("\n") != rows:
         return False
-    block_ids = cells[:-1:5]
-    del cells[::5]
+    block_ids = cells[:-1:fields]
+    del cells[::fields]
     try:
         numbers = list(map(float, cells))  # a last cell's line feed is whitespace to float()
     except ValueError:

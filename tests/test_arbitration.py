@@ -79,6 +79,14 @@ class TestArbitrate:
         with pytest.raises(DuplicateCandidateError, match="'x'"):
             arbitrate(batch)
 
+    @pytest.mark.parametrize("cid, kind", [(1, "int"), (["b"], "list"), (None, "NoneType"), (b"b", "bytes")])
+    def test_an_id_that_is_not_a_string_is_rejected(self, cid, kind):
+        # tied with "a", an int id reached the ranking's id sort and a list
+        # id the duplicate check, and both escaped as a TypeError
+        with pytest.raises(InvalidInputError) as info:
+            arbitrate([Candidate(cid, *ALL_LOW), Candidate("a", *ALL_LOW)], threshold=0.0)
+        assert str(info.value) == f"candidate id must be a string, got {kind}"
+
     def test_peak_memory_per_row_is_bounded(self):
         # distinct random rows over five blocks of the kernel: about 160
         # bytes a row, most of it the ranking, against about 201 when the

@@ -477,7 +477,7 @@ class TestInfer:
     def test_two_column_chunks_bit_identical_to_infer(self):
         # distinct rows one block and 104 rows long, whose last block is a
         # chunk of 104 columns, and one block and one row long, whose last
-        # block is one row, a lone column
+        # block is a chunk of one column
         model = default_model()
         rows = random_rows(4200)
         block = model._compiled.block_rows
@@ -557,7 +557,7 @@ class TestCurveStage:
         # one narrow term at the bottom of a wide universe: its membership
         # underflows to 0.0 at 100.0, so that row's clip vector has no mass;
         # the other rows make the chunk's clip vectors distinct, so the
-        # block walk of _centroids scores it, not _row_centroid
+        # block walk of _centroids scores it beside columns with mass
         x = FuzzyVariable("x", 0.0, 100.0, (GaussianTerm("T", 0.0, 1.0),))
         model = FuzzyModel((x,), three_term_variable("y", 0.0, 1.0), (((0,), 2, 1.0),))
         with pytest.raises(NoRuleFiredError) as excinfo:
@@ -566,11 +566,10 @@ class TestCurveStage:
 
     @pytest.mark.parametrize("grid_points", [101, 1001, 5001])
     def test_batch_matches_left_to_right_centroid_at_every_width(self, grid_points):
-        # the curve stage sums a lone column as a running sum and a chunk of
-        # columns block by block; both must equal adding the grid one point
-        # at a time.  Widths: one column, two, and the fewest columns whose
-        # grid walk carries the sums across a block boundary into a partial
-        # last block
+        # the curve stage sums a chunk of any width block by block, which
+        # must equal adding the grid one point at a time.  Widths: one
+        # column, two, and the fewest columns whose grid walk carries the
+        # sums across a block boundary into a partial last block
         model = replace(default_model(), grid_points=grid_points)
         rng = np.random.default_rng(grid_points)
         lo = np.array([v.lo for v in model.inputs])
@@ -667,9 +666,9 @@ class TestCurveStage:
         # every chunk a batch hands _centroids has at most block_rows
         # columns, and its (terms, rows, columns) tile of clip levels and
         # each (rows, columns) scratch array hold (terms + 1) x rows x columns
-        # <= CHUNK_ELEMENTS elements, for 1 to 10, 17 and 64 output terms; a
-        # lone column takes the row path's arrays.  Batches longer than a
-        # block only where the grid is short enough to score them quickly
+        # <= CHUNK_ELEMENTS elements, for 1 to 10, 17 and 64 output terms,
+        # a lone column included.  Batches longer than a block only where
+        # the grid is short enough to score them quickly
         rng = np.random.default_rng(grid_points)
         for terms in [*range(1, 11), 17, 64]:
             if terms * grid_points > engine._MAX_CURVE_POINTS:
@@ -682,8 +681,31 @@ class TestCurveStage:
                 assert sum(len(clip) for clip, _ in chunks) == n
                 for clip, rows in chunks:
                     assert clip.shape[1] == terms and len(clip) <= block
-                    if len(clip) > 1:
-                        assert 1 <= rows <= grid_points and (terms + 1) * rows * len(clip) <= CHUNK_ELEMENTS
+                    assert 1 <= rows <= grid_points and (terms + 1) * rows * len(clip) <= CHUNK_ELEMENTS
+
+    @pytest.mark.parametrize("grid_points", [CHUNK_ELEMENTS + 1, MAX_GRID_POINTS])
+    def test_lone_column_carries_its_sums_across_grid_blocks(self, grid_points):
+        # a one-row batch is a chunk of one column, which walks the grid in
+        # blocks like any chunk: at these grids its sums cross at least one
+        # block boundary and must still equal the row path's running sums.
+        # The canary is a tie, its Low and High levels equal; the other row
+        # is not
+        model = replace(default_model(), grid_points=grid_points)
+        params = model_params(model)
+        for row, tie in (([-50.0, 20.0, 0.8, 30.0], False), ([-60.0, 50.0, 0.5, 50.0], True)):
+            levels = reference_clip_levels(row, *params)
+            assert (levels[0] == levels[-1]) == tie
+            got, chunks = scored_chunks(lambda: _infer_rows(model, [row]))
+            ((clip, rows),) = chunks
+            assert len(clip) == 1 and rows < grid_points
+            want = [_infer_row(model, row), *exact_outputs(model, [row])]
+            assert [got[0].hex()] * 2 == [x.hex() for x in want]
+
+    def test_lone_column_peak_memory_stays_under_the_chunk_cap(self):
+        # a one-row batch at the largest grid holds a grid block of its
+        # curves, not the (terms, grid points) clipped curves of the row path
+        model = replace(default_model(), grid_points=MAX_GRID_POINTS)
+        assert traced_peak(lambda: _infer_rows(model, [[-62.0, 40.0, 0.4, 55.0]])) < 16 * CHUNK_ELEMENTS
 
     @settings(max_examples=20, deadline=None, phases=NO_EXPLAIN_PHASES)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -788,8 +810,6 @@ class TestTermSkip:
             assert crisp.tolist() == exact_outputs(model, rows)
         c = model._compiled
         for clip, block_rows in chunks:
-            if len(clip) == 1:  # the row path's curve, with every term
-                continue
             kept = engine._kept_terms(c, clip, block_rows)
             assert kept.shape == (n_out, -(-model.grid_points // block_rows))
             for b, g in enumerate(range(0, model.grid_points, block_rows)):

@@ -552,6 +552,15 @@ class TestCandidateValidation:
         with pytest.raises(ValueError):
             Candidate("", -60, 50, 0.5, 50)
 
+    @pytest.mark.parametrize("cid, kind", [(0, "int"), (b"", "bytes"), (None, "NoneType"), (("c",), "tuple")])
+    def test_an_id_that_is_not_a_string_is_named_before_emptiness(self, cid, kind):
+        with pytest.raises(InvalidInputError) as info:
+            Candidate(cid, -60, 50, 0.5, 50)
+        assert str(info.value) == f"candidate id must be a string, got {kind}"
+        with pytest.raises(InvalidInputError) as info:
+            Candidate("", -60, 50, 0.5, 50)
+        assert str(info.value) == "candidate id must be non-empty"
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -625,6 +634,22 @@ class TestCandidateBatch:
         with pytest.raises(InvalidInputError) as info:
             CandidateBatch(ids, values)
         assert str(info.value) == f"values must hold 4 numbers per id, {4 * len(ids)} in all"
+
+    @pytest.mark.parametrize(
+        "ids, kind",
+        [(["a", 1], "int"), (["a", ["b"]], "list"), (["a", np.array([1, 2])], "ndarray")],
+        ids=["int", "list", "array"],
+    )
+    def test_an_id_that_is_not_a_string_is_named(self, ids, kind):
+        # a directly built batch names it as its row's Candidate does; an
+        # invalid row before it is named first
+        values = [[-60, 50, 0.5, 50]] * 2
+        with pytest.raises(InvalidInputError) as info:
+            CandidateBatch(ids, values)
+        assert str(info.value) == f"candidate id must be a string, got {kind}"
+        with pytest.raises(InvalidInputError) as info:
+            CandidateBatch(ids, [[-60, 50, 0.5, -1], values[1]])
+        assert str(info.value) == "candidate 'a': distance_m must be >= 0"
 
     def test_empty_batch(self):
         batch = CandidateBatch([], [])
