@@ -12,6 +12,7 @@ import argparse
 import functools
 import re
 import sys
+from pathlib import Path
 
 from .arbitration import arbitrate
 from .engine import FuzzyError, FuzzyModel, _quoted, _shown_name, check_threshold, clamp_to_universe, infer
@@ -124,8 +125,7 @@ def _resolve_candidate_model(args) -> tuple[FuzzyModel, float]:
 def _emit(args, text: str) -> None:
     try:
         if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            Path(args.output).write_bytes(text.encode("utf-8"))  # encoded first: a failure leaves the file as it was
         else:
             sys.stdout.write(text)
     except UnicodeEncodeError as exc:  # a name that the output's encoding cannot hold

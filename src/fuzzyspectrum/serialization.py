@@ -292,11 +292,10 @@ def read_candidates_csv(path) -> CandidateBatch:
     each block that _admit_block admits is taken whole; the first block
     that it does not admit and the rest of the file go through csv.reader
     record by record (the walk), which names every fault."""
-    # each record's id, floats and the line it starts on, up to the first
-    # malformed one, numbers in flat arrays; a quoted line break carries a
-    # record on to the next line
-    # line counts the lines before the block in hand
-    ids, values, starts, malformed, header, line, start = [], array("d"), array("q"), None, None, 0, 1
+    # each record's id and floats, up to the first malformed one, numbers in
+    # flat arrays, and the line each record of the walk starts on (a quoted
+    # line break carries a record on to the next line)
+    ids, values, starts, malformed, header, start = [], array("d"), array("q"), None, None, 1
     cannot_read = f"cannot read candidates CSV {_quoted(path)}"
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
@@ -306,11 +305,11 @@ def read_candidates_csv(path) -> CandidateBatch:
         with fh:
             block = fh.readlines(_BLOCK_CHARS)
             if block[:1] == [_HEADER_LINE]:
-                header, line, block = CANDIDATE_HEADER, 1, block[1:]
+                header, block = CANDIDATE_HEADER, block[1:]
                 while block and _admit_block(block, ids, values):
-                    starts.extend(range(line + 1, line + 1 + len(block)))
-                    line += len(block)
                     block = fh.readlines(_BLOCK_CHARS)
+            admitted = len(ids)  # one line each, so record r is on line r + 2
+            line = admitted + (header is not None)  # the lines before the walk
             reader = csv.reader(itertools.chain(block, fh))
             if header is None:
                 header = next(reader, None)
@@ -353,7 +352,8 @@ def read_candidates_csv(path) -> CandidateBatch:
     try:
         batch = CandidateBatch(ids, values)
     except InvalidInputError as exc:
-        raise CandidatesCsvError(f"line {starts[_first_invalid_row(tuple(ids), values)]}: {exc}") from exc
+        r = _first_invalid_row(tuple(ids), values)
+        raise CandidatesCsvError(f"line {r + 2 if r < admitted else starts[r - admitted]}: {exc}") from exc
     if malformed is not None:
         raise CandidatesCsvError(malformed)
     return batch

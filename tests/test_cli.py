@@ -972,12 +972,15 @@ class TestErrorFamily:
     def test_a_name_the_output_cannot_encode_exits_one(self, capsys, tmp_path, output):
         # a lone surrogate, which JSON can spell, has no UTF-8 encoding
         argv = ["dump-rules", "--format", "csv", "--model", model_with_term_named(tmp_path, "\ud800")]
+        old = tmp_path / "rules.csv"
+        old.write_bytes(b"an earlier report\n")
         if output:
-            argv += ["--output", str(tmp_path / "rules.csv")]
+            argv += ["--output", str(old)]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: 'utf-8' codec can't encode character '\\ud800' in position ")
         assert err.endswith(": surrogates not allowed\n")
+        assert old.read_bytes() == b"an earlier report\n"  # not truncated
 
 
 class TestRandomArgv:

@@ -695,10 +695,11 @@ class TestCandidatesCsv:
         assert opened == [path]
 
     def test_peak_memory_per_row_is_bounded(self, tmp_path):
-        # each record is held once, as its id, its floats in a flat array and
-        # its start line: about 175 bytes a row here, against about 270 when
-        # the floats were a list of Python floats and about 700 when every
-        # record's strings were kept until the file was read
+        # each record is held once, as its id and its floats in a flat array:
+        # about 165 bytes a row here, against about 175 when every record's
+        # start line was kept too, about 270 when the floats were a list of
+        # Python floats and about 700 when every record's strings were kept
+        # until the file was read
         rows = random_rows(20_000).tolist()
         lines = [f"u{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows)]
         path = self._write(tmp_path, f"{self.HEADER}\n" + "".join(lines))
